@@ -425,6 +425,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         else:
             result = leaf_util(var, ctx)
         if var == tree.root:
+            if not child_payloads:
+                # a lone variable: its table holds the one empty separator tuple
+                return result.rows[0][1]
             return result
         if clustered:
             rng = random.Random(f"{config.seed}:{var}")

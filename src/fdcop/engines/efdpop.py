@@ -55,6 +55,10 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
             total = child_fn if total is None else piecewise.add(total, child_fn, config.piece_cap)
 
         if var == tree.root:
+            if total is None:
+                # a lone variable: nothing to maximize, dpop's smallest-point tie-break
+                state[var] = {"value": own_dom.lb}
+                return 0.0
             value, utility = piecewise.argmax_unary(total)
             state[var] = {"value": value}
             return utility

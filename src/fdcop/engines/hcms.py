@@ -27,7 +27,10 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     edges.sort()
 
     samples = {v: list(discretize(contexts[v].own_domain(), d)) for v in variables}
-    incident = {v: [e for e in edges if v in e] for v in variables}
+    incident = {v: [] for v in variables}
+    for e in edges:
+        for v in e:
+            incident[v].append(e)
     r_store = {(e, v): [0.0] * d for e in edges for v in e}
     partner_at = {(e, v): None for e in edges for v in e}
 

@@ -86,8 +86,8 @@ class QuadraticBinaryUtility:
 
     def evaluate(self, vi: float, vj: float) -> float:
         """Evaluate at first_var = vi, second_var = vj."""
-        a, b, c, d, e, f0 = self.coeffs
-        return a * vi * vi + b * vi + c * vj * vj + d * vj + e * vi * vj + f0
+        return (self.coeff_a * vi * vi + self.coeff_b * vi + self.coeff_c * vj * vj
+                + self.coeff_d * vj + self.coeff_e * vi * vj + self.coeff_f0)
 
     def value_at(self, values) -> float:
         """Evaluate from a mapping var -> value; argument order is canonicalized."""
@@ -122,11 +122,34 @@ class GradientBound:
 
 @dataclass(frozen=True)
 class Problem:
+    """Agents, their variables and domains, and the binary utilities.
+
+    `utility_between` and `utilities_of` are O(1): both read an index by
+    variable pair and by variable that is built once at construction. The
+    index is derived from `utilities`, so it takes no part in equality or
+    `repr`.
+    """
+
     agents: tuple[str, ...]
     variables: tuple[str, ...]
     domains: dict[str, ContinuousDomain]
     utilities: tuple[QuadraticBinaryUtility, ...]
     owner: dict[str, str] = field(default_factory=dict)
+    _by_pair: dict[frozenset[str], QuadraticBinaryUtility] = field(
+        init=False, repr=False, compare=False)
+    _by_var: dict[str, tuple[QuadraticBinaryUtility, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_pair: dict[frozenset[str], QuadraticBinaryUtility] = {}
+        by_var: dict[str, list[QuadraticBinaryUtility]] = {}
+        for f in self.utilities:
+            # the first utility over a pair wins; validate() rejects duplicates
+            by_pair.setdefault(frozenset(f.scope), f)
+            for var in f.scope:
+                by_var.setdefault(var, []).append(f)
+        object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_by_var", {v: tuple(fs) for v, fs in by_var.items()})
 
     def validate(self) -> None:
         if sorted(self.owner) != sorted(self.variables):
@@ -152,13 +175,10 @@ class Problem:
             raise ValidationError("constraint graph is disconnected")
 
     def utility_between(self, u: str, v: str) -> QuadraticBinaryUtility | None:
-        for f in self.utilities:
-            if {u, v} == set(f.scope):
-                return f
-        return None
+        return self._by_pair.get(frozenset((u, v)))
 
     def utilities_of(self, var: str) -> tuple[QuadraticBinaryUtility, ...]:
-        return tuple(f for f in self.utilities if var in f.scope)
+        return self._by_var.get(var, ())
 
 
 def evaluate_solution(problem: Problem, assignment: Assignment) -> float:

@@ -8,6 +8,7 @@ verify the isolation contract after the fact.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -59,8 +60,8 @@ class EngineConfig:
             raise ArgumentError(f"points must be >= 1, got {self.points}")
         if self.moves < 0:
             raise ArgumentError(f"moves must be >= 0, got {self.moves}")
-        if self.alpha <= 0:
-            raise ArgumentError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ArgumentError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.k_clusters < 1:
             raise ArgumentError(f"k_clusters must be >= 1, got {self.k_clusters}")
         if self.iterations < 1:

@@ -47,6 +47,15 @@ class TestSolve:
         assert report["stats"]["total_messages"] == report["bounds"]["predicted_messages"]
         assert set(report["assignment"]) == {f"x{i:03d}" for i in range(5)}
 
+    def test_nonfinite_alpha(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "2",
+                "-o", str(path))
+        code, _, err = run_cli(capsys, "solve", str(path), "--engine", "af-dpop",
+                               "--alpha", "nan")
+        assert code == cli.EXIT_INVALID
+        assert "alpha" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent.json")
         assert code == cli.EXIT_INVALID

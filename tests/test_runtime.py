@@ -1,4 +1,6 @@
 """Simulated message-passing kernel: accounting, isolation, determinism."""
+import math
+
 import pytest
 
 from fdcop import generators, model, pseudotree, runtime
@@ -11,8 +13,9 @@ class TestEngineConfig:
         EngineConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        {"points": 0}, {"moves": -1}, {"alpha": 0.0}, {"k_clusters": 0},
-        {"iterations": 0}, {"interpolation": "cubic"},
+        {"points": 0}, {"moves": -1}, {"alpha": 0.0}, {"alpha": float("nan")},
+        {"alpha": float("inf")}, {"k_clusters": 0}, {"iterations": 0},
+        {"interpolation": "cubic"},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ArgumentError):
@@ -75,6 +78,16 @@ class TestRun:
         for engine in ("dpop", "af-dpop", "caf-dpop", "hcms"):
             result = runtime.run(p, engine, EngineConfig(points=3))
             model.evaluate_solution(p, result.assignment)  # raises if not
+
+    @pytest.mark.parametrize("engine", model.ENGINE_KINDS)
+    def test_one_variable_problem(self, engine):
+        p = model.Problem(agents=("a",), variables=("x",),
+                          domains={"x": model.ContinuousDomain(-3.0, 5.0)},
+                          utilities=(), owner={"x": "a"})
+        result = runtime.run(p, engine, EngineConfig())
+        x = result.assignment["x"]
+        assert math.isfinite(x) and p.domains["x"].contains(x)
+        assert result.reported_optimum == 0.0
 
     def test_determinism(self):
         p = generators.gen_graph(8, 0.3, 3)
