@@ -124,10 +124,9 @@ class GradientBound:
 class Problem:
     """Agents, their variables and domains, and the binary utilities.
 
-    `utility_between` and `utilities_of` are O(1): both read an index by
-    variable pair and by variable that is built once at construction. The
-    index is derived from `utilities`, so it takes no part in equality or
-    `repr`.
+    `utility_between` is O(1): it reads an index by variable pair that is
+    built once at construction. The index is derived from `utilities`, so it
+    takes no part in equality or `repr`.
     """
 
     agents: tuple[str, ...]
@@ -137,19 +136,13 @@ class Problem:
     owner: dict[str, str] = field(default_factory=dict)
     _by_pair: dict[frozenset[str], QuadraticBinaryUtility] = field(
         init=False, repr=False, compare=False)
-    _by_var: dict[str, tuple[QuadraticBinaryUtility, ...]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_pair: dict[frozenset[str], QuadraticBinaryUtility] = {}
-        by_var: dict[str, list[QuadraticBinaryUtility]] = {}
         for f in self.utilities:
             # the first utility over a pair wins; validate() rejects duplicates
             by_pair.setdefault(frozenset(f.scope), f)
-            for var in f.scope:
-                by_var.setdefault(var, []).append(f)
         object.__setattr__(self, "_by_pair", by_pair)
-        object.__setattr__(self, "_by_var", {v: tuple(fs) for v, fs in by_var.items()})
 
     def validate(self) -> None:
         if sorted(self.owner) != sorted(self.variables):
@@ -178,7 +171,7 @@ class Problem:
         return self._by_pair.get(frozenset((u, v)))
 
     def utilities_of(self, var: str) -> tuple[QuadraticBinaryUtility, ...]:
-        return self._by_var.get(var, ())
+        return tuple(f for f in self.utilities if var in f.scope)
 
 
 def evaluate_solution(problem: Problem, assignment: Assignment) -> float:

@@ -75,19 +75,6 @@ class TestUtilityIndex:
         assert p.utility_between("x1", "nope") is None
         assert p.utility_between("nope", "also-nope") is None
 
-    def test_utilities_of_matches_scan(self):
-        p = HCMS_GRAPH
-        for var in p.variables:
-            assert p.utilities_of(var) == tuple(f for f in p.utilities if var in f.scope)
-
-    def test_utilities_of_unconstrained(self):
-        p = make_problem([quad("x1", "x2", a=-1.0)])
-        assert p.utilities_of("x9") == ()
-        lone = model.Problem(agents=("a",), variables=("x",),
-                             domains={"x": model.ContinuousDomain(0.0, 1.0)},
-                             utilities=(), owner={"x": "a"})
-        assert lone.utilities_of("x") == ()
-
     def test_first_utility_per_pair_wins(self):
         first = quad("x1", "x2", a=-1.0)
         second = quad("x2", "x1", a=-2.0)
@@ -95,7 +82,6 @@ class TestUtilityIndex:
                           domains={v: model.ContinuousDomain(0.0, 1.0) for v in ("x1", "x2")},
                           utilities=(first, second), owner={"x1": "a1", "x2": "a2"})
         assert p.utility_between("x2", "x1") is first
-        assert p.utilities_of("x1") == (first, second)
 
     def test_replace_rebuilds_index(self):
         p = make_problem([quad("x1", "x2", a=-1.0), quad("x2", "x3", c=-1.0)])
@@ -103,7 +89,6 @@ class TestUtilityIndex:
         q = dataclasses.replace(p, utilities=p.utilities[:1] + (g,))
         assert q.utility_between("x3", "x1") is g
         assert q.utility_between("x2", "x3") is None
-        assert q.utilities_of("x3") == (g,)
         assert p.utility_between("x2", "x3") is p.utilities[1]
 
     def test_equality_repr_and_dict_ignore_index(self):
@@ -111,6 +96,6 @@ class TestUtilityIndex:
         b = generators.gen_graph(12, 0.3, seed=7)
         assert a == b
         assert repr(a) == repr(b)
-        assert "_by_pair" not in repr(a) and "_by_var" not in repr(a)
+        assert "_by_pair" not in repr(a)
         assert model.problem_to_dict(a) == model.problem_to_dict(b)
         assert model.loads(model.dumps(a)) == a
