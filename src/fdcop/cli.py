@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ArgumentError) as exc:
+    except (ValidationError, ArgumentError, StructureError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as exc:

@@ -1,49 +1,33 @@
 """Approximate functional DPOP and its clustered variant.
 
 UTIL tables hold scattered value tuples whose coordinates are iteratively
-moved along utility gradients; tables from different children are aligned by
-interpolation before joining, and the VALUE phase interpolates utilities at
-off-grid ancestor values. The clustered variant compresses each outgoing
-table to k representative rows via k-means while keeping the full table
-locally.
+moved along utility gradients; the join interpolates each child's table over
+the union of the children's value sets, and the VALUE phase interpolates
+utilities at off-grid ancestor values. The clustered variant compresses each
+outgoing table to k representative rows via k-means while keeping the full
+table locally.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ArgumentError, CapacityError, ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import best_own_response, discretize, util_value_protocol
+from .common import UtilTable, best_own_response, discretize, util_value_protocol
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
 PAIR_CAP = 200_000_000
 
 
-@dataclass(frozen=True)
-class ScatterTable:
-    separator_vars: tuple[str, ...]
-    rows: tuple[tuple[tuple[float, ...], float], ...]
-    origin: str = "leaf"
-
-    def scalar_size(self) -> int:
-        return len(self.rows) * (len(self.separator_vars) + 1)
-
-    def value_set(self, var: str) -> list[float]:
-        j = self.separator_vars.index(var)
-        return sorted({values[j] for values, _ in self.rows})
-
-
 # --- interpolation -----------------------------------------------------------
 
-def _exact_index(table: ScatterTable) -> dict[tuple[float, ...], float]:
+def _exact_index(table: UtilTable) -> dict[tuple[float, ...], float]:
     index: dict[tuple[float, ...], float] = {}
     for values, util in table.rows:
         if values not in index or util > index[values]:
@@ -72,24 +56,7 @@ def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
     return out
 
 
-def interpolate(table: ScatterTable, query: tuple[float, ...],
-                method: str = "idw") -> float:
-    """Utility estimate at a query tuple: stored rows answer exactly, other
-    points use inverse-distance weighting (power 2) or the nearest row."""
-    if not table.rows:
-        raise ProtocolError("cannot interpolate over an empty table")
-    if method not in ("idw", "nearest"):
-        raise ArgumentError(f"unknown interpolation method {method!r}")
-    index = _exact_index(table)
-    if tuple(query) in index:
-        return index[tuple(query)]
-    rows = sorted(index.items())  # lexicographic, so nearest ties break low
-    points = np.array([values for values, _ in rows], dtype=float)
-    utils = np.array([util for _, util in rows], dtype=float)
-    return float(_interp_batch(points, utils, np.array([query], dtype=float), method)[0])
-
-
-def _interp_many(table: ScatterTable, queries: list[tuple[float, ...]],
+def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
                  method: str) -> list[float]:
     index = _exact_index(table)
     out: list[float | None] = [index.get(q) for q in queries]
@@ -105,40 +72,10 @@ def _interp_many(table: ScatterTable, queries: list[tuple[float, ...]],
     return out  # type: ignore[return-value]
 
 
-# --- alignment and clustering ------------------------------------------------
+# --- clustering --------------------------------------------------------------
 
-def align_tables(child_tables: list[ScatterTable], interpolation: str = "idw",
-                 row_cap: int = 10_000_000) -> list[ScatterTable]:
-    """Extend each table so shared variables carry the union of all value
-    sets; new rows get interpolated utilities."""
-    for t in child_tables:
-        if not t.rows:
-            raise ProtocolError("received an empty UTIL table")
-    common: dict[str, list[float]] = {}
-    for t in child_tables:
-        for var in t.separator_vars:
-            values = set(common.get(var, ())) | set(t.value_set(var))
-            common[var] = sorted(values)
-
-    out = []
-    for t in child_tables:
-        sets = [common[var] for var in t.separator_vars]
-        size = math.prod(len(s) for s in sets)
-        if size > row_cap:
-            raise CapacityError(f"aligned table would hold {size} rows (cap {row_cap})")
-        index = _exact_index(t)
-        grid = list(itertools.product(*sets))
-        if len(index) == len(grid) and all(g in index for g in grid):
-            out.append(t)
-            continue
-        utils = _interp_many(t, grid, interpolation)
-        out.append(ScatterTable(t.separator_vars,
-                                tuple(zip(grid, utils)), origin="joined"))
-    return out
-
-
-def cluster_tuples(table: ScatterTable, k: int, rng: random.Random | None = None,
-                   interpolation: str = "idw") -> ScatterTable:
+def cluster_tuples(table: UtilTable, k: int, rng: random.Random | None = None,
+                   interpolation: str = "idw") -> UtilTable:
     """Compress a table to at most k rows: k-means (farthest-point init,
     Lloyd iterations) over the value tuples, with centroid utilities
     interpolated from the original rows."""
@@ -176,7 +113,7 @@ def cluster_tuples(table: ScatterTable, k: int, rng: random.Random | None = None
     used = sorted(set(int(lbl) for lbl in labels))
     tuples = [tuple(float(v) for v in centroids[j]) for j in used]
     utils = _interp_many(table, tuples, interpolation)
-    return ScatterTable(table.separator_vars, tuple(zip(tuples, utils)), origin="joined")
+    return UtilTable(table.separator_vars, tuple(zip(tuples, utils)))
 
 
 # --- gradient moves ----------------------------------------------------------
@@ -206,31 +143,9 @@ def leaf_move(values: tuple[float, ...], sep_vars: tuple[str, ...],
     return tuple(out)
 
 
-def nonleaf_move(values: tuple[float, ...], sep_vars: tuple[str, ...],
-                 candidates: list[float], candidate_tables: dict[float, ScatterTable],
-                 constraints: dict, alpha: float, own_var: str,
-                 sep_domains: dict) -> tuple[float, ...]:
-    """One gradient move of a non-leaf tuple. The agent's own stand-in value
-    is the candidate whose joined-table row nearest the tuple is best; only
-    coordinates with a direct constraint to the agent move."""
-    best_c, best_u = None, -math.inf
-    for c in sorted(candidates):
-        u = interpolate(candidate_tables[c], values, "nearest")
-        if u > best_u:
-            best_c, best_u = c, u
-    out = []
-    for w, v in zip(sep_vars, values):
-        f = constraints.get(w)
-        if f is None:
-            out.append(v)
-            continue
-        grad = _gradient_wrt_other(f, own_var, best_c, v)
-        out.append(sep_domains[w].clamp(v + alpha * grad))
-    return tuple(out)
-
-
 def _snap_column(points: list[float], values: np.ndarray) -> np.ndarray:
-    """Vectorized _snap_indices for one coordinate."""
+    """Nearest index into the sorted `points` for each value; ties go to the
+    smaller point."""
     p = np.asarray(points)
     i = np.searchsorted(p, values, side="left")
     out = np.clip(i, 0, len(p) - 1)
@@ -241,20 +156,6 @@ def _snap_column(points: list[float], values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snap_indices(sets: list[list[float]], values: tuple[float, ...]) -> tuple[int, ...]:
-    """Nearest grid index per coordinate; ties go to the smaller value."""
-    out = []
-    for points, v in zip(sets, values):
-        i = bisect_left(points, v)
-        if i == 0:
-            out.append(0)
-        elif i == len(points):
-            out.append(len(points) - 1)
-        else:
-            out.append(i - 1 if v - points[i - 1] <= points[i] - v else i)
-    return tuple(out)
-
-
 # --- the engine ---------------------------------------------------------------
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
@@ -262,7 +163,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
     d = config.points
     method = config.interpolation
     state: dict[str, dict] = {}
-    kernel.engine_state = state  # inspectable after the run
 
     def leaf_util(var, ctx):
         own_dom = ctx.own_domain()
@@ -270,6 +170,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         sep_vars = tuple(sorted(ctx.separator))
         sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
         grids = [discretize(sep_domains[w], d) for w in sep_vars]
+        cells = len(own_pts) * math.prod(len(g) for g in grids)
+        if cells > config.row_cap:
+            raise CapacityError(f"{var}: grid table would hold {cells} rows (cap {config.row_cap})")
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
 
         tuples = list(itertools.product(*grids))
@@ -300,7 +203,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             rows.append((t, best))
         state[var] = {"leaf": True, "sep_vars": sep_vars, "own_pts": own_pts,
                       "own_domain": own_dom, "constraints": sorted_constraints}
-        return ScatterTable(sep_vars, tuple(rows), origin="leaf")
+        return UtilTable(sep_vars, tuple(rows))
 
     def nonleaf_util(var, ctx, child_payloads):
         sep_vars = tuple(sorted(ctx.separator))
@@ -309,9 +212,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             if not t.rows:
                 raise ProtocolError(f"{var}: received an empty UTIL table")
 
-        # value-set union per variable, the alignment step's common sets;
-        # the join below interpolates each child table directly instead of
-        # materializing the extended tables (same values at aligned rows)
+        # the union of the children's value sets per variable; the join below
+        # interpolates each child table at these points
         sets: dict[str, list[float]] = {}
         for t in tables:
             for w in t.separator_vars:
@@ -372,7 +274,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         best_candidate_idx = grid_scores.argmax(axis=1)  # first max = smallest candidate
 
         sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
-        strides = np.array(_strides(tuple(len(s) for s in sep_sets)), dtype=int)
         cand_arr = np.array(candidates)
         current = np.array(grid, dtype=float).reshape(len(grid), len(sep_vars))
         active = np.ones(len(grid), dtype=bool)
@@ -384,7 +285,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 [_snap_column(sep_sets[j], rows[:, j]) for j in range(len(sep_vars))],
                 axis=1,
             )
-            x_star = cand_arr[best_candidate_idx[snapped @ strides]]
+            x_star = cand_arr[best_candidate_idx[
+                np.ravel_multi_index(snapped.T, [len(s) for s in sep_sets])]]
             nxt = rows.copy()
             for j, w in enumerate(sep_vars):
                 f = constraints.get(w)
@@ -409,14 +311,13 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             "sep_vars": sep_vars,
             "candidates": candidates,
             "scores": scores,
-            "joined_rows": grid_cells,
         }
 
         if var == tree.root:
             return float(grid_scores.max())
 
         utils = scores(moved).max(axis=1).tolist()
-        return ScatterTable(sep_vars, tuple(zip(moved, utils)), origin="joined")
+        return UtilTable(sep_vars, tuple(zip(moved, utils)))
 
     def util_fn(var, child_payloads):
         ctx = contexts[var]
@@ -432,7 +333,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         if clustered:
             rng = random.Random(f"{config.seed}:{var}")
             result = cluster_tuples(result, config.k_clusters, rng, method)
-        state[var]["emitted_rows"] = len(result.rows)
         return result, result.scalar_size()
 
     def value_fn(var, sep_values):
@@ -463,12 +363,3 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         return candidates[best_i]
 
     return util_value_protocol(kernel, tree, util_fn, value_fn)
-
-
-def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    acc = 1
-    for size in reversed(dims):
-        out.append(acc)
-        acc *= size
-    return tuple(reversed(out))

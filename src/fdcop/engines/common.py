@@ -1,11 +1,29 @@
-"""Shared machinery for the DPOP-family engines: domain discretization,
-closed-form 1-D maximization, and the UTIL/VALUE message schedule."""
+"""Shared machinery for the DPOP-family engines: the UTIL table type, domain
+discretization, closed-form 1-D maximization, and the UTIL/VALUE message
+schedule."""
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..errors import ArgumentError
 from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import SYSTEM, UTIL, VALUE, Kernel
 from ..pseudotree import PseudoTree
+
+
+@dataclass(frozen=True)
+class UtilTable:
+    """Rows of (separator value tuple, utility) over an ordered variable list."""
+
+    separator_vars: tuple[str, ...]
+    rows: tuple[tuple[tuple[float, ...], float], ...]
+
+    def scalar_size(self) -> int:
+        return len(self.rows) * (len(self.separator_vars) + 1)
+
+    def value_set(self, var: str) -> list[float]:
+        j = self.separator_vars.index(var)
+        return sorted({values[j] for values, _ in self.rows})
 
 
 def discretize(domain: ContinuousDomain, d: int) -> list[float]:

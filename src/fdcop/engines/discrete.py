@@ -4,31 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from ..errors import CapacityError, ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import discretize, util_value_protocol
-
-
-@dataclass(frozen=True)
-class UtilTable:
-    """Rows of (separator value tuple, utility) over an ordered variable list."""
-
-    separator_vars: tuple[str, ...]
-    rows: tuple[tuple[tuple[float, ...], float], ...]
-
-    def scalar_size(self) -> int:
-        return len(self.rows) * (len(self.separator_vars) + 1)
-
-    def as_dict(self) -> dict[tuple[float, ...], float]:
-        return {values: util for values, util in self.rows}
+from .common import UtilTable, discretize, util_value_protocol
 
 
 def child_lookup(table: UtilTable):
     """Exact-key lookup into a child's grid table."""
-    index = table.as_dict()
+    index = dict(table.rows)
 
     def lookup(assign: dict[str, float]) -> float:
         key = tuple(assign[w] for w in table.separator_vars)

@@ -217,20 +217,20 @@ def gradient_bound(problem: Problem) -> GradientBound:
 
 def error_bound_discrete(problem: Problem, m: float) -> float:
     """|F| * m * delta, the discretization error bound for grid-based DPOP."""
-    if m <= 0:
-        raise ArgumentError(f"hypercube size m must be positive, got {m}")
+    if not (math.isfinite(m) and m > 0):
+        raise ArgumentError(f"hypercube size m must be finite and positive, got {m}")
     delta = gradient_bound(problem).global_delta
     return len(problem.utilities) * m * delta
 
 
 def error_bound_af(problem: Problem, m: float, moves: int, alpha: float) -> float:
     """|F| * (m + |A|*moves*alpha*delta) * delta, the gradient-move error bound."""
-    if m <= 0:
-        raise ArgumentError(f"hypercube size m must be positive, got {m}")
+    if not (math.isfinite(m) and m > 0):
+        raise ArgumentError(f"hypercube size m must be finite and positive, got {m}")
     if moves < 0:
         raise ArgumentError(f"moves must be nonnegative, got {moves}")
-    if alpha <= 0:
-        raise ArgumentError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ArgumentError(f"alpha must be finite and positive, got {alpha}")
     delta = gradient_bound(problem).global_delta
     return len(problem.utilities) * (m + len(problem.agents) * moves * alpha * delta) * delta
 
@@ -281,15 +281,25 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
+def _utility_from_dict(entry: dict) -> QuadraticBinaryUtility:
+    first, second = entry["scope"]
+    coeffs = entry["coeffs"]
+    if len(coeffs) != 6:
+        raise ValidationError(f"a utility needs exactly 6 coefficients, got {len(coeffs)}")
+    return QuadraticBinaryUtility(first, second, *coeffs)
+
+
 def problem_from_dict(doc: dict) -> Problem:
-    agents = tuple(doc["agents"])
-    variables = tuple(entry["id"] for entry in doc["variables"])
-    domains = {entry["id"]: ContinuousDomain(entry["lb"], entry["ub"]) for entry in doc["variables"]}
-    owner = {entry["id"]: entry["agent"] for entry in doc["variables"]}
-    utilities = tuple(
-        QuadraticBinaryUtility(entry["scope"][0], entry["scope"][1], *entry["coeffs"])
-        for entry in doc["constraints"]
-    )
+    """Build and validate a problem; a malformed document is a ValidationError."""
+    try:
+        agents = tuple(doc["agents"])
+        variables = tuple(entry["id"] for entry in doc["variables"])
+        domains = {entry["id"]: ContinuousDomain(entry["lb"], entry["ub"])
+                   for entry in doc["variables"]}
+        owner = {entry["id"]: entry["agent"] for entry in doc["variables"]}
+        utilities = tuple(_utility_from_dict(entry) for entry in doc["constraints"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed problem document: {exc!r}") from exc
     problem = Problem(agents=agents, variables=variables, domains=domains,
                       utilities=utilities, owner=owner)
     problem.validate()
@@ -302,7 +312,11 @@ def dumps(problem: Problem) -> str:
 
 
 def loads(text: str) -> Problem:
-    return problem_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"problem file is not JSON: {exc}") from exc
+    return problem_from_dict(doc)
 
 
 def save(problem: Problem, path) -> None:
@@ -312,5 +326,9 @@ def save(problem: Problem, path) -> None:
 
 
 def load(path) -> Problem:
-    with open(path) as fh:
-        return loads(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"problem file is not text: {exc}") from exc
+    return loads(text)

@@ -95,15 +95,6 @@ class Poly2:
                 bump((), c * intercept * intercept)
         return Poly2({m: c for m, c in out.items() if c != 0.0})
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for mono, c in sorted(self.coeffs.items()):
-            name = "*".join(mono) if mono else "1"
-            parts.append(f"{c!r}*{name}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -121,9 +112,6 @@ class Box:
 
     def corner_key(self) -> tuple:
         return tuple(self.ranges[v] for v in sorted(self.ranges))
-
-    def __str__(self) -> str:
-        return "x".join(f"[{lo!r},{hi!r}]" for _, (lo, hi) in sorted(self.ranges.items()))
 
 
 class ResponseKind(Enum):
@@ -188,10 +176,6 @@ class PiecewiseFunction:
             values.add(lo)
             values.add(hi)
         return sorted(values)
-
-    def dump(self) -> str:
-        """Debug listing, one `box : polynomial` line per piece."""
-        return "\n".join(f"{box}  : {poly}" for box, poly in self.pieces)
 
 
 def add(f: PiecewiseFunction, g: PiecewiseFunction,

@@ -14,7 +14,6 @@ class PseudoTree:
     parent: dict[str, str]
     pseudo_parents: dict[str, frozenset[str]]
     children: dict[str, tuple[str, ...]]
-    pseudo_children: dict[str, frozenset[str]]
     separator: dict[str, frozenset[str]]
     induced_width: int
 
@@ -76,9 +75,11 @@ def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
     children: dict[str, list[str]] = {v: [] for v in graph.nodes}
     visited: dict[str, int] = {}  # node -> DFS depth
     pseudo_parents: dict[str, set[str]] = {v: set() for v in graph.nodes}
-    pseudo_children: dict[str, set[str]] = {v: set() for v in graph.nodes}
+    finished: list[str] = []  # DFS finish order: children before parents
 
-    # iterative DFS with explicit neighbor iterators for deterministic order
+    # iterative DFS with explicit neighbor iterators for deterministic order;
+    # on an undirected graph every non-tree edge joins a node to an ancestor
+    # or a descendant, so each one is a backedge
     visited[root] = 0
     stack = [(root, iter(sorted(graph.neighbors(root))))]
     while stack:
@@ -92,20 +93,14 @@ def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
                 stack.append((nb, iter(sorted(graph.neighbors(nb)))))
                 advanced = True
                 break
-            if nb != parent.get(node) and nb != node:
-                # backedge: connects node with an ancestor or a descendant
-                if visited[nb] < visited[node] and nb not in _path_to_root_cache(parent, node, root):
-                    # non-branch edge would violate the pseudo-tree property;
-                    # DFS trees never produce cross edges on undirected graphs
-                    raise StructureError(f"cross edge {node}-{nb} in DFS tree")
-                if visited[nb] < visited[node]:
-                    pseudo_parents[node].add(nb)
-                    pseudo_children[nb].add(node)
+            if nb != parent.get(node) and visited[nb] < visited[node]:
+                pseudo_parents[node].add(nb)
         if not advanced:
             stack.pop()
+            finished.append(node)
 
     separator: dict[str, frozenset[str]] = {}
-    for node in _post_order(children, root):
+    for node in finished:
         sep = set(pseudo_parents[node])
         if node != root:
             sep.add(parent[node])
@@ -120,29 +115,7 @@ def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
         parent=dict(parent),
         pseudo_parents={v: frozenset(s) for v, s in pseudo_parents.items()},
         children={v: tuple(c) for v, c in children.items()},
-        pseudo_children={v: frozenset(s) for v, s in pseudo_children.items()},
         separator=separator,
         induced_width=width,
     )
 
-
-def _post_order(children: dict[str, list[str]], root: str) -> list[str]:
-    out = []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            out.append(node)
-        else:
-            stack.append((node, True))
-            for child in reversed(children[node]):
-                stack.append((child, False))
-    return out
-
-
-def _path_to_root_cache(parent: dict[str, str], node: str, root: str) -> set[str]:
-    out = set()
-    while node != root:
-        node = parent[node]
-        out.add(node)
-    return out

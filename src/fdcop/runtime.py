@@ -3,8 +3,9 @@
 Hosts one logical agent per variable, delivers typed messages in a fixed
 schedule, and records exact message counts and payload sizes. Agents may only
 read their own domain and utilities, their pseudo-tree neighborhood metadata,
-and received message payloads; every read is logged so a trace audit can
-verify the isolation contract after the fact.
+and received message payloads. Messages are isolated by construction, since
+`Kernel.collect` only reads the receiver's own mailbox; problem and tree reads
+go through `AgentContext`, which logs each one for the post-run audit.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import model, pseudotree
-from .errors import ArgumentError, CapacityError, ProtocolError
+from .errors import ArgumentError, CapacityError
 
 SYSTEM = "__system__"
 
@@ -78,7 +79,6 @@ class Kernel:
         self.keep_trace = keep_trace
         self.trace: list[tuple[int, str, str, str, int]] = []
         self.reads: list[tuple[str, str]] = []
-        self.engine_state: dict = {}
         self._inbox: dict[str, list[Message]] = {}
         self._step = 0
         self._phase: str | None = None
@@ -116,8 +116,6 @@ class Kernel:
         pending = self._inbox.get(receiver, [])
         taken = [m for m in pending if m.kind == kind]
         self._inbox[receiver] = [m for m in pending if m.kind != kind]
-        for m in taken:
-            self.log_read(receiver, f"msg:{m.sender}:{m.kind}")
         return taken
 
     def log_read(self, agent: str, key: str) -> None:
@@ -128,7 +126,8 @@ class Kernel:
 
 
 class AgentContext:
-    """The only window an agent has onto the problem; every access is logged."""
+    """The only window an agent has onto the problem and the pseudo-tree;
+    every read is logged for `audit_isolation`."""
 
     def __init__(self, kernel: Kernel, problem: model.Problem,
                  tree: pseudotree.PseudoTree | None, var: str):
@@ -146,10 +145,6 @@ class AgentContext:
         self._kernel.log_read(self.var, f"domain:{other}")
         return self._problem.domains[other]
 
-    def constraints(self) -> tuple[model.QuadraticBinaryUtility, ...]:
-        self._kernel.log_read(self.var, f"constraints:{self.var}")
-        return self._problem.utilities_of(self.var)
-
     def constraint_with(self, other: str) -> model.QuadraticBinaryUtility | None:
         self._kernel.log_read(self.var, f"constraints:{self.var}")
         return self._problem.utility_between(self.var, other)
@@ -158,16 +153,6 @@ class AgentContext:
     def parent(self) -> str | None:
         self._kernel.log_read(self.var, f"tree:{self.var}")
         return self._tree.parent.get(self.var)
-
-    @property
-    def pseudo_parents(self) -> frozenset[str]:
-        self._kernel.log_read(self.var, f"tree:{self.var}")
-        return self._tree.pseudo_parents[self.var]
-
-    @property
-    def children(self) -> tuple[str, ...]:
-        self._kernel.log_read(self.var, f"tree:{self.var}")
-        return self._tree.children[self.var]
 
     @property
     def separator(self) -> frozenset[str]:
@@ -183,8 +168,9 @@ class AuditReport:
 
 def audit_isolation(kernel: Kernel, problem: model.Problem,
                     tree: pseudotree.PseudoTree | None = None) -> AuditReport:
-    """Check the read log: each agent touched only its own data, its
-    neighborhood metadata, and messages addressed to it."""
+    """Check the read log: each agent touched only its own data and its
+    neighborhood metadata. Messages need no check, since `collect` only
+    reads the receiver's own mailbox."""
     graph = model.build_constraint_graph(problem)
     allowed_domains: dict[str, set[str]] = {}
     for var in problem.variables:
@@ -202,8 +188,6 @@ def audit_isolation(kernel: Kernel, problem: model.Problem,
         elif tag in ("constraints", "tree"):
             if rest != agent:
                 violations.append((agent, key))
-        elif tag == "msg":
-            pass  # collect() only ever hands an agent its own mailbox
         else:
             violations.append((agent, key))
     return AuditReport(ok=not violations, violations=tuple(violations))

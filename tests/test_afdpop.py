@@ -1,23 +1,17 @@
-"""Approximate functional DPOP: moves, interpolation, alignment, clustering."""
+"""Approximate functional DPOP: moves, interpolation, clustering, row caps."""
 import random
 import statistics
 
 import pytest
 
 from fdcop import generators, model, runtime
-from fdcop.engines.afdpop import (
-    ScatterTable,
-    align_tables,
-    cluster_tuples,
-    interpolate,
-    leaf_move,
-    nonleaf_move,
-)
-from fdcop.errors import ArgumentError, ProtocolError
+from fdcop.engines.afdpop import _interp_many, cluster_tuples, leaf_move
+from fdcop.engines.common import UtilTable
+from fdcop.errors import ArgumentError, CapacityError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import EngineConfig
 
-from conftest import make_problem, quad
+from conftest import quad
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -25,63 +19,34 @@ DOM = ContinuousDomain(-100.0, 100.0)
 
 class TestInterpolate:
     def test_exact_match(self):
-        t = ScatterTable(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
-        assert interpolate(t, (10.0,), "idw") == 20.0
-        assert interpolate(t, (10.0,), "nearest") == 20.0
+        t = UtilTable(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
+        assert _interp_many(t, [(10.0,)], "idw")[0] == 20.0
+        assert _interp_many(t, [(10.0,)], "nearest")[0] == 20.0
 
     def test_equidistant_midpoint(self):
-        t = ScatterTable(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
-        assert interpolate(t, (5.0,), "idw") == pytest.approx(15.0)
+        t = UtilTable(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
+        assert _interp_many(t, [(5.0,)], "idw")[0] == pytest.approx(15.0)
 
     def test_idw_hand_computed(self):
         # weights 1/4, 1, 1/4 -> (0*0.25 + 1*1 + 16*0.25) / 1.5 = 10/3
-        t = ScatterTable(("x",), (((0.0,), 0.0), ((1.0,), 1.0), ((4.0,), 16.0)))
-        assert interpolate(t, (2.0,), "idw") == pytest.approx(10.0 / 3.0)
+        t = UtilTable(("x",), (((0.0,), 0.0), ((1.0,), 1.0), ((4.0,), 16.0)))
+        assert _interp_many(t, [(2.0,)], "idw")[0] == pytest.approx(10.0 / 3.0)
 
     def test_nearest_tie_breaks_low(self):
-        t = ScatterTable(("x",), (((0.0,), 1.0), ((2.0,), 9.0)))
-        assert interpolate(t, (1.0,), "nearest") == 1.0
-
-    def test_errors(self):
-        t = ScatterTable(("x",), (((0.0,), 1.0),))
-        with pytest.raises(ProtocolError):
-            interpolate(ScatterTable(("x",), ()), (0.0,))
-        with pytest.raises(ArgumentError):
-            interpolate(t, (0.0,), "cubic")
-
-
-class TestAlignTables:
-    def test_set_union_extension(self):
-        a = ScatterTable(("x",), (((0.0,), 10.0), ((5.0,), 12.0)))
-        b = ScatterTable(("x",), (((0.0,), 1.0), ((10.0,), 2.0)))
-        out_a, out_b = align_tables([a, b], "idw")
-        assert out_a.value_set("x") == [0.0, 5.0, 10.0]
-        assert out_b.value_set("x") == [0.0, 5.0, 10.0]
-        # the new point at 5 in b interpolates its original rows: midpoint
-        assert dict(out_b.rows)[(5.0,)] == pytest.approx(1.5)
-
-    def test_idempotent_when_consistent(self):
-        a = ScatterTable(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
-        b = ScatterTable(("x",), (((0.0,), 1.0), ((10.0,), 2.0)))
-        out = align_tables([a, b], "idw")
-        assert out[0].rows == a.rows
-        assert out[1].rows == b.rows
-
-    def test_empty_table_rejected(self):
-        with pytest.raises(ProtocolError):
-            align_tables([ScatterTable(("x",), ())], "idw")
+        t = UtilTable(("x",), (((0.0,), 1.0), ((2.0,), 9.0)))
+        assert _interp_many(t, [(1.0,)], "nearest")[0] == 1.0
 
 
 class TestClusterTuples:
     def test_two_separated_pairs(self):
-        t = ScatterTable(("x",), (((1.0,), 1.0), ((2.0,), 2.0),
-                                  ((9.0,), 9.0), ((10.0,), 10.0)))
+        t = UtilTable(("x",), (((1.0,), 1.0), ((2.0,), 2.0),
+                               ((9.0,), 9.0), ((10.0,), 10.0)))
         out = cluster_tuples(t, 2, random.Random(0))
         centers = sorted(v[0] for v, _ in out.rows)
         assert centers == pytest.approx([1.5, 9.5])
 
     def test_small_table_passthrough(self):
-        t = ScatterTable(("x",), (((1.0,), 1.0), ((2.0,), 2.0), ((3.0,), 3.0)))
+        t = UtilTable(("x",), (((1.0,), 1.0), ((2.0,), 2.0), ((3.0,), 3.0)))
         assert cluster_tuples(t, 5, random.Random(0)) is t
 
     def test_row_count_and_quality(self):
@@ -90,7 +55,7 @@ class TestClusterTuples:
             rng = random.Random(seed)
             rows = tuple(((rng.uniform(0, 100), rng.uniform(0, 100)), rng.uniform(0, 10))
                          for _ in range(100))
-            t = ScatterTable(("x", "y"), rows)
+            t = UtilTable(("x", "y"), rows)
             out = cluster_tuples(t, 10, random.Random(seed))
             assert len(out.rows) == 10
 
@@ -106,7 +71,7 @@ class TestClusterTuples:
             assert mean_dist(kmeans_centers) <= mean_dist(random_centers) + 1e-9
 
     def test_rejects_bad_k(self):
-        t = ScatterTable(("x",), (((1.0,), 1.0),))
+        t = UtilTable(("x",), (((1.0,), 1.0),))
         with pytest.raises(ArgumentError):
             cluster_tuples(t, 0)
 
@@ -134,28 +99,6 @@ class TestLeafMove:
         out = leaf_move((1.0, 2.0), ("p", "q"), {"p": f}, 0.5, "x", DOM,
                         {"p": DOM, "q": DOM})
         assert out[1] == 2.0
-
-
-class TestNonleafMove:
-    def test_best_candidate_drives_gradient(self):
-        # joined table says candidate 1 is best at p=2; f(x,p)=x*p so the
-        # gradient wrt p at x*=1 is 1, and p steps 2 -> 2.5 with alpha 0.5
-        f = quad("x", "p", e=1.0)
-        tables = {
-            -1.0: ScatterTable(("p",), (((2.0,), 0.0),)),
-            0.0: ScatterTable(("p",), (((2.0,), 1.0),)),
-            1.0: ScatterTable(("p",), (((2.0,), 5.0),)),
-        }
-        out = nonleaf_move((2.0,), ("p",), [-1.0, 0.0, 1.0], tables,
-                           {"p": f}, 0.5, "x", {"p": DOM})
-        assert out == (pytest.approx(2.5),)
-
-    def test_zero_alpha_noop(self):
-        f = quad("x", "p", e=1.0)
-        tables = {0.0: ScatterTable(("p",), (((2.0,), 1.0),))}
-        out = nonleaf_move((2.0,), ("p",), [0.0], tables, {"p": f},
-                           1e-300, "x", {"p": DOM})
-        assert out == (pytest.approx(2.0),)
 
 
 class TestMovesImproveQuality:
@@ -214,3 +157,26 @@ class TestClusteredMessages:
             if kind == runtime.UTIL and receiver != runtime.SYSTEM:
                 arity = len(result.tree.separator[sender])
                 assert size // (arity + 1) <= 10
+
+
+class TestRowCap:
+    def test_leaf_refuses_before_its_first_message(self):
+        # the first leaf, x005, has |sep| = 4, so its grid holds 3^5 = 243 > 20 rows
+        p = generators.gen_graph(8, 0.5, seed=1)
+        cfg = EngineConfig(points=3, row_cap=20, moves=2)
+        with pytest.raises(CapacityError) as exc:
+            runtime.run(p, "af-dpop", cfg, keep_trace=False)
+        assert exc.value.stats.total_messages == 0
+
+    @pytest.mark.parametrize("row_cap", [20, 243, 10_000_000])
+    def test_no_move_refuses_where_dpop_does(self, row_cap):
+        p = generators.gen_graph(8, 0.5, seed=1)
+        cfg = EngineConfig(points=3, row_cap=row_cap, moves=0)
+        outcomes = []
+        for engine in ("dpop", "af-dpop"):
+            try:
+                runtime.run(p, engine, cfg, keep_trace=False)
+                outcomes.append(None)
+            except CapacityError as exc:
+                outcomes.append(exc.stats.total_messages)
+        assert outcomes[0] == outcomes[1]

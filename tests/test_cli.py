@@ -2,6 +2,8 @@
 import csv
 import json
 
+import pytest
+
 from fdcop import cli, model
 
 
@@ -59,6 +61,35 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent.json")
         assert code == cli.EXIT_INVALID
+
+    @pytest.mark.parametrize("mangle", ["not_json", "not_text", "missing_key",
+                                        "short_coeffs"])
+    def test_malformed_problem_file(self, tmp_path, capsys, mangle):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "2",
+                "-o", str(path))
+        doc = json.loads(path.read_text())
+        if mangle == "not_json":
+            path.write_text("this is not json")
+        elif mangle == "not_text":
+            path.write_bytes(b"\xff\xfe\x00 not utf-8")
+        elif mangle == "missing_key":
+            del doc["constraints"]
+            path.write_text(json.dumps(doc))
+        else:
+            doc["constraints"][0]["coeffs"] = doc["constraints"][0]["coeffs"][:5]
+            path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == cli.EXIT_INVALID
+        assert out == "" and "invalid input" in err
+
+    def test_ef_on_cyclic_graph(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "graph", "-n", "6", "--p1", "0.6",
+                "--seed", "0", "-o", str(path))
+        code, _, err = run_cli(capsys, "solve", str(path), "--engine", "ef-dpop")
+        assert code == cli.EXIT_INVALID
+        assert "tree-structured" in err
 
     def test_capacity_exit(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -2,7 +2,8 @@
 import pytest
 
 from fdcop import generators, model, oracles, runtime
-from fdcop.engines.discrete import UtilTable, child_lookup, joint_utility
+from fdcop.engines.common import UtilTable
+from fdcop.engines.discrete import child_lookup, joint_utility
 from fdcop.errors import ProtocolError
 from fdcop.runtime import EngineConfig
 

@@ -1,4 +1,5 @@
 """Problem representation, bound calculators, and serialization."""
+import json
 import math
 import random
 
@@ -195,12 +196,16 @@ class TestErrorBounds:
 
     def test_argument_errors(self):
         p = make_problem([quad("x", "y", e=1.0)])
-        with pytest.raises(ArgumentError):
-            model.error_bound_discrete(p, 0.0)
+        for m in (0.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                model.error_bound_discrete(p, m)
+            with pytest.raises(ArgumentError):
+                model.error_bound_af(p, m, 1, 0.1)
         with pytest.raises(ArgumentError):
             model.error_bound_af(p, 1.0, -1, 0.1)
-        with pytest.raises(ArgumentError):
-            model.error_bound_af(p, 1.0, 1, 0.0)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                model.error_bound_af(p, 1.0, 3, alpha)
 
 
 class TestPredictedMessageCount:
@@ -236,6 +241,16 @@ class TestSerialization:
         assert q.agents == p.agents
         assert q.utilities == p.utilities
         assert q.domains == p.domains
+
+    def test_malformed_documents(self):
+        text = model.dumps(make_problem([quad("x", "y", e=1.0)]))
+        doc = json.loads(text)
+        del doc["agents"]
+        short = json.loads(text)
+        short["constraints"][0]["coeffs"] = short["constraints"][0]["coeffs"][:5]
+        for bad in ("not json {", json.dumps(doc), json.dumps(short), "[1, 2]"):
+            with pytest.raises(ValidationError):
+                model.loads(bad)
 
     def test_file_round_trip(self, tmp_path):
         p = make_problem([quad("x", "y", a=-1.0 / 3.0, e=0.1)])

@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from fdcop import piecewise
@@ -161,11 +162,11 @@ class TestProject:
                        {"x": (0.0, 10.0), "y": (0.0, 10.0)})
             g, responses = piecewise.project(f, "x")
             assert partition_is_valid(g)
-            xs = [i * 0.001 for i in range(10001)]
+            # the 1e-3 grid on [0, 10]; Poly2.evaluate broadcasts over it
+            xs = np.arange(10001) * 0.001
             for _ in range(50):
                 y = rng.uniform(0.0, 10.0)
-                grid_max = max(
-                    f.pieces[0][1].evaluate({"x": x, "y": y}) for x in xs)
+                grid_max = float(f.pieces[0][1].evaluate({"x": xs, "y": y}).max())
                 proj = piecewise.evaluate(g, {"y": y})
                 assert proj >= grid_max - 1e-9
                 assert proj <= grid_max + 1.0  # grid is 1e-3 fine
