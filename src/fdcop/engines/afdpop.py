@@ -18,7 +18,8 @@ import numpy as np
 from ..errors import ArgumentError, CapacityError, ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import UtilTable, best_own_response, discretize, util_value_protocol
+from .common import (UtilTable, best_own_response, check_grid_cap, discretize,
+                     util_value_protocol)
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
@@ -170,9 +171,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         sep_vars = tuple(sorted(ctx.separator))
         sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
         grids = [discretize(sep_domains[w], d) for w in sep_vars]
-        cells = len(own_pts) * math.prod(len(g) for g in grids)
-        if cells > config.row_cap:
-            raise CapacityError(f"{var}: grid table would hold {cells} rows (cap {config.row_cap})")
+        check_grid_cap(var, own_pts, grids, config.row_cap)
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
 
         tuples = list(itertools.product(*grids))

@@ -3,9 +3,10 @@ discretization, closed-form 1-D maximization, and the UTIL/VALUE message
 schedule."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..errors import ArgumentError
+from ..errors import ArgumentError, CapacityError
 from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import SYSTEM, UTIL, VALUE, Kernel
 from ..pseudotree import PseudoTree
@@ -36,6 +37,14 @@ def discretize(domain: ContinuousDomain, d: int) -> list[float]:
     points = [domain.lb + i * step for i in range(d - 1)]
     points.append(domain.ub)
     return points
+
+
+def check_grid_cap(var: str, own_pts: list[float], sep_grids: list[list[float]],
+                   row_cap: int) -> None:
+    """Refuse, before it is built, a grid table of d^(|sep|+1) rows above the cap."""
+    cells = len(own_pts) * math.prod(len(g) for g in sep_grids)
+    if cells > row_cap:
+        raise CapacityError(f"{var}: grid table would hold {cells} rows (cap {row_cap})")
 
 
 def argmax_quadratic_1d(c2: float, c1: float, lo: float, hi: float) -> float:

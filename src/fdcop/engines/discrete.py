@@ -5,10 +5,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from ..errors import CapacityError, ProtocolError
+from ..errors import ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import UtilTable, discretize, util_value_protocol
+from .common import UtilTable, check_grid_cap, discretize, util_value_protocol
 
 
 def child_lookup(table: UtilTable):
@@ -48,15 +48,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         sep_vars = tuple(sorted(ctx.separator))
         own_pts = discretize(ctx.own_domain(), d)
         sep_grids = [discretize(ctx.domain_of(w), d) for w in sep_vars]
-
-        rows = 1
-        for grid in sep_grids:
-            rows *= len(grid)
-        if rows * len(own_pts) > config.row_cap:
-            raise CapacityError(
-                f"{var}: grid table would hold {rows * len(own_pts)} rows "
-                f"(cap {config.row_cap})"
-            )
+        check_grid_cap(var, own_pts, sep_grids, config.row_cap)
 
         lookups = [child_lookup(payload) for _, payload in child_payloads]
         constraints = sorted(
