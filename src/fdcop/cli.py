@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except (ValidationError, ArgumentError, StructureError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, or not readable
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return EXIT_INVALID
 

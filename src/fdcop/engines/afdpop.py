@@ -3,9 +3,11 @@
 UTIL tables hold scattered value tuples whose coordinates are iteratively
 moved along utility gradients; the join interpolates each child's table over
 the union of the children's value sets, and the VALUE phase interpolates
-utilities at off-grid ancestor values. The clustered variant compresses each
-outgoing table to k representative rows via k-means while keeping the full
-table locally.
+utilities at off-grid ancestor values. A child's table covers this agent's
+variable plus part of its separator, so the join builds that child's queries
+once per distinct projection of the separator tuples, not once per cell. The
+clustered variant compresses each outgoing table to k representative rows via
+k-means while keeping the full table locally.
 """
 from __future__ import annotations
 
@@ -82,6 +84,8 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random | None = None,
     interpolated from the original rows."""
     if k < 1:
         raise ArgumentError(f"cluster count must be >= 1, got {k}")
+    if not table.rows:
+        raise ArgumentError("cannot cluster an empty table")
     if len(table.rows) <= k:
         return table
     if rng is None:
@@ -210,6 +214,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         for t in tables:
             if not t.rows:
                 raise ProtocolError(f"{var}: received an empty UTIL table")
+            if var not in t.separator_vars:
+                # a child's separator always holds its parent
+                raise ProtocolError(f"{var}: a child's UTIL table does not mention this agent")
 
         # the union of the children's value sets per variable; the join below
         # interpolates each child table at these points
@@ -221,8 +228,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         for w in sep_vars:
             if w not in sets:
                 sets[w] = discretize(ctx.domain_of(w), d)
-        if var not in sets:
-            raise ProtocolError(f"{var}: no child table mentions this agent")
         candidates = sets[var]
 
         sep_sets = [sets[w] for w in sep_vars]
@@ -237,44 +242,49 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         sorted_constraints = sorted(constraints.values(), key=lambda f: f.other_var(var))
         sep_index = {w: i for i, w in enumerate(sep_vars)}
 
-        def scores(tuples):
-            """(len(tuples), len(candidates)) utilities: interpolated child
-            contributions plus exact own constraints, summed in the same order
-            as the discrete engine so the moves=0 case is identical to it."""
-            n_t, n_c = len(tuples), len(candidates)
+        n_c = len(candidates)
+        # per child: where `var` sits in its table, and which separator
+        # columns give the other coordinates of its queries
+        child_slots = [(t, t.separator_vars.index(var),
+                        [sep_index[w] for w in t.separator_vars if w != var])
+                       for t in tables]
+
+        def scores(tuples: np.ndarray) -> np.ndarray:
+            """(len(tuples), len(candidates)) utilities for an (n, |sep|) array
+            of separator tuples: interpolated child contributions plus exact
+            own constraints, summed in the same order as the discrete engine
+            so the moves=0 case is identical to it.
+
+            A child's query is the row's projection onto the child's other
+            variables with a candidate in `var`'s slot, so queries are built
+            once per distinct projection (first-seen order) and spread back to
+            the rows through the inverse index."""
+            n_t = len(tuples)
             total = np.zeros((n_t, n_c))
-            for t in tables:
-                queries = [
-                    tuple(c if w == var else tup[sep_index[w]]
-                          for w in t.separator_vars)
-                    for tup in tuples for c in candidates
-                ]
-                # queries project onto the child's variables, so they repeat
-                # heavily; interpolate each distinct projection once
+            for t, pos, cols in child_slots:
                 uniq: dict[tuple, int] = {}
-                for q in queries:
-                    if q not in uniq:
-                        uniq[q] = len(uniq)
-                looked_up = _interp_many(t, list(uniq), method)
-                vals = np.array([looked_up[uniq[q]] for q in queries]).reshape(n_t, n_c)
-                total = total + vals
+                inverse = [uniq.setdefault(p, len(uniq))
+                           for p in map(tuple, tuples[:, cols].tolist())]
+                queries = [p[:pos] + (c,) + p[pos:] for p in uniq for c in candidates]
+                looked_up = np.array(_interp_many(t, queries, method)).reshape(len(uniq), n_c)
+                total = total + looked_up[inverse]
             cand_row = np.array(candidates).reshape(1, n_c)
             for f in sorted_constraints:
-                w = f.other_var(var)
-                w_col = np.array([tup[sep_index[w]] for tup in tuples]).reshape(n_t, 1)
+                w_col = tuples[:, sep_index[f.other_var(var)]].reshape(n_t, 1)
                 if f.first_var == var:
                     total = total + f.evaluate(cand_row, w_col)
                 else:
                     total = total + f.evaluate(w_col, cand_row)
             return total
 
-        grid = list(itertools.product(*sep_sets))
+        grid = np.array(list(itertools.product(*sep_sets)), dtype=float).reshape(
+            math.prod(len(s) for s in sep_sets), len(sep_vars))
         grid_scores = scores(grid)
         best_candidate_idx = grid_scores.argmax(axis=1)  # first max = smallest candidate
 
         sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
         cand_arr = np.array(candidates)
-        current = np.array(grid, dtype=float).reshape(len(grid), len(sep_vars))
+        current = grid.copy()
         active = np.ones(len(grid), dtype=bool)
         for _ in range(config.moves):
             if not active.any() or not sep_vars:
@@ -303,7 +313,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             still = np.zeros(len(grid), dtype=bool)
             still[active] = delta >= 1e-9
             active = still
-        moved = [tuple(float(v) for v in row) for row in current]
 
         state[var] = {
             "leaf": False,
@@ -315,7 +324,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         if var == tree.root:
             return float(grid_scores.max())
 
-        utils = scores(moved).max(axis=1).tolist()
+        utils = scores(current).max(axis=1).tolist()
+        moved = [tuple(row) for row in current.tolist()]
         return UtilTable(sep_vars, tuple(zip(moved, utils)))
 
     def util_fn(var, child_payloads):
@@ -354,7 +364,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                                      dict(zip(sep_vars, query)), info["own_domain"])
 
         candidates = info["candidates"]
-        col = info["scores"]([query])[0]
+        col = info["scores"](np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
         best_i = 0
         for i in range(1, len(candidates)):  # ascending, ties keep smallest
             if col[i] > col[best_i]:

@@ -1,15 +1,18 @@
 """Approximate functional DPOP: moves, interpolation, clustering, row caps."""
+import itertools
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from fdcop import generators, model, runtime
+from fdcop.engines import afdpop
 from fdcop.engines.afdpop import _interp_many, cluster_tuples, leaf_move
 from fdcop.engines.common import UtilTable
 from fdcop.errors import ArgumentError, CapacityError
 from fdcop.model import ContinuousDomain
-from fdcop.runtime import EngineConfig
+from fdcop.runtime import UTIL, EngineConfig, Kernel
 
 from conftest import quad
 
@@ -74,6 +77,10 @@ class TestClusterTuples:
         t = UtilTable(("x",), (((1.0,), 1.0),))
         with pytest.raises(ArgumentError):
             cluster_tuples(t, 0)
+
+    def test_rejects_empty_table(self):
+        with pytest.raises(ArgumentError):
+            cluster_tuples(UtilTable(("x",), ()), 3)
 
 
 class TestLeafMove:
@@ -157,6 +164,86 @@ class TestClusteredMessages:
             if kind == runtime.UTIL and receiver != runtime.SYSTEM:
                 arity = len(result.tree.separator[sender])
                 assert size // (arity + 1) <= 10
+
+
+def per_cell_scores(problem, var, sep_vars, tables, candidates, tuples, method):
+    """The join as one query per (tuple, candidate) cell; returns the scores
+    and the query list handed to `_interp_many` for each child table."""
+    sep_index = {w: i for i, w in enumerate(sep_vars)}
+    n_t, n_c = len(tuples), len(candidates)
+    total = np.zeros((n_t, n_c))
+    query_lists = []
+    for t in tables:
+        queries = [
+            tuple(c if w == var else tup[sep_index[w]] for w in t.separator_vars)
+            for tup in tuples for c in candidates
+        ]
+        uniq: dict[tuple, int] = {}
+        for q in queries:
+            if q not in uniq:
+                uniq[q] = len(uniq)
+        query_lists.append(list(uniq))
+        looked_up = _interp_many(t, list(uniq), method)
+        total = total + np.array([looked_up[uniq[q]] for q in queries]).reshape(n_t, n_c)
+    cand_row = np.array(candidates).reshape(1, n_c)
+    constraints = [f for w in sep_vars if (f := problem.utility_between(var, w)) is not None]
+    for f in sorted(constraints, key=lambda f: f.other_var(var)):
+        w_col = np.array([tup[sep_index[f.other_var(var)]] for tup in tuples]).reshape(n_t, 1)
+        if f.first_var == var:
+            total = total + f.evaluate(cand_row, w_col)
+        else:
+            total = total + f.evaluate(w_col, cand_row)
+    return total, query_lists
+
+
+class TestJoinProjection:
+    """The non-leaf join builds child queries once per distinct projection;
+    it must hand `_interp_many` the per-cell query list in the per-cell
+    first-seen order and give the per-cell utilities exactly."""
+
+    @pytest.mark.parametrize("method", ["idw", "nearest"])
+    def test_matches_per_cell_reference(self, monkeypatch, method):
+        # x002 (separator x000, x005) joins x003 (separator x000, x002) and
+        # x004 (separator x000, x002, x005)
+        p = generators.gen_graph(7, 0.4, seed=4)
+        sent, interp_calls = [], []
+        real_send, real_interp = Kernel.send, afdpop._interp_many
+
+        def send(kernel, sender, receiver, kind, payload, scalar_size):
+            sent.append((sender, kind, payload))
+            real_send(kernel, sender, receiver, kind, payload, scalar_size)
+
+        def interp(table, queries, how):
+            interp_calls.append((table, list(queries)))
+            return real_interp(table, queries, how)
+
+        monkeypatch.setattr(Kernel, "send", send)
+        monkeypatch.setattr(afdpop, "_interp_many", interp)
+        runtime.run(p, "af-dpop", EngineConfig(moves=3, interpolation=method))
+
+        util = {sender: payload for sender, kind, payload in sent if kind == UTIL}
+        var, sep_vars = "x002", ("x000", "x005")
+        tables = [util["x003"], util["x004"]]
+        out = util[var]
+        assert out.separator_vars == sep_vars
+        assert [t.separator_vars for t in tables] == [("x000", "x002"),
+                                                      ("x000", "x002", "x005")]
+
+        sets = {w: sorted(set().union(*(t.value_set(w) for t in tables
+                                        if w in t.separator_vars)))
+                for w in (var,) + sep_vars}
+        grid = list(itertools.product(*(sets[w] for w in sep_vars)))
+        moved = [values for values, _ in out.rows]
+        _, grid_queries = per_cell_scores(p, var, sep_vars, tables, sets[var], grid, method)
+        scores, moved_queries = per_cell_scores(p, var, sep_vars, tables, sets[var],
+                                                moved, method)
+
+        own_calls = [queries for table, queries in interp_calls
+                     if any(table is t for t in tables)]
+        assert own_calls[:4] == grid_queries + moved_queries
+        # off-grid moved rows, so the interpolation itself is exercised
+        assert any(q not in dict(t.rows) for t, qs in zip(tables, moved_queries) for q in qs)
+        assert [u for _, u in out.rows] == scores.max(axis=1).tolist()
 
 
 class TestRowCap:

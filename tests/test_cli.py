@@ -62,6 +62,11 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "/nonexistent.json")
         assert code == cli.EXIT_INVALID
 
+    def test_problem_path_is_a_directory(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "solve", str(tmp_path))
+        assert code == cli.EXIT_INVALID
+        assert out == "" and f"cannot read {tmp_path}" in err
+
     @pytest.mark.parametrize("mangle", ["not_json", "not_text", "missing_key",
                                         "short_coeffs"])
     def test_malformed_problem_file(self, tmp_path, capsys, mangle):

@@ -30,6 +30,8 @@ def run_digest(problem, engine, config):
 TREE = generators.gen_tree(200, seed=3, concave=True)
 HCMS_GRAPH = generators.gen_graph(30, 0.1, seed=4, concave=True)
 WIDTH2_GRAPH = generators.gen_graph(14, 0.2, seed=3)  # induced width 2
+# induced width 3: agents joining several children, separators of 2-3 variables
+WIDTH3_GRAPH = generators.gen_graph(16, 0.2, seed=1)
 
 GOLDEN = [
     (TREE, "dpop", EngineConfig(),
@@ -46,6 +48,14 @@ GOLDEN = [
      "d6cbb8b465dde1a0faf2e1ce50ca9540b557923e813f22aa7453cf750b8a265f"),
     (WIDTH2_GRAPH, "caf-dpop", EngineConfig(),
      "afa9e5c948b8c2bd4e0325c50ae29dfccdf9fc1125bec20ab195774b59236879"),
+    (WIDTH3_GRAPH, "af-dpop", EngineConfig(),
+     "f50ebea2a4529b4003b89ffa54b8bdfa2bb42f1307a2fc6bd1b26be7e00960da"),
+    (WIDTH3_GRAPH, "caf-dpop", EngineConfig(k_clusters=4),
+     "fb27f0572f8bbc04a5f4fe74d86b35ae72f5fff1f620603ca530b006d4796d39"),
+    (WIDTH3_GRAPH, "af-dpop", EngineConfig(interpolation="nearest"),
+     "27dbe7e8b8c80493d3c16440a7a5fe63038072693a7a3a839dd1287590311153"),
+    (WIDTH3_GRAPH, "af-dpop", EngineConfig(moves=0),
+     "2f02bbb2c5af006a865ccea6191c311ce338aecb3ebb33e356ae1e36a353d2e8"),
 ]
 
 
@@ -58,6 +68,14 @@ def test_golden_digest(problem, engine, config, expected):
 def test_width2_instance():
     tree = pseudotree.build(model.build_constraint_graph(WIDTH2_GRAPH))
     assert tree.induced_width == 2
+
+
+def test_width3_instance():
+    tree = pseudotree.build(model.build_constraint_graph(WIDTH3_GRAPH))
+    assert tree.induced_width == 3
+    joins = [v for v in WIDTH3_GRAPH.variables if v != tree.root and len(tree.children[v]) >= 2]
+    assert joins
+    assert max(len(tree.separator[c]) for v in joins for c in tree.children[v]) >= 2
 
 
 class TestUtilityIndex:
