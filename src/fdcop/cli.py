@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -24,6 +25,28 @@ EXIT_VERIFY = 4
 ROW_FIELDS = ("kind", "n", "p1", "engine", "d", "moves", "alpha", "k", "iters",
               "seed", "status", "utility", "messages", "total_scalars",
               "max_message_scalars", "wall_time")
+
+
+class OutputError(Exception):
+    """An output file that cannot be written."""
+
+    def __init__(self, path):
+        super().__init__(f"cannot write {path}")
+
+
+def _check_out_dir(path) -> None:
+    """Refuse, before any work, an output path whose directory does not exist."""
+    if path and not Path(path).parent.is_dir():
+        raise OutputError(path)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while writing `path` as a failed write."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(path) from exc
 
 
 def _config_from_args(args) -> runtime.EngineConfig:
@@ -46,13 +69,15 @@ def _add_engine_flags(parser):
 
 
 def cmd_generate(args) -> int:
+    _check_out_dir(args.out)
     if args.kind == "tree":
         problem = generators.gen_tree(args.n, args.seed, concave=args.concave)
     else:
         problem = generators.gen_graph(args.n, args.p1, args.seed, concave=args.concave)
     tree = pseudotree.build(model.build_constraint_graph(problem))
     if args.out:
-        model.save(problem, args.out)
+        with _writing(args.out):
+            model.save(problem, args.out)
     else:
         print(model.dumps(problem))
     print(f"variables={len(problem.variables)} constraints={len(problem.utilities)} "
@@ -93,6 +118,7 @@ def _solve_report(problem, engine, config, result) -> dict:
 
 
 def cmd_solve(args) -> int:
+    _check_out_dir(args.out)
     problem = model.load(args.problem)
     config = _config_from_args(args)
     try:
@@ -107,7 +133,8 @@ def cmd_solve(args) -> int:
     report = _solve_report(problem, args.engine, config, result)
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with _writing(args.out):
+            Path(args.out).write_text(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -146,6 +173,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    _check_out_dir(args.out)
     sizes = _parse_int_list(args.n)
     engines = [e for e in args.engines.split(",") if e]
     for e in engines:
@@ -171,7 +199,7 @@ def cmd_bench(args) -> int:
     rows.sort(key=lambda r: (r["engine"], r["n"], r["d"], r["moves"], r["seed"]))
 
     out = Path(args.out)
-    with out.open("w", newline="") as fh:
+    with _writing(out), out.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=ROW_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
@@ -182,7 +210,7 @@ def cmd_bench(args) -> int:
         key = (r["kind"], r["n"], r["p1"], r["engine"], r["d"], r["moves"],
                r["alpha"], r["k"], r["iters"])
         cells.setdefault(key, []).append(r)
-    with agg_path.open("w", newline="") as fh:
+    with _writing(agg_path), agg_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "n", "p1", "engine", "d", "moves", "alpha", "k",
                          "iters", "runs", "completed", "mean_utility",
@@ -331,7 +359,10 @@ def main(argv=None) -> int:
     except (ValidationError, ArgumentError, StructureError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:  # missing, a directory, or not readable
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:  # an input that is missing, a directory, or not readable
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -21,7 +21,7 @@ from ..errors import ArgumentError, CapacityError, ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
 from .common import (UtilTable, best_own_response, check_grid_cap, discretize,
-                     util_value_protocol)
+                     grid_join, util_value_protocol)
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
@@ -192,18 +192,17 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             moved.append(current)
 
         sorted_constraints = sorted(constraints.values(), key=lambda f: f.other_var(var))
-        rows = []
-        for t in moved:
-            if config.moves == 0:
-                # grid projection, identical to the discrete engine
-                best = -math.inf
-                for x in own_pts:
-                    best = max(best, joint_utility(x, var, sep_vars, t, [], sorted_constraints))
-            else:
+        if config.moves == 0:
+            # grid projection, identical to the discrete engine
+            utils, _ = grid_join(var, own_pts, sep_vars, grids, [], sorted_constraints)
+            rows = list(zip(moved, utils.tolist()))
+        else:
+            rows = []
+            for t in moved:
                 x_star = best_own_response(sorted_constraints, var,
                                            dict(zip(sep_vars, t)), own_dom)
                 best = joint_utility(x_star, var, sep_vars, t, [], sorted_constraints)
-            rows.append((t, best))
+                rows.append((t, best))
         state[var] = {"leaf": True, "sep_vars": sep_vars, "own_pts": own_pts,
                       "own_domain": own_dom, "constraints": sorted_constraints}
         return UtilTable(sep_vars, tuple(rows))
@@ -354,12 +353,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
 
         if info["leaf"]:
             if config.moves == 0:
-                best_x, best_u = None, -math.inf
-                for x in info["own_pts"]:
-                    u = joint_utility(x, var, sep_vars, query, [], info["constraints"])
-                    if u > best_u:
-                        best_x, best_u = x, u
-                return best_x
+                # the query may be off the grid (a clustered parent), so the
+                # join runs over one point per separator variable
+                _, best = grid_join(var, info["own_pts"], sep_vars, [[v] for v in query],
+                                    [], info["constraints"])
+                return info["own_pts"][best[0]]
             return best_own_response(info["constraints"], var,
                                      dict(zip(sep_vars, query)), info["own_domain"])
 

@@ -1,12 +1,15 @@
 """Shared machinery for the DPOP-family engines: the UTIL table type, domain
-discretization, closed-form 1-D maximization, and the UTIL/VALUE message
-schedule."""
+discretization, the max-plus grid join, closed-form 1-D maximization, and the
+UTIL/VALUE message schedule."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import ArgumentError, CapacityError
+import numpy as np
+
+from ..errors import ArgumentError, CapacityError, ProtocolError
 from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import SYSTEM, UTIL, VALUE, Kernel
 from ..pseudotree import PseudoTree
@@ -45,6 +48,51 @@ def check_grid_cap(var: str, own_pts: list[float], sep_grids: list[list[float]],
     cells = len(own_pts) * math.prod(len(g) for g in sep_grids)
     if cells > row_cap:
         raise CapacityError(f"{var}: grid table would hold {cells} rows (cap {row_cap})")
+
+
+def grid_join(var: str, own_pts: list[float], sep_vars: tuple[str, ...],
+              sep_grids: list[list[float]], child_tables: list[UtilTable],
+              constraints: list[QuadraticBinaryUtility]) -> tuple[np.ndarray, np.ndarray]:
+    """Max-plus join of one agent's grid table, maximized over its own grid.
+
+    The joint table lies over sorted(sep_vars + (var,)), one axis per variable
+    holding its grid. Starting from zeros, each child table (in the given
+    order) and then each constraint is added cell-wise, so every cell sums in
+    the order of a per-cell loop. Returns (utils, best), one entry per
+    separator tuple in itertools.product(*sep_grids) order: the maximum over
+    own_pts and the index of the first, i.e. smallest, point that reaches it.
+
+    A child table must lie over a sorted subset of the axes, with one row per
+    grid tuple of its variables in product order; otherwise ProtocolError.
+    """
+    grids = dict(zip(sep_vars, sep_grids))
+    grids[var] = own_pts
+    axes = sorted(grids)
+
+    def along(w: str) -> np.ndarray:
+        """w's grid as a 1-D array along its own axis, to broadcast."""
+        return np.array(grids[w]).reshape([len(grids[w]) if a == w else 1 for a in axes])
+
+    total = np.zeros([len(grids[w]) for w in axes])
+    for table in child_tables:
+        names = table.separator_vars
+        if [w for w in axes if w in names] != list(names):
+            raise ProtocolError(f"{var}: child table over {names} does not lie over "
+                                f"a sorted subset of {tuple(axes)}")
+        if ([values for values, _ in table.rows]
+                != list(itertools.product(*(grids[w] for w in names)))):
+            raise ProtocolError(f"{var}: child table over {names} is not the grid "
+                                f"of its variables")
+        shape = [len(grids[w]) if w in names else 1 for w in axes]
+        total += np.array([u for _, u in table.rows]).reshape(shape)
+    for f in constraints:
+        total += f.evaluate(along(f.first_var), along(f.second_var))
+
+    own = axes.index(var)
+    others = [a for a in range(len(axes)) if a != own]
+    cells = total.transpose(others + [own]).reshape(-1, len(own_pts))
+    best = cells.argmax(axis=1)
+    return cells[np.arange(len(best)), best], best
 
 
 def argmax_quadratic_1d(c2: float, c1: float, lo: float, hi: float) -> float:

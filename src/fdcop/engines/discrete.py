@@ -1,27 +1,21 @@
-"""Discrete DPOP baseline: fixed-grid UTIL tables with exact addition and
-projection over the grid, then standard VALUE propagation."""
+"""Discrete DPOP baseline: fixed-grid UTIL tables, then standard VALUE
+propagation.
+
+Each agent builds its table with one dense max-plus join over its grid
+(`common.grid_join`): the children's tables and its own constraints are
+broadcast over the axes sorted(separator + own variable), summed cell-wise in
+a fixed order, and maximized over the own axis, ties going to the smallest
+grid point. The VALUE phase reads the own point chosen for the ancestors'
+grid tuple.
+"""
 from __future__ import annotations
 
 import itertools
-import math
 
 from ..errors import ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import UtilTable, check_grid_cap, discretize, util_value_protocol
-
-
-def child_lookup(table: UtilTable):
-    """Exact-key lookup into a child's grid table."""
-    index = dict(table.rows)
-
-    def lookup(assign: dict[str, float]) -> float:
-        key = tuple(assign[w] for w in table.separator_vars)
-        if key not in index:
-            raise ProtocolError(f"tuple {key} missing from child table over {table.separator_vars}")
-        return index[key]
-
-    return lookup
+from .common import UtilTable, check_grid_cap, discretize, grid_join, util_value_protocol
 
 
 def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
@@ -41,7 +35,7 @@ def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
     d = config.points
-    state: dict[str, dict] = {}
+    state: dict[str, tuple] = {}
 
     def util_fn(var, child_payloads):
         ctx = contexts[var]
@@ -50,35 +44,31 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         sep_grids = [discretize(ctx.domain_of(w), d) for w in sep_vars]
         check_grid_cap(var, own_pts, sep_grids, config.row_cap)
 
-        lookups = [child_lookup(payload) for _, payload in child_payloads]
         constraints = sorted(
             (f for w in sep_vars if (f := ctx.constraint_with(w)) is not None),
             key=lambda f: f.other_var(var),
         )
-
-        table: dict[tuple[float, ...], tuple[float, float]] = {}
-        for sep_values in itertools.product(*sep_grids):
-            best_u, best_x = -math.inf, None
-            for x in own_pts:  # ascending, so ties keep the smallest point
-                u = joint_utility(x, var, sep_vars, sep_values, lookups, constraints)
-                if u > best_u:
-                    best_u, best_x = u, x
-            table[sep_values] = (best_u, best_x)
-        state[var] = {"sep_vars": sep_vars, "table": table}
+        utils, best = grid_join(var, own_pts, sep_vars, sep_grids,
+                                [payload for _, payload in child_payloads], constraints)
+        positions = [{v: i for i, v in enumerate(g)} for g in sep_grids]
+        state[var] = (sep_vars, positions, own_pts, best)
 
         if var == tree.root:
-            return table[()][0]
-        payload = UtilTable(sep_vars, tuple((t, u) for t, (u, _) in sorted(table.items())))
+            return float(utils[0])
+        payload = UtilTable(sep_vars, tuple(zip(itertools.product(*sep_grids), utils.tolist())))
         return payload, payload.scalar_size()
 
     def value_fn(var, sep_values):
-        info = state[var]
+        sep_vars, positions, own_pts, best = state[var]
         try:
-            key = tuple(sep_values[w] for w in info["sep_vars"])
+            key = tuple(sep_values[w] for w in sep_vars)
         except KeyError as exc:
             raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
-        if key not in info["table"]:
-            raise ProtocolError(f"{var}: received off-grid ancestor values {key}")
-        return info["table"][key][1]
+        row = 0  # the key's index in itertools.product order
+        for index, v in zip(positions, key):
+            if v not in index:
+                raise ProtocolError(f"{var}: received off-grid ancestor values {key}")
+            row = row * len(index) + index[v]
+        return own_pts[best[row]]
 
     return util_value_protocol(kernel, tree, util_fn, value_fn)

@@ -9,7 +9,8 @@ import pytest
 from fdcop import generators, model, runtime
 from fdcop.engines import afdpop
 from fdcop.engines.afdpop import _interp_many, cluster_tuples, leaf_move
-from fdcop.engines.common import UtilTable
+from fdcop.engines.common import UtilTable, discretize
+from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, CapacityError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
@@ -153,6 +154,26 @@ class TestReductions:
         af = runtime.run(p, "af-dpop", cfg, keep_trace=False)
         caf = runtime.run(p, "caf-dpop", cfg, keep_trace=False)
         assert caf.assignment.values == af.assignment.values
+
+    def test_no_move_leaf_value_off_the_grid(self):
+        # clustered tables carry centroids, so ancestors of some leaves take
+        # values off the grid; each leaf still picks its first best grid point
+        p = generators.gen_graph(12, 0.2, seed=1)
+        result = runtime.run(p, "caf-dpop", EngineConfig(points=3, moves=0, k_clusters=3))
+        tree, values = result.tree, result.assignment.values
+        off_grid = 0
+        for var in p.variables:
+            if tree.children[var] or var == tree.root:
+                continue
+            sep_vars = tuple(sorted(tree.separator[var]))
+            off_grid += sum(values[w] not in discretize(p.domains[w], 3) for w in sep_vars)
+            constraints = sorted((p.utility_between(var, w) for w in sep_vars),
+                                 key=lambda f: f.other_var(var))
+            own_pts = discretize(p.domains[var], 3)
+            col = [joint_utility(x, var, sep_vars, tuple(values[w] for w in sep_vars), [],
+                                 constraints) for x in own_pts]
+            assert values[var] == own_pts[col.index(max(col))]
+        assert off_grid > 0
 
 
 class TestClusteredMessages:

@@ -7,6 +7,10 @@ import pytest
 from fdcop import cli, model
 
 
+def must_not_run(*args, **kwargs):
+    pytest.fail("work started before the output path was checked")
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -34,6 +38,14 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "tree", "-n", "1")
         assert code == cli.EXIT_INVALID
         assert "invalid input" in err
+
+    def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.generators, "gen_tree", must_not_run)
+        out = tmp_path / "missing" / "p.json"
+        code, stdout, err = run_cli(capsys, "generate", "tree", "-n", "6", "-o", str(out))
+        assert code == cli.EXIT_INVALID
+        assert stdout == "" and err.strip() == f"cannot write {out}"
+        assert not out.parent.exists()
 
 
 class TestSolve:
@@ -88,6 +100,24 @@ class TestSolve:
         assert code == cli.EXIT_INVALID
         assert out == "" and "invalid input" in err
 
+    def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "2", "-o", str(path))
+        monkeypatch.setattr(cli.runtime, "run", must_not_run)
+        out = tmp_path / "missing" / "out.json"
+        code, stdout, err = run_cli(capsys, "solve", str(path), "-o", str(out))
+        assert code == cli.EXIT_INVALID
+        assert stdout == "" and err.strip() == f"cannot write {out}"
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "2", "-o", str(path))
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run_cli(capsys, "solve", str(path), "-o", str(out))
+        assert code == cli.EXIT_INVALID
+        assert err.strip() == f"cannot write {out}"
+
     def test_ef_on_cyclic_graph(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         run_cli(capsys, "generate", "graph", "-n", "6", "--p1", "0.6",
@@ -140,6 +170,13 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--engines", "zen",
                                "-o", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_INVALID
+
+    def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.runtime, "run", must_not_run)
+        out = tmp_path / "missing" / "bench.csv"
+        code, _, err = run_cli(capsys, "bench", "-n", "4", "--seeds", "1", "-o", str(out))
+        assert code == cli.EXIT_INVALID
+        assert err.strip() == f"cannot write {out}"
 
 
 class TestVerify:

@@ -1,11 +1,13 @@
-"""Discrete grid DPOP against enumeration oracles."""
+"""Discrete grid DPOP against enumeration oracles and a per-cell join."""
+import itertools
+
 import pytest
 
 from fdcop import generators, model, oracles, runtime
-from fdcop.engines.common import UtilTable
-from fdcop.engines.discrete import child_lookup, joint_utility
+from fdcop.engines.common import UtilTable, discretize, grid_join
+from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ProtocolError
-from fdcop.runtime import EngineConfig
+from fdcop.runtime import UTIL, EngineConfig, Kernel
 
 from conftest import make_problem, quad
 
@@ -15,12 +17,42 @@ class TestUtilTable:
         table = UtilTable(("x", "y"), (((0.0, 1.0), 5.0), ((2.0, 3.0), 6.0)))
         assert table.scalar_size() == 2 * 3
 
-    def test_child_lookup(self):
-        table = UtilTable(("x",), (((0.0,), 1.5), ((1.0,), 2.5)))
-        lookup = child_lookup(table)
-        assert lookup({"x": 1.0, "z": 9.0}) == 2.5
+
+class TestGridJoin:
+    GRID = [-1.0, 0.0, 1.0]
+
+    def join(self, child):
+        return grid_join("x", self.GRID, ("y",), [self.GRID], [child], [quad("x", "y", e=1.0)])
+
+    def test_sums_children_then_constraints(self):
+        child = UtilTable(("x", "y"), tuple(((x, y), 10.0 * x + y)
+                                           for x, y in itertools.product(self.GRID, self.GRID)))
+        utils, best = self.join(child)
+        # per y: max over x of 10x + y + xy, reached at x = 1
+        assert utils.tolist() == [10.0 - 1.0 - 1.0, 10.0, 10.0 + 1.0 + 1.0]
+        assert best.tolist() == [2, 2, 2]
+
+    def test_child_off_the_grid(self):
+        child = UtilTable(("y",), (((-1.0,), 0.0), ((0.5,), 0.0), ((1.0,), 0.0)))
         with pytest.raises(ProtocolError):
-            lookup({"x": 7.0})
+            self.join(child)
+
+    def test_child_missing_a_row(self):
+        child = UtilTable(("y",), (((-1.0,), 0.0), ((1.0,), 0.0)))
+        with pytest.raises(ProtocolError):
+            self.join(child)
+
+    def test_child_over_unknown_or_unsorted_variables(self):
+        for names in (("z",), ("y", "x")):
+            rows = tuple((t, 0.0) for t in itertools.product(*[self.GRID] * len(names)))
+            with pytest.raises(ProtocolError):
+                self.join(UtilTable(names, rows))
+
+    def test_flat_own_variable_picks_the_smallest_point(self):
+        utils, best = grid_join("x", self.GRID, ("y",), [self.GRID], [],
+                                [quad("x", "y", c=-1.0, d=2.0)])
+        assert best.tolist() == [0, 0, 0]
+        assert utils.tolist() == [-3.0, 0.0, 1.0]
 
 
 class TestJointUtility:
@@ -60,3 +92,78 @@ class TestAgainstOracle:
         result = runtime.run(p, "dpop", EngineConfig(points=3))
         for v, value in result.assignment.values.items():
             assert value in (-100.0, 0.0, 100.0)
+
+
+def exact_lookup(table: UtilTable):
+    index = dict(table.rows)
+    return lambda assign: index[tuple(assign[w] for w in table.separator_vars)]
+
+
+class TestPerCellReference:
+    """Every UTIL table dpop sends, and every value it picks, equals a
+    per-cell max-plus loop over `joint_utility` with exact-key child lookups."""
+
+    @staticmethod
+    def run_captured(monkeypatch, problem, config):
+        sent = {}
+        real_send = Kernel.send
+
+        def send(kernel, sender, receiver, kind, payload, scalar_size):
+            if kind == UTIL:
+                sent[sender] = payload
+            real_send(kernel, sender, receiver, kind, payload, scalar_size)
+
+        monkeypatch.setattr(Kernel, "send", send)
+        return runtime.run(problem, "dpop", config), sent
+
+    @staticmethod
+    def per_cell(problem, tree, var, sent, d, ancestors):
+        """(table rows, own value at the ancestors' values) by enumeration."""
+        sep_vars = tuple(sorted(tree.separator[var]))
+        own_pts = discretize(problem.domains[var], d)
+        sep_grids = [discretize(problem.domains[w], d) for w in sep_vars]
+        constraints = sorted(
+            (f for w in sep_vars if (f := problem.utility_between(var, w)) is not None),
+            key=lambda f: f.other_var(var))
+        lookups = [exact_lookup(sent[c]) for c in sorted(tree.children[var])]
+
+        def column(sep_values):
+            return [joint_utility(x, var, sep_vars, sep_values, lookups, constraints)
+                    for x in own_pts]
+
+        rows = [(t, max(column(t))) for t in itertools.product(*sep_grids)]
+        col = column(tuple(ancestors[w] for w in sep_vars))
+        return rows, own_pts[col.index(max(col))]  # first max: smallest point
+
+    @pytest.mark.parametrize("problem", [generators.gen_graph(16, 0.2, seed=1),
+                                         generators.gen_graph(7, 0.4, seed=4)],
+                             ids=["width3", "graph7"])
+    def test_tables_and_values(self, monkeypatch, problem):
+        d = 3
+        result, sent = self.run_captured(monkeypatch, problem, EngineConfig(points=d))
+        tree, values = result.tree, result.assignment.values
+        assert max(len(s) for s in tree.separator.values()) >= 2
+        for var in problem.variables:
+            rows, own = self.per_cell(problem, tree, var, sent, d, values)
+            if var == tree.root:
+                assert float.hex(sent[var]["optimum"]) == float.hex(rows[0][1])
+            else:
+                table = sent[var]
+                assert table.separator_vars == tuple(sorted(tree.separator[var]))
+                assert [t for t, _ in table.rows] == [t for t, _ in rows]
+                assert ([float.hex(u) for _, u in table.rows]
+                        == [float.hex(u) for _, u in rows])
+            assert values[var] == own
+
+    def test_ties_go_to_the_smallest_point(self, monkeypatch):
+        # x2 is the root; both leaves' utilities are flat in the leaf's variable
+        p = make_problem([quad("x1", "x2", c=-1.0), quad("x2", "x3", a=-1.0, b=1.0)])
+        result, sent = self.run_captured(monkeypatch, p, EngineConfig(points=3))
+        assert result.tree.root == "x2"
+        # rows over x2 = -100, 0, 100
+        assert [u for _, u in sent["x1"].rows] == [-10000.0, 0.0, -10000.0]
+        assert [u for _, u in sent["x3"].rows] == [-10100.0, 0.0, -9900.0]
+        assert result.assignment.values["x1"] == result.assignment.values["x3"] == -100.0
+        assert result.assignment.values["x2"] == 0.0
+        af0 = runtime.run(p, "af-dpop", EngineConfig(points=3, moves=0))
+        assert af0.assignment.values == result.assignment.values

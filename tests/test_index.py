@@ -56,6 +56,13 @@ GOLDEN = [
      "27dbe7e8b8c80493d3c16440a7a5fe63038072693a7a3a839dd1287590311153"),
     (WIDTH3_GRAPH, "af-dpop", EngineConfig(moves=0),
      "2f02bbb2c5af006a865ccea6191c311ce338aecb3ebb33e356ae1e36a353d2e8"),
+    # the same digest as af-dpop(moves=0) above: the two engines agree at width 3
+    (WIDTH3_GRAPH, "dpop", EngineConfig(),
+     "2f02bbb2c5af006a865ccea6191c311ce338aecb3ebb33e356ae1e36a353d2e8"),
+    (WIDTH3_GRAPH, "dpop", EngineConfig(points=5),
+     "af5375fe4d6087dbb304ef3c563c7cd1e6f3161419fae4c1aef80a2bbee354e1"),
+    (WIDTH3_GRAPH, "dpop", EngineConfig(points=2),
+     "c78c9c9a27f71b26d4eaca2f26d85876c394f491ef9bc824f28fe235940a31b9"),
 ]
 
 
