@@ -1,13 +1,17 @@
 """Approximate functional DPOP and its clustered variant.
 
 UTIL tables hold scattered value tuples whose coordinates are iteratively
-moved along utility gradients; the join interpolates each child's table over
-the union of the children's value sets, and the VALUE phase interpolates
-utilities at off-grid ancestor values. A child's table covers this agent's
-variable plus part of its separator, so the join builds that child's queries
-once per distinct projection of the separator tuples, not once per cell. The
-clustered variant compresses each outgoing table to k representative rows via
-k-means while keeping the full table locally.
+moved along utility gradients. Every agent runs one program, `agent_util`; a
+leaf is an agent with no child tables. The join interpolates each child's
+table over the union of the children's value sets (a grid for a variable no
+child mentions), building a child's queries once per distinct projection of
+the separator tuples. Each tuple then moves along the own constraints'
+gradient at the best own value of its nearest grid tuple. An agent with no
+child tables has a utility that is a sum of quadratics in its own value, so
+it moves against the closed-form best response instead. VALUE answers the
+ancestors' values, which may lie off the grid, by the same rule. The
+clustered variant compresses each outgoing table to k representative rows
+via k-means while keeping the full table locally.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from ..errors import ArgumentError, CapacityError, ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
 from .common import (UtilTable, best_own_response, check_grid_cap, discretize,
-                     grid_join, util_value_protocol)
+                     util_value_protocol)
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
@@ -148,17 +152,14 @@ def leaf_move(values: tuple[float, ...], sep_vars: tuple[str, ...],
     return tuple(out)
 
 
-def _snap_column(points: list[float], values: np.ndarray) -> np.ndarray:
+def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Nearest index into the sorted `points` for each value; ties go to the
     smaller point."""
-    p = np.asarray(points)
-    i = np.searchsorted(p, values, side="left")
-    out = np.clip(i, 0, len(p) - 1)
-    mid = (i > 0) & (i < len(p))
-    im = i[mid]
-    take_left = (values[mid] - p[im - 1]) <= (p[im] - values[mid])
-    out[mid] = np.where(take_left, im - 1, im)
-    return out
+    if len(points) == 1:
+        return np.zeros(len(values), dtype=np.intp)
+    # the right neighbour, kept in [1, len - 1] so that both neighbours exist
+    i = np.minimum(np.maximum(np.searchsorted(points, values), 1), len(points) - 1)
+    return i - ((values - points[i - 1]) <= (points[i] - values))
 
 
 # --- the engine ---------------------------------------------------------------
@@ -167,49 +168,12 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         clustered: bool = False):
     d = config.points
     method = config.interpolation
-    state: dict[str, dict] = {}
+    # var -> (separator variables, VALUE rule: separator tuple -> own value)
+    state: dict[str, tuple] = {}
 
-    def leaf_util(var, ctx):
-        own_dom = ctx.own_domain()
-        own_pts = discretize(own_dom, d)
-        sep_vars = tuple(sorted(ctx.separator))
-        sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
-        grids = [discretize(sep_domains[w], d) for w in sep_vars]
-        check_grid_cap(var, own_pts, grids, config.row_cap)
-        constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
-
-        tuples = list(itertools.product(*grids))
-        moved = []
-        for t in tuples:
-            current = t
-            for _ in range(config.moves):
-                nxt = leaf_move(current, sep_vars, constraints, config.alpha,
-                                var, own_dom, sep_domains)
-                delta = max((abs(a - b) for a, b in zip(nxt, current)), default=0.0)
-                current = nxt
-                if delta < 1e-9:
-                    break
-            moved.append(current)
-
-        sorted_constraints = sorted(constraints.values(), key=lambda f: f.other_var(var))
-        if config.moves == 0:
-            # grid projection, identical to the discrete engine
-            utils, _ = grid_join(var, own_pts, sep_vars, grids, [], sorted_constraints)
-            rows = list(zip(moved, utils.tolist()))
-        else:
-            rows = []
-            for t in moved:
-                x_star = best_own_response(sorted_constraints, var,
-                                           dict(zip(sep_vars, t)), own_dom)
-                best = joint_utility(x_star, var, sep_vars, t, [], sorted_constraints)
-                rows.append((t, best))
-        state[var] = {"leaf": True, "sep_vars": sep_vars, "own_pts": own_pts,
-                      "own_domain": own_dom, "constraints": sorted_constraints}
-        return UtilTable(sep_vars, tuple(rows))
-
-    def nonleaf_util(var, ctx, child_payloads):
-        sep_vars = tuple(sorted(ctx.separator))
-        tables = [payload for _, payload in child_payloads]
+    def agent_util(var, ctx, tables):
+        """One agent's UTIL step over its children's tables; a leaf is the
+        agent with none. Returns the table to send, or the optimum at the root."""
         for t in tables:
             if not t.rows:
                 raise ProtocolError(f"{var}: received an empty UTIL table")
@@ -217,25 +181,27 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 # a child's separator always holds its parent
                 raise ProtocolError(f"{var}: a child's UTIL table does not mention this agent")
 
-        # the union of the children's value sets per variable; the join below
-        # interpolates each child table at these points
+        own_dom = ctx.own_domain()
+        sep_vars = tuple(sorted(ctx.separator))
+        sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
+        # the union of the children's value sets per variable, and the grid of
+        # every variable no child mentions; the join below interpolates each
+        # child table at these points
         sets: dict[str, list[float]] = {}
         for t in tables:
             for w in t.separator_vars:
                 values = set(sets.get(w, ())) | set(t.value_set(w))
                 sets[w] = sorted(values)
-        for w in sep_vars:
+        for w, dom in ((var, own_dom), *sep_domains.items()):
             if w not in sets:
-                sets[w] = discretize(ctx.domain_of(w), d)
+                sets[w] = discretize(dom, d)
         candidates = sets[var]
-
         sep_sets = [sets[w] for w in sep_vars]
-        grid_cells = len(candidates) * math.prod(len(s) for s in sep_sets)
-        if grid_cells > config.row_cap:
-            raise CapacityError(
-                f"{var}: joined table would hold {grid_cells} rows "
-                f"(cap {config.row_cap})"
-            )
+        if not tables:
+            check_grid_cap(var, candidates, sep_sets, config.row_cap)
+        elif (cells := len(candidates) * math.prod(map(len, sep_sets))) > config.row_cap:
+            raise CapacityError(f"{var}: joined table would hold {cells} rows "
+                                f"(cap {config.row_cap})")
 
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
         sorted_constraints = sorted(constraints.values(), key=lambda f: f.other_var(var))
@@ -276,67 +242,76 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                     total = total + f.evaluate(w_col, cand_row)
             return total
 
+        # with no child tables the utility is a sum of quadratics in the own
+        # value, so tuples move against the closed-form best response
+        closed_form = not tables and config.moves > 0
+        if closed_form:
+            def value(query):
+                return best_own_response(sorted_constraints, var,
+                                         dict(zip(sep_vars, query)), own_dom)
+        else:
+            def value(query):
+                col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
+                # the first max is the smallest candidate; a clustered child's
+                # centroid may round just outside the domain
+                return own_dom.clamp(candidates[int(col.argmax())])
+        state[var] = (sep_vars, value)
+
         grid = np.array(list(itertools.product(*sep_sets)), dtype=float).reshape(
-            math.prod(len(s) for s in sep_sets), len(sep_vars))
+            math.prod(map(len, sep_sets)), len(sep_vars))
+        if var == tree.root:
+            # no separator: one row, the best candidate's utility
+            return float(scores(grid).max())
+
+        if closed_form:
+            # a leaf's tables are a few rows, which move faster one tuple at a
+            # time than as arrays
+            moved = []
+            for current in itertools.product(*sep_sets):
+                for _ in range(config.moves):
+                    nxt = leaf_move(current, sep_vars, constraints, config.alpha,
+                                    var, own_dom, sep_domains)
+                    delta = max(abs(a - b) for a, b in zip(nxt, current))
+                    current = nxt
+                    if delta < 1e-9:
+                        break
+                moved.append(current)
+            utils = [joint_utility(value(t), var, sep_vars, t, [], sorted_constraints)
+                     for t in moved]
+            return UtilTable(sep_vars, tuple(zip(moved, utils)))
+
         grid_scores = scores(grid)
         best_candidate_idx = grid_scores.argmax(axis=1)  # first max = smallest candidate
-
-        sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
         cand_arr = np.array(candidates)
+        sep_arrays = [np.array(s) for s in sep_sets]
         current = grid.copy()
-        active = np.ones(len(grid), dtype=bool)
+        live = np.arange(len(grid))  # rows still moving
         for _ in range(config.moves):
-            if not active.any() or not sep_vars:
+            if not len(live):
                 break
-            rows = current[active]
-            snapped = np.stack(
-                [_snap_column(sep_sets[j], rows[:, j]) for j in range(len(sep_vars))],
-                axis=1,
-            )
+            rows = current[live]
+            snapped = [_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays)]
             x_star = cand_arr[best_candidate_idx[
-                np.ravel_multi_index(snapped.T, [len(s) for s in sep_sets])]]
+                np.ravel_multi_index(snapped, [len(s) for s in sep_sets])]]
             nxt = rows.copy()
             for j, w in enumerate(sep_vars):
                 f = constraints.get(w)
                 if f is None:
                     continue
                 v = rows[:, j]
-                if f.first_var == var:
-                    grad = f.partial(w, x_star, v)
-                else:
-                    grad = f.partial(w, v, x_star)
                 dom = sep_domains[w]
-                nxt[:, j] = np.clip(v + config.alpha * grad, dom.lb, dom.ub)
-            delta = np.abs(nxt - rows).max(axis=1) if len(sep_vars) else np.zeros(len(rows))
-            current[active] = nxt
-            still = np.zeros(len(grid), dtype=bool)
-            still[active] = delta >= 1e-9
-            active = still
+                step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
+                nxt[:, j] = np.minimum(np.maximum(step, dom.lb), dom.ub)
+            current[live] = nxt
+            live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
 
-        state[var] = {
-            "leaf": False,
-            "sep_vars": sep_vars,
-            "candidates": candidates,
-            "scores": scores,
-        }
-
-        if var == tree.root:
-            return float(grid_scores.max())
-
-        utils = scores(current).max(axis=1).tolist()
+        utils = (scores(current) if config.moves else grid_scores).max(axis=1).tolist()
         moved = [tuple(row) for row in current.tolist()]
         return UtilTable(sep_vars, tuple(zip(moved, utils)))
 
     def util_fn(var, child_payloads):
-        ctx = contexts[var]
-        if child_payloads:
-            result = nonleaf_util(var, ctx, child_payloads)
-        else:
-            result = leaf_util(var, ctx)
+        result = agent_util(var, contexts[var], [payload for _, payload in child_payloads])
         if var == tree.root:
-            if not child_payloads:
-                # a lone variable: its table holds the one empty separator tuple
-                return result.rows[0][1]
             return result
         if clustered:
             rng = random.Random(f"{config.seed}:{var}")
@@ -344,29 +319,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         return result, result.scalar_size()
 
     def value_fn(var, sep_values):
-        info = state[var]
-        sep_vars = info["sep_vars"]
+        sep_vars, value = state[var]
         try:
             query = tuple(sep_values[w] for w in sep_vars)
         except KeyError as exc:
             raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
-
-        if info["leaf"]:
-            if config.moves == 0:
-                # the query may be off the grid (a clustered parent), so the
-                # join runs over one point per separator variable
-                _, best = grid_join(var, info["own_pts"], sep_vars, [[v] for v in query],
-                                    [], info["constraints"])
-                return info["own_pts"][best[0]]
-            return best_own_response(info["constraints"], var,
-                                     dict(zip(sep_vars, query)), info["own_domain"])
-
-        candidates = info["candidates"]
-        col = info["scores"](np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
-        best_i = 0
-        for i in range(1, len(candidates)):  # ascending, ties keep smallest
-            if col[i] > col[best_i]:
-                best_i = i
-        return candidates[best_i]
+        return value(query)
 
     return util_value_protocol(kernel, tree, util_fn, value_fn)

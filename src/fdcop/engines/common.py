@@ -31,14 +31,22 @@ class UtilTable:
 
 
 def discretize(domain: ContinuousDomain, d: int) -> list[float]:
-    """d evenly spaced points including both endpoints; the midpoint for d=1."""
+    """d evenly spaced points including both endpoints; the midpoint for d=1.
+
+    Refuses (ArgumentError) a domain on which the d points are not finite and
+    strictly increasing: one too narrow for its magnitude, where neighbours
+    round to the same float, or one whose width overflows."""
     if d < 1:
         raise ArgumentError(f"point count must be at least 1, got {d}")
     if d == 1:
-        return [domain.lb + domain.width / 2.0]
-    step = domain.width / (d - 1)
-    points = [domain.lb + i * step for i in range(d - 1)]
-    points.append(domain.ub)
+        points = [domain.lb + domain.width / 2.0]
+    else:
+        step = domain.width / (d - 1)
+        points = [domain.lb + i * step for i in range(d - 1)]
+        points.append(domain.ub)
+    if not (all(map(math.isfinite, points)) and all(a < b for a, b in zip(points, points[1:]))):
+        raise ArgumentError(f"cannot place {d} distinct finite points on "
+                            f"[{domain.lb!r}, {domain.ub!r}]")
     return points
 
 

@@ -8,14 +8,14 @@ import pytest
 
 from fdcop import generators, model, runtime
 from fdcop.engines import afdpop
-from fdcop.engines.afdpop import _interp_many, cluster_tuples, leaf_move
-from fdcop.engines.common import UtilTable, discretize
+from fdcop.engines.afdpop import _interp_many, _snap_column, cluster_tuples, leaf_move
+from fdcop.engines.common import UtilTable, best_own_response, discretize
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, CapacityError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import quad
+from conftest import make_problem, quad
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -109,6 +109,37 @@ class TestLeafMove:
         assert out[1] == 2.0
 
 
+def nearest_point(points, v):
+    """The point of `points` nearest to v; ties go to the smaller point."""
+    return min(points, key=lambda p: (abs(v - p), p))
+
+
+class TestSnapColumn:
+    """Points are integers and values halves, so every distance is exact and
+    a tie is a real tie. With repeated points the nearest point has several
+    indices, so the snapped point is compared, not the index."""
+
+    @pytest.mark.parametrize("points", [[0.0, 1.0, 3.0, 6.0], [0.0, 1.0, 1.0, 2.0],
+                                        [-2.0, -2.0, 5.0], [4.0], [-1.0, 7.0]],
+                             ids=["spread", "repeat-inside", "repeat-first", "single", "pair"])
+    def test_matches_brute_force(self, points):
+        hits = set(points)
+        midpoints = {(a + b) / 2 for a, b in zip(points, points[1:])}
+        near = {p + dv for p in points for dv in (-1.5, -0.5, 0.5, 1.5)}
+        outside = {min(points) - 100.0, max(points) + 100.0}
+        values = sorted(hits | midpoints | near | outside)
+        out = _snap_column(np.array(points), np.array(values))
+        assert [points[i] for i in out] == [nearest_point(points, v) for v in values]
+
+    def test_random_cases(self):
+        rng = random.Random(0)
+        for _ in range(500):
+            points = sorted(float(rng.randint(-6, 6)) for _ in range(rng.randint(1, 6)))
+            values = [rng.randint(-20, 20) / 2 for _ in range(8)]
+            out = _snap_column(np.array(points), np.array(values))
+            assert [points[i] for i in out] == [nearest_point(points, v) for v in values]
+
+
 class TestMovesImproveQuality:
     def test_chain_paired_runs(self):
         gains = []
@@ -155,11 +186,14 @@ class TestReductions:
         caf = runtime.run(p, "caf-dpop", cfg, keep_trace=False)
         assert caf.assignment.values == af.assignment.values
 
-    def test_no_move_leaf_value_off_the_grid(self):
+    @pytest.mark.parametrize("moves", [0, 3])
+    def test_leaf_value_off_the_grid(self, moves):
         # clustered tables carry centroids, so ancestors of some leaves take
-        # values off the grid; each leaf still picks its first best grid point
+        # values off the grid; without moves each leaf still picks its first
+        # best grid point, with moves its closed-form best response to them
         p = generators.gen_graph(12, 0.2, seed=1)
-        result = runtime.run(p, "caf-dpop", EngineConfig(points=3, moves=0, k_clusters=3))
+        result = runtime.run(p, "caf-dpop",
+                             EngineConfig(points=3, moves=moves, k_clusters=3))
         tree, values = result.tree, result.assignment.values
         off_grid = 0
         for var in p.variables:
@@ -169,6 +203,11 @@ class TestReductions:
             off_grid += sum(values[w] not in discretize(p.domains[w], 3) for w in sep_vars)
             constraints = sorted((p.utility_between(var, w) for w in sep_vars),
                                  key=lambda f: f.other_var(var))
+            if moves:
+                expected = best_own_response(constraints, var,
+                                             {w: values[w] for w in sep_vars}, p.domains[var])
+                assert values[var] == expected
+                continue
             own_pts = discretize(p.domains[var], 3)
             col = [joint_utility(x, var, sep_vars, tuple(values[w] for w in sep_vars), [],
                                  constraints) for x in own_pts]
@@ -177,6 +216,17 @@ class TestReductions:
 
 
 class TestClusteredMessages:
+    def test_centroid_rounded_above_the_bound_stays_in_domain(self):
+        # the leaf x3 moves three of its x1 values to x1's upper bound, and the
+        # k-means mean of the three rounds one ulp above it; x1 clamps it back
+        ub = 21.937611106092483
+        p = make_problem([quad("x0", "x1"), quad("x0", "x2"), quad("x1", "x3", a=1000.0)],
+                         lb=0.0, ub=1.0, domains={"x1": ContinuousDomain(0.0, ub)})
+        cfg = EngineConfig(points=4, moves=1, alpha=0.001, k_clusters=2)
+        result = runtime.run(p, "caf-dpop", cfg)
+        assert result.assignment.values["x1"] == ub
+        model.evaluate_solution(p, result.assignment)  # refuses an out-of-domain value
+
     def test_caf_respects_k(self):
         p = generators.gen_graph(10, 0.2, 7, concave=True)
         cfg = EngineConfig(points=3, moves=10, alpha=0.001, k_clusters=10)

@@ -6,6 +6,8 @@ import pytest
 
 from fdcop import cli, model
 
+from conftest import make_problem, quad
+
 
 def must_not_run(*args, **kwargs):
     pytest.fail("work started before the output path was checked")
@@ -134,6 +136,13 @@ class TestSolve:
                                "-d", "9")
         assert code == cli.EXIT_CAPACITY
         assert "capacity" in err
+
+    def test_unbuildable_grid(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        model.save(make_problem([quad("x", "y", a=-1.0)], lb=1e16, ub=1e16 + 2), path)
+        code, out, err = run_cli(capsys, "solve", str(path), "--engine", "dpop", "-d", "9")
+        assert code == cli.EXIT_INVALID
+        assert out == "" and "cannot place 9 distinct finite points" in err
 
     def test_ef_on_tree(self, tmp_path, capsys):
         path = tmp_path / "p.json"

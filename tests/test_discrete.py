@@ -6,7 +6,8 @@ import pytest
 from fdcop import generators, model, oracles, runtime
 from fdcop.engines.common import UtilTable, discretize, grid_join
 from fdcop.engines.discrete import joint_utility
-from fdcop.errors import ProtocolError
+from fdcop.errors import ArgumentError, ProtocolError
+from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
 from conftest import make_problem, quad
@@ -16,6 +17,33 @@ class TestUtilTable:
     def test_scalar_size(self):
         table = UtilTable(("x", "y"), (((0.0, 1.0), 5.0), ((2.0, 3.0), 6.0)))
         assert table.scalar_size() == 2 * 3
+
+
+# domains on which 9 evenly spaced points cannot be built: neighbours round
+# to the same float near 1e16, and the width of the second overflows
+UNBUILDABLE_GRIDS = [(1e16, 1e16 + 2), (-1.7e308, 1.7e308)]
+
+
+class TestDiscretize:
+    def test_endpoints_and_midpoint(self):
+        dom = ContinuousDomain(-1.0, 3.0)
+        assert discretize(dom, 3) == [-1.0, 1.0, 3.0]
+        assert discretize(dom, 1) == [1.0]
+
+    def test_narrow_domain_with_room_for_two_points(self):
+        assert discretize(ContinuousDomain(1e16, 1e16 + 2), 2) == [1e16, 1e16 + 2]
+
+    @pytest.mark.parametrize("bounds", UNBUILDABLE_GRIDS)
+    def test_refuses_a_grid_it_cannot_build(self, bounds):
+        with pytest.raises(ArgumentError, match="cannot place 9 distinct finite points"):
+            discretize(ContinuousDomain(*bounds), 9)
+
+    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
+    @pytest.mark.parametrize("bounds", UNBUILDABLE_GRIDS)
+    def test_grid_engines_refuse(self, engine, bounds):
+        p = make_problem([quad("x", "y", a=-1.0, c=-1.0, e=0.5)], lb=bounds[0], ub=bounds[1])
+        with pytest.raises(ArgumentError, match="cannot place 9 distinct finite points"):
+            runtime.run(p, engine, EngineConfig(points=9), keep_trace=False)
 
 
 class TestGridJoin:
