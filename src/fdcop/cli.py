@@ -2,7 +2,7 @@
 run benchmark matrices, and verify the analytic properties.
 
 Exit codes: 0 success, 2 invalid input, 3 capacity exceeded, 4 verification
-failure.
+failure, 5 any other library error (an engine error).
 """
 from __future__ import annotations
 
@@ -15,12 +15,14 @@ import time
 from pathlib import Path
 
 from . import generators, model, oracles, pseudotree, runtime
-from .errors import ArgumentError, CapacityError, StructureError, ValidationError
+from .errors import (ArgumentError, CapacityError, FdcopError, StructureError,
+                     ValidationError)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_VERIFY = 4
+EXIT_ENGINE = 5
 
 ROW_FIELDS = ("kind", "n", "p1", "engine", "d", "moves", "alpha", "k", "iters",
               "seed", "status", "utility", "messages", "total_scalars",
@@ -365,6 +367,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an input that is missing, a directory, or not readable
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return EXIT_INVALID
+    except FdcopError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
 
 
 if __name__ == "__main__":

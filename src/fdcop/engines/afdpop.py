@@ -59,7 +59,18 @@ def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
             out[start:start + len(q)] = utils[nearest]
         else:
             w = 1.0 / np.maximum(d2, 1e-300)
-            out[start:start + len(q)] = (w @ utils) / w.sum(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                num = w @ utils
+                den = w.sum(axis=1)
+            # a query within ~1e-150 of a row weighs it up to 1e300, which
+            # overflows the sums; those rows are summed again with weights
+            # scaled by their largest, and every finite row keeps its value
+            bad = ~(np.isfinite(num) & np.isfinite(den))
+            if bad.any():
+                scaled = w[bad] / w[bad].max(axis=1, keepdims=True)
+                num[bad] = scaled @ utils
+                den[bad] = scaled.sum(axis=1)
+            out[start:start + len(q)] = num / den
     return out
 
 
@@ -213,6 +224,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         child_slots = [(t, t.separator_vars.index(var),
                         [sep_index[w] for w in t.separator_vars if w != var])
                        for t in tables]
+        # per child: the distinct projections of its last lookup and their
+        # (projections, candidates) utilities
+        last_lookup: list[tuple | None] = [None] * len(tables)
 
         def scores(tuples: np.ndarray) -> np.ndarray:
             """(len(tuples), len(candidates)) utilities for an (n, |sep|) array
@@ -223,15 +237,25 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             A child's query is the row's projection onto the child's other
             variables with a candidate in `var`'s slot, so queries are built
             once per distinct projection (first-seen order) and spread back to
-            the rows through the inverse index."""
+            the rows through the inverse index. When a child's projections are
+            those of its last lookup, that lookup is reused: the same queries
+            in the same batch interpolate to the same floats. On a tree every
+            projection is (), so each child is interpolated once per agent."""
             n_t = len(tuples)
             total = np.zeros((n_t, n_c))
-            for t, pos, cols in child_slots:
+            for slot, (t, pos, cols) in enumerate(child_slots):
                 uniq: dict[tuple, int] = {}
                 inverse = [uniq.setdefault(p, len(uniq))
                            for p in map(tuple, tuples[:, cols].tolist())]
-                queries = [p[:pos] + (c,) + p[pos:] for p in uniq for c in candidates]
-                looked_up = np.array(_interp_many(t, queries, method)).reshape(len(uniq), n_c)
+                projections = tuple(uniq)
+                last = last_lookup[slot]
+                if last is not None and last[0] == projections:
+                    looked_up = last[1]
+                else:
+                    queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in candidates]
+                    looked_up = np.array(_interp_many(t, queries, method)).reshape(
+                        len(projections), n_c)
+                    last_lookup[slot] = (projections, looked_up)
                 total = total + looked_up[inverse]
             cand_row = np.array(candidates).reshape(1, n_c)
             for f in sorted_constraints:

@@ -233,15 +233,6 @@ def evaluate(f: PiecewiseFunction, point: dict[str, float]) -> float:
     return located[1].evaluate(point)
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    lo: float
-    hi: float
-    poly: Poly2  # unary in the remaining variable
-    response: Response
-    order: tuple  # deterministic tie-break
-
-
 def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
     if c2 == 0.0:
         if c1 == 0.0:
@@ -273,25 +264,69 @@ def _critical_feasible_range(slope: float, intercept: float,
     return (lo, hi)
 
 
-def _envelope(candidates: list[_Candidate], yl: float, yh: float, var: str):
+def _unary_substitute(poly: Poly2, var: str, slope: float,
+                      intercept: float) -> tuple[float, float, float]:
+    """(c2, c1, c0) in the other variable y of a two-variable polynomial with
+    `var` replaced by slope*y + intercept: the coefficients of
+    `poly.substitute(var, slope, intercept, y)`, from the same nonzero
+    products added in the same order."""
+    acc = [0.0, 0.0, 0.0]  # by degree in y
+
+    def bump(degree, c):
+        if c != 0.0:
+            acc[degree] += c
+
+    for mono, c in poly.coeffs.items():
+        occurrences = mono.count(var)
+        degree = len(mono) - occurrences
+        if occurrences == 0:
+            bump(degree, c)
+        elif occurrences == 1:
+            if slope != 0.0:
+                bump(degree + 1, c * slope)
+            bump(degree, c * intercept)
+        else:  # var squared
+            if slope != 0.0:
+                bump(2, c * slope * slope)
+                bump(1, 2.0 * c * slope * intercept)
+            bump(0, c * intercept * intercept)
+    return acc[2], acc[1], acc[0]
+
+
+def _unary_value(coeffs: tuple[float, float, float], y: float) -> float:
+    """c2*y^2 + c1*y + c0, summed term by term as `Poly2.evaluate` does."""
+    c2, c1, c0 = coeffs
+    total = 0.0
+    if c0 != 0.0:
+        total += c0
+    if c1 != 0.0:
+        total += c1 * y
+    if c2 != 0.0:
+        total += c2 * y * y
+    return total
+
+
+def _envelope(candidates: list[tuple], yl: float, yh: float) -> list[tuple]:
     """Upper envelope of quadratic candidates over [yl, yh].
 
-    Returns a list of (lo, hi, poly, response) with the pointwise-largest
-    candidate on each subinterval.
+    A candidate is plain data: (lo, hi, (c2, c1, c0) in the remaining
+    variable, (poly, slope, intercept) that rebuilds it as a Poly2, (kind,
+    slope, intercept) of the eliminated variable's response). Returns the
+    pointwise-largest candidate on each subinterval, with lo and hi narrowed
+    to it; equal neighbours are merged.
     """
     cuts = {yl, yh}
-    for c in candidates:
-        for v in (c.lo, c.hi):
+    for lo, hi, *_ in candidates:
+        for v in (lo, hi):
             if yl < v < yh:
                 cuts.add(v)
     for ca, cb in itertools.combinations(candidates, 2):
-        lo = max(ca.lo, cb.lo)
-        hi = min(ca.hi, cb.hi)
+        lo = max(ca[0], cb[0])
+        hi = min(ca[1], cb[1])
         if hi - lo <= 0.0:
             continue
-        diff = ca.poly.add(Poly2({m: -c for m, c in cb.poly.coeffs.items()}))
-        c2, c1, c0 = _unary_coeffs(diff, var)
-        for root in _quadratic_roots(c2, c1, c0):
+        (a2, a1, a0), (b2, b1, b0) = ca[2], cb[2]
+        for root in _quadratic_roots(a2 + -b2, a1 + -b1, a0 + -b0):
             if lo < root < hi:
                 cuts.add(root)
     points = sorted(cuts)
@@ -303,28 +338,21 @@ def _envelope(candidates: list[_Candidate], yl: float, yh: float, var: str):
     if merged[-1] != yh:
         merged[-1] = yh
 
-    segments = []
+    out: list[tuple] = []
     for lo, hi in itertools.pairwise(merged):
         mid = 0.5 * (lo + hi)
-        active = [c for c in candidates
-                  if c.lo - SNAP_EPS <= lo and hi <= c.hi + SNAP_EPS]
-        if not active:
+        best = best_val = None
+        for c in candidates:
+            if c[0] - SNAP_EPS <= lo and hi <= c[1] + SNAP_EPS:
+                val = _unary_value(c[2], mid)
+                if best is None or val > best_val:
+                    best, best_val = c, val
+        if best is None:
             raise OutOfDomainError(f"no projection candidate covers [{lo}, {hi}]")
-        best = active[0]
-        best_val = best.poly.evaluate({var: mid})
-        for c in active[1:]:
-            val = c.poly.evaluate({var: mid})
-            if val > best_val:
-                best, best_val = c, val
-        segments.append((lo, hi, best.poly, best.response))
-
-    out = []
-    for seg in segments:
-        if out and out[-1][2].coeffs == seg[2].coeffs and out[-1][3] == seg[3]:
-            prev = out.pop()
-            out.append((prev[0], seg[1], prev[2], prev[3]))
+        if out and out[-1][2] == best[2] and out[-1][4] == best[4]:
+            out[-1] = (out[-1][0], hi) + out[-1][2:]
         else:
-            out.append(seg)
+            out.append((lo, hi) + best[2:])
     return out
 
 
@@ -354,64 +382,54 @@ def project(f: PiecewiseFunction, var: str,
         return projected, BestResponse(((box, resp),))
 
     y = remaining[0]
+    square, linear, cross = (var, var), (var,), tuple(sorted((var, y)))
     ybks = f.breakpoints(y)
-    out_pieces = []
-    out_responses = []
+    segments: list[tuple] = []
     for yl, yh in itertools.pairwise(ybks):
         ymid = 0.5 * (yl + yh)
-        candidates: list[_Candidate] = []
-        for idx, (box, poly) in enumerate(f.pieces):
+        candidates: list[tuple] = []
+        for box, poly in f.pieces:
             blo, bhi = box.ranges[y]
             if not (blo - SNAP_EPS <= yl and yh <= bhi + SNAP_EPS):
                 if not (blo <= ymid <= bhi):
                     continue
             xl, xh = box.ranges[var]
-            A = poly.coefficient((var, var))
-            B = poly.coefficient((var,))
-            E = poly.coefficient(tuple(sorted((var, y))))
-            candidates.append(_Candidate(
-                yl, yh, poly.substitute(var, 0.0, xl, y),
-                Response(ResponseKind.LOWER_BOUND, 0.0, xl), (idx, 0)))
-            candidates.append(_Candidate(
-                yl, yh, poly.substitute(var, 0.0, xh, y),
-                Response(ResponseKind.UPPER_BOUND, 0.0, xh), (idx, 1)))
+            candidates.append((yl, yh, _unary_substitute(poly, var, 0.0, xl),
+                               (poly, 0.0, xl), (ResponseKind.LOWER_BOUND, 0.0, xl)))
+            candidates.append((yl, yh, _unary_substitute(poly, var, 0.0, xh),
+                               (poly, 0.0, xh), (ResponseKind.UPPER_BOUND, 0.0, xh)))
+            A = poly.coeffs.get(square, 0.0)
             if A < 0.0:
-                slope = -E / (2.0 * A)
-                intercept = -B / (2.0 * A)
+                slope = -poly.coeffs.get(cross, 0.0) / (2.0 * A)
+                intercept = -poly.coeffs.get(linear, 0.0) / (2.0 * A)
                 feasible = _critical_feasible_range(slope, intercept, xl, xh, yl, yh)
                 if feasible is not None:
-                    candidates.append(_Candidate(
-                        feasible[0], feasible[1],
-                        poly.substitute(var, slope, intercept, y),
-                        Response(ResponseKind.AFFINE, slope, intercept), (idx, 2)))
+                    candidates.append((
+                        *feasible, _unary_substitute(poly, var, slope, intercept),
+                        (poly, slope, intercept), (ResponseKind.AFFINE, slope, intercept)))
         if not candidates:
             raise OutOfDomainError(f"no piece covers {y} in [{yl}, {yh}]")
-        for lo, hi, poly, resp in _envelope(candidates, yl, yh, y):
-            out_pieces.append((Box({y: (lo, hi)}), poly))
-            out_responses.append((Box({y: (lo, hi)}), resp))
+        for seg in _envelope(candidates, yl, yh):
+            # merge equal neighbors across the outer y-interval seams; the
+            # later neighbour's polynomial and response are kept
+            if (segments and segments[-1][2] == seg[2] and segments[-1][4] == seg[4]
+                    and segments[-1][1] == seg[0]):
+                segments[-1] = (segments[-1][0],) + seg[1:]
+            else:
+                segments.append(seg)
 
-    # merge equal neighbors across the outer y-interval seams
-    merged_pieces = []
-    merged_responses = []
-    for piece, entry in zip(out_pieces, out_responses):
-        if (merged_pieces
-                and merged_pieces[-1][1].coeffs == piece[1].coeffs
-                and merged_responses[-1][1] == entry[1]
-                and merged_pieces[-1][0].ranges[y][1] == piece[0].ranges[y][0]):
-            lo = merged_pieces[-1][0].ranges[y][0]
-            hi = piece[0].ranges[y][1]
-            merged_pieces[-1] = (Box({y: (lo, hi)}), piece[1])
-            merged_responses[-1] = (Box({y: (lo, hi)}), entry[1])
-        else:
-            merged_pieces.append(piece)
-            merged_responses.append(entry)
+    if len(segments) > piece_cap:
+        raise CapacityError(f"projection produced {len(segments)} pieces (cap {piece_cap})")
 
-    if len(merged_pieces) > piece_cap:
-        raise CapacityError(f"projection produced {len(merged_pieces)} pieces (cap {piece_cap})")
-
+    pieces = []
+    responses = []
+    for lo, hi, _, (poly, slope, intercept), response in segments:
+        box = Box({y: (lo, hi)})
+        pieces.append((box, poly.substitute(var, slope, intercept, y)))
+        responses.append((box, Response(*response)))
     domain = Box({y: f.domain_box.ranges[y]})
-    projected = PiecewiseFunction.make((y,), merged_pieces, domain)
-    return projected, BestResponse(tuple(merged_responses))
+    projected = PiecewiseFunction.make((y,), pieces, domain)
+    return projected, BestResponse(tuple(responses))
 
 
 def argmax_unary(f: PiecewiseFunction) -> tuple[float, float]:

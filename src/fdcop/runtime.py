@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import model, pseudotree
-from .errors import ArgumentError, CapacityError
+from .errors import ArgumentError, CapacityError, ProtocolError
 
 SYSTEM = "__system__"
 
@@ -202,6 +202,20 @@ class RunResult:
     tree: pseudotree.PseudoTree | None
 
 
+def _check_outcome(problem: model.Problem, engine: str, values: dict[str, float],
+                   optimum: float) -> None:
+    """Refuse an engine outcome that is not a finite, in-domain assignment of
+    every variable with a finite reported optimum."""
+    for var in problem.variables:
+        if var not in values:
+            raise ProtocolError(f"{engine}: no value for {var}")
+        if not problem.domains[var].contains(values[var]):  # also rejects NaN
+            raise ProtocolError(f"{engine}: value {values[var]!r} of {var} lies "
+                                f"outside its domain")
+    if not math.isfinite(optimum):
+        raise ProtocolError(f"{engine}: reported optimum {optimum!r} is not finite")
+
+
 def run(problem: model.Problem, engine: str, config: EngineConfig | None = None,
         keep_trace: bool = True) -> RunResult:
     """Execute one engine on one problem under the simulated runtime."""
@@ -239,6 +253,7 @@ def run(problem: model.Problem, engine: str, config: EngineConfig | None = None,
             exc.stats = kernel.stats
         raise
     kernel.close()
+    _check_outcome(problem, engine, values, optimum)
     return RunResult(
         assignment=model.Assignment(dict(values)),
         stats=kernel.stats,

@@ -40,6 +40,23 @@ class TestInterpolate:
         t = UtilTable(("x",), (((0.0,), 1.0), ((2.0,), 9.0)))
         assert _interp_many(t, [(1.0,)], "nearest")[0] == 1.0
 
+    def test_idw_weight_overflow(self):
+        # d2 = 1e-400 floors to 1e-300: a weight of 1e300 times 1e9 overflows
+        # the weighted sum, so the row is summed again with scaled weights
+        t = UtilTable(("x",), (((0.0,), 1e9), ((1.0,), 0.0)))
+        assert _interp_many(t, [(1e-200,), (0.5,)], "idw") == [1e9, 5e8]
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_tiny_domain_keeps_a_finite_optimum(self, engine):
+        # the children's rows lie within 1e-170 of the root's queries, and
+        # their utilities are about 1e11
+        p = make_problem([quad("x0", "x1", a=-8e5, b=7e5, c=5e5, d=3e5, e=-4e5),
+                          quad("x0", "x2", a=2e5, b=2e5, c=1.6e5, d=-7e5, e=-1.4e5)],
+                         lb=-500.0, ub=500.0, domains={"x0": ContinuousDomain(0.0, 1e-170)})
+        result = runtime.run(p, engine, EngineConfig())
+        assert result.reported_optimum == model.evaluate_solution(p, result.assignment)
+        assert result.reported_optimum == 1.655e11
+
 
 class TestClusterTuples:
     def test_two_separated_pairs(self):
@@ -338,3 +355,28 @@ class TestRowCap:
             except CapacityError as exc:
                 outcomes.append(exc.stats.total_messages)
         assert outcomes[0] == outcomes[1]
+
+
+class TestChildLookupReuse:
+    """Every query of a child on a tree is a candidate of its parent, so each
+    child table is interpolated once: by the parent's first join. The moved
+    rows and every VALUE query reuse that lookup."""
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_one_lookup_per_child_on_trees(self, monkeypatch, engine):
+        p = generators.gen_tree(50, seed=5)
+        phase, calls = [None], []
+        real_phase, real_interp = Kernel.phase, afdpop._interp_many
+
+        def record_phase(kernel, name):
+            phase[0] = name
+            real_phase(kernel, name)
+
+        def interp(table, queries, how):
+            calls.append(phase[0])
+            return real_interp(table, queries, how)
+
+        monkeypatch.setattr(Kernel, "phase", record_phase)
+        monkeypatch.setattr(afdpop, "_interp_many", interp)
+        runtime.run(p, engine, EngineConfig(moves=10))
+        assert calls == ["util"] * (len(p.variables) - 1)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fdcop import cli, model
+from fdcop.engines import discrete
 
 from conftest import make_problem, quad
 
@@ -209,3 +210,32 @@ class TestVerify:
         run_cli(capsys, "generate", "tree", "-n", "9", "-o", str(path))
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == cli.EXIT_INVALID
+
+
+class TestEngineError:
+    """Any library error that has no exit code of its own exits 5."""
+
+    @pytest.fixture
+    def nan_dpop(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "1", "-o", str(path))
+        monkeypatch.setattr(discrete, "run",
+                            lambda contexts, *args: ({v: float("nan") for v in contexts}, 0.0))
+        return path
+
+    def test_solve(self, nan_dpop, capsys):
+        code, out, err = run_cli(capsys, "solve", str(nan_dpop), "--engine", "dpop")
+        assert code == cli.EXIT_ENGINE == 5
+        assert out == ""
+        assert err.startswith("engine error: dpop: value nan of x000")
+
+    def test_verify(self, nan_dpop, capsys):
+        code, _, err = run_cli(capsys, "verify", str(nan_dpop))
+        assert code == cli.EXIT_ENGINE
+        assert err.startswith("engine error: dpop:")
+
+    def test_bench(self, nan_dpop, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "bench", "-n", "4", "--engines", "dpop",
+                               "--seeds", "1", "-o", str(tmp_path / "b.csv"))
+        assert code == cli.EXIT_ENGINE
+        assert err.startswith("engine error: dpop:")

@@ -124,3 +124,43 @@ class TestUtilityIndex:
         assert "_by_pair" not in repr(a)
         assert model.problem_to_dict(a) == model.problem_to_dict(b)
         assert model.loads(model.dumps(a)) == a
+
+
+def payload_digest(problem, engine, config, monkeypatch):
+    """run_digest extended by the repr of every UTIL payload in send order, so
+    a change to a message's content shows even when its size does not."""
+    payloads = []
+    send = runtime.Kernel.send
+
+    def recording_send(self, sender, receiver, kind, payload, scalar_size):
+        if kind == runtime.UTIL:
+            payloads.append(repr(payload))
+        send(self, sender, receiver, kind, payload, scalar_size)
+
+    monkeypatch.setattr(runtime.Kernel, "send", recording_send)
+    h = hashlib.sha256(run_digest(problem, engine, config).encode())
+    for text in payloads:
+        h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
+NONCONCAVE_TREE = generators.gen_tree(120, seed=11)
+UNIT_TREE = generators.gen_tree(120, seed=12, lb=0.0, ub=1.0)
+
+GOLDEN_PAYLOADS = [
+    (NONCONCAVE_TREE, "ef-dpop", EngineConfig(),
+     "ff5152d98eccd60d16f960791cdd2ab22948cb1273d58d28f0afb31f905fa9fd"),
+    (UNIT_TREE, "ef-dpop", EngineConfig(),
+     "6f8ffb82bbab54929c6c45c753aeb909f6f90a3d38de206f209eae951e4a3043"),
+    (WIDTH3_GRAPH, "af-dpop", EngineConfig(),
+     "344ff394c014756bca216b25d1e40d7c11b8e0d81f541f5c1e689fd72f8ec94b"),
+    (WIDTH3_GRAPH, "caf-dpop", EngineConfig(k_clusters=4),
+     "bdaf944a892462ee305039bc31c49cc7ce6108633b0d194c5643ccc3d9cebf49"),
+]
+
+
+@pytest.mark.parametrize("problem, engine, config, expected", GOLDEN_PAYLOADS,
+                         ids=["nonconcave-tree-ef-dpop", "unit-tree-ef-dpop",
+                              "16-af-dpop", "16-caf-dpop"])
+def test_golden_payload_digest(problem, engine, config, expected, monkeypatch):
+    assert payload_digest(problem, engine, config, monkeypatch) == expected

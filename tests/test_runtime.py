@@ -4,7 +4,8 @@ import math
 import pytest
 
 from fdcop import generators, model, pseudotree, runtime
-from fdcop.errors import ArgumentError, CapacityError
+from fdcop.engines import discrete
+from fdcop.errors import ArgumentError, CapacityError, ProtocolError
 from fdcop.runtime import SYSTEM, UTIL, VALUE, EngineConfig, Kernel
 
 
@@ -109,6 +110,42 @@ class TestRun:
         p = generators.gen_tree(5, 0)
         result = runtime.run(p, "dpop", EngineConfig())
         assert {"pseudotree", "util", "value"} <= set(result.stats.phase_timings)
+
+
+class TestOutcomeCheck:
+    """`run` refuses an engine outcome that is not a finite, in-domain
+    assignment of every variable with a finite optimum."""
+
+    @pytest.fixture
+    def problem(self):
+        return generators.gen_tree(4, 0)
+
+    def patch_engine(self, monkeypatch, values, optimum=0.0):
+        monkeypatch.setattr(discrete, "run", lambda *args: (values, optimum))
+
+    def test_nan_value(self, monkeypatch, problem):
+        self.patch_engine(monkeypatch, {v: float("nan") for v in problem.variables})
+        with pytest.raises(ProtocolError, match=r"dpop: value nan of x000 lies outside"):
+            runtime.run(problem, "dpop", EngineConfig())
+
+    def test_out_of_domain_value(self, monkeypatch, problem):
+        values = {v: 0.0 for v in problem.variables}
+        values["x002"] = 100.5
+        self.patch_engine(monkeypatch, values)
+        with pytest.raises(ProtocolError, match="x002"):
+            runtime.run(problem, "dpop", EngineConfig())
+
+    def test_missing_value(self, monkeypatch, problem):
+        values = {v: 0.0 for v in problem.variables if v != "x003"}
+        self.patch_engine(monkeypatch, values)
+        with pytest.raises(ProtocolError, match="dpop: no value for x003"):
+            runtime.run(problem, "dpop", EngineConfig())
+
+    @pytest.mark.parametrize("optimum", [float("inf"), float("nan")])
+    def test_non_finite_optimum(self, monkeypatch, problem, optimum):
+        self.patch_engine(monkeypatch, {v: 0.0 for v in problem.variables}, optimum)
+        with pytest.raises(ProtocolError, match="dpop: reported optimum"):
+            runtime.run(problem, "dpop", EngineConfig())
 
 
 class TestAuditIsolation:
