@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -170,26 +171,27 @@ def _bench_cell(kind, n, p1, engine, config, seed):
     }
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_bench(args) -> int:
     _check_out_dir(args.out)
-    sizes = _parse_int_list(args.n)
     engines = [e for e in args.engines.split(",") if e]
     for e in engines:
         if e not in model.ENGINE_KINDS:
             raise ArgumentError(f"unknown engine {e!r}")
-    d_values = _parse_int_list(args.d)
-    move_values = _parse_int_list(args.moves)
     seeds = list(range(args.seeds))
 
     rows = []
     for engine in engines:
-        for n in sorted(sizes):
-            for d in d_values:
-                for moves in move_values:
+        for n in sorted(args.n):
+            for d in args.d:
+                for moves in args.moves:
                     config = runtime.EngineConfig(
                         points=d, alpha=args.alpha, moves=moves,
                         k_clusters=args.clusters, iterations=args.iters,
@@ -280,6 +282,16 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
         same = af0.assignment.values == results["dpop"].assignment.values
         checks.append(("no-move reduction", same, "af-dpop(moves=0) vs dpop assignment"))
 
+    if "ef-dpop" in results:
+        result = results["ef-dpop"]
+        u = model.evaluate_solution(problem, result.assignment)
+        reported = result.reported_optimum
+        ok = (math.isclose(reported, u, rel_tol=1e-9)
+              and u >= oracle - 1e-9 * max(1.0, abs(oracle)))
+        checks.append(("ef-dpop exactness", ok,
+                       f"reported {reported:.9g} = utility {u:.9g} "
+                       f">= {oracle_points}-point grid optimum {oracle:.9g}"))
+
     if "caf-dpop" in results:
         result = results["caf-dpop"]
         config = runtime.EngineConfig(points=d, seed=0)
@@ -333,11 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark matrix")
     p.add_argument("--kind", choices=("tree", "graph"), default="tree")
-    p.add_argument("-n", default="10,20", help="comma-separated sizes")
+    p.add_argument("-n", type=_int_list, default="10,20", help="comma-separated sizes")
     p.add_argument("--p1", type=float, default=0.2)
     p.add_argument("--engines", default="dpop,af-dpop,caf-dpop,hcms")
-    p.add_argument("-d", default="3", help="comma-separated point counts")
-    p.add_argument("--moves", default="10", help="comma-separated move counts")
+    p.add_argument("-d", type=_int_list, default="3", help="comma-separated point counts")
+    p.add_argument("--moves", type=_int_list, default="10",
+                   help="comma-separated move counts")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("-k", "--clusters", type=int, default=10)
     p.add_argument("--iters", type=int, default=1)

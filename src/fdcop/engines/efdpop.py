@@ -1,11 +1,13 @@
-"""Exact functional DPOP: UTIL messages carry piecewise quadratic functions,
-addition and projection are symbolic, and the VALUE phase replays the stored
-closed-form best responses. Tree-structured problems only."""
+"""Exact functional DPOP: every UTIL message is a `piecewise.Unary`, a
+piecewise quadratic in the receiving parent's variable. An agent adds its
+children's messages to the own-variable terms of the constraint with its
+parent and projects the constraint's remaining terms onto the parent in closed
+form; the VALUE phase replays the stored best responses. Tree-structured
+problems only."""
 from __future__ import annotations
 
 from .. import piecewise
 from ..errors import ProtocolError, StructureError
-from ..piecewise import Box, PiecewiseFunction, Poly2
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
 from .common import util_value_protocol
@@ -14,20 +16,14 @@ from .common import util_value_protocol
 SCALARS_PER_PIECE = 5
 
 
-def utility_as_piecewise(f, dom_first, dom_second) -> PiecewiseFunction:
-    """Single-piece representation of a binary quadratic utility."""
-    xi, xj = f.first_var, f.second_var
-    coeffs = {
-        (xi, xi): f.coeff_a,
-        (xi,): f.coeff_b,
-        (xj, xj): f.coeff_c,
-        (xj,): f.coeff_d,
-        tuple(sorted((xi, xj))): f.coeff_e,
-        (): f.coeff_f0,
-    }
-    poly = Poly2({m: c for m, c in coeffs.items() if c != 0.0})
-    box = Box({xi: (dom_first.lb, dom_first.ub), xj: (dom_second.lb, dom_second.ub)})
-    return PiecewiseFunction.from_polynomial(poly, box)
+def utility_as_piecewise(f, var, dom) -> piecewise.Unary:
+    """One-piece function of `var` over `dom`: f's square and linear terms in
+    `var` and its constant."""
+    if var == f.first_var:
+        square, linear = f.coeff_a, f.coeff_b
+    else:
+        square, linear = f.coeff_c, f.coeff_d
+    return piecewise.Unary(var, ((dom.lb, dom.ub, square, linear, f.coeff_f0),))
 
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
@@ -36,46 +32,44 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
             "ef-dpop handles tree-structured constraint graphs only; "
             "the pseudo-tree has backedges"
         )
-    state: dict[str, dict] = {}
+    # the root's value, or a non-root agent's piecewise.BestResponse
+    state: dict[str, object] = {}
 
     def util_fn(var, child_payloads):
         ctx = contexts[var]
         own_dom = ctx.own_domain()
 
-        total = None
+        total = constraint = None
         if var != tree.root:
-            parent = ctx.parent
-            constraint = ctx.constraint_with(parent)
+            constraint = ctx.constraint_with(ctx.parent)
             if constraint is None:
-                raise StructureError(f"{var}: no constraint to parent {parent}")
-            dom_first = own_dom if constraint.first_var == var else ctx.domain_of(parent)
-            dom_second = ctx.domain_of(parent) if constraint.second_var == parent else own_dom
-            total = utility_as_piecewise(constraint, dom_first, dom_second)
+                raise StructureError(f"{var}: no constraint to parent {ctx.parent}")
+            total = utility_as_piecewise(constraint, var, own_dom)
         for _, child_fn in child_payloads:
             total = child_fn if total is None else piecewise.add(total, child_fn, config.piece_cap)
 
         if var == tree.root:
             if total is None:
                 # a lone variable: nothing to maximize, dpop's smallest-point tie-break
-                state[var] = {"value": own_dom.lb}
+                state[var] = own_dom.lb
                 return 0.0
-            value, utility = piecewise.argmax_unary(total)
-            state[var] = {"value": value}
+            state[var], utility = piecewise.argmax_unary(total)
             return utility
 
-        projected, responses = piecewise.project(total, var, config.piece_cap)
-        state[var] = {"responses": responses}
+        parent_dom = ctx.domain_of(ctx.parent)
+        projected, state[var] = piecewise.project(
+            total, constraint, (parent_dom.lb, parent_dom.ub), config.piece_cap)
         return projected, SCALARS_PER_PIECE * len(projected.pieces)
 
     def value_fn(var, sep_values):
         ctx = contexts[var]
         if var == tree.root:
-            return state[var]["value"]
+            return state[var]
         parent = ctx.parent
         if parent not in sep_values:
             raise ProtocolError(f"{var}: parent value missing from VALUE payload")
         parent_value = sep_values[parent]
-        response = state[var]["responses"].at({parent: parent_value})
+        response = state[var].at(parent_value)
         dom = ctx.own_domain()
         x = response.value(parent_value)
         if x < dom.lb - 1e-12 or x > dom.ub + 1e-12:

@@ -22,15 +22,11 @@ class ArgumentError(FdcopError, ValueError):
 
 
 class DomainMismatchError(FdcopError):
-    """Two piecewise functions disagree on a shared variable's domain."""
+    """Two piecewise functions of one variable disagree on its domain."""
 
 
 class OutOfDomainError(FdcopError):
-    """A query point lies outside a function's domain box."""
-
-
-class ExactProjectionUnsupportedError(FdcopError):
-    """Closed-form projection was requested for an unsupported arity."""
+    """A query point lies outside a function's domain."""
 
 
 class CapacityError(FdcopError):

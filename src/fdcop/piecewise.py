@@ -1,8 +1,12 @@
-"""Exact calculus of piecewise degree-<=2 polynomials over axis-aligned boxes.
+"""Exact calculus of ef-dpop's messages: piecewise quadratics in one variable.
 
-Supports addition with atomic-range refinement, closed-form projection
-(maximization over one variable), evaluation, and unary argmax. Functions are
-immutable; every operation returns a new value.
+A `Unary` is a function of one variable, a sorted tuple of pieces
+`(lo, hi, c2, c1, c0)` meaning c2*v^2 + c1*v + c0 on [lo, hi]. On a tree of
+binary quadratic utilities every UTIL message is one: an agent `add`s its
+children's messages to the own-variable terms of the constraint with its
+parent, then `project`s the constraint's remaining terms onto the parent's
+variable in closed form. Values are immutable; every operation returns a
+new one.
 """
 from __future__ import annotations
 
@@ -11,13 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    ArgumentError,
-    CapacityError,
-    DomainMismatchError,
-    ExactProjectionUnsupportedError,
-    OutOfDomainError,
-)
+from .errors import ArgumentError, CapacityError, DomainMismatchError, OutOfDomainError
 
 DEFAULT_PIECE_CAP = 100_000
 
@@ -25,93 +23,38 @@ DEFAULT_PIECE_CAP = 100_000
 SNAP_EPS = 1e-9
 
 Interval = tuple[float, float]
-Monomial = tuple[str, ...]
+Piece = tuple[float, float, float, float, float]  # lo, hi, c2, c1, c0
 
 
 @dataclass(frozen=True)
-class Poly2:
-    """Polynomial of total degree <= 2 over named variables.
+class Unary:
+    """Piecewise quadratic in `var`; pieces are sorted by `lo` and tile their
+    span."""
 
-    Coefficients are keyed by sorted monomial tuples: () for the constant,
-    (v,) linear, (v, v) square, (v, w) cross.
-    """
-
-    coeffs: dict[Monomial, float]
-
-    @staticmethod
-    def constant(c: float) -> Poly2:
-        return Poly2({(): c} if c != 0.0 else {})
-
-    @staticmethod
-    def zero() -> Poly2:
-        return Poly2({})
-
-    def coefficient(self, mono: Monomial) -> float:
-        return self.coeffs.get(tuple(sorted(mono)), 0.0)
-
-    def variables(self) -> set[str]:
-        return {v for mono in self.coeffs for v in mono}
-
-    def add(self, other: Poly2) -> Poly2:
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, 0.0) + c
-        return Poly2({m: c for m, c in out.items() if c != 0.0})
-
-    def evaluate(self, point: dict[str, float]) -> float:
-        total = 0.0
-        for mono, c in sorted(self.coeffs.items()):
-            term = c
-            for v in mono:
-                term *= point[v]
-            total += term
-        return total
-
-    def substitute(self, var: str, slope: float, intercept: float,
-                   new_var: str | None = None) -> Poly2:
-        """Replace `var` with slope*new_var + intercept (affine, degree-safe)."""
-        out: dict[Monomial, float] = {}
-
-        def bump(mono, c):
-            if c == 0.0:
-                return
-            key = tuple(sorted(mono))
-            out[key] = out.get(key, 0.0) + c
-
-        for mono, c in self.coeffs.items():
-            if var not in mono:
-                bump(mono, c)
-                continue
-            others = tuple(v for v in mono if v != var)
-            occurrences = len(mono) - len(others)
-            if occurrences == 1:
-                if slope != 0.0 and new_var is not None:
-                    bump(others + (new_var,), c * slope)
-                bump(others, c * intercept)
-            else:  # var squared
-                if slope != 0.0 and new_var is not None:
-                    bump((new_var, new_var), c * slope * slope)
-                    bump((new_var,), 2.0 * c * slope * intercept)
-                bump((), c * intercept * intercept)
-        return Poly2({m: c for m, c in out.items() if c != 0.0})
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned closed box: ordered map variable -> [lo, hi]."""
-
-    ranges: dict[str, Interval]
+    var: str
+    pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        for var, (lo, hi) in self.ranges.items():
+        if not self.pieces:
+            raise ArgumentError(f"a function of {self.var!r} needs at least one piece")
+        for lo, hi, *_ in self.pieces:
             if lo > hi:
-                raise ArgumentError(f"empty range [{lo}, {hi}] for {var!r}")
+                raise ArgumentError(f"empty range [{lo}, {hi}] for {self.var!r}")
+        for prev, nxt in itertools.pairwise(self.pieces):
+            if prev[1] != nxt[0]:
+                raise ArgumentError(f"pieces of {self.var!r} do not tile: "
+                                    f"[..., {prev[1]}] then [{nxt[0]}, ...]")
 
-    def contains(self, point: dict[str, float], tol: float = 0.0) -> bool:
-        return all(lo - tol <= point[v] <= hi + tol for v, (lo, hi) in self.ranges.items())
+    @property
+    def domain(self) -> Interval:
+        return self.pieces[0][0], self.pieces[-1][1]
 
-    def corner_key(self) -> tuple:
-        return tuple(self.ranges[v] for v in sorted(self.ranges))
+    def piece_at(self, v: float) -> Piece | None:
+        """First piece whose closed interval holds v."""
+        for piece in self.pieces:
+            if piece[0] <= v <= piece[1]:
+                return piece
+        return None
 
 
 class ResponseKind(Enum):
@@ -129,108 +72,46 @@ class Response:
     slope: float
     intercept: float
 
-    def value(self, remaining_value: float = 0.0) -> float:
+    def value(self, remaining_value: float) -> float:
         return self.slope * remaining_value + self.intercept
 
 
 @dataclass(frozen=True)
 class BestResponse:
-    """Per projected piece, the winning maximizer expression."""
+    """Per projected piece `(lo, hi, response)`, the winning maximizer."""
 
-    entries: tuple[tuple[Box, Response], ...]
+    entries: tuple[tuple[float, float, Response], ...]
 
-    def at(self, point: dict[str, float]) -> Response:
-        for box, resp in self.entries:
-            if box.contains(point, tol=SNAP_EPS):
+    def at(self, v: float) -> Response:
+        for lo, hi, resp in self.entries:
+            if lo - SNAP_EPS <= v <= hi + SNAP_EPS:
                 return resp
-        raise OutOfDomainError(f"no best-response piece covers {point}")
+        raise OutOfDomainError(f"no best-response piece covers {v}")
 
 
-@dataclass(frozen=True)
-class PiecewiseFunction:
-    variables: tuple[str, ...]
-    pieces: tuple[tuple[Box, Poly2], ...]
-    domain_box: Box
-
-    @staticmethod
-    def make(variables, pieces, domain_box) -> PiecewiseFunction:
-        ordered = tuple(sorted(pieces, key=lambda p: p[0].corner_key()))
-        return PiecewiseFunction(tuple(sorted(variables)), ordered, domain_box)
-
-    @staticmethod
-    def from_polynomial(poly: Poly2, domain_box: Box) -> PiecewiseFunction:
-        variables = tuple(sorted(domain_box.ranges))
-        return PiecewiseFunction(variables, ((domain_box, poly),), domain_box)
-
-    def piece_at(self, point: dict[str, float], tol: float = 0.0):
-        """First piece (canonical order) whose box contains the point."""
-        for box, poly in self.pieces:
-            if box.contains(point, tol=tol):
-                return box, poly
-        return None
-
-    def breakpoints(self, var: str) -> list[float]:
-        values = set()
-        for box, _ in self.pieces:
-            lo, hi = box.ranges[var]
-            values.add(lo)
-            values.add(hi)
-        return sorted(values)
-
-
-def add(f: PiecewiseFunction, g: PiecewiseFunction,
-        piece_cap: int = DEFAULT_PIECE_CAP) -> PiecewiseFunction:
-    """Sum of two piecewise functions over the union variable set.
-
-    Shared variables are refined to the union of both functions' breakpoints
-    (their atomic ranges); result pieces are the Cartesian product of the
-    refined per-variable ranges.
-    """
-    for var in set(f.variables) & set(g.variables):
-        if f.domain_box.ranges[var] != g.domain_box.ranges[var]:
-            raise DomainMismatchError(
-                f"shared variable {var!r} has domain {f.domain_box.ranges[var]} "
-                f"in one operand and {g.domain_box.ranges[var]} in the other"
-            )
-    variables = sorted(set(f.variables) | set(g.variables))
-    cuts: dict[str, list[float]] = {}
-    for var in variables:
-        values: set[float] = set()
-        if var in f.variables:
-            values.update(f.breakpoints(var))
-        if var in g.variables:
-            values.update(g.breakpoints(var))
-        cuts[var] = sorted(values)
-
-    count = 1
-    for var in variables:
-        count *= max(1, len(cuts[var]) - 1)
+def add(f: Unary, g: Unary, piece_cap: int = DEFAULT_PIECE_CAP) -> Unary:
+    """Sum of two functions of the same variable, cut on the union of both
+    breakpoint sets; on each cell f's coefficient is added first."""
+    if f.var != g.var:
+        raise ArgumentError(f"cannot add a function of {f.var!r} to one of {g.var!r}")
+    if f.domain != g.domain:
+        raise DomainMismatchError(
+            f"shared variable {f.var!r} has domain {f.domain} "
+            f"in one operand and {g.domain} in the other"
+        )
+    cuts = sorted({v for lo, hi, *_ in f.pieces + g.pieces for v in (lo, hi)})
+    count = max(1, len(cuts) - 1)
     if count > piece_cap:
         raise CapacityError(f"addition would create {count} pieces (cap {piece_cap})")
 
     pieces = []
-    axes = [list(itertools.pairwise(cuts[var])) for var in variables]
-    for cell in itertools.product(*axes):
-        box = Box({var: rng for var, rng in zip(variables, cell)})
-        mid = {var: 0.5 * (rng[0] + rng[1]) for var, rng in zip(variables, cell)}
-        fp = f.piece_at({v: mid[v] for v in f.variables})
-        gp = g.piece_at({v: mid[v] for v in g.variables})
+    for lo, hi in itertools.pairwise(cuts):
+        mid = 0.5 * (lo + hi)
+        fp, gp = f.piece_at(mid), g.piece_at(mid)
         if fp is None or gp is None:
             raise OutOfDomainError("operand does not cover a refined cell")
-        pieces.append((box, fp[1].add(gp[1])))
-    domain = Box({var: (cuts[var][0], cuts[var][-1]) for var in variables})
-    return PiecewiseFunction.make(variables, pieces, domain)
-
-
-def evaluate(f: PiecewiseFunction, point: dict[str, float]) -> float:
-    """Evaluate at a point inside the domain box; boundary ties resolve to the
-    canonically first piece."""
-    if not f.domain_box.contains(point):
-        raise OutOfDomainError(f"{point} lies outside {f.domain_box}")
-    located = f.piece_at(point)
-    if located is None:
-        raise OutOfDomainError(f"no piece covers {point}")
-    return located[1].evaluate(point)
+        pieces.append((lo, hi, fp[2] + gp[2], fp[3] + gp[3], fp[4] + gp[4]))
+    return Unary(f.var, tuple(pieces))
 
 
 def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
@@ -243,10 +124,6 @@ def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
         return []
     s = math.sqrt(disc)
     return [(-c1 - s) / (2.0 * c2), (-c1 + s) / (2.0 * c2)]
-
-
-def _unary_coeffs(poly: Poly2, var: str) -> tuple[float, float, float]:
-    return (poly.coefficient((var, var)), poly.coefficient((var,)), poly.coefficient(()))
 
 
 def _critical_feasible_range(slope: float, intercept: float,
@@ -264,28 +141,26 @@ def _critical_feasible_range(slope: float, intercept: float,
     return (lo, hi)
 
 
-def _unary_substitute(poly: Poly2, var: str, slope: float,
-                      intercept: float) -> tuple[float, float, float]:
-    """(c2, c1, c0) in the other variable y of a two-variable polynomial with
-    `var` replaced by slope*y + intercept: the coefficients of
-    `poly.substitute(var, slope, intercept, y)`, from the same nonzero
-    products added in the same order."""
+def _substitute(terms, slope: float, intercept: float) -> tuple[float, float, float]:
+    """(c2, c1, c0) in y of the sum of c * x^i * y^j over `terms` (i, j, c)
+    with x replaced by slope*y + intercept. Terms with c == 0.0 and zero
+    products are skipped; the rest are added in term order."""
     acc = [0.0, 0.0, 0.0]  # by degree in y
 
     def bump(degree, c):
         if c != 0.0:
             acc[degree] += c
 
-    for mono, c in poly.coeffs.items():
-        occurrences = mono.count(var)
-        degree = len(mono) - occurrences
-        if occurrences == 0:
-            bump(degree, c)
-        elif occurrences == 1:
+    for i, j, c in terms:
+        if c == 0.0:
+            continue
+        if i == 0:
+            bump(j, c)
+        elif i == 1:
             if slope != 0.0:
-                bump(degree + 1, c * slope)
-            bump(degree, c * intercept)
-        else:  # var squared
+                bump(j + 1, c * slope)
+            bump(j, c * intercept)
+        else:  # x squared
             if slope != 0.0:
                 bump(2, c * slope * slope)
                 bump(1, 2.0 * c * slope * intercept)
@@ -294,7 +169,7 @@ def _unary_substitute(poly: Poly2, var: str, slope: float,
 
 
 def _unary_value(coeffs: tuple[float, float, float], y: float) -> float:
-    """c2*y^2 + c1*y + c0, summed term by term as `Poly2.evaluate` does."""
+    """c2*y^2 + c1*y + c0, summed from the constant up, zero terms skipped."""
     c2, c1, c0 = coeffs
     total = 0.0
     if c0 != 0.0:
@@ -310,10 +185,10 @@ def _envelope(candidates: list[tuple], yl: float, yh: float) -> list[tuple]:
     """Upper envelope of quadratic candidates over [yl, yh].
 
     A candidate is plain data: (lo, hi, (c2, c1, c0) in the remaining
-    variable, (poly, slope, intercept) that rebuilds it as a Poly2, (kind,
-    slope, intercept) of the eliminated variable's response). Returns the
-    pointwise-largest candidate on each subinterval, with lo and hi narrowed
-    to it; equal neighbours are merged.
+    variable, (kind, slope, intercept) of the eliminated variable's
+    response). Returns the pointwise-largest candidate on each subinterval,
+    the first one on ties, with lo and hi narrowed to it; neighbours equal in
+    both coefficients and response are merged.
     """
     cuts = {yl, yh}
     for lo, hi, *_ in candidates:
@@ -349,126 +224,77 @@ def _envelope(candidates: list[tuple], yl: float, yh: float) -> list[tuple]:
                     best, best_val = c, val
         if best is None:
             raise OutOfDomainError(f"no projection candidate covers [{lo}, {hi}]")
-        if out and out[-1][2] == best[2] and out[-1][4] == best[4]:
+        if out and out[-1][2] == best[2] and out[-1][3] == best[3]:
             out[-1] = (out[-1][0], hi) + out[-1][2:]
         else:
             out.append((lo, hi) + best[2:])
     return out
 
 
-def project(f: PiecewiseFunction, var: str,
-            piece_cap: int = DEFAULT_PIECE_CAP) -> tuple[PiecewiseFunction, BestResponse]:
-    """Maximize f over `var`, returning the projected function and the
-    closed-form best responses of the eliminated variable.
+def project(own: Unary, constraint, other_domain: Interval,
+            piece_cap: int = DEFAULT_PIECE_CAP) -> tuple[Unary, BestResponse]:
+    """Maximize `own` plus `constraint`'s remaining terms over own's variable.
 
-    Per piece the candidates are the two endpoint substitutions plus, when
-    the piece is concave in `var`, the interior critical point; the result on
-    each refined interval of the remaining variable is their upper envelope.
+    `own` holds the constraint's own-variable terms and constant plus the
+    children's messages; `constraint` is the binary quadratic between own's
+    variable x and the other variable y, whose domain is `other_domain`. Per
+    piece of `own` the candidates are x at its two endpoints plus, when the
+    piece is concave in x, the interior critical point x(y); the result is
+    their upper envelope over y, returned with the maximizer on each piece.
+    Each piece's terms are summed in the order the constraint lists them.
     """
-    if var not in f.variables:
-        raise ArgumentError(f"{var!r} is not a variable of this function")
-    remaining = [v for v in f.variables if v != var]
-    if len(remaining) >= 2:
-        raise ExactProjectionUnsupportedError(
-            f"exact projection supports at most one remaining variable, "
-            f"got {len(remaining)} ({remaining})"
-        )
+    x = own.var
+    y = constraint.other_var(x)
+    f = constraint
+    yl, yh = other_domain
+    x_first = x == f.first_var
+    y_terms = (((0, 2, f.coeff_c), (0, 1, f.coeff_d)) if x_first
+               else ((0, 2, f.coeff_a), (0, 1, f.coeff_b)))
+    candidates: list[tuple] = []
+    for xl, xh, a2, a1, a0 in own.pieces:
+        # (i, j, c) for c * x^i * y^j: first variable, second, cross, constant
+        x_terms = ((2, 0, a2), (1, 0, a1))
+        terms = ((x_terms + y_terms) if x_first else (y_terms + x_terms)) \
+            + ((1, 1, f.coeff_e), (0, 0, a0))
+        candidates.append((yl, yh, _substitute(terms, 0.0, xl),
+                           (ResponseKind.LOWER_BOUND, 0.0, xl)))
+        candidates.append((yl, yh, _substitute(terms, 0.0, xh),
+                           (ResponseKind.UPPER_BOUND, 0.0, xh)))
+        if a2 < 0.0:
+            # a zero term is absent, so a -0.0 cannot sign the response's zero
+            slope = -f.coeff_e / (2.0 * a2) if f.coeff_e != 0.0 else 0.0
+            intercept = -a1 / (2.0 * a2) if a1 != 0.0 else 0.0
+            feasible = _critical_feasible_range(slope, intercept, xl, xh, yl, yh)
+            if feasible is not None:
+                candidates.append((*feasible, _substitute(terms, slope, intercept),
+                                   (ResponseKind.AFFINE, slope, intercept)))
 
-    if not remaining:
-        value, utility = argmax_unary(f)
-        box = Box({})
-        resp = Response(ResponseKind.AFFINE, 0.0, value)
-        projected = PiecewiseFunction((), ((box, Poly2.constant(utility)),), box)
-        return projected, BestResponse(((box, resp),))
-
-    y = remaining[0]
-    square, linear, cross = (var, var), (var,), tuple(sorted((var, y)))
-    ybks = f.breakpoints(y)
-    segments: list[tuple] = []
-    for yl, yh in itertools.pairwise(ybks):
-        ymid = 0.5 * (yl + yh)
-        candidates: list[tuple] = []
-        for box, poly in f.pieces:
-            blo, bhi = box.ranges[y]
-            if not (blo - SNAP_EPS <= yl and yh <= bhi + SNAP_EPS):
-                if not (blo <= ymid <= bhi):
-                    continue
-            xl, xh = box.ranges[var]
-            candidates.append((yl, yh, _unary_substitute(poly, var, 0.0, xl),
-                               (poly, 0.0, xl), (ResponseKind.LOWER_BOUND, 0.0, xl)))
-            candidates.append((yl, yh, _unary_substitute(poly, var, 0.0, xh),
-                               (poly, 0.0, xh), (ResponseKind.UPPER_BOUND, 0.0, xh)))
-            A = poly.coeffs.get(square, 0.0)
-            if A < 0.0:
-                slope = -poly.coeffs.get(cross, 0.0) / (2.0 * A)
-                intercept = -poly.coeffs.get(linear, 0.0) / (2.0 * A)
-                feasible = _critical_feasible_range(slope, intercept, xl, xh, yl, yh)
-                if feasible is not None:
-                    candidates.append((
-                        *feasible, _unary_substitute(poly, var, slope, intercept),
-                        (poly, slope, intercept), (ResponseKind.AFFINE, slope, intercept)))
-        if not candidates:
-            raise OutOfDomainError(f"no piece covers {y} in [{yl}, {yh}]")
-        for seg in _envelope(candidates, yl, yh):
-            # merge equal neighbors across the outer y-interval seams; the
-            # later neighbour's polynomial and response are kept
-            if (segments and segments[-1][2] == seg[2] and segments[-1][4] == seg[4]
-                    and segments[-1][1] == seg[0]):
-                segments[-1] = (segments[-1][0],) + seg[1:]
-            else:
-                segments.append(seg)
-
+    segments = _envelope(candidates, yl, yh)
     if len(segments) > piece_cap:
         raise CapacityError(f"projection produced {len(segments)} pieces (cap {piece_cap})")
-
-    pieces = []
-    responses = []
-    for lo, hi, _, (poly, slope, intercept), response in segments:
-        box = Box({y: (lo, hi)})
-        pieces.append((box, poly.substitute(var, slope, intercept, y)))
-        responses.append((box, Response(*response)))
-    domain = Box({y: f.domain_box.ranges[y]})
-    projected = PiecewiseFunction.make((y,), pieces, domain)
-    return projected, BestResponse(tuple(responses))
+    projected = Unary(y, tuple((lo, hi, *coeffs) for lo, hi, coeffs, _ in segments))
+    responses = BestResponse(tuple((lo, hi, Response(*resp)) for lo, hi, _, resp in segments))
+    return projected, responses
 
 
-def argmax_unary(f: PiecewiseFunction) -> tuple[float, float]:
-    """Global maximizer of a one-variable piecewise function; ties go to the
-    smallest value."""
-    if len(f.variables) != 1:
-        raise ArgumentError(f"argmax_unary needs a unary function, got {f.variables}")
-    var = f.variables[0]
+def argmax_unary(f: Unary) -> tuple[float, float]:
+    """Global maximizer of a one-variable piecewise function and its value;
+    ties go to the smallest value. When no candidate compares (all values
+    NaN) the first candidate, f's lower bound, is returned."""
     best_val = None
     best_util = -math.inf
-    for box, poly in f.pieces:
-        lo, hi = box.ranges[var]
-        c2, c1, _ = _unary_coeffs(poly, var)
+    for lo, hi, c2, c1, c0 in f.pieces:
         points = [lo, hi]
         if c2 < 0.0:
             vertex = -c1 / (2.0 * c2)
             if lo < vertex < hi:
                 points.append(vertex)
         for p in points:
-            u = poly.evaluate({var: p})
+            u = _unary_value((c2, c1, c0), p)
             if u > best_util or (u == best_util and (best_val is None or p < best_val)):
                 best_util = u
                 best_val = p
+    if best_val is None:
+        lo, _, c2, c1, c0 = f.pieces[0]
+        return lo, _unary_value((c2, c1, c0), lo)
     return best_val, best_util
-
-
-def partition_is_valid(f: PiecewiseFunction, tol: float = 1e-12) -> bool:
-    """Interval-sweep audit: pieces tile the domain box with disjoint interiors."""
-    if not f.variables:
-        return len(f.pieces) == 1
-    cuts = {var: sorted(set(f.breakpoints(var))) for var in f.variables}
-    for var in f.variables:
-        dlo, dhi = f.domain_box.ranges[var]
-        if abs(cuts[var][0] - dlo) > tol or abs(cuts[var][-1] - dhi) > tol:
-            return False
-    axes = [list(itertools.pairwise(cuts[var])) for var in f.variables]
-    for cell in itertools.product(*axes):
-        mid = {var: 0.5 * (rng[0] + rng[1]) for var, rng in zip(f.variables, cell)}
-        covering = [box for box, _ in f.pieces if box.contains(mid)]
-        if len(covering) != 1:
-            return False
-    return True

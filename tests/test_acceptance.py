@@ -12,7 +12,6 @@ import pytest
 
 from fdcop import cli, generators, model, oracles, piecewise, runtime
 from fdcop.errors import CapacityError
-from fdcop.piecewise import Box, PiecewiseFunction, Poly2
 from fdcop.runtime import SYSTEM, UTIL, EngineConfig
 
 
@@ -243,33 +242,33 @@ def test_11_numerical_hygiene():
             scale = max(1.0, abs(analytic))
             assert abs(analytic - numeric) <= 1e-4 * scale, (case, var)
 
-    def rand_pw(vars_):
-        coeffs = {}
-        for v in vars_:
-            coeffs[(v, v)] = rng.uniform(-5, 5)
-            coeffs[(v,)] = rng.uniform(-5, 5)
-        if len(vars_) == 2:
-            coeffs[tuple(sorted(vars_))] = rng.uniform(-5, 5)
-        coeffs[()] = rng.uniform(-5, 5)
-        box = Box({v: (0.0, 10.0) for v in vars_})
-        return PiecewiseFunction.from_polynomial(Poly2(coeffs), box)
+    def rand_unary():
+        lo, hi = 0.0, 10.0
+        cuts = sorted({lo, hi, *(round(rng.uniform(lo, hi), 1) for _ in range(2))})
+        return piecewise.Unary("y", tuple(
+            (a, b, rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
+            for a, b in zip(cuts, cuts[1:])))
+
+    def value_at(f, v):
+        _, _, c2, c1, c0 = f.piece_at(v)
+        return c2 * v * v + c1 * v + c0
 
     for _ in range(20):
-        f, g = rand_pw(("x", "y")), rand_pw(("y", "z"))
+        f, g = rand_unary(), rand_unary()
         s = piecewise.add(f, g)
         for _ in range(50):
-            pt = {v: rng.uniform(0, 10) for v in ("x", "y", "z")}
-            expected = (piecewise.evaluate(f, {k: pt[k] for k in ("x", "y")})
-                        + piecewise.evaluate(g, {k: pt[k] for k in ("y", "z")}))
-            assert abs(piecewise.evaluate(s, pt) - expected) <= 1e-9
+            y = rng.uniform(0, 10)
+            assert abs(value_at(s, y) - (value_at(f, y) + value_at(g, y))) <= 1e-9
 
-        f2 = rand_pw(("x", "y"))
-        proj, _ = piecewise.project(f2, "x")
+        f2 = model.QuadraticBinaryUtility(
+            "x", "y", *(rng.uniform(-5, 5) for _ in range(6)))
+        own = piecewise.Unary("x", ((0.0, 10.0, f2.coeff_a, f2.coeff_b, f2.coeff_f0),))
+        proj, _ = piecewise.project(own, f2, (0.0, 10.0))
         xs = [i * 0.001 for i in range(10001)]
         for _ in range(10):
             y = rng.uniform(0, 10)
-            grid = max(f2.pieces[0][1].evaluate({"x": x, "y": y}) for x in xs)
-            val = piecewise.evaluate(proj, {"y": y})
+            grid = max(f2.evaluate(x, y) for x in xs)
+            val = value_at(proj, y)
             assert val >= grid - 1e-9
             assert val - grid <= 1.0
     print("criterion 11 PASS: 1000 gradient cases and piecewise sampling oracles")

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from fdcop import cli, model
-from fdcop.engines import discrete
+from fdcop import cli, generators, model
+from fdcop.engines import discrete, efdpop
 
 from conftest import make_problem, quad
 
@@ -181,6 +181,16 @@ class TestBench:
                                "-o", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize("flag, value", [("-n", "abc"), ("-d", "x"), ("--moves", "1.5")])
+    def test_non_integer_list(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli.runtime, "run", must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bench", flag, value, "-o", str(tmp_path / "b.csv")])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == cli.EXIT_INVALID
+        assert err.startswith("usage:")
+        assert f"expected comma-separated integers, got {value!r}" in err
+
     def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.runtime, "run", must_not_run)
         out = tmp_path / "missing" / "bench.csv"
@@ -197,6 +207,24 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0
         assert "all" in out and "passed" in out
+        assert "PASS  ef-dpop exactness: reported" in out
+
+    def test_ef_dpop_exactness_negative_control(self, tmp_path, capsys, monkeypatch):
+        # every variable at its lower bound: the reported optimum no longer
+        # matches the assignment's utility
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "1",
+                "--concave", "-o", str(path))
+        run = efdpop.run
+
+        def at_lower_bounds(contexts, *args):
+            _, optimum = run(contexts, *args)
+            return {v: ctx.own_domain().lb for v, ctx in contexts.items()}, optimum
+
+        monkeypatch.setattr(efdpop, "run", at_lower_bounds)
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == cli.EXIT_VERIFY
+        assert "FAIL  ef-dpop exactness" in out
 
     def test_passes_on_small_graph(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -233,6 +261,15 @@ class TestEngineError:
         code, _, err = run_cli(capsys, "verify", str(nan_dpop))
         assert code == cli.EXIT_ENGINE
         assert err.startswith("engine error: dpop:")
+
+    def test_ef_dpop_overflow(self, tmp_path, capsys):
+        # every utility on these domains overflows to NaN
+        path = tmp_path / "p.json"
+        model.save(generators.gen_tree(6, 1, lb=-1e200, ub=1e200), path)
+        code, out, err = run_cli(capsys, "solve", str(path), "--engine", "ef-dpop")
+        assert code == cli.EXIT_ENGINE
+        assert out == ""
+        assert err.startswith("engine error: ef-dpop: reported optimum nan is not finite")
 
     def test_bench(self, nan_dpop, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "-n", "4", "--engines", "dpop",

@@ -5,8 +5,9 @@ import pytest
 
 from fdcop import generators, model, oracles, runtime
 from fdcop.engines.efdpop import SCALARS_PER_PIECE, utility_as_piecewise
-from fdcop.errors import StructureError
+from fdcop.errors import ProtocolError, StructureError
 from fdcop.model import ContinuousDomain
+from fdcop.piecewise import Unary
 from fdcop.runtime import UTIL, EngineConfig, SYSTEM
 
 from conftest import make_problem, quad
@@ -14,12 +15,13 @@ from conftest import make_problem, quad
 
 class TestUtilityAsPiecewise:
     def test_single_piece_evaluation(self):
+        # one piece of the agent's own square and linear terms and f0, for
+        # either variable of the constraint
         f = quad("x", "y", a=-1.0, b=2.0, c=-3.0, d=4.0, e=5.0, f0=6.0)
-        pw = utility_as_piecewise(f, ContinuousDomain(-1, 1), ContinuousDomain(-2, 2))
-        from fdcop import piecewise
-        for vi, vj in ((0.0, 0.0), (1.0, -2.0), (-0.5, 1.5)):
-            assert piecewise.evaluate(pw, {"x": vi, "y": vj}) == pytest.approx(
-                f.evaluate(vi, vj))
+        assert utility_as_piecewise(f, "x", ContinuousDomain(-1, 1)) == Unary(
+            "x", ((-1, 1, -1.0, 2.0, 6.0),))
+        assert utility_as_piecewise(f, "y", ContinuousDomain(-2, 2)) == Unary(
+            "y", ((-2, 2, -3.0, 4.0, 6.0),))
 
 
 class TestTwoNodeClosedForm:
@@ -60,6 +62,45 @@ class TestAgainstFineGrid:
         result = runtime.run(p, "ef-dpop", EngineConfig())
         # all-linear: optimum at box corners, here x=100, y=-100, z=100
         assert result.assignment.values == {"x": 100.0, "y": -100.0, "z": 100.0}
+
+
+class TestMissingTerms:
+    """Hand-made trees whose constraints lack terms, each constraint in both
+    orientations: the message sums then meet zero coefficients."""
+
+    TEMPLATES = {  # (a, b, c, d, e, f0) for the edge (u, v) as written
+        "linear-only": (0.0, 2.0, 0.0, -1.0, 0.0, 3.0),
+        "no-cross": (-1.0, 2.0, -0.5, 1.0, 0.0, 1.5),
+        "no-second-square": (-1.0, 1.0, 0.0, 0.5, 0.3, -2.0),
+        "no-first-square": (0.0, 0.5, -2.0, 1.0, -0.3, 2.0),
+    }
+
+    # rooted at x2: x1 is x2's child, and x5 is x4's
+    @pytest.mark.parametrize("swap", [False, True], ids=["as-written", "swapped"])
+    @pytest.mark.parametrize("template", list(TEMPLATES))
+    def test_matches_fine_grid(self, template, swap):
+        a, b, c, d, e, f0 = self.TEMPLATES[template]
+        edges = [("x1", "x2"), ("x2", "x3"), ("x2", "x4"), ("x4", "x5")]
+        utilities = [quad(v, u, a=c, b=d, c=a, d=b, e=e, f0=f0) if swap
+                     else quad(u, v, a=a, b=b, c=c, d=d, e=e, f0=f0)
+                     for u, v in edges]
+        p = make_problem(utilities, lb=-10.0, ub=10.0)
+        result = runtime.run(p, "ef-dpop", EngineConfig())
+        utility = model.evaluate_solution(p, result.assignment)
+        assert math.isclose(result.reported_optimum, utility, rel_tol=1e-9, abs_tol=1e-9)
+        oracle = oracles.elimination_grid_optimum(p, 2001)
+        assert utility >= oracle - 1e-6
+        delta = model.gradient_bound(p).global_delta
+        assert utility - oracle <= len(p.utilities) * 0.1 * delta
+
+
+class TestOverflow:
+    def test_nan_optimum_is_refused(self):
+        # every candidate utility overflows to NaN; the root takes its lower
+        # bound and the run refuses the optimum
+        p = generators.gen_tree(6, 1, lb=-1e200, ub=1e200)
+        with pytest.raises(ProtocolError, match="ef-dpop: reported optimum nan is not finite"):
+            runtime.run(p, "ef-dpop", EngineConfig())
 
 
 class TestStructure:

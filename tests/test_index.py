@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from fdcop import generators, model, pseudotree, runtime
+from fdcop import generators, model, piecewise, pseudotree, runtime
 from fdcop.runtime import EngineConfig
 
 from conftest import make_problem, quad
@@ -126,15 +126,23 @@ class TestUtilityIndex:
         assert model.loads(model.dumps(a)) == a
 
 
+def payload_text(payload):
+    """An ef-dpop message as its variable and the float.hex of every piece
+    scalar; any other payload (af/caf tables, the root's optimum) by repr."""
+    if isinstance(payload, piecewise.Unary):
+        return " ".join([payload.var] + [float.hex(v) for p in payload.pieces for v in p])
+    return repr(payload)
+
+
 def payload_digest(problem, engine, config, monkeypatch):
-    """run_digest extended by the repr of every UTIL payload in send order, so
+    """run_digest extended by the text of every UTIL payload in send order, so
     a change to a message's content shows even when its size does not."""
     payloads = []
     send = runtime.Kernel.send
 
     def recording_send(self, sender, receiver, kind, payload, scalar_size):
         if kind == runtime.UTIL:
-            payloads.append(repr(payload))
+            payloads.append(payload_text(payload))
         send(self, sender, receiver, kind, payload, scalar_size)
 
     monkeypatch.setattr(runtime.Kernel, "send", recording_send)
@@ -149,9 +157,9 @@ UNIT_TREE = generators.gen_tree(120, seed=12, lb=0.0, ub=1.0)
 
 GOLDEN_PAYLOADS = [
     (NONCONCAVE_TREE, "ef-dpop", EngineConfig(),
-     "ff5152d98eccd60d16f960791cdd2ab22948cb1273d58d28f0afb31f905fa9fd"),
+     "69c01c7829c583063913fae224cdb0fb87dfa27cddfadf8a0a6c3995b09cff90"),
     (UNIT_TREE, "ef-dpop", EngineConfig(),
-     "6f8ffb82bbab54929c6c45c753aeb909f6f90a3d38de206f209eae951e4a3043"),
+     "0134c039a6b2f0b759980719334ec8173541571a62fd595cdfef2a9a24915ad3"),
     (WIDTH3_GRAPH, "af-dpop", EngineConfig(),
      "344ff394c014756bca216b25d1e40d7c11b8e0d81f541f5c1e689fd72f8ec94b"),
     (WIDTH3_GRAPH, "caf-dpop", EngineConfig(k_clusters=4),
