@@ -208,11 +208,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 sets[w] = discretize(dom, d)
         candidates = sets[var]
         sep_sets = [sets[w] for w in sep_vars]
-        if not tables:
-            check_grid_cap(var, candidates, sep_sets, config.row_cap)
-        elif (cells := len(candidates) * math.prod(map(len, sep_sets))) > config.row_cap:
-            raise CapacityError(f"{var}: joined table would hold {cells} rows "
-                                f"(cap {config.row_cap})")
+        check_grid_cap(var, candidates, sep_sets, config.row_cap)
 
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
         sorted_constraints = sorted(constraints.values(), key=lambda f: f.other_var(var))

@@ -1,9 +1,9 @@
-"""Shared machinery for the DPOP-family engines: the UTIL table type, domain
-discretization, the max-plus grid join, closed-form 1-D maximization, and the
+"""Shared machinery for the engines: the UTIL table type, domain
+discretization, the one max-plus grid join (dpop's UTIL tables and hcms's
+function-to-variable messages), closed-form 1-D maximization, and the
 UTIL/VALUE message schedule."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,19 +59,20 @@ def check_grid_cap(var: str, own_pts: list[float], sep_grids: list[list[float]],
 
 
 def grid_join(var: str, own_pts: list[float], sep_vars: tuple[str, ...],
-              sep_grids: list[list[float]], child_tables: list[UtilTable],
+              sep_grids: list[list[float]], children: list[tuple[tuple[str, ...], np.ndarray]],
               constraints: list[QuadraticBinaryUtility]) -> tuple[np.ndarray, np.ndarray]:
     """Max-plus join of one agent's grid table, maximized over its own grid.
 
     The joint table lies over sorted(sep_vars + (var,)), one axis per variable
-    holding its grid. Starting from zeros, each child table (in the given
-    order) and then each constraint is added cell-wise, so every cell sums in
-    the order of a per-cell loop. Returns (utils, best), one entry per
+    holding its grid. Starting from zeros, each child's utilities (in the
+    given order) and then each constraint is added cell-wise, so every cell
+    sums in the order of a per-cell loop. Returns (utils, best), one entry per
     separator tuple in itertools.product(*sep_grids) order: the maximum over
     own_pts and the index of the first, i.e. smallest, point that reaches it.
 
-    A child table must lie over a sorted subset of the axes, with one row per
-    grid tuple of its variables in product order; otherwise ProtocolError.
+    A child is (names, array): its variables, a sorted subset of the axes, and
+    its utilities with one axis per name holding that variable's grid;
+    otherwise ProtocolError.
     """
     grids = dict(zip(sep_vars, sep_grids))
     grids[var] = own_pts
@@ -82,17 +83,15 @@ def grid_join(var: str, own_pts: list[float], sep_vars: tuple[str, ...],
         return np.array(grids[w]).reshape([len(grids[w]) if a == w else 1 for a in axes])
 
     total = np.zeros([len(grids[w]) for w in axes])
-    for table in child_tables:
-        names = table.separator_vars
+    for names, utils in children:
         if [w for w in axes if w in names] != list(names):
-            raise ProtocolError(f"{var}: child table over {names} does not lie over "
+            raise ProtocolError(f"{var}: child utilities over {names} do not lie over "
                                 f"a sorted subset of {tuple(axes)}")
-        if ([values for values, _ in table.rows]
-                != list(itertools.product(*(grids[w] for w in names)))):
-            raise ProtocolError(f"{var}: child table over {names} is not the grid "
-                                f"of its variables")
-        shape = [len(grids[w]) if w in names else 1 for w in axes]
-        total += np.array([u for _, u in table.rows]).reshape(shape)
+        utils = np.asarray(utils, dtype=float)
+        if utils.shape != tuple(len(grids[w]) for w in names):
+            raise ProtocolError(f"{var}: child utilities of shape {utils.shape} do not "
+                                f"match the grids of {names}")
+        total += utils.reshape([len(grids[w]) if w in names else 1 for w in axes])
     for f in constraints:
         total += f.evaluate(along(f.first_var), along(f.second_var))
 

@@ -2,15 +2,18 @@
 propagation.
 
 Each agent builds its table with one dense max-plus join over its grid
-(`common.grid_join`): the children's tables and its own constraints are
-broadcast over the axes sorted(separator + own variable), summed cell-wise in
-a fixed order, and maximized over the own axis, ties going to the smallest
-grid point. The VALUE phase reads the own point chosen for the ancestors'
-grid tuple.
+(`common.grid_join`): the children's tables, each checked to hold one row per
+grid tuple of its variables and turned into an array, and its own constraints
+are broadcast over the axes sorted(separator + own variable), summed
+cell-wise in a fixed order, and maximized over the own axis, ties going to
+the smallest grid point. The VALUE phase reads the own point chosen for the
+ancestors' grid tuple.
 """
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from ..errors import ProtocolError
 from ..runtime import EngineConfig, Kernel
@@ -33,6 +36,19 @@ def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
     return total
 
 
+def child_array(var: str, table: UtilTable,
+                grids: dict[str, list[float]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """A child's UTIL table as `grid_join`'s (names, array), one axis per
+    variable in the table's order. Refuses (ProtocolError) a table whose keys
+    are not the grid tuples of its variables in itertools.product order."""
+    names = table.separator_vars
+    if (any(w not in grids for w in names) or [values for values, _ in table.rows]
+            != list(itertools.product(*(grids[w] for w in names)))):
+        raise ProtocolError(f"{var}: child table over {names} is not the grid "
+                            f"of its variables")
+    return names, np.array([u for _, u in table.rows]).reshape([len(grids[w]) for w in names])
+
+
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
     d = config.points
     state: dict[str, tuple] = {}
@@ -48,8 +64,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
             (f for w in sep_vars if (f := ctx.constraint_with(w)) is not None),
             key=lambda f: f.other_var(var),
         )
-        utils, best = grid_join(var, own_pts, sep_vars, sep_grids,
-                                [payload for _, payload in child_payloads], constraints)
+        grids = dict(zip(sep_vars + (var,), [*sep_grids, own_pts]))
+        children = [child_array(var, payload, grids) for _, payload in child_payloads]
+        utils, best = grid_join(var, own_pts, sep_vars, sep_grids, children, constraints)
         positions = [{v: i for i, v in enumerate(g)} for g in sep_grids]
         state[var] = (sep_vars, positions, own_pts, best)
 

@@ -7,6 +7,11 @@ current sample sets, then every sample takes one clamped gradient step using
 the best partner value reported by each adjacent function. Variables decide
 positionally: the sample index with the best summed incoming vector wins,
 ties going to the smallest index.
+
+A function node's message to one endpoint, r[i] = max_j f(x_i, y_j) + q[j]
+with the first maximizing partner, is the max-plus join `common.grid_join`
+that dpop builds its UTIL tables with: the partner is the maximized variable
+and its q vector the one child.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from ..runtime import (
     EngineConfig,
     Kernel,
 )
-from .common import discretize
+from .common import discretize, grid_join
 
 
 def run(contexts, graph, kernel: Kernel, config: EngineConfig):
@@ -31,8 +36,11 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     for e in edges:
         for v in e:
             incident[v].append(e)
+    # each endpoint's own utility over each of its edges, looked up once
+    constraint = {(e, v): contexts[v].constraint_with(e[0] if v == e[1] else e[1])
+                  for e in edges for v in e}
     r_store = {(e, v): [0.0] * d for e in edges for v in e}
-    partner_at = {(e, v): None for e in edges for v in e}
+    partner_at = {}
 
     for _ in range(config.iterations):
         # variable nodes: q = mean-centered sum of the other functions' vectors
@@ -59,23 +67,15 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
             for e, inputs in sorted(by_edge.items()):
                 if set(inputs) != set(e):
                     raise ProtocolError(f"function node {e} is missing a q message")
-                f = contexts[host].constraint_with(e[0] if host == e[1] else e[1])
+                f = constraint[(e, host)]
                 if f is None:
                     raise ProtocolError(f"host {host} has no utility over {e}")
                 for v in e:
                     w = e[0] if v == e[1] else e[1]
                     xs, ys = inputs[v]["values"], inputs[w]["values"]
-                    qy = inputs[w]["q"]
-                    r, best_partner = [], []
-                    for x in xs:
-                        best_u, best_y = None, None
-                        for y, qv in zip(ys, qy):
-                            u = (f.evaluate(x, y) if f.first_var == v else f.evaluate(y, x)) + qv
-                            if best_u is None or u > best_u:
-                                best_u, best_y = u, y
-                        r.append(best_u)
-                        best_partner.append(best_y)
-                    payload = {"edge": e, "values": r, "argmax": best_partner}
+                    r, best = grid_join(w, ys, (v,), [xs], [((w,), inputs[w]["q"])], [f])
+                    payload = {"edge": e, "values": r.tolist(),
+                               "argmax": [ys[j] for j in best.tolist()]}
                     pending_r.append((host, v, payload))
         for host, v, payload in pending_r:
             kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
@@ -88,15 +88,11 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 partner_at[(e, v)] = m.payload["argmax"]
         for v in variables:
             dom = contexts[v].own_domain()
+            terms = [(partner_at[(e, v)], constraint[(e, v)]) for e in incident[v]]
             moved = []
             for i, x in enumerate(samples[v]):
                 grad = 0.0
-                for e in incident[v]:
-                    partners = partner_at[(e, v)]
-                    if partners is None:
-                        continue
-                    w = e[0] if v == e[1] else e[1]
-                    f = contexts[v].constraint_with(w)
+                for partners, f in terms:
                     if f.first_var == v:
                         grad += f.partial(v, x, partners[i])
                     else:
@@ -118,6 +114,5 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     # reporting convenience for the runner; not part of the message protocol
     total = 0.0
     for e in edges:
-        f = contexts[e[0]].constraint_with(e[1])
-        total += f.value_at(values)
+        total += constraint[(e, e[0])].value_at(values)
     return values, total

@@ -5,7 +5,8 @@ schedule, and records exact message counts and payload sizes. Agents may only
 read their own domain and utilities, their pseudo-tree neighborhood metadata,
 and received message payloads. Messages are isolated by construction, since
 `Kernel.collect` only reads the receiver's own mailbox; problem and tree reads
-go through `AgentContext`, which logs each one for the post-run audit.
+go through `AgentContext`, which logs each read of a domain by name (the only
+read that can reach another agent's data) for the post-run audit.
 """
 from __future__ import annotations
 
@@ -126,8 +127,9 @@ class Kernel:
 
 
 class AgentContext:
-    """The only window an agent has onto the problem and the pseudo-tree;
-    every read is logged for `audit_isolation`."""
+    """The only window an agent has onto the problem and the pseudo-tree.
+    `domain_of` is logged for `audit_isolation`; the other reads are keyed by
+    the agent's own variable, so they cannot reach another agent's data."""
 
     def __init__(self, kernel: Kernel, problem: model.Problem,
                  tree: pseudotree.PseudoTree | None, var: str):
@@ -137,7 +139,6 @@ class AgentContext:
         self.var = var
 
     def own_domain(self) -> model.ContinuousDomain:
-        self._kernel.log_read(self.var, f"domain:{self.var}")
         return self._problem.domains[self.var]
 
     def domain_of(self, other: str) -> model.ContinuousDomain:
@@ -146,17 +147,14 @@ class AgentContext:
         return self._problem.domains[other]
 
     def constraint_with(self, other: str) -> model.QuadraticBinaryUtility | None:
-        self._kernel.log_read(self.var, f"constraints:{self.var}")
         return self._problem.utility_between(self.var, other)
 
     @property
     def parent(self) -> str | None:
-        self._kernel.log_read(self.var, f"tree:{self.var}")
         return self._tree.parent.get(self.var)
 
     @property
     def separator(self) -> frozenset[str]:
-        self._kernel.log_read(self.var, f"tree:{self.var}")
         return self._tree.separator[self.var]
 
 
@@ -168,9 +166,9 @@ class AuditReport:
 
 def audit_isolation(kernel: Kernel, problem: model.Problem,
                     tree: pseudotree.PseudoTree | None = None) -> AuditReport:
-    """Check the read log: each agent touched only its own data and its
-    neighborhood metadata. Messages need no check, since `collect` only
-    reads the receiver's own mailbox."""
+    """Check the read log: each agent read only its own domain and those of
+    its neighbors (and, with a tree, its separator). Messages need no check,
+    since `collect` only reads the receiver's own mailbox."""
     graph = model.build_constraint_graph(problem)
     allowed_domains: dict[str, set[str]] = {}
     for var in problem.variables:
@@ -179,17 +177,8 @@ def audit_isolation(kernel: Kernel, problem: model.Problem,
             allowed |= set(tree.separator[var])
         allowed_domains[var] = allowed
 
-    violations = []
-    for agent, key in kernel.reads:
-        tag, _, rest = key.partition(":")
-        if tag == "domain":
-            if rest not in allowed_domains.get(agent, set()):
-                violations.append((agent, key))
-        elif tag in ("constraints", "tree"):
-            if rest != agent:
-                violations.append((agent, key))
-        else:
-            violations.append((agent, key))
+    violations = [(agent, key) for agent, key in kernel.reads
+                  if key.removeprefix("domain:") not in allowed_domains.get(agent, set())]
     return AuditReport(ok=not violations, violations=tuple(violations))
 
 

@@ -356,6 +356,15 @@ class TestRowCap:
                 outcomes.append(exc.stats.total_messages)
         assert outcomes[0] == outcomes[1]
 
+    def test_agent_with_children_refuses_like_a_leaf(self):
+        # x004 joins its children's tables; its grid would hold 3^6 rows
+        p = generators.gen_graph(8, 0.5, seed=1)
+        cfg = EngineConfig(points=3, row_cap=243, moves=0)
+        for engine in ("dpop", "af-dpop"):
+            with pytest.raises(CapacityError, match=r"^x004: grid table would hold 729 rows "
+                                                    r"\(cap 243\)$"):
+                runtime.run(p, engine, cfg, keep_trace=False)
+
 
 class TestChildLookupReuse:
     """Every query of a child on a tree is a candidate of its parent, so each

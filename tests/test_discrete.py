@@ -1,11 +1,12 @@
 """Discrete grid DPOP against enumeration oracles and a per-cell join."""
 import itertools
 
+import numpy as np
 import pytest
 
 from fdcop import generators, model, oracles, runtime
 from fdcop.engines.common import UtilTable, discretize, grid_join
-from fdcop.engines.discrete import joint_utility
+from fdcop.engines.discrete import child_array, joint_utility
 from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
@@ -48,33 +49,50 @@ class TestDiscretize:
 
 class TestGridJoin:
     GRID = [-1.0, 0.0, 1.0]
+    GRIDS = {"x": GRID, "y": GRID}
 
-    def join(self, child):
-        return grid_join("x", self.GRID, ("y",), [self.GRID], [child], [quad("x", "y", e=1.0)])
+    def join(self, children):
+        return grid_join("x", self.GRID, ("y",), [self.GRID], children, [quad("x", "y", e=1.0)])
 
     def test_sums_children_then_constraints(self):
         child = UtilTable(("x", "y"), tuple(((x, y), 10.0 * x + y)
                                            for x, y in itertools.product(self.GRID, self.GRID)))
-        utils, best = self.join(child)
+        names, array = child_array("x", child, self.GRIDS)
+        assert names == ("x", "y")
+        assert array.tolist() == [[10.0 * x + y for y in self.GRID] for x in self.GRID]
+        utils, best = self.join([(names, array)])
         # per y: max over x of 10x + y + xy, reached at x = 1
         assert utils.tolist() == [10.0 - 1.0 - 1.0, 10.0, 10.0 + 1.0 + 1.0]
         assert best.tolist() == [2, 2, 2]
+        # children in the given order, then the constraint: (1e16 - 1e16) + 1
+        # is 1, where adding the constraint first would round it away
+        utils, _ = grid_join("x", self.GRID, ("y",), [self.GRID],
+                             [(("y",), np.full(3, 1e16)), (("y",), np.full(3, -1e16))],
+                             [quad("x", "y", f0=1.0)])
+        assert utils.tolist() == [1.0, 1.0, 1.0]
 
     def test_child_off_the_grid(self):
+        # dpop refuses the table when it turns it into the join's array
         child = UtilTable(("y",), (((-1.0,), 0.0), ((0.5,), 0.0), ((1.0,), 0.0)))
-        with pytest.raises(ProtocolError):
-            self.join(child)
+        with pytest.raises(ProtocolError, match="not the grid of its variables"):
+            child_array("x", child, self.GRIDS)
 
     def test_child_missing_a_row(self):
         child = UtilTable(("y",), (((-1.0,), 0.0), ((1.0,), 0.0)))
-        with pytest.raises(ProtocolError):
-            self.join(child)
+        with pytest.raises(ProtocolError, match="not the grid of its variables"):
+            child_array("x", child, self.GRIDS)
+        with pytest.raises(ProtocolError, match="not the grid of its variables"):
+            child_array("x", UtilTable(("z",), (((0.0,), 0.0),)), self.GRIDS)
 
     def test_child_over_unknown_or_unsorted_variables(self):
-        for names in (("z",), ("y", "x")):
-            rows = tuple((t, 0.0) for t in itertools.product(*[self.GRID] * len(names)))
-            with pytest.raises(ProtocolError):
-                self.join(UtilTable(names, rows))
+        for names in (("z",), ("y", "x"), ("y", "y")):
+            with pytest.raises(ProtocolError, match="sorted subset"):
+                self.join([(names, np.zeros([3] * len(names)))])
+
+    def test_array_that_does_not_match_the_grids(self):
+        for shape in ((2,), (3, 1), (4,)):
+            with pytest.raises(ProtocolError, match="do not match the grids"):
+                self.join([(("y",), np.zeros(shape))])
 
     def test_flat_own_variable_picks_the_smallest_point(self):
         utils, best = grid_join("x", self.GRID, ("y",), [self.GRID], [],

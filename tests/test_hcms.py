@@ -6,6 +6,7 @@ from fdcop.runtime import (
     MS_FUNCTION_TO_VARIABLE,
     MS_VARIABLE_TO_FUNCTION,
     EngineConfig,
+    Kernel,
 )
 
 from conftest import make_problem, quad
@@ -70,3 +71,69 @@ class TestSolutionQuality:
         r2 = runtime.run(p, "hcms", cfg)
         assert r1.assignment.values == r2.assignment.values
         assert r1.kernel.trace == r2.kernel.trace
+
+
+def per_cell(f, v, xs, ys, qy):
+    """A function node's message to v, cell by cell: per sample x of v, the
+    best f(x, y) + q[j] over the partner's samples, and the first partner
+    that reaches it."""
+    r, best_partner = [], []
+    for x in xs:
+        best_u, best_y = None, None
+        for y, qv in zip(ys, qy):
+            u = (f.evaluate(x, y) if f.first_var == v else f.evaluate(y, x)) + qv
+            if best_u is None or u > best_u:
+                best_u, best_y = u, y
+        r.append(best_u)
+        best_partner.append(best_y)
+    return r, best_partner
+
+
+class TestPerCellReference:
+    """Every function-to-variable message equals the per-cell loop on the
+    q messages it answers, float for float. Generated problems have f0 = 0.0,
+    so the join's 0.0 + q + f and the loop's f + q agree even in the sign of
+    a zero."""
+
+    @staticmethod
+    def run_checked(monkeypatch, problem, config):
+        latest_q, checked = {}, []
+        real_send = Kernel.send
+
+        def send(kernel, sender, receiver, kind, payload, scalar_size):
+            if kind == MS_VARIABLE_TO_FUNCTION:
+                latest_q[(payload["edge"], payload["var"])] = payload
+            elif kind == MS_FUNCTION_TO_VARIABLE:
+                e, v = payload["edge"], receiver
+                w = e[0] if v == e[1] else e[1]
+                own, other = latest_q[(e, v)], latest_q[(e, w)]
+                r, partners = per_cell(problem.utility_between(v, w), v,
+                                       own["values"], other["values"], other["q"])
+                assert [float.hex(u) for u in payload["values"]] == [float.hex(u) for u in r]
+                assert ([float.hex(y) for y in payload["argmax"]]
+                        == [float.hex(y) for y in partners])
+                checked.append((e, v, payload, other["values"]))
+            real_send(kernel, sender, receiver, kind, payload, scalar_size)
+
+        monkeypatch.setattr(Kernel, "send", send)
+        result = runtime.run(problem, "hcms", config)
+        assert len(checked) == result.stats.messages_by_kind[MS_FUNCTION_TO_VARIABLE]
+        return checked
+
+    @pytest.mark.parametrize("config", [EngineConfig(points=5, iterations=3),
+                                        EngineConfig(points=1, iterations=2)],
+                             ids=["golden", "points1"])
+    def test_golden_graph(self, monkeypatch, config):
+        # the graph of the hcms golden digest in test_index.py
+        p = generators.gen_graph(30, 0.1, seed=4, concave=True)
+        self.run_checked(monkeypatch, p, config)
+
+    def test_tied_partners_go_to_the_first_sample(self, monkeypatch):
+        # f(x, y) = -x^2 is flat in y, and so is y's other utility, so y's q
+        # towards x's edge stays zero and every partner of x ties
+        p = make_problem([quad("x", "y", a=-1.0), quad("y", "z", c=-1.0, d=2.0)])
+        checked = self.run_checked(monkeypatch, p, EngineConfig(points=4, iterations=3))
+        to_x = [(payload, ys) for e, v, payload, ys in checked if v == "x"]
+        assert len(to_x) == 3
+        for payload, ys in to_x:
+            assert payload["argmax"] == [ys[0]] * 4

@@ -176,3 +176,15 @@ class TestAuditIsolation:
         report = runtime.audit_isolation(kernel, p, tree)
         assert not report.ok
         assert (leaf, f"domain:{far}") in report.violations
+
+
+class TestReadLog:
+    def test_only_domain_reads_by_name_are_logged(self):
+        # an agent's own domain, constraints and tree data are not logged
+        p = generators.gen_tree(8, 5)
+        reads = {engine: runtime.run(p, engine, EngineConfig()).kernel.reads
+                 for engine in ("dpop", "ef-dpop", "af-dpop", "hcms")}
+        for log in reads.values():
+            for agent, key in log:
+                assert key.startswith("domain:") and key != f"domain:{agent}"
+        assert reads["dpop"] and reads["hcms"] == []
