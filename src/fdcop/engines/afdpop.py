@@ -15,8 +15,6 @@ via k-means while keeping the full table locally.
 """
 from __future__ import annotations
 
-import itertools
-import math
 import random
 
 import numpy as np
@@ -24,8 +22,8 @@ import numpy as np
 from ..errors import ArgumentError, CapacityError, ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import (UtilTable, best_own_response, check_grid_cap, discretize,
-                     util_value_protocol)
+from .common import (UtilTable, best_own_response, check_grid_cap, discretize, join,
+                     product_grid, util_value_protocol)
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
@@ -212,13 +210,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
 
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
         sorted_constraints = sorted(constraints.values(), key=lambda f: f.other_var(var))
-        sep_index = {w: i for i, w in enumerate(sep_vars)}
 
-        n_c = len(candidates)
         # per child: where `var` sits in its table, and which separator
         # columns give the other coordinates of its queries
         child_slots = [(t, t.separator_vars.index(var),
-                        [sep_index[w] for w in t.separator_vars if w != var])
+                        [sep_vars.index(w) for w in t.separator_vars if w != var])
                        for t in tables]
         # per child: the distinct projections of its last lookup and their
         # (projections, candidates) utilities
@@ -227,8 +223,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         def scores(tuples: np.ndarray) -> np.ndarray:
             """(len(tuples), len(candidates)) utilities for an (n, |sep|) array
             of separator tuples: interpolated child contributions plus exact
-            own constraints, summed in the same order as the discrete engine
-            so the moves=0 case is identical to it.
+            own constraints, summed by `join` in the same order as the
+            discrete engine so the moves=0 case is identical to it.
 
             A child's query is the row's projection onto the child's other
             variables with a candidate in `var`'s slot, so queries are built
@@ -237,8 +233,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             those of its last lookup, that lookup is reused: the same queries
             in the same batch interpolate to the same floats. On a tree every
             projection is (), so each child is interpolated once per agent."""
-            n_t = len(tuples)
-            total = np.zeros((n_t, n_c))
+            contributions = []
             for slot, (t, pos, cols) in enumerate(child_slots):
                 uniq: dict[tuple, int] = {}
                 inverse = [uniq.setdefault(p, len(uniq))
@@ -250,17 +245,10 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 else:
                     queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in candidates]
                     looked_up = np.array(_interp_many(t, queries, method)).reshape(
-                        len(projections), n_c)
+                        len(projections), len(candidates))
                     last_lookup[slot] = (projections, looked_up)
-                total = total + looked_up[inverse]
-            cand_row = np.array(candidates).reshape(1, n_c)
-            for f in sorted_constraints:
-                w_col = tuples[:, sep_index[f.other_var(var)]].reshape(n_t, 1)
-                if f.first_var == var:
-                    total = total + f.evaluate(cand_row, w_col)
-                else:
-                    total = total + f.evaluate(w_col, cand_row)
-            return total
+                contributions.append(looked_up[inverse])
+            return join(var, candidates, sep_vars, tuples, contributions, sorted_constraints)
 
         # with no child tables the utility is a sum of quadratics in the own
         # value, so tuples move against the closed-form best response
@@ -277,8 +265,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 return own_dom.clamp(candidates[int(col.argmax())])
         state[var] = (sep_vars, value)
 
-        grid = np.array(list(itertools.product(*sep_sets)), dtype=float).reshape(
-            math.prod(map(len, sep_sets)), len(sep_vars))
+        _, grid = product_grid(sep_sets)
         if var == tree.root:
             # no separator: one row, the best candidate's utility
             return float(scores(grid).max())
@@ -287,7 +274,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             # a leaf's tables are a few rows, which move faster one tuple at a
             # time than as arrays
             moved = []
-            for current in itertools.product(*sep_sets):
+            for current in map(tuple, grid.tolist()):
                 for _ in range(config.moves):
                     nxt = leaf_move(current, sep_vars, constraints, config.alpha,
                                     var, own_dom, sep_domains)
@@ -296,7 +283,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                     if delta < 1e-9:
                         break
                 moved.append(current)
-            utils = [joint_utility(value(t), var, sep_vars, t, [], sorted_constraints)
+            utils = [joint_utility(value(t), var, sep_vars, t, sorted_constraints)
                      for t in moved]
             return UtilTable(sep_vars, tuple(zip(moved, utils)))
 

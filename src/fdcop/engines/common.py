@@ -1,7 +1,8 @@
 """Shared machinery for the engines: the UTIL table type, domain
-discretization, the one max-plus grid join (dpop's UTIL tables and hcms's
-function-to-variable messages), closed-form 1-D maximization, and the
-UTIL/VALUE message schedule."""
+discretization, product grids, the one join kernel (the child-plus-constraint
+sum over separator rows x own candidates behind dpop's and af/caf-dpop's UTIL
+tables and hcms's function-to-variable messages), closed-form 1-D
+maximization, and the UTIL/VALUE message schedule."""
 from __future__ import annotations
 
 import math
@@ -58,48 +59,44 @@ def check_grid_cap(var: str, own_pts: list[float], sep_grids: list[list[float]],
         raise CapacityError(f"{var}: grid table would hold {cells} rows (cap {row_cap})")
 
 
-def grid_join(var: str, own_pts: list[float], sep_vars: tuple[str, ...],
-              sep_grids: list[list[float]], children: list[tuple[tuple[str, ...], np.ndarray]],
-              constraints: list[QuadraticBinaryUtility]) -> tuple[np.ndarray, np.ndarray]:
-    """Max-plus join of one agent's grid table, maximized over its own grid.
+def product_grid(grids: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every tuple of the grids, in itertools.product order: an (n, len(grids))
+    array of each coordinate's index into its grid, and the same array of the
+    points themselves."""
+    shape = [len(g) for g in grids]
+    index = np.indices(shape).reshape(len(grids), math.prod(shape)).T
+    rows = np.empty(index.shape)
+    for j, g in enumerate(grids):
+        rows[:, j] = np.asarray(g, dtype=float)[index[:, j]]
+    return index, rows
 
-    The joint table lies over sorted(sep_vars + (var,)), one axis per variable
-    holding its grid. Starting from zeros, each child's utilities (in the
-    given order) and then each constraint is added cell-wise, so every cell
-    sums in the order of a per-cell loop. Returns (utils, best), one entry per
-    separator tuple in itertools.product(*sep_grids) order: the maximum over
-    own_pts and the index of the first, i.e. smallest, point that reaches it.
 
-    A child is (names, array): its variables, a sorted subset of the axes, and
-    its utilities with one axis per name holding that variable's grid;
-    otherwise ProtocolError.
+def join(var: str, candidates: list[float], sep_vars: tuple[str, ...], rows: np.ndarray,
+         contributions: list, constraints: list[QuadraticBinaryUtility]) -> np.ndarray:
+    """One agent's UTIL sum: a (len(rows), len(candidates)) array whose cell
+    (r, c) scores the separator tuple rows[r] (one column per sep_vars entry)
+    with `var` at candidates[c].
+
+    Starting from zeros, each contribution (a child's utilities: one value per
+    candidate for every row, shaped (len(candidates),) or (1, len(candidates)),
+    or per row, shaped (len(rows), len(candidates))) is added in the given
+    order, then each constraint between `var` and a separator variable,
+    evaluated at the candidates and at that variable's column of `rows`; so
+    every cell sums in the order of a per-cell loop. The sum is not maximized.
+    A contribution of another shape is a ProtocolError.
     """
-    grids = dict(zip(sep_vars, sep_grids))
-    grids[var] = own_pts
-    axes = sorted(grids)
-
-    def along(w: str) -> np.ndarray:
-        """w's grid as a 1-D array along its own axis, to broadcast."""
-        return np.array(grids[w]).reshape([len(grids[w]) if a == w else 1 for a in axes])
-
-    total = np.zeros([len(grids[w]) for w in axes])
-    for names, utils in children:
-        if [w for w in axes if w in names] != list(names):
-            raise ProtocolError(f"{var}: child utilities over {names} do not lie over "
-                                f"a sorted subset of {tuple(axes)}")
-        utils = np.asarray(utils, dtype=float)
-        if utils.shape != tuple(len(grids[w]) for w in names):
+    n_r, n_c = len(rows), len(candidates)
+    total = np.zeros((n_r, n_c))
+    for utils in map(np.asarray, contributions):
+        if utils.shape not in ((n_c,), (1, n_c), (n_r, n_c)):
             raise ProtocolError(f"{var}: child utilities of shape {utils.shape} do not "
-                                f"match the grids of {names}")
-        total += utils.reshape([len(grids[w]) if w in names else 1 for w in axes])
+                                f"match {n_r} rows x {n_c} candidates")
+        total += utils
+    own = np.asarray(candidates, dtype=float).reshape(1, n_c)
     for f in constraints:
-        total += f.evaluate(along(f.first_var), along(f.second_var))
-
-    own = axes.index(var)
-    others = [a for a in range(len(axes)) if a != own]
-    cells = total.transpose(others + [own]).reshape(-1, len(own_pts))
-    best = cells.argmax(axis=1)
-    return cells[np.arange(len(best)), best], best
+        other = rows[:, sep_vars.index(f.other_var(var))].reshape(n_r, 1)
+        total += f.evaluate(own, other) if f.first_var == var else f.evaluate(other, own)
+    return total
 
 
 def argmax_quadratic_1d(c2: float, c1: float, lo: float, hi: float) -> float:

@@ -1,13 +1,13 @@
 """Discrete DPOP baseline: fixed-grid UTIL tables, then standard VALUE
 propagation.
 
-Each agent builds its table with one dense max-plus join over its grid
-(`common.grid_join`): the children's tables, each checked to hold one row per
-grid tuple of its variables and turned into an array, and its own constraints
-are broadcast over the axes sorted(separator + own variable), summed
-cell-wise in a fixed order, and maximized over the own axis, ties going to
-the smallest grid point. The VALUE phase reads the own point chosen for the
-ancestors' grid tuple.
+Each agent scores every grid tuple of its separator against every point of
+its own grid with the join kernel (`common.join`): the children's tables,
+each checked to hold one row per grid tuple of its variables and gathered by
+variable name at every cell, and then its own constraints, summed cell-wise
+in a fixed order. The agent maximizes over its own points, ties going to the
+smallest. The VALUE phase reads the own point chosen for the ancestors' grid
+tuple.
 """
 from __future__ import annotations
 
@@ -18,19 +18,17 @@ import numpy as np
 from ..errors import ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import UtilTable, check_grid_cap, discretize, grid_join, util_value_protocol
+from .common import (UtilTable, check_grid_cap, discretize, join, product_grid,
+                     util_value_protocol)
 
 
 def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
-                  sep_values: tuple[float, ...], lookups, constraints) -> float:
-    """Own value + separator context scored against child tables and the
-    agent's own constraints, in a fixed summation order (children sorted by
-    id, then constraints sorted by the other variable's id)."""
+                  sep_values: tuple[float, ...], constraints) -> float:
+    """Own value + separator context scored against the agent's own
+    constraints, summed in the given order."""
     assign = dict(zip(sep_vars, sep_values))
     assign[var] = x
     total = 0.0
-    for lookup in lookups:
-        total = total + lookup(assign)
     for f in constraints:
         total = total + f.value_at(assign)
     return total
@@ -38,11 +36,15 @@ def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
 
 def child_array(var: str, table: UtilTable,
                 grids: dict[str, list[float]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """A child's UTIL table as `grid_join`'s (names, array), one axis per
-    variable in the table's order. Refuses (ProtocolError) a table whose keys
-    are not the grid tuples of its variables in itertools.product order."""
+    """A child's UTIL table as (names, array), one axis per variable in the
+    table's order. Refuses (ProtocolError) a table whose variables are not a
+    sorted subset of the grids' without repeats, or whose keys are not the
+    grid tuples of its variables in itertools.product order."""
     names = table.separator_vars
-    if (any(w not in grids for w in names) or [values for values, _ in table.rows]
+    if any(w not in grids for w in names) or list(names) != sorted(set(names)):
+        raise ProtocolError(f"{var}: child table over {names} does not lie over "
+                            f"a sorted subset of {tuple(sorted(grids))}")
+    if ([values for values, _ in table.rows]
             != list(itertools.product(*(grids[w] for w in names)))):
         raise ProtocolError(f"{var}: child table over {names} is not the grid "
                             f"of its variables")
@@ -65,8 +67,15 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
             key=lambda f: f.other_var(var),
         )
         grids = dict(zip(sep_vars + (var,), [*sep_grids, own_pts]))
-        children = [child_array(var, payload, grids) for _, payload in child_payloads]
-        utils, best = grid_join(var, own_pts, sep_vars, sep_grids, children, constraints)
+        index, rows = product_grid(sep_grids)
+        # every variable's grid index at each (row, own point) cell
+        at = {w: index[:, j:j + 1] for j, w in enumerate(sep_vars)}
+        at[var] = np.arange(len(own_pts)).reshape(1, len(own_pts))
+        children = [array[tuple(at[w] for w in names)] for names, array in
+                    (child_array(var, payload, grids) for _, payload in child_payloads)]
+        cells = join(var, own_pts, sep_vars, rows, children, constraints)
+        best = cells.argmax(axis=1)  # the first maximum: the smallest point
+        utils = cells[np.arange(len(best)), best]
         positions = [{v: i for i, v in enumerate(g)} for g in sep_grids]
         state[var] = (sep_vars, positions, own_pts, best)
 

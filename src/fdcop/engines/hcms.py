@@ -9,11 +9,14 @@ positionally: the sample index with the best summed incoming vector wins,
 ties going to the smallest index.
 
 A function node's message to one endpoint, r[i] = max_j f(x_i, y_j) + q[j]
-with the first maximizing partner, is the max-plus join `common.grid_join`
-that dpop builds its UTIL tables with: the partner is the maximized variable
-and its q vector the one child.
+with the first maximizing partner, runs on the join kernel that dpop and
+af/caf-dpop build their UTIL tables with (`common.join`): the endpoint's
+samples are the rows, the partner's samples the candidates and the partner's
+q vector the one contribution.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from ..errors import ProtocolError
 from ..runtime import (
@@ -22,7 +25,7 @@ from ..runtime import (
     EngineConfig,
     Kernel,
 )
-from .common import discretize, grid_join
+from .common import discretize, join
 
 
 def run(contexts, graph, kernel: Kernel, config: EngineConfig):
@@ -58,7 +61,6 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 kernel.send(v, e[0], MS_VARIABLE_TO_FUNCTION, payload, d)
 
         # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax
-        pending_r = []
         for host in variables:
             msgs = kernel.collect(host, MS_VARIABLE_TO_FUNCTION)
             by_edge: dict[tuple, dict[str, dict]] = {}
@@ -73,12 +75,12 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 for v in e:
                     w = e[0] if v == e[1] else e[1]
                     xs, ys = inputs[v]["values"], inputs[w]["values"]
-                    r, best = grid_join(w, ys, (v,), [xs], [((w,), inputs[w]["q"])], [f])
-                    payload = {"edge": e, "values": r.tolist(),
+                    cells = join(w, ys, (v,), np.array(xs).reshape(len(xs), 1),
+                                 [inputs[w]["q"]], [f])
+                    best = cells.argmax(axis=1)  # the first maximum: the smallest index
+                    payload = {"edge": e, "values": cells[np.arange(len(xs)), best].tolist(),
                                "argmax": [ys[j] for j in best.tolist()]}
-                    pending_r.append((host, v, payload))
-        for host, v, payload in pending_r:
-            kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
+                    kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
 
         # variable nodes: store the vectors, then move every sample one step
         for v in variables:

@@ -74,9 +74,6 @@ class QuadraticBinaryUtility:
     def scope(self) -> tuple[str, str]:
         return (self.first_var, self.second_var)
 
-    def is_linear(self) -> bool:
-        return self.coeff_a == 0.0 and self.coeff_c == 0.0 and self.coeff_e == 0.0
-
     def other_var(self, var: str) -> str:
         if var == self.first_var:
             return self.second_var
@@ -163,6 +160,13 @@ class Problem:
             if pair in seen_pairs:
                 raise ValidationError(f"duplicate utility over pair {sorted(pair)}")
             seen_pairs.add(pair)
+            # |u| over the domain box is at most this sum of each term's
+            # largest magnitude; if it overflows, evaluating u may too
+            mi, mj = (max(abs(self.domains[v].lb), abs(self.domains[v].ub)) for v in u.scope)
+            a, b, c, d, e, f0 = map(abs, u.coeffs)
+            if not math.isfinite(a * mi * mi + b * mi + c * mj * mj + d * mj + e * mi * mj + f0):
+                raise ValidationError(f"utility over {list(u.scope)} overflows the float "
+                                      f"range on its domains")
         graph = build_constraint_graph(self)
         if len(self.variables) > 1 and not nx.is_connected(graph):
             raise ValidationError("constraint graph is disconnected")

@@ -30,10 +30,8 @@ MESSAGE_KINDS = (UTIL, VALUE, MS_VARIABLE_TO_FUNCTION, MS_FUNCTION_TO_VARIABLE)
 @dataclass(frozen=True)
 class Message:
     sender: str
-    receiver: str
     kind: str
     payload: object
-    scalar_size: int
 
 
 @dataclass
@@ -102,8 +100,7 @@ class Kernel:
     def send(self, sender: str, receiver: str, kind: str, payload, scalar_size: int) -> None:
         if kind not in MESSAGE_KINDS:
             raise ArgumentError(f"unknown message kind {kind!r}")
-        msg = Message(sender, receiver, kind, payload, scalar_size)
-        self._inbox.setdefault(receiver, []).append(msg)
+        self._inbox.setdefault(receiver, []).append(Message(sender, kind, payload))
         self.stats.total_messages += 1
         self.stats.messages_by_kind[kind] = self.stats.messages_by_kind.get(kind, 0) + 1
         self.stats.total_scalars += scalar_size

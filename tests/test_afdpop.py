@@ -226,7 +226,7 @@ class TestReductions:
                 assert values[var] == expected
                 continue
             own_pts = discretize(p.domains[var], 3)
-            col = [joint_utility(x, var, sep_vars, tuple(values[w] for w in sep_vars), [],
+            col = [joint_utility(x, var, sep_vars, tuple(values[w] for w in sep_vars),
                                  constraints) for x in own_pts]
             assert values[var] == own_pts[col.index(max(col))]
         assert off_grid > 0

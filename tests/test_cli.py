@@ -5,7 +5,7 @@ import json
 import pytest
 
 from fdcop import cli, generators, model
-from fdcop.engines import discrete, efdpop
+from fdcop.engines import afdpop, discrete, efdpop, hcms
 
 from conftest import make_problem, quad
 
@@ -145,6 +145,22 @@ class TestSolve:
         assert code == cli.EXIT_INVALID
         assert out == "" and "cannot place 9 distinct finite points" in err
 
+    def test_overflowing_utilities(self, tmp_path, capsys, monkeypatch):
+        # gen_graph(6, 0.5, seed=1) with its domains widened to +-1e200, where
+        # every utility overflows; refused when the file is read
+        doc = model.problem_to_dict(generators.gen_graph(6, 0.5, seed=1))
+        for entry in doc["variables"]:
+            entry["lb"], entry["ub"] = -1e200, 1e200
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        for module in (discrete, efdpop, afdpop, hcms):
+            monkeypatch.setattr(module, "run", must_not_run)
+        code, out, err = run_cli(capsys, "solve", str(path), "--engine", "hcms")
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err.startswith("invalid input: utility over ['x000', ")
+        assert "overflows the float range on its domains" in err
+
     def test_ef_on_tree(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "4",
@@ -263,13 +279,13 @@ class TestEngineError:
         assert err.startswith("engine error: dpop:")
 
     def test_ef_dpop_overflow(self, tmp_path, capsys):
-        # every utility on these domains overflows to NaN
+        # each utility is finite, but their sum, the optimum, is not
         path = tmp_path / "p.json"
-        model.save(generators.gen_tree(6, 1, lb=-1e200, ub=1e200), path)
+        model.save(make_problem([quad("x", "y", f0=1e308), quad("y", "z", f0=1e308)]), path)
         code, out, err = run_cli(capsys, "solve", str(path), "--engine", "ef-dpop")
         assert code == cli.EXIT_ENGINE
         assert out == ""
-        assert err.startswith("engine error: ef-dpop: reported optimum nan is not finite")
+        assert err.startswith("engine error: ef-dpop: reported optimum inf is not finite")
 
     def test_bench(self, nan_dpop, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "-n", "4", "--engines", "dpop",

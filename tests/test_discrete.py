@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdcop import generators, model, oracles, runtime
-from fdcop.engines.common import UtilTable, discretize, grid_join
+from fdcop.engines.common import UtilTable, discretize, join, product_grid
 from fdcop.engines.discrete import child_array, joint_utility
 from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
@@ -42,37 +42,22 @@ class TestDiscretize:
     @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
     @pytest.mark.parametrize("bounds", UNBUILDABLE_GRIDS)
     def test_grid_engines_refuse(self, engine, bounds):
-        p = make_problem([quad("x", "y", a=-1.0, c=-1.0, e=0.5)], lb=bounds[0], ub=bounds[1])
+        # linear, so the utility stays finite on both domains and the problem
+        # validates (a quadratic one overflows on the second: test_model.py)
+        p = make_problem([quad("x", "y", b=0.5, d=-0.25)], lb=bounds[0], ub=bounds[1])
         with pytest.raises(ArgumentError, match="cannot place 9 distinct finite points"):
             runtime.run(p, engine, EngineConfig(points=9), keep_trace=False)
 
 
 class TestGridJoin:
+    """dpop's grid join takes each child's UTIL table as an array through
+    `child_array`, which refuses a table that is not the product grid of
+    sorted, known variables."""
+
     GRID = [-1.0, 0.0, 1.0]
     GRIDS = {"x": GRID, "y": GRID}
 
-    def join(self, children):
-        return grid_join("x", self.GRID, ("y",), [self.GRID], children, [quad("x", "y", e=1.0)])
-
-    def test_sums_children_then_constraints(self):
-        child = UtilTable(("x", "y"), tuple(((x, y), 10.0 * x + y)
-                                           for x, y in itertools.product(self.GRID, self.GRID)))
-        names, array = child_array("x", child, self.GRIDS)
-        assert names == ("x", "y")
-        assert array.tolist() == [[10.0 * x + y for y in self.GRID] for x in self.GRID]
-        utils, best = self.join([(names, array)])
-        # per y: max over x of 10x + y + xy, reached at x = 1
-        assert utils.tolist() == [10.0 - 1.0 - 1.0, 10.0, 10.0 + 1.0 + 1.0]
-        assert best.tolist() == [2, 2, 2]
-        # children in the given order, then the constraint: (1e16 - 1e16) + 1
-        # is 1, where adding the constraint first would round it away
-        utils, _ = grid_join("x", self.GRID, ("y",), [self.GRID],
-                             [(("y",), np.full(3, 1e16)), (("y",), np.full(3, -1e16))],
-                             [quad("x", "y", f0=1.0)])
-        assert utils.tolist() == [1.0, 1.0, 1.0]
-
     def test_child_off_the_grid(self):
-        # dpop refuses the table when it turns it into the join's array
         child = UtilTable(("y",), (((-1.0,), 0.0), ((0.5,), 0.0), ((1.0,), 0.0)))
         with pytest.raises(ProtocolError, match="not the grid of its variables"):
             child_array("x", child, self.GRIDS)
@@ -81,30 +66,65 @@ class TestGridJoin:
         child = UtilTable(("y",), (((-1.0,), 0.0), ((1.0,), 0.0)))
         with pytest.raises(ProtocolError, match="not the grid of its variables"):
             child_array("x", child, self.GRIDS)
-        with pytest.raises(ProtocolError, match="not the grid of its variables"):
-            child_array("x", UtilTable(("z",), (((0.0,), 0.0),)), self.GRIDS)
 
     def test_child_over_unknown_or_unsorted_variables(self):
         for names in (("z",), ("y", "x"), ("y", "y")):
+            rows = tuple((values, 0.0) for values in itertools.product(
+                *([self.GRID] * len(names))))
             with pytest.raises(ProtocolError, match="sorted subset"):
-                self.join([(names, np.zeros([3] * len(names)))])
+                child_array("x", UtilTable(names, rows), self.GRIDS)
 
-    def test_array_that_does_not_match_the_grids(self):
-        for shape in ((2,), (3, 1), (4,)):
-            with pytest.raises(ProtocolError, match="do not match the grids"):
-                self.join([(("y",), np.zeros(shape))])
+
+class TestJoin:
+    GRID = [-1.0, 0.0, 1.0]
+
+    def test_product_grid(self):
+        grids = [[0.5, 1.5], [-1.0, 0.0, 1.0]]
+        index, rows = product_grid(grids)
+        assert index.tolist() == list(map(list, itertools.product(range(2), range(3))))
+        assert rows.tolist() == list(map(list, itertools.product(*grids)))
+        index, rows = product_grid([])
+        assert index.shape == rows.shape == (1, 0)
+
+    def test_sums_children_then_constraints(self):
+        child = UtilTable(("x", "y"), tuple(((x, y), 10.0 * x + y)
+                                           for x, y in itertools.product(self.GRID, self.GRID)))
+        names, array = child_array("x", child, {"x": self.GRID, "y": self.GRID})
+        assert names == ("x", "y")
+        assert array.tolist() == [[10.0 * x + y for y in self.GRID] for x in self.GRID]
+        _, rows = product_grid([self.GRID])
+        # rows are y, candidates x: the child's (x, y) array transposed
+        cells = join("x", self.GRID, ("y",), rows, [array.T], [quad("x", "y", e=1.0)])
+        assert cells.tolist() == [[10.0 * x + y + x * y for x in self.GRID] for y in self.GRID]
+        # children in the given order, then the constraint: (1e16 - 1e16) + 1
+        # is 1, where adding the constraint first would round it away
+        cells = join("x", self.GRID, ("y",), rows, [np.full(3, 1e16), np.full(3, -1e16)],
+                     [quad("x", "y", f0=1.0)])
+        assert cells.tolist() == [[1.0] * 3] * 3
+
+    def test_contribution_of_the_wrong_shape(self):
+        # two rows, three candidates; a short q vector is the first case, and
+        # the last two would broadcast by stretching a single value
+        rows = np.array([[-1.0], [1.0]])
+        for shape in ((2,), (4,), (3, 2), (2, 3, 1), (1,), (2, 1)):
+            with pytest.raises(ProtocolError, match="do not match 2 rows x 3 candidates"):
+                join("x", self.GRID, ("y",), rows, [np.zeros(shape)], [])
+        for shape in ((3,), (1, 3), (2, 3)):
+            assert join("x", self.GRID, ("y",), rows, [np.ones(shape)], []).tolist() == [
+                [1.0] * 3] * 2
 
     def test_flat_own_variable_picks_the_smallest_point(self):
-        utils, best = grid_join("x", self.GRID, ("y",), [self.GRID], [],
-                                [quad("x", "y", c=-1.0, d=2.0)])
-        assert best.tolist() == [0, 0, 0]
-        assert utils.tolist() == [-3.0, 0.0, 1.0]
+        _, rows = product_grid([self.GRID])
+        cells = join("x", self.GRID, ("y",), rows, [], [quad("x", "y", c=-1.0, d=2.0)])
+        assert cells.tolist() == [[-3.0] * 3, [0.0] * 3, [1.0] * 3]
+        # dpop and hcms take the first maximum: the smallest point
+        assert cells.argmax(axis=1).tolist() == [0, 0, 0]
 
 
 class TestJointUtility:
     def test_fixed_order_sum(self):
         f = quad("x", "y", e=1.0, b=1.0)
-        total = joint_utility(2.0, "x", ("y",), (3.0,), [], [f])
+        total = joint_utility(2.0, "x", ("y",), (3.0,), [f])
         assert total == 2.0 * 3.0 + 2.0
 
 
@@ -147,7 +167,7 @@ def exact_lookup(table: UtilTable):
 
 class TestPerCellReference:
     """Every UTIL table dpop sends, and every value it picks, equals a
-    per-cell max-plus loop over `joint_utility` with exact-key child lookups."""
+    per-cell max-plus loop over exact-key child lookups and the constraints."""
 
     @staticmethod
     def run_captured(monkeypatch, problem, config):
@@ -173,9 +193,18 @@ class TestPerCellReference:
             key=lambda f: f.other_var(var))
         lookups = [exact_lookup(sent[c]) for c in sorted(tree.children[var])]
 
+        def cell(x, sep_values):
+            assign = dict(zip(sep_vars, sep_values))
+            assign[var] = x
+            total = 0.0
+            for lookup in lookups:
+                total = total + lookup(assign)
+            for f in constraints:
+                total = total + f.value_at(assign)
+            return total
+
         def column(sep_values):
-            return [joint_utility(x, var, sep_vars, sep_values, lookups, constraints)
-                    for x in own_pts]
+            return [cell(x, sep_values) for x in own_pts]
 
         rows = [(t, max(column(t))) for t in itertools.product(*sep_grids)]
         col = column(tuple(ancestors[w] for w in sep_vars))

@@ -5,7 +5,7 @@ import pytest
 
 from fdcop import generators, model, oracles, runtime
 from fdcop.engines.efdpop import SCALARS_PER_PIECE, utility_as_piecewise
-from fdcop.errors import ProtocolError, StructureError
+from fdcop.errors import ProtocolError, StructureError, ValidationError
 from fdcop.model import ContinuousDomain
 from fdcop.piecewise import Unary
 from fdcop.runtime import UTIL, EngineConfig, SYSTEM
@@ -96,10 +96,15 @@ class TestMissingTerms:
 
 class TestOverflow:
     def test_nan_optimum_is_refused(self):
-        # every candidate utility overflows to NaN; the root takes its lower
-        # bound and the run refuses the optimum
-        p = generators.gen_tree(6, 1, lb=-1e200, ub=1e200)
-        with pytest.raises(ProtocolError, match="ef-dpop: reported optimum nan is not finite"):
+        # every utility on these domains overflows to NaN, so the problem is
+        # refused before ef-dpop runs
+        with pytest.raises(ValidationError, match="overflows the float range"):
+            generators.gen_tree(6, 1, lb=-1e200, ub=1e200)
+
+    def test_inf_optimum_is_refused(self):
+        # each utility is finite, but their sum, the optimum, is not
+        p = make_problem([quad("x", "y", f0=1e308), quad("y", "z", f0=1e308)])
+        with pytest.raises(ProtocolError, match="ef-dpop: reported optimum inf is not finite"):
             runtime.run(p, "ef-dpop", EngineConfig())
 
 

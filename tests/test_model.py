@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from fdcop import model
+from fdcop import generators, model, runtime
+from fdcop.engines import afdpop, discrete, efdpop, hcms
 from fdcop.errors import (
     ArgumentError,
     IncompleteSolutionError,
@@ -55,10 +56,6 @@ class TestQuadraticBinaryUtility:
         with pytest.raises(ArgumentError):
             f.partial("z", 0.0, 0.0)
 
-    def test_is_linear(self):
-        assert quad("x", "y", b=1.0, d=2.0).is_linear()
-        assert not quad("x", "y", e=1.0).is_linear()
-
     def test_other_var(self):
         f = quad("x", "y", e=1.0)
         assert f.other_var("x") == "y"
@@ -89,6 +86,34 @@ class TestProblemValidation:
                             owner={"x": "a_x", "y": "a_x"})
         with pytest.raises(ValidationError):
             bad.validate()
+
+    def test_utility_that_overflows_on_its_domains(self):
+        # finite coefficients and bounds, but a*x^2 overflows at the bounds
+        with pytest.raises(ValidationError,
+                           match=r"^utility over \['x', 'y'\] overflows the float range"):
+            make_problem([quad("x", "y", a=-1.0)], lb=-1.7e308, ub=1.7e308)
+        with pytest.raises(ValidationError, match="overflows the float range"):
+            generators.gen_graph(6, 0.5, seed=1, lb=-1e200, ub=1e200)
+        # |b|M + |d|M stays finite there, and tiny coefficients keep a*x^2 finite
+        make_problem([quad("x", "y", b=0.5, d=-0.25)], lb=-1.7e308, ub=1.7e308)
+        make_problem([quad("x", "y", a=1e-300, e=-1e-300)], lb=-1e200, ub=1e200)
+        # the bound takes each variable's own domain
+        make_problem([quad("x", "y", b=1.0, c=1.0, e=1.0)],
+                     domains={"x": ContinuousDomain(-1e300, -1e290)})
+        with pytest.raises(ValidationError, match="overflows"):
+            make_problem([quad("x", "y", a=1.0)],
+                         domains={"x": ContinuousDomain(-1e300, -1e290)})
+
+    @pytest.mark.parametrize("engine", model.ENGINE_KINDS)
+    def test_overflow_is_refused_before_any_work(self, monkeypatch, engine):
+        p = generators.gen_graph(6, 0.5, seed=1)
+        wide = model.Problem(agents=p.agents, variables=p.variables,
+                             domains={v: ContinuousDomain(-1e200, 1e200) for v in p.variables},
+                             utilities=p.utilities, owner=p.owner)
+        for module in (afdpop, discrete, efdpop, hcms):
+            monkeypatch.setattr(module, "run", lambda *args, **kwargs: pytest.fail("ran"))
+        with pytest.raises(ValidationError, match="overflows the float range"):
+            runtime.run(wide, engine)
 
 
 class TestEvaluateSolution:
