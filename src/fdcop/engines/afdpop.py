@@ -1,17 +1,18 @@
 """Approximate functional DPOP and its clustered variant.
 
-UTIL tables hold scattered value tuples whose coordinates are iteratively
-moved along utility gradients. Every agent runs one program, `agent_util`; a
-leaf is an agent with no child tables. The join interpolates each child's
-table over the union of the children's value sets (a grid for a variable no
-child mentions), building a child's queries once per distinct projection of
-the separator tuples. Each tuple then moves along the own constraints'
-gradient at the best own value of its nearest grid tuple. An agent with no
-child tables has a utility that is a sum of quadratics in its own value, so
-it moves against the closed-form best response instead. VALUE answers the
-ancestors' values, which may lie off the grid, by the same rule. The
-clustered variant compresses each outgoing table to k representative rows
-via k-means while keeping the full table locally.
+UTIL tables hold scattered value tuples, the rows of an array, whose
+coordinates are iteratively moved along utility gradients. Every agent runs
+one program, `agent_util`; a leaf is an agent with no child tables. The join
+interpolates each child's table over the union of the children's value sets
+(a grid for a variable no child mentions), building a child's queries once
+per distinct projection of the separator tuples. Each tuple then moves along
+the own constraints' gradient at the best own value of its nearest grid
+tuple. An agent with no child tables has a utility that is a sum of
+quadratics in its own value, so it moves against the closed-form best
+response instead. VALUE answers the ancestors' values, which may lie off the
+grid, by the same rule. The clustered variant compresses each outgoing table
+to the k-means centroids of its rows (at most k) while keeping the full
+table locally.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ PAIR_CAP = 200_000_000
 
 def _exact_index(table: UtilTable) -> dict[tuple[float, ...], float]:
     index: dict[tuple[float, ...], float] = {}
-    for values, util in table.rows:
+    for values, util in zip(map(tuple, table.rows.tolist()), table.utils.tolist()):
         if values not in index or util > index[values]:
             index[values] = util
     return index
@@ -58,17 +59,17 @@ def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
         else:
             w = 1.0 / np.maximum(d2, 1e-300)
             with np.errstate(over="ignore", invalid="ignore"):
-                num = w @ utils
-                den = w.sum(axis=1)
-            # a query within ~1e-150 of a row weighs it up to 1e300, which
-            # overflows the sums; those rows are summed again with weights
-            # scaled by their largest, and every finite row keeps its value
-            bad = ~(np.isfinite(num) & np.isfinite(den))
-            if bad.any():
-                scaled = w[bad] / w[bad].max(axis=1, keepdims=True)
-                num[bad] = scaled @ utils
-                den[bad] = scaled.sum(axis=1)
-            out[start:start + len(q)] = num / den
+                vals = (w @ utils) / w.sum(axis=1)
+                # a query within ~1e-150 of a row weighs it up to 1e300, and
+                # utilities near the float limit sum past it; such a row is
+                # redone as the mean of the halved utilities (weights scaled by
+                # their largest, then sum), doubled and clipped to their range
+                bad = ~np.isfinite(vals)
+                if bad.any():
+                    scaled = w[bad] / w[bad].max(axis=1, keepdims=True)
+                    mean = 2.0 * ((scaled / scaled.sum(axis=1, keepdims=True)) @ (utils / 2.0))
+                    vals[bad] = np.clip(mean, utils.min(), utils.max())
+            out[start:start + len(q)] = vals
     return out
 
 
@@ -78,13 +79,11 @@ def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
     out: list[float | None] = [index.get(q) for q in queries]
     missing = [i for i, v in enumerate(out) if v is None]
     if missing:
-        rows = sorted(index.items())
-        points = np.array([values for values, _ in rows], dtype=float)
-        utils = np.array([util for _, util in rows], dtype=float)
-        q = np.array([queries[i] for i in missing], dtype=float)
-        filled = _interp_batch(points, utils, q, method)
-        for i, v in zip(missing, filled):
-            out[i] = float(v)
+        points, utils = zip(*sorted(index.items()))
+        filled = _interp_batch(np.array(points, dtype=float), np.array(utils, dtype=float),
+                               np.array([queries[i] for i in missing], dtype=float), method)
+        for i, v in zip(missing, filled.tolist()):
+            out[i] = v
     return out  # type: ignore[return-value]
 
 
@@ -97,15 +96,12 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random | None = None,
     interpolated from the original rows."""
     if k < 1:
         raise ArgumentError(f"cluster count must be >= 1, got {k}")
-    if not table.rows:
+    points, n = table.rows, len(table.rows)
+    if not n:
         raise ArgumentError("cannot cluster an empty table")
-    if len(table.rows) <= k:
+    if n <= k:
         return table
-    if rng is None:
-        rng = random.Random(0)
-
-    points = np.array([values for values, _ in table.rows], dtype=float)
-    n = len(points)
+    rng = rng or random.Random(0)
     first = rng.randrange(n)
     chosen = [first]
     dist = ((points - points[first]) ** 2).sum(axis=1)
@@ -128,10 +124,9 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random | None = None,
         if shift < 1e-6:
             break
 
-    used = sorted(set(int(lbl) for lbl in labels))
-    tuples = [tuple(float(v) for v in centroids[j]) for j in used]
-    utils = _interp_many(table, tuples, interpolation)
-    return UtilTable(table.separator_vars, tuple(zip(tuples, utils)))
+    centers = centroids[np.unique(labels)]
+    utils = _interp_many(table, list(map(tuple, centers.tolist())), interpolation)
+    return UtilTable(table.separator_vars, centers, np.array(utils))
 
 
 # --- gradient moves ----------------------------------------------------------
@@ -151,8 +146,7 @@ def leaf_move(values: tuple[float, ...], sep_vars: tuple[str, ...],
     along the corresponding constraint's gradient (clamped to the domain)."""
     out = []
     for w, v in zip(sep_vars, values):
-        f = constraints.get(w)
-        if f is None:
+        if (f := constraints.get(w)) is None:
             out.append(v)
             continue
         x_star = best_own_response([f], own_var, {w: v}, own_domain)
@@ -177,14 +171,14 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         clustered: bool = False):
     d = config.points
     method = config.interpolation
-    # var -> (separator variables, VALUE rule: separator tuple -> own value)
-    state: dict[str, tuple] = {}
+    # var -> its VALUE rule: separator tuple -> own value
+    state: dict[str, object] = {}
 
     def agent_util(var, ctx, tables):
         """One agent's UTIL step over its children's tables; a leaf is the
         agent with none. Returns the table to send, or the optimum at the root."""
         for t in tables:
-            if not t.rows:
+            if not len(t.utils):
                 raise ProtocolError(f"{var}: received an empty UTIL table")
             if var not in t.separator_vars:
                 # a child's separator always holds its parent
@@ -199,8 +193,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         sets: dict[str, list[float]] = {}
         for t in tables:
             for w in t.separator_vars:
-                values = set(sets.get(w, ())) | set(t.value_set(w))
-                sets[w] = sorted(values)
+                sets[w] = sorted(set(sets.get(w, ())) | set(t.value_set(w)))
         for w, dom in ((var, own_dom), *sep_domains.items()):
             if w not in sets:
                 sets[w] = discretize(dom, d)
@@ -209,7 +202,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         check_grid_cap(var, candidates, sep_sets, config.row_cap)
 
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
-        sorted_constraints = sorted(constraints.values(), key=lambda f: f.other_var(var))
+        sorted_constraints = list(constraints.values())  # sep_vars is sorted
 
         # per child: where `var` sits in its table, and which separator
         # columns give the other coordinates of its queries
@@ -263,7 +256,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 # the first max is the smallest candidate; a clustered child's
                 # centroid may round just outside the domain
                 return own_dom.clamp(candidates[int(col.argmax())])
-        state[var] = (sep_vars, value)
+        state[var] = value
 
         _, grid = product_grid(sep_sets)
         if var == tree.root:
@@ -285,7 +278,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 moved.append(current)
             utils = [joint_utility(value(t), var, sep_vars, t, sorted_constraints)
                      for t in moved]
-            return UtilTable(sep_vars, tuple(zip(moved, utils)))
+            return UtilTable(sep_vars, np.array(moved, dtype=float), np.array(utils, dtype=float))
 
         grid_scores = scores(grid)
         best_candidate_idx = grid_scores.argmax(axis=1)  # first max = smallest candidate
@@ -302,19 +295,15 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 np.ravel_multi_index(snapped, [len(s) for s in sep_sets])]]
             nxt = rows.copy()
             for j, w in enumerate(sep_vars):
-                f = constraints.get(w)
-                if f is None:
-                    continue
-                v = rows[:, j]
-                dom = sep_domains[w]
-                step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
-                nxt[:, j] = np.minimum(np.maximum(step, dom.lb), dom.ub)
+                if (f := constraints.get(w)) is not None:
+                    v, dom = rows[:, j], sep_domains[w]
+                    step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
+                    nxt[:, j] = np.minimum(np.maximum(step, dom.lb), dom.ub)
             current[live] = nxt
             live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
 
-        utils = (scores(current) if config.moves else grid_scores).max(axis=1).tolist()
-        moved = [tuple(row) for row in current.tolist()]
-        return UtilTable(sep_vars, tuple(zip(moved, utils)))
+        return UtilTable(sep_vars, current,
+                         (scores(current) if config.moves else grid_scores).max(axis=1))
 
     def util_fn(var, child_payloads):
         result = agent_util(var, contexts[var], [payload for _, payload in child_payloads])
@@ -325,12 +314,4 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             result = cluster_tuples(result, config.k_clusters, rng, method)
         return result, result.scalar_size()
 
-    def value_fn(var, sep_values):
-        sep_vars, value = state[var]
-        try:
-            query = tuple(sep_values[w] for w in sep_vars)
-        except KeyError as exc:
-            raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
-        return value(query)
-
-    return util_value_protocol(kernel, tree, util_fn, value_fn)
+    return util_value_protocol(kernel, tree, util_fn, lambda var, key: state[var](key))

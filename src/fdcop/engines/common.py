@@ -1,4 +1,4 @@
-"""Shared machinery for the engines: the UTIL table type, domain
+"""Shared machinery for the engines: the array UTIL table, domain
 discretization, product grids, the one join kernel (the child-plus-constraint
 sum over separator rows x own candidates behind dpop's and af/caf-dpop's UTIL
 tables and hcms's function-to-variable messages), closed-form 1-D
@@ -16,19 +16,24 @@ from ..runtime import SYSTEM, UTIL, VALUE, Kernel
 from ..pseudotree import PseudoTree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilTable:
-    """Rows of (separator value tuple, utility) over an ordered variable list."""
+    """Value tuples as the rows of an (n, len(separator_vars)) float array and
+    their utilities as an (n,) array, both made read-only since sender and
+    receiver share one payload."""
 
     separator_vars: tuple[str, ...]
-    rows: tuple[tuple[tuple[float, ...], float], ...]
+    rows: np.ndarray
+    utils: np.ndarray
+
+    def __post_init__(self):
+        self.rows.flags.writeable = self.utils.flags.writeable = False
 
     def scalar_size(self) -> int:
         return len(self.rows) * (len(self.separator_vars) + 1)
 
     def value_set(self, var: str) -> list[float]:
-        j = self.separator_vars.index(var)
-        return sorted({values[j] for values, _ in self.rows})
+        return sorted(set(self.rows[:, self.separator_vars.index(var)].tolist()))
 
 
 def discretize(domain: ContinuousDomain, d: int) -> list[float]:
@@ -135,11 +140,13 @@ def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):
     """Run the two DPOP phases over the kernel.
 
     util_fn(var, child_payloads) returns (payload, scalar_size) for non-root
-    agents and the reported optimum (a float) at the root. value_fn(var,
-    sep_values) returns the agent's own value. Exactly 2|X| messages are
-    exchanged: every agent's UTIL goes up (the root reports its optimum to the
-    system endpoint) and every agent receives exactly one VALUE (the root's
-    comes from the system kick-off).
+    agents and the reported optimum (a float) at the root. value_fn(var, key)
+    returns the agent's own value for `key`, the ancestors' values of its
+    sorted separator variables like a row of its UTIL table (a ProtocolError
+    if one is missing). Exactly 2|X| messages are exchanged: every agent's
+    UTIL goes up (the root reports its optimum to the system endpoint) and
+    every agent receives exactly one VALUE (the root's comes from the system
+    kick-off).
     """
     kernel.phase("util")
     optimum = None
@@ -157,12 +164,12 @@ def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):
     kernel.send(SYSTEM, tree.root, VALUE, {}, 0)
     values: dict[str, float] = {}
     for var in tree.pre_order():
-        msg = kernel.collect(var, VALUE)[0]
-        sep_values = dict(msg.payload)
-        own = value_fn(var, sep_values)
-        values[var] = own
-        known = dict(sep_values)
-        known[var] = own
+        known = dict(kernel.collect(var, VALUE)[0].payload)
+        try:
+            key = tuple(known[w] for w in sorted(tree.separator[var]))
+        except KeyError as exc:
+            raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
+        known[var] = values[var] = value_fn(var, key)
         for child in tree.children[var]:
             payload = {w: known[w] for w in sorted(tree.separator[child])}
             kernel.send(var, child, VALUE, payload, len(payload))

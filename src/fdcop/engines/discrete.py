@@ -3,15 +3,13 @@ propagation.
 
 Each agent scores every grid tuple of its separator against every point of
 its own grid with the join kernel (`common.join`): the children's tables,
-each checked to hold one row per grid tuple of its variables and gathered by
+each checked to hold its variables' grid as its rows and gathered by
 variable name at every cell, and then its own constraints, summed cell-wise
 in a fixed order. The agent maximizes over its own points, ties going to the
 smallest. The VALUE phase reads the own point chosen for the ancestors' grid
 tuple.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -38,17 +36,16 @@ def child_array(var: str, table: UtilTable,
                 grids: dict[str, list[float]]) -> tuple[tuple[str, ...], np.ndarray]:
     """A child's UTIL table as (names, array), one axis per variable in the
     table's order. Refuses (ProtocolError) a table whose variables are not a
-    sorted subset of the grids' without repeats, or whose keys are not the
-    grid tuples of its variables in itertools.product order."""
+    sorted subset of the grids' without repeats, or whose rows are not the
+    grid tuples of its variables in `product_grid` order."""
     names = table.separator_vars
     if any(w not in grids for w in names) or list(names) != sorted(set(names)):
         raise ProtocolError(f"{var}: child table over {names} does not lie over "
                             f"a sorted subset of {tuple(sorted(grids))}")
-    if ([values for values, _ in table.rows]
-            != list(itertools.product(*(grids[w] for w in names)))):
+    if not np.array_equal(table.rows, product_grid([grids[w] for w in names])[1]):
         raise ProtocolError(f"{var}: child table over {names} is not the grid "
                             f"of its variables")
-    return names, np.array([u for _, u in table.rows]).reshape([len(grids[w]) for w in names])
+    return names, table.utils.reshape([len(grids[w]) for w in names])
 
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
@@ -62,10 +59,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         sep_grids = [discretize(ctx.domain_of(w), d) for w in sep_vars]
         check_grid_cap(var, own_pts, sep_grids, config.row_cap)
 
-        constraints = sorted(
-            (f for w in sep_vars if (f := ctx.constraint_with(w)) is not None),
-            key=lambda f: f.other_var(var),
-        )
+        constraints = [f for w in sep_vars if (f := ctx.constraint_with(w))]  # sorted by w
         grids = dict(zip(sep_vars + (var,), [*sep_grids, own_pts]))
         index, rows = product_grid(sep_grids)
         # every variable's grid index at each (row, own point) cell
@@ -77,20 +71,16 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         best = cells.argmax(axis=1)  # the first maximum: the smallest point
         utils = cells[np.arange(len(best)), best]
         positions = [{v: i for i, v in enumerate(g)} for g in sep_grids]
-        state[var] = (sep_vars, positions, own_pts, best)
+        state[var] = (positions, own_pts, best)
 
         if var == tree.root:
             return float(utils[0])
-        payload = UtilTable(sep_vars, tuple(zip(itertools.product(*sep_grids), utils.tolist())))
+        payload = UtilTable(sep_vars, rows, utils)
         return payload, payload.scalar_size()
 
-    def value_fn(var, sep_values):
-        sep_vars, positions, own_pts, best = state[var]
-        try:
-            key = tuple(sep_values[w] for w in sep_vars)
-        except KeyError as exc:
-            raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
-        row = 0  # the key's index in itertools.product order
+    def value_fn(var, key):
+        positions, own_pts, best = state[var]
+        row = 0  # the key's index in product_grid order
         for index, v in zip(positions, key):
             if v not in index:
                 raise ProtocolError(f"{var}: received off-grid ancestor values {key}")

@@ -61,17 +61,12 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
             total, constraint, (parent_dom.lb, parent_dom.ub), config.piece_cap)
         return projected, SCALARS_PER_PIECE * len(projected.pieces)
 
-    def value_fn(var, sep_values):
-        ctx = contexts[var]
+    def value_fn(var, key):
         if var == tree.root:
             return state[var]
-        parent = ctx.parent
-        if parent not in sep_values:
-            raise ProtocolError(f"{var}: parent value missing from VALUE payload")
-        parent_value = sep_values[parent]
-        response = state[var].at(parent_value)
-        dom = ctx.own_domain()
-        x = response.value(parent_value)
+        (parent_value,) = key  # a tree agent's separator is its parent
+        dom = contexts[var].own_domain()
+        x = state[var].at(parent_value).value(parent_value)
         if x < dom.lb - 1e-12 or x > dom.ub + 1e-12:
             raise ProtocolError(f"{var}: best response {x} escapes the domain")
         return dom.clamp(x)

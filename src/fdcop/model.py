@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -152,6 +153,7 @@ class Problem:
             if var not in self.domains:
                 raise ValidationError(f"variable {var!r} has no domain")
         seen_pairs = set()
+        total = 0.0
         for u in self.utilities:
             for var in u.scope:
                 if var not in self.domains:
@@ -164,9 +166,14 @@ class Problem:
             # largest magnitude; if it overflows, evaluating u may too
             mi, mj = (max(abs(self.domains[v].lb), abs(self.domains[v].ub)) for v in u.scope)
             a, b, c, d, e, f0 = map(abs, u.coeffs)
-            if not math.isfinite(a * mi * mi + b * mi + c * mj * mj + d * mj + e * mi * mj + f0):
+            bound = a * mi * mi + b * mi + c * mj * mj + d * mj + e * mi * mj + f0
+            if not math.isfinite(bound):
                 raise ValidationError(f"utility over {list(u.scope)} overflows the float "
                                       f"range on its domains")
+            total += bound
+        # the same bound on any sum of utilities, such as the optimum
+        if not math.isfinite(total):
+            raise ValidationError("the utilities' sum overflows the float range on their domains")
         graph = build_constraint_graph(self)
         if len(self.variables) > 1 and not nx.is_connected(graph):
             raise ValidationError("constraint graph is disconnected")
@@ -285,22 +292,41 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
+def _typed(value, kind: type, what: str):
+    """`value` if it is a `kind` and not a bool; a ValidationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    """A JSON number as a finite float; anything else is a ValidationError."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)) \
+            and abs(value) <= sys.float_info.max:  # exact for any int, false for NaN
+        return float(value)
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
 def _utility_from_dict(entry: dict) -> QuadraticBinaryUtility:
-    first, second = entry["scope"]
-    coeffs = entry["coeffs"]
-    if len(coeffs) != 6:
-        raise ValidationError(f"a utility needs exactly 6 coefficients, got {len(coeffs)}")
-    return QuadraticBinaryUtility(first, second, *coeffs)
+    scope, coeffs = _typed(entry["scope"], list, "a scope"), entry["coeffs"]
+    if len(scope) != 2 or len(coeffs) != 6:
+        raise ValidationError(f"a utility needs 2 variables and 6 coefficients, got "
+                              f"{len(scope)} and {len(coeffs)}")
+    return QuadraticBinaryUtility(*(_typed(v, str, "a scope entry") for v in scope),
+                                  *(_finite(c, "a coefficient") for c in coeffs))
 
 
 def problem_from_dict(doc: dict) -> Problem:
-    """Build and validate a problem; a malformed document is a ValidationError."""
+    """Build and validate a problem; a malformed document is a ValidationError:
+    ids, agents and scope entries are strings, bounds and coefficients finite."""
     try:
-        agents = tuple(doc["agents"])
-        variables = tuple(entry["id"] for entry in doc["variables"])
-        domains = {entry["id"]: ContinuousDomain(entry["lb"], entry["ub"])
-                   for entry in doc["variables"]}
-        owner = {entry["id"]: entry["agent"] for entry in doc["variables"]}
+        agents = tuple(_typed(a, str, "an agent") for a in _typed(doc["agents"], list, "agents"))
+        entries = doc["variables"]
+        variables = tuple(_typed(entry["id"], str, "a variable id") for entry in entries)
+        domains = {entry["id"]: ContinuousDomain(_finite(entry["lb"], "a bound"),
+                                                 _finite(entry["ub"], "a bound"))
+                   for entry in entries}
+        owner = {entry["id"]: _typed(entry["agent"], str, "an agent") for entry in entries}
         utilities = tuple(_utility_from_dict(entry) for entry in doc["constraints"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed problem document: {exc!r}") from exc
@@ -318,7 +344,7 @@ def dumps(problem: Problem) -> str:
 def loads(text: str) -> Problem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a number or nesting json cannot hold
         raise ValidationError(f"problem file is not JSON: {exc}") from exc
     return problem_from_dict(doc)
 

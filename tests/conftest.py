@@ -1,6 +1,8 @@
 """Shared builders for small hand-made problem instances."""
+import numpy as np
 import pytest
 
+from fdcop.engines.common import UtilTable
 from fdcop.model import ContinuousDomain, Problem, QuadraticBinaryUtility
 
 
@@ -20,6 +22,12 @@ def make_problem(utilities, lb=-100.0, ub=100.0, domains=None):
     )
     problem.validate()
     return problem
+
+
+def util_table(separator_vars, rows):
+    """A UtilTable from ((values...), utility) pairs."""
+    values = np.array([v for v, _ in rows], dtype=float).reshape(len(rows), len(separator_vars))
+    return UtilTable(separator_vars, values, np.array([u for _, u in rows], dtype=float))
 
 
 def quad(first, second, a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f0=0.0):

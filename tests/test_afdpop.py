@@ -1,7 +1,9 @@
 """Approximate functional DPOP: moves, interpolation, clustering, row caps."""
+import dataclasses
 import itertools
 import random
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +11,13 @@ import pytest
 from fdcop import generators, model, runtime
 from fdcop.engines import afdpop
 from fdcop.engines.afdpop import _interp_many, _snap_column, cluster_tuples, leaf_move
-from fdcop.engines.common import UtilTable, best_own_response, discretize
+from fdcop.engines.common import best_own_response, discretize
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, CapacityError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import make_problem, quad
+from conftest import make_problem, quad, util_table
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -23,28 +25,49 @@ DOM = ContinuousDomain(-100.0, 100.0)
 
 class TestInterpolate:
     def test_exact_match(self):
-        t = UtilTable(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
+        t = util_table(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
         assert _interp_many(t, [(10.0,)], "idw")[0] == 20.0
         assert _interp_many(t, [(10.0,)], "nearest")[0] == 20.0
 
     def test_equidistant_midpoint(self):
-        t = UtilTable(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
+        t = util_table(("x",), (((0.0,), 10.0), ((10.0,), 20.0)))
         assert _interp_many(t, [(5.0,)], "idw")[0] == pytest.approx(15.0)
 
     def test_idw_hand_computed(self):
         # weights 1/4, 1, 1/4 -> (0*0.25 + 1*1 + 16*0.25) / 1.5 = 10/3
-        t = UtilTable(("x",), (((0.0,), 0.0), ((1.0,), 1.0), ((4.0,), 16.0)))
+        t = util_table(("x",), (((0.0,), 0.0), ((1.0,), 1.0), ((4.0,), 16.0)))
         assert _interp_many(t, [(2.0,)], "idw")[0] == pytest.approx(10.0 / 3.0)
 
     def test_nearest_tie_breaks_low(self):
-        t = UtilTable(("x",), (((0.0,), 1.0), ((2.0,), 9.0)))
+        t = util_table(("x",), (((0.0,), 1.0), ((2.0,), 9.0)))
         assert _interp_many(t, [(1.0,)], "nearest")[0] == 1.0
 
     def test_idw_weight_overflow(self):
         # d2 = 1e-400 floors to 1e-300: a weight of 1e300 times 1e9 overflows
         # the weighted sum, so the row is summed again with scaled weights
-        t = UtilTable(("x",), (((0.0,), 1e9), ((1.0,), 0.0)))
+        t = util_table(("x",), (((0.0,), 1e9), ((1.0,), 0.0)))
         assert _interp_many(t, [(1e-200,), (0.5,)], "idw") == [1e9, 5e8]
+
+    def test_utilities_at_the_float_limit(self):
+        # the weighted sums overflow, so each query is taken again as the
+        # mean of the halved utilities, which stays in range
+        big = sys.float_info.max
+        t = util_table(("x",), (((0.0,), big), ((1.0,), big), ((3.0,), -big)))
+        # weights 4, 4 and 0.16
+        assert _interp_many(t, [(0.5,)], "idw")[0] == pytest.approx(big / 8.16 * 7.84)
+        t = util_table(("x",), (((0.0,), big), ((1.0,), big)))
+        assert _interp_many(t, [(0.5,), (7.0,)], "idw") == [big, big]
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_utility_at_the_float_limit_keeps_a_finite_optimum(self, engine):
+        # gen_graph(5, 0.5, seed=1) with one constant term at the float
+        # limit: its bound, and the summed bound, still fit
+        p = generators.gen_graph(5, 0.5, seed=1)
+        edited = dataclasses.replace(p.utilities[1], coeff_f0=sys.float_info.max)
+        p = dataclasses.replace(p, utilities=(p.utilities[0], edited, *p.utilities[2:]))
+        p.validate()
+        result = runtime.run(p, engine, EngineConfig())
+        assert result.reported_optimum == sys.float_info.max
 
     @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
     def test_tiny_domain_keeps_a_finite_optimum(self, engine):
@@ -60,14 +83,14 @@ class TestInterpolate:
 
 class TestClusterTuples:
     def test_two_separated_pairs(self):
-        t = UtilTable(("x",), (((1.0,), 1.0), ((2.0,), 2.0),
+        t = util_table(("x",), (((1.0,), 1.0), ((2.0,), 2.0),
                                ((9.0,), 9.0), ((10.0,), 10.0)))
         out = cluster_tuples(t, 2, random.Random(0))
-        centers = sorted(v[0] for v, _ in out.rows)
+        centers = sorted(out.rows[:, 0].tolist())
         assert centers == pytest.approx([1.5, 9.5])
 
     def test_small_table_passthrough(self):
-        t = UtilTable(("x",), (((1.0,), 1.0), ((2.0,), 2.0), ((3.0,), 3.0)))
+        t = util_table(("x",), (((1.0,), 1.0), ((2.0,), 2.0), ((3.0,), 3.0)))
         assert cluster_tuples(t, 5, random.Random(0)) is t
 
     def test_row_count_and_quality(self):
@@ -76,7 +99,7 @@ class TestClusterTuples:
             rng = random.Random(seed)
             rows = tuple(((rng.uniform(0, 100), rng.uniform(0, 100)), rng.uniform(0, 10))
                          for _ in range(100))
-            t = UtilTable(("x", "y"), rows)
+            t = util_table(("x", "y"), rows)
             out = cluster_tuples(t, 10, random.Random(seed))
             assert len(out.rows) == 10
 
@@ -87,18 +110,18 @@ class TestClusterTuples:
                                  for cx, cy in centers)
                 return total / len(rows)
 
-            kmeans_centers = [v for v, _ in out.rows]
+            kmeans_centers = out.rows.tolist()
             random_centers = [v for v, _ in rng.sample(list(rows), 10)]
             assert mean_dist(kmeans_centers) <= mean_dist(random_centers) + 1e-9
 
     def test_rejects_bad_k(self):
-        t = UtilTable(("x",), (((1.0,), 1.0),))
+        t = util_table(("x",), (((1.0,), 1.0),))
         with pytest.raises(ArgumentError):
             cluster_tuples(t, 0)
 
     def test_rejects_empty_table(self):
         with pytest.raises(ArgumentError):
-            cluster_tuples(UtilTable(("x",), ()), 3)
+            cluster_tuples(util_table(("x",), ()), 3)
 
 
 class TestLeafMove:
@@ -321,7 +344,7 @@ class TestJoinProjection:
                                         if w in t.separator_vars)))
                 for w in (var,) + sep_vars}
         grid = list(itertools.product(*(sets[w] for w in sep_vars)))
-        moved = [values for values, _ in out.rows]
+        moved = list(map(tuple, out.rows.tolist()))
         _, grid_queries = per_cell_scores(p, var, sep_vars, tables, sets[var], grid, method)
         scores, moved_queries = per_cell_scores(p, var, sep_vars, tables, sets[var],
                                                 moved, method)
@@ -330,8 +353,9 @@ class TestJoinProjection:
                      if any(table is t for t in tables)]
         assert own_calls[:4] == grid_queries + moved_queries
         # off-grid moved rows, so the interpolation itself is exercised
-        assert any(q not in dict(t.rows) for t, qs in zip(tables, moved_queries) for q in qs)
-        assert [u for _, u in out.rows] == scores.max(axis=1).tolist()
+        assert any(q not in set(map(tuple, t.rows.tolist()))
+                   for t, qs in zip(tables, moved_queries) for q in qs)
+        assert out.utils.tolist() == scores.max(axis=1).tolist()
 
 
 class TestRowCap:

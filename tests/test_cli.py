@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, reports, benchmark CSVs."""
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdcop import cli, generators, model
 from fdcop.engines import afdpop, discrete, efdpop, hcms
@@ -171,6 +174,99 @@ class TestSolve:
         assert report["utility"] >= report["bounds"]["error_bound_discrete"] * -1
 
 
+# gen_graph(5, 0.5, seed=1) as a problem file, and the leaf and container
+# paths into it that the tests below edit
+CONTRACT_DOC = model.problem_to_dict(generators.gen_graph(5, 0.5, seed=1))
+
+
+def doc_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from doc_paths(child, path + (key,))
+
+
+def edited(doc, path, value):
+    """A copy of `doc` with the field at `path` set to `value`, or dropped
+    for DROP; `doc` itself when the path no longer leads anywhere."""
+    if not path:
+        return {} if value is DROP else value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return doc
+
+
+DROP = object()
+
+
+class TestProblemFileContract:
+    """Every problem file ends in a report or a typed refusal: ids, agents
+    and scope entries are strings, and bounds and coefficients are JSON
+    numbers that are finite as floats."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("variables", 0, "agent"), 1, "an agent must be a str, got 1"),
+        (("variables", 0, "id"), 7, "a variable id must be a str, got 7"),
+        (("constraints", 0, "scope", 0), ["x000"], "a scope entry must be a str, got ['x000']"),
+        (("variables", 0, "lb"), 10**400, "a bound must be a finite number, got 1000"),
+        (("constraints", 0, "coeffs", 0), 10**400, "a coefficient must be a finite number"),
+        (("variables", 0, "ub"), True, "a bound must be a finite number, got True"),
+        (("agents",), "a000", "agents must be a list, got 'a000'"),
+        (("constraints", 0, "scope"), "x000", "a scope must be a list, got 'x000'"),
+    ], ids=["int-agent", "int-id", "list-scope-entry", "huge-bound", "huge-coefficient",
+            "bool-bound", "string-agents", "string-scope"])
+    def test_field_of_the_wrong_type(self, tmp_path, capsys, monkeypatch, path, value,
+                                     message):
+        file = tmp_path / "p.json"
+        file.write_text(json.dumps(edited(CONTRACT_DOC, path, value)))
+        monkeypatch.setattr(cli.runtime, "run", must_not_run)
+        code, out, err = run_cli(capsys, "solve", str(file))
+        assert code == cli.EXIT_INVALID
+        assert out == "" and err.startswith(f"invalid input: {message}")
+
+    @pytest.mark.parametrize("text", ["[1" + "0" * 5000 + "]", "[" * 100_000],
+                             ids=["int-beyond-the-digit-limit", "deep-nesting"])
+    def test_json_python_cannot_hold(self, tmp_path, capsys, text):
+        file = tmp_path / "p.json"
+        file.write_text(text)
+        code, out, err = run_cli(capsys, "solve", str(file))
+        assert code == cli.EXIT_INVALID
+        assert out == "" and err.startswith("invalid input: problem file is not JSON")
+
+    SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+               | st.floats() | st.text(max_size=4)
+               | st.sampled_from(["x000", "x001", "x004", "a000", "a003"]))
+    # half of the edits set a plausible number, so that some edited files
+    # still validate and run; a quarter drop the field
+    VALUES = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.just(DROP), st.recursive(
+        SCALARS, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=4))
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(list(doc_paths(CONTRACT_DOC))), VALUES),
+                          min_size=1, max_size=3),
+           engine=st.sampled_from(model.ENGINE_KINDS))
+    def test_fuzzed_files_end_in_a_documented_exit(self, tmp_path_factory, edits, engine):
+        doc = CONTRACT_DOC
+        for path, value in edits:
+            doc = edited(doc, path, value)
+        file = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        file.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["solve", str(file), "--engine", engine])
+        assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_CAPACITY, cli.EXIT_ENGINE)
+
+
 class TestBench:
     def test_csv_shape_and_aggregates(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -257,7 +353,8 @@ class TestVerify:
 
 
 class TestEngineError:
-    """Any library error that has no exit code of its own exits 5."""
+    """Any library error that has no exit code of its own exits 5; a problem
+    whose utilities may overflow is refused as invalid input before that."""
 
     @pytest.fixture
     def nan_dpop(self, tmp_path, capsys, monkeypatch):
@@ -278,14 +375,18 @@ class TestEngineError:
         assert code == cli.EXIT_ENGINE
         assert err.startswith("engine error: dpop:")
 
-    def test_ef_dpop_overflow(self, tmp_path, capsys):
-        # each utility is finite, but their sum, the optimum, is not
+    def test_ef_dpop_overflow(self, tmp_path, capsys, monkeypatch):
+        # each utility is finite, but their sum, the optimum, is not: an
+        # invalid input, refused when the file is read
+        doc = model.problem_to_dict(make_problem([quad("x", "y", f0=1e308), quad("y", "z")]))
+        doc["constraints"][1]["coeffs"][5] = 1e308
         path = tmp_path / "p.json"
-        model.save(make_problem([quad("x", "y", f0=1e308), quad("y", "z", f0=1e308)]), path)
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(efdpop, "run", must_not_run)
         code, out, err = run_cli(capsys, "solve", str(path), "--engine", "ef-dpop")
-        assert code == cli.EXIT_ENGINE
+        assert code == cli.EXIT_INVALID
         assert out == ""
-        assert err.startswith("engine error: ef-dpop: reported optimum inf is not finite")
+        assert err.startswith("invalid input: the utilities' sum overflows the float range")
 
     def test_bench(self, nan_dpop, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "-n", "4", "--engines", "dpop",

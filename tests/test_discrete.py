@@ -11,13 +11,22 @@ from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import make_problem, quad
+from conftest import make_problem, quad, util_table
 
 
 class TestUtilTable:
     def test_scalar_size(self):
-        table = UtilTable(("x", "y"), (((0.0, 1.0), 5.0), ((2.0, 3.0), 6.0)))
+        table = util_table(("x", "y"), (((0.0, 1.0), 5.0), ((2.0, 3.0), 6.0)))
         assert table.scalar_size() == 2 * 3
+
+    def test_arrays_are_read_only(self):
+        # sender and receiver share one payload, so neither may change it
+        rows, utils = np.array([[0.0, 1.0]]), np.array([5.0])
+        table = UtilTable(("x", "y"), rows, utils)
+        for array in (table.rows, table.utils, table.utils.reshape(1, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+        assert table.rows.tolist() == [[0.0, 1.0]] and table.utils.tolist() == [5.0]
 
 
 # domains on which 9 evenly spaced points cannot be built: neighbours round
@@ -58,12 +67,12 @@ class TestGridJoin:
     GRIDS = {"x": GRID, "y": GRID}
 
     def test_child_off_the_grid(self):
-        child = UtilTable(("y",), (((-1.0,), 0.0), ((0.5,), 0.0), ((1.0,), 0.0)))
+        child = util_table(("y",), (((-1.0,), 0.0), ((0.5,), 0.0), ((1.0,), 0.0)))
         with pytest.raises(ProtocolError, match="not the grid of its variables"):
             child_array("x", child, self.GRIDS)
 
     def test_child_missing_a_row(self):
-        child = UtilTable(("y",), (((-1.0,), 0.0), ((1.0,), 0.0)))
+        child = util_table(("y",), (((-1.0,), 0.0), ((1.0,), 0.0)))
         with pytest.raises(ProtocolError, match="not the grid of its variables"):
             child_array("x", child, self.GRIDS)
 
@@ -72,7 +81,7 @@ class TestGridJoin:
             rows = tuple((values, 0.0) for values in itertools.product(
                 *([self.GRID] * len(names))))
             with pytest.raises(ProtocolError, match="sorted subset"):
-                child_array("x", UtilTable(names, rows), self.GRIDS)
+                child_array("x", util_table(names, rows), self.GRIDS)
 
 
 class TestJoin:
@@ -87,7 +96,7 @@ class TestJoin:
         assert index.shape == rows.shape == (1, 0)
 
     def test_sums_children_then_constraints(self):
-        child = UtilTable(("x", "y"), tuple(((x, y), 10.0 * x + y)
+        child = util_table(("x", "y"), tuple(((x, y), 10.0 * x + y)
                                            for x, y in itertools.product(self.GRID, self.GRID)))
         names, array = child_array("x", child, {"x": self.GRID, "y": self.GRID})
         assert names == ("x", "y")
@@ -161,7 +170,7 @@ class TestAgainstOracle:
 
 
 def exact_lookup(table: UtilTable):
-    index = dict(table.rows)
+    index = dict(zip(map(tuple, table.rows.tolist()), table.utils.tolist()))
     return lambda assign: index[tuple(assign[w] for w in table.separator_vars)]
 
 
@@ -225,8 +234,8 @@ class TestPerCellReference:
             else:
                 table = sent[var]
                 assert table.separator_vars == tuple(sorted(tree.separator[var]))
-                assert [t for t, _ in table.rows] == [t for t, _ in rows]
-                assert ([float.hex(u) for _, u in table.rows]
+                assert list(map(tuple, table.rows.tolist())) == [t for t, _ in rows]
+                assert ([float.hex(u) for u in table.utils.tolist()]
                         == [float.hex(u) for _, u in rows])
             assert values[var] == own
 
@@ -236,8 +245,8 @@ class TestPerCellReference:
         result, sent = self.run_captured(monkeypatch, p, EngineConfig(points=3))
         assert result.tree.root == "x2"
         # rows over x2 = -100, 0, 100
-        assert [u for _, u in sent["x1"].rows] == [-10000.0, 0.0, -10000.0]
-        assert [u for _, u in sent["x3"].rows] == [-10100.0, 0.0, -9900.0]
+        assert sent["x1"].utils.tolist() == [-10000.0, 0.0, -10000.0]
+        assert sent["x3"].utils.tolist() == [-10100.0, 0.0, -9900.0]
         assert result.assignment.values["x1"] == result.assignment.values["x3"] == -100.0
         assert result.assignment.values["x2"] == 0.0
         af0 = runtime.run(p, "af-dpop", EngineConfig(points=3, moves=0))

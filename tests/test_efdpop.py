@@ -1,11 +1,13 @@
 """Exact functional DPOP on trees."""
+import dataclasses
 import math
 
 import pytest
 
 from fdcop import generators, model, oracles, runtime
+from fdcop.engines import efdpop
 from fdcop.engines.efdpop import SCALARS_PER_PIECE, utility_as_piecewise
-from fdcop.errors import ProtocolError, StructureError, ValidationError
+from fdcop.errors import StructureError, ValidationError
 from fdcop.model import ContinuousDomain
 from fdcop.piecewise import Unary
 from fdcop.runtime import UTIL, EngineConfig, SYSTEM
@@ -101,10 +103,15 @@ class TestOverflow:
         with pytest.raises(ValidationError, match="overflows the float range"):
             generators.gen_tree(6, 1, lb=-1e200, ub=1e200)
 
-    def test_inf_optimum_is_refused(self):
-        # each utility is finite, but their sum, the optimum, is not
-        p = make_problem([quad("x", "y", f0=1e308), quad("y", "z", f0=1e308)])
-        with pytest.raises(ProtocolError, match="ef-dpop: reported optimum inf is not finite"):
+    def test_inf_optimum_is_refused(self, monkeypatch):
+        # each utility is finite, but their sum, the optimum, is not; the
+        # summed bound refuses the problem before ef-dpop runs
+        with pytest.raises(ValidationError, match="^the utilities' sum overflows"):
+            make_problem([quad("x", "y", f0=1e308), quad("y", "z", f0=1e308)])
+        p = make_problem([quad("x", "y", f0=1e308), quad("y", "z")])
+        p = dataclasses.replace(p, utilities=(p.utilities[0], quad("y", "z", f0=1e308)))
+        monkeypatch.setattr(efdpop, "run", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValidationError, match="^the utilities' sum overflows"):
             runtime.run(p, "ef-dpop", EngineConfig())
 
 

@@ -7,9 +7,11 @@ schedule shows here even though it is deterministic from run to run.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from fdcop import generators, model, piecewise, pseudotree, runtime
+from fdcop.engines.common import UtilTable
 from fdcop.runtime import EngineConfig
 
 from conftest import make_problem, quad
@@ -128,9 +130,13 @@ class TestUtilityIndex:
 
 def payload_text(payload):
     """An ef-dpop message as its variable and the float.hex of every piece
-    scalar; any other payload (af/caf tables, the root's optimum) by repr."""
+    scalar; a dpop/af/caf table as its variables and the float.hex of every
+    coordinate and utility, row by row; the root's optimum by repr."""
     if isinstance(payload, piecewise.Unary):
         return " ".join([payload.var] + [float.hex(v) for p in payload.pieces for v in p])
+    if isinstance(payload, UtilTable):
+        scalars = np.column_stack([payload.rows, payload.utils]).ravel().tolist()
+        return " ".join([*payload.separator_vars] + [float.hex(v) for v in scalars])
     return repr(payload)
 
 
@@ -160,15 +166,19 @@ GOLDEN_PAYLOADS = [
      "69c01c7829c583063913fae224cdb0fb87dfa27cddfadf8a0a6c3995b09cff90"),
     (UNIT_TREE, "ef-dpop", EngineConfig(),
      "0134c039a6b2f0b759980719334ec8173541571a62fd595cdfef2a9a24915ad3"),
+    (TREE, "dpop", EngineConfig(),
+     "e18dcb33a193fe5f4054f5ef2ba4fb0953784a107aab8f231b0613f17e2ab7d3"),
+    (WIDTH3_GRAPH, "dpop", EngineConfig(),
+     "a29ce291fc925f7f6088ebda05161d83cd85d96cf32bdcd22a64fc509b2c4162"),
     (WIDTH3_GRAPH, "af-dpop", EngineConfig(),
-     "344ff394c014756bca216b25d1e40d7c11b8e0d81f541f5c1e689fd72f8ec94b"),
+     "048150dbe978316ffe98934f1bd011558041badee2de1e39bb46a166023852c1"),
     (WIDTH3_GRAPH, "caf-dpop", EngineConfig(k_clusters=4),
-     "bdaf944a892462ee305039bc31c49cc7ce6108633b0d194c5643ccc3d9cebf49"),
+     "7490543fa66fbeeca8e5d45e336f8c11d8e7f84c39d6ef1ce91a3bbc2d0675b0"),
 ]
 
 
 @pytest.mark.parametrize("problem, engine, config, expected", GOLDEN_PAYLOADS,
-                         ids=["nonconcave-tree-ef-dpop", "unit-tree-ef-dpop",
-                              "16-af-dpop", "16-caf-dpop"])
+                         ids=["nonconcave-tree-ef-dpop", "unit-tree-ef-dpop", "200-dpop",
+                              "16-dpop", "16-af-dpop", "16-caf-dpop"])
 def test_golden_payload_digest(problem, engine, config, expected, monkeypatch):
     assert payload_digest(problem, engine, config, monkeypatch) == expected

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fdcop import generators, model, runtime
+from fdcop.engines import afdpop
 from fdcop.runtime import EngineConfig
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -54,3 +55,33 @@ def test_every_engine_runs_through_the_wrappers(tracing):
                  "discrete.joint_utility", "common.best_own_response",
                  "piecewise.add", "piecewise.project", "hcms.run"):
         assert tracer.calls.get(name, 0) > 0, name
+
+
+def test_table_counters_match_the_work(tracing, monkeypatch):
+    """perfbench counts the rows `cluster_tuples` takes and the queries
+    `_interp_many` answers from the shape of their arguments; a recorder
+    installed under its wrappers counts the same work from the table's
+    utilities and the query tuples."""
+    counted = {"afdpop.cluster.rows_in": 0, "afdpop.interp.queries": 0}
+    interp, cluster = afdpop._interp_many, afdpop.cluster_tuples
+
+    def record_interp(table, queries, method):
+        counted["afdpop.interp.queries"] += sum(1 for _ in queries)
+        return interp(table, queries, method)
+
+    def record_cluster(table, *args, **kwargs):
+        counted["afdpop.cluster.rows_in"] += table.utils.size
+        return cluster(table, *args, **kwargs)
+
+    monkeypatch.setattr(afdpop, "_interp_many", record_interp)
+    monkeypatch.setattr(afdpop, "cluster_tuples", record_cluster)
+    tracer = tracing.Tracer()
+    instrumentation = tracing.Instrumentation(tracer).install()
+    try:
+        graph = generators.gen_graph(12, 0.2, seed=1)
+        for engine in ("af-dpop", "caf-dpop"):
+            runtime.run(graph, engine, EngineConfig(k_clusters=3), keep_trace=False)
+    finally:
+        instrumentation.remove()
+    assert all(counted.values())
+    assert {name: tracer.counters[name] for name in counted} == counted

@@ -1,9 +1,12 @@
-"""Property test over random problems and configs: every engine ends in a
+"""Property tests over random problems and configs: every engine ends in a
 typed error, or in a finite, in-domain assignment with the predicted number
-of messages."""
+of messages; and scaling every utility by a power of two scales the run's
+optimum by it and leaves everything else alone."""
+import dataclasses
 import math
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fdcop import model, runtime
 from fdcop.errors import FdcopError
@@ -56,3 +59,33 @@ def test_typed_error_or_finite_in_domain_assignment(problem, config, engine):
     graph = model.build_constraint_graph(problem)
     assert result.stats.total_messages == model.predicted_message_count(
         engine, graph, config.iterations)
+
+
+@pytest.mark.parametrize("engine", model.ENGINE_KINDS)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(problem=problems(), config=CONFIGS, j=st.integers(-20, 20))
+def test_power_of_two_scaling(problem, config, engine, j):
+    """Every coefficient times 2^j, and alpha divided by 2^j so that each
+    move steps as far: the run gives the same assignment (or the same typed
+    error) and exactly 2^j times the optimum. Coefficients up to 1e6 on these
+    domains keep every utility inside the overflow bound for |j| <= 20.
+    Scaling is exact only away from the subnormal range, so coefficients
+    below 1e-100 are left out."""
+    assume(all(c == 0.0 or abs(c) > 1e-100 for f in problem.utilities for c in f.coeffs))
+    scale = 2.0 ** j
+    scaled = dataclasses.replace(problem, utilities=tuple(
+        QuadraticBinaryUtility(f.first_var, f.second_var, *(c * scale for c in f.coeffs))
+        for f in problem.utilities))
+    outcomes = []
+    for p, cfg in ((problem, config), (scaled, dataclasses.replace(config,
+                                                                   alpha=config.alpha / scale))):
+        try:
+            outcomes.append(runtime.run(p, engine, cfg, keep_trace=False))
+        except FdcopError as exc:
+            outcomes.append((type(exc), str(exc)))
+    base, result = outcomes
+    if isinstance(base, tuple):
+        assert result == base
+        return
+    assert result.assignment.values == base.assignment.values
+    assert result.reported_optimum == scale * base.reported_optimum
