@@ -7,7 +7,6 @@ message-passing runtime that measures communication exactly.
 from .model import (
     Assignment,
     ContinuousDomain,
-    GradientBound,
     Problem,
     QuadraticBinaryUtility,
     build_constraint_graph,
@@ -26,7 +25,6 @@ __all__ = [
     "Assignment",
     "ContinuousDomain",
     "EngineConfig",
-    "GradientBound",
     "Problem",
     "QuadraticBinaryUtility",
     "RunResult",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -91,7 +92,6 @@ def cmd_generate(args) -> int:
 def _solve_report(problem, engine, config, result) -> dict:
     graph = model.build_constraint_graph(problem)
     m = model.hypercube_size(problem, config.points)
-    delta = model.gradient_bound(problem).global_delta
     return {
         "engine": engine,
         "config": {
@@ -102,15 +102,9 @@ def _solve_report(problem, engine, config, result) -> dict:
         "utility": model.evaluate_solution(problem, result.assignment),
         "reported_optimum": result.reported_optimum,
         "assignment": dict(sorted(result.assignment.values.items())),
-        "stats": {
-            "total_messages": result.stats.total_messages,
-            "messages_by_kind": result.stats.messages_by_kind,
-            "total_scalars": result.stats.total_scalars,
-            "max_message_scalars": result.stats.max_message_scalars,
-            "phase_timings": result.stats.phase_timings,
-        },
+        "stats": dataclasses.asdict(result.stats),
         "bounds": {
-            "gradient_delta": delta,
+            "gradient_delta": model.gradient_bound(problem),
             "hypercube_m": m,
             "error_bound_discrete": model.error_bound_discrete(problem, m),
             "error_bound_af": model.error_bound_af(problem, m, config.moves, config.alpha),
@@ -240,7 +234,6 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
     tree = pseudotree.build(graph)
     is_tree = tree.is_tree()
     m = model.hypercube_size(problem, d)
-    delta = model.gradient_bound(problem).global_delta
 
     engines = list(model.DPOP_FAMILY) + ["hcms"]
     if not is_tree:
@@ -296,7 +289,7 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
         result = results["caf-dpop"]
         config = runtime.EngineConfig(points=d, seed=0)
         worst = 0
-        for _, sender, receiver, kind, size in result.kernel.trace:
+        for sender, receiver, kind, size in result.kernel.trace:
             if kind != runtime.UTIL or receiver == runtime.SYSTEM:
                 continue
             arity = len(result.tree.separator[sender])

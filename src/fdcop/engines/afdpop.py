@@ -306,7 +306,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                          (scores(current) if config.moves else grid_scores).max(axis=1))
 
     def util_fn(var, child_payloads):
-        result = agent_util(var, contexts[var], [payload for _, payload in child_payloads])
+        result = agent_util(var, contexts[var], child_payloads)
         if var == tree.root:
             return result
         if clustered:

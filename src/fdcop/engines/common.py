@@ -137,22 +137,23 @@ def best_own_response(utilities: list[QuadraticBinaryUtility], var: str,
 
 
 def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):
-    """Run the two DPOP phases over the kernel.
+    """Run the two DPOP phases over the kernel, in the tree's stored post-
+    and pre-order.
 
-    util_fn(var, child_payloads) returns (payload, scalar_size) for non-root
-    agents and the reported optimum (a float) at the root. value_fn(var, key)
-    returns the agent's own value for `key`, the ancestors' values of its
-    sorted separator variables like a row of its UTIL table (a ProtocolError
-    if one is missing). Exactly 2|X| messages are exchanged: every agent's
-    UTIL goes up (the root reports its optimum to the system endpoint) and
-    every agent receives exactly one VALUE (the root's comes from the system
-    kick-off).
+    util_fn(var, child_payloads) gets the children's UTIL payloads in sender
+    order and returns (payload, scalar_size) for non-root agents and the
+    reported optimum (a float) at the root. value_fn(var, key) returns the
+    agent's own value for `key`, the ancestors' values of its sorted
+    separator variables like a row of its UTIL table (a ProtocolError if one
+    is missing). Exactly 2|X| messages are exchanged: every agent's UTIL goes
+    up (the root reports its optimum to the system endpoint) and every agent
+    receives exactly one VALUE (the root's comes from the system kick-off).
     """
     kernel.phase("util")
     optimum = None
-    for var in tree.post_order():
-        msgs = kernel.collect(var, UTIL)
-        child_payloads = sorted(((m.sender, m.payload) for m in msgs), key=lambda p: p[0])
+    for var in tree.post_order:
+        msgs = sorted(kernel.collect(var, UTIL), key=lambda m: m.sender)
+        child_payloads = [m.payload for m in msgs]
         if var == tree.root:
             optimum = util_fn(var, child_payloads)
             kernel.send(var, SYSTEM, UTIL, {"optimum": optimum}, 1)
@@ -163,7 +164,7 @@ def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):
     kernel.phase("value")
     kernel.send(SYSTEM, tree.root, VALUE, {}, 0)
     values: dict[str, float] = {}
-    for var in tree.pre_order():
+    for var in tree.pre_order:
         known = dict(kernel.collect(var, VALUE)[0].payload)
         try:
             key = tuple(known[w] for w in sorted(tree.separator[var]))

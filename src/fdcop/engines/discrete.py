@@ -66,7 +66,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         at = {w: index[:, j:j + 1] for j, w in enumerate(sep_vars)}
         at[var] = np.arange(len(own_pts)).reshape(1, len(own_pts))
         children = [array[tuple(at[w] for w in names)] for names, array in
-                    (child_array(var, payload, grids) for _, payload in child_payloads)]
+                    (child_array(var, payload, grids) for payload in child_payloads)]
         cells = join(var, own_pts, sep_vars, rows, children, constraints)
         best = cells.argmax(axis=1)  # the first maximum: the smallest point
         utils = cells[np.arange(len(best)), best]

@@ -45,8 +45,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
             if constraint is None:
                 raise StructureError(f"{var}: no constraint to parent {ctx.parent}")
             total = utility_as_piecewise(constraint, var, own_dom)
-        for _, child_fn in child_payloads:
-            total = child_fn if total is None else piecewise.add(total, child_fn, config.piece_cap)
+        for child_fn in child_payloads:
+            total = child_fn if total is None else piecewise.add(total, child_fn)
 
         if var == tree.root:
             if total is None:
@@ -58,7 +58,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
 
         parent_dom = ctx.domain_of(ctx.parent)
         projected, state[var] = piecewise.project(
-            total, constraint, (parent_dom.lb, parent_dom.ub), config.piece_cap)
+            total, constraint, (parent_dom.lb, parent_dom.ub))
         return projected, SCALARS_PER_PIECE * len(projected.pieces)
 
     def value_fn(var, key):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import CapacityError, ProtocolError
 from ..runtime import (
     MS_FUNCTION_TO_VARIABLE,
     MS_VARIABLE_TO_FUNCTION,
@@ -35,6 +35,8 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     edges.sort()
 
     samples = {v: list(discretize(contexts[v].own_domain(), d)) for v in variables}
+    if edges and d * d > config.row_cap:  # refused before the first message, like dpop
+        raise CapacityError(f"function nodes would join {d * d} cells each (cap {config.row_cap})")
     incident = {v: [] for v in variables}
     for e in edges:
         for v in e:

@@ -111,14 +111,6 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class GradientBound:
-    """Exact per-function maxima of |df/dx_i| + |df/dx_j| over the domain box."""
-
-    per_function: dict[QuadraticBinaryUtility, float]
-    global_delta: float
-
-
-@dataclass(frozen=True)
 class Problem:
     """Agents, their variables and domains, and the binary utilities.
 
@@ -152,16 +144,14 @@ class Problem:
         for var in self.variables:
             if var not in self.domains:
                 raise ValidationError(f"variable {var!r} has no domain")
-        seen_pairs = set()
         total = 0.0
         for u in self.utilities:
             for var in u.scope:
                 if var not in self.domains:
                     raise ValidationError(f"utility references undeclared variable {var!r}")
             pair = frozenset(u.scope)
-            if pair in seen_pairs:
+            if self._by_pair[pair] is not u:  # the index keeps a pair's first utility
                 raise ValidationError(f"duplicate utility over pair {sorted(pair)}")
-            seen_pairs.add(pair)
             # |u| over the domain box is at most this sum of each term's
             # largest magnitude; if it overflows, evaluating u may too
             mi, mj = (max(abs(self.domains[v].lb), abs(self.domains[v].ub)) for v in u.scope)
@@ -171,6 +161,9 @@ class Problem:
                 raise ValidationError(f"utility over {list(u.scope)} overflows the float "
                                       f"range on its domains")
             total += bound
+        if len(self._by_pair) < len(self.utilities):  # one utility object listed twice
+            twice = next(u for i, u in enumerate(self.utilities) if u in self.utilities[:i])
+            raise ValidationError(f"duplicate utility over pair {sorted(twice.scope)}")
         # the same bound on any sum of utilities, such as the optimum
         if not math.isfinite(total):
             raise ValidationError("the utilities' sum overflows the float range on their domains")
@@ -207,31 +200,28 @@ def build_constraint_graph(problem: Problem) -> nx.Graph:
     return graph
 
 
-def gradient_bound(problem: Problem) -> GradientBound:
-    """Per-function max of |df/dx_i| + |df/dx_j| over the domain box.
+def gradient_bound(problem: Problem) -> float:
+    """δ: the max over the utilities of |df/dx_i| + |df/dx_j| on the domain
+    box; 0 with no utilities.
 
     Each partial is affine, so the max of the sum of absolute values is
     attained at a corner of the box; all four corners are checked.
     """
-    per_function = {}
+    delta = 0.0
     for f in problem.utilities:
         di = problem.domains[f.first_var]
         dj = problem.domains[f.second_var]
-        best = 0.0
         for vi, vj in itertools.product((di.lb, di.ub), (dj.lb, dj.ub)):
             mag = abs(f.partial(f.first_var, vi, vj)) + abs(f.partial(f.second_var, vi, vj))
-            best = max(best, mag)
-        per_function[f] = best
-    global_delta = max(per_function.values()) if per_function else 0.0
-    return GradientBound(per_function=per_function, global_delta=global_delta)
+            delta = max(delta, mag)
+    return delta
 
 
 def error_bound_discrete(problem: Problem, m: float) -> float:
     """|F| * m * delta, the discretization error bound for grid-based DPOP."""
     if not (math.isfinite(m) and m > 0):
         raise ArgumentError(f"hypercube size m must be finite and positive, got {m}")
-    delta = gradient_bound(problem).global_delta
-    return len(problem.utilities) * m * delta
+    return len(problem.utilities) * m * gradient_bound(problem)
 
 
 def error_bound_af(problem: Problem, m: float, moves: int, alpha: float) -> float:
@@ -242,7 +232,7 @@ def error_bound_af(problem: Problem, m: float, moves: int, alpha: float) -> floa
         raise ArgumentError(f"moves must be nonnegative, got {moves}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ArgumentError(f"alpha must be finite and positive, got {alpha}")
-    delta = gradient_bound(problem).global_delta
+    delta = gradient_bound(problem)
     return len(problem.utilities) * (m + len(problem.agents) * moves * alpha * delta) * delta
 
 
@@ -257,18 +247,12 @@ def predicted_message_count(engine_kind: str, graph: nx.Graph, iterations: int =
     raise ArgumentError(f"unknown engine kind {engine_kind!r}")
 
 
-def discretization_gap(domain: ContinuousDomain, d: int) -> float:
-    """Distance between adjacent grid points; the full width for a single point."""
+def hypercube_size(problem: Problem, d: int) -> float:
+    """The m of the error bounds: the largest distance between adjacent grid
+    points of d per variable (a variable's full width for d = 1)."""
     if d < 1:
         raise ArgumentError(f"point count must be at least 1, got {d}")
-    if d == 1:
-        return domain.width
-    return domain.width / (d - 1)
-
-
-def hypercube_size(problem: Problem, d: int) -> float:
-    """Max discretization gap across variables (the m of the error bounds)."""
-    return max(discretization_gap(problem.domains[v], d) for v in problem.variables)
+    return max(problem.domains[v].width / max(d - 1, 1) for v in problem.variables)
 
 
 # --- serialization -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""DFS pseudo-tree construction over the constraint graph."""
+"""DFS pseudo-tree construction over the constraint graph: one walk yields the
+tree, its separators, and the post- and pre-order the DPOP phases follow."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -16,30 +17,8 @@ class PseudoTree:
     children: dict[str, tuple[str, ...]]
     separator: dict[str, frozenset[str]]
     induced_width: int
-
-    def post_order(self) -> list[str]:
-        """Children before parents; children visited in ascending id order."""
-        out = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for child in reversed(self.children[node]):
-                    stack.append((child, False))
-        return out
-
-    def pre_order(self) -> list[str]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            for child in reversed(self.children[node]):
-                stack.append(child)
-        return out
+    post_order: tuple[str, ...]  # DFS finish order: children before parents
+    pre_order: tuple[str, ...]  # DFS discovery order: parents before children
 
     def ancestors(self, node: str) -> list[str]:
         out = []
@@ -61,8 +40,6 @@ def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
     """
     if graph.number_of_nodes() == 0:
         raise StructureError("graph has no nodes")
-    if not nx.is_connected(graph):
-        raise StructureError("pseudo-tree requires a connected constraint graph")
 
     if root_choice is None:
         root = min(graph.nodes, key=lambda v: (-graph.degree(v), v))
@@ -75,7 +52,7 @@ def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
     children: dict[str, list[str]] = {v: [] for v in graph.nodes}
     visited: dict[str, int] = {}  # node -> DFS depth
     pseudo_parents: dict[str, set[str]] = {v: set() for v in graph.nodes}
-    finished: list[str] = []  # DFS finish order: children before parents
+    finished: list[str] = []
 
     # iterative DFS with explicit neighbor iterators for deterministic order;
     # on an undirected graph every non-tree edge joins a node to an ancestor
@@ -98,6 +75,8 @@ def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
         if not advanced:
             stack.pop()
             finished.append(node)
+    if len(finished) != graph.number_of_nodes():
+        raise StructureError("pseudo-tree requires a connected constraint graph")
 
     separator: dict[str, frozenset[str]] = {}
     for node in finished:
@@ -117,5 +96,7 @@ def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
         children={v: tuple(c) for v, c in children.items()},
         separator=separator,
         induced_width=width,
+        post_order=tuple(finished),
+        pre_order=tuple(visited),
     )
 

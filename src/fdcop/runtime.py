@@ -52,7 +52,6 @@ class EngineConfig:
     iterations: int = 1
     interpolation: str = "idw"
     seed: int = 0
-    piece_cap: int = 100_000
     row_cap: int = 10_000_000
 
     def __post_init__(self):
@@ -71,15 +70,15 @@ class EngineConfig:
 
 
 class Kernel:
-    """Mailboxes, statistics, and the audit trace for one run."""
+    """Mailboxes, statistics, and the audit trace for one run: with
+    `keep_trace`, one (sender, receiver, kind, scalar size) per message."""
 
     def __init__(self, keep_trace: bool = True):
         self.stats = RunStats()
         self.keep_trace = keep_trace
-        self.trace: list[tuple[int, str, str, str, int]] = []
+        self.trace: list[tuple[str, str, str, int]] = []
         self.reads: list[tuple[str, str]] = []
         self._inbox: dict[str, list[Message]] = {}
-        self._step = 0
         self._phase: str | None = None
         self._phase_start = 0.0
 
@@ -106,8 +105,7 @@ class Kernel:
         self.stats.total_scalars += scalar_size
         self.stats.max_message_scalars = max(self.stats.max_message_scalars, scalar_size)
         if self.keep_trace:
-            self.trace.append((self._step, sender, receiver, kind, scalar_size))
-        self._step += 1
+            self.trace.append((sender, receiver, kind, scalar_size))
 
     def collect(self, receiver: str, kind: str) -> list[Message]:
         """Pop all pending messages of one kind, in arrival order."""
@@ -120,7 +118,8 @@ class Kernel:
         self.reads.append((agent, key))
 
     def trace_lines(self) -> list[str]:
-        return [f"{s},{snd},{rcv},{kind},{size}" for s, snd, rcv, kind, size in self.trace]
+        return [f"{step},{snd},{rcv},{kind},{size}"
+                for step, (snd, rcv, kind, size) in enumerate(self.trace)]
 
 
 class AgentContext:

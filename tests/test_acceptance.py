@@ -35,7 +35,7 @@ def test_01_exactness_oracle():
         p = generators.gen_tree(n, 1000 + i, concave=True)
         u = utility_of(p, "ef-dpop", EngineConfig())
         oracle = oracles.elimination_grid_optimum(p, 2001)
-        delta = model.gradient_bound(p).global_delta
+        delta = model.gradient_bound(p)
         slack = len(p.utilities) * 0.1 * delta
         assert u >= oracle - 1e-6, f"instance {i}: {u} < oracle {oracle}"
         assert u - oracle <= slack, f"instance {i}: gap {u - oracle} > {slack}"
@@ -125,13 +125,13 @@ def test_06_message_sizes():
     for seed in range(5):
         p = generators.gen_graph(10, 0.2, seed, concave=True)
         caf = runtime.run(p, "caf-dpop", trend_config(k_clusters=k))
-        for _, sender, receiver, kind, size in caf.kernel.trace:
+        for sender, receiver, kind, size in caf.kernel.trace:
             if kind == UTIL and receiver != SYSTEM:
                 arity = len(caf.tree.separator[sender])
                 rows = size // (arity + 1)
                 assert rows <= k, f"seed {seed}: {sender} sent {rows} rows"
         af = runtime.run(p, "af-dpop", trend_config())
-        for _, sender, receiver, kind, size in af.kernel.trace:
+        for sender, receiver, kind, size in af.kernel.trace:
             if kind == UTIL and receiver != SYSTEM:
                 arity = len(af.tree.separator[sender])
                 if size // (arity + 1) > d ** arity:

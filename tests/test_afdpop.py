@@ -271,7 +271,7 @@ class TestClusteredMessages:
         p = generators.gen_graph(10, 0.2, 7, concave=True)
         cfg = EngineConfig(points=3, moves=10, alpha=0.001, k_clusters=10)
         result = runtime.run(p, "caf-dpop", cfg)
-        for _, sender, receiver, kind, size in result.kernel.trace:
+        for sender, receiver, kind, size in result.kernel.trace:
             if kind == runtime.UTIL and receiver != runtime.SYSTEM:
                 arity = len(result.tree.separator[sender])
                 assert size // (arity + 1) <= 10

@@ -55,7 +55,7 @@ class TestAgainstFineGrid:
         utility = model.evaluate_solution(p, result.assignment)
         oracle = oracles.elimination_grid_optimum(p, 2001)
         assert utility >= oracle - 1e-6
-        delta = model.gradient_bound(p).global_delta
+        delta = model.gradient_bound(p)
         assert utility - oracle <= len(p.utilities) * 0.1 * delta
 
     def test_linear_utilities(self):
@@ -92,7 +92,7 @@ class TestMissingTerms:
         assert math.isclose(result.reported_optimum, utility, rel_tol=1e-9, abs_tol=1e-9)
         oracle = oracles.elimination_grid_optimum(p, 2001)
         assert utility >= oracle - 1e-6
-        delta = model.gradient_bound(p).global_delta
+        delta = model.gradient_bound(p)
         assert utility - oracle <= len(p.utilities) * 0.1 * delta
 
 
@@ -125,7 +125,7 @@ class TestStructure:
     def test_message_sizes_are_piece_multiples(self):
         p = generators.gen_tree(8, 2, concave=True)
         result = runtime.run(p, "ef-dpop", EngineConfig())
-        for _, sender, receiver, kind, size in result.kernel.trace:
+        for sender, receiver, kind, size in result.kernel.trace:
             if kind == UTIL and receiver != SYSTEM:
                 assert size % SCALARS_PER_PIECE == 0
                 assert size > 0

@@ -1,7 +1,8 @@
 """Hybrid continuous max-sum baseline."""
 import pytest
 
-from fdcop import generators, model, runtime
+from fdcop import cli, generators, model, runtime
+from fdcop.errors import CapacityError
 from fdcop.runtime import (
     MS_FUNCTION_TO_VARIABLE,
     MS_VARIABLE_TO_FUNCTION,
@@ -10,6 +11,33 @@ from fdcop.runtime import (
 )
 
 from conftest import make_problem, quad
+
+
+def chain3_unit():
+    """x1 - x2 - x3 on [-1, 1]."""
+    return make_problem([quad("x1", "x2", a=-1.0, e=1.0), quad("x2", "x3", c=-1.0, e=0.5)],
+                        lb=-1.0, ub=1.0)
+
+
+class TestRowCap:
+    def test_refused_before_the_first_message(self):
+        with pytest.raises(CapacityError, match=r"^function nodes would join 25 cells each "
+                                                r"\(cap 20\)$") as exc:
+            runtime.run(chain3_unit(), "hcms", EngineConfig(points=5, row_cap=20))
+        assert exc.value.stats.total_messages == 0
+
+    def test_a_join_at_the_cap_runs(self):
+        result = runtime.run(chain3_unit(), "hcms", EngineConfig(points=4, row_cap=16))
+        assert result.stats.total_messages == 4 * 2
+
+    def test_cli_exits_before_any_message(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        model.save(chain3_unit(), path)
+        for engine in ("hcms", "dpop"):
+            code = cli.main(["solve", str(path), "--engine", engine, "-d", "200000"])
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_CAPACITY, err
+            assert "partial stats: messages=0 scalars=0" in err
 
 
 class TestMessageSchedule:
@@ -28,7 +56,7 @@ class TestMessageSchedule:
         p = generators.gen_tree(5, 1)
         for d in (1, 3, 9):
             result = runtime.run(p, "hcms", EngineConfig(points=d))
-            for _, _, _, _, size in result.kernel.trace:
+            for _, _, _, size in result.kernel.trace:
                 assert size == d
 
     def test_function_hosted_by_smaller_endpoint(self):
@@ -37,7 +65,7 @@ class TestMessageSchedule:
         g = model.build_constraint_graph(p)
         hosts = {min(u, v) for u, v in g.edges()}
         result = runtime.run(p, "hcms", EngineConfig())
-        for _, sender, receiver, kind, _ in result.kernel.trace:
+        for sender, receiver, kind, _ in result.kernel.trace:
             if kind == MS_VARIABLE_TO_FUNCTION:
                 assert receiver in hosts
                 assert g.has_edge(sender, receiver) or sender == receiver

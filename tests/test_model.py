@@ -75,6 +75,11 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             make_problem([quad("x", "y", e=1.0), quad("y", "x", e=2.0)])
 
+    def test_same_utility_twice_rejected(self):
+        f = quad("x", "y", e=1.0)
+        with pytest.raises(ValidationError, match=r"^duplicate utility over pair \['x', 'y'\]$"):
+            make_problem([f, quad("y", "z", e=1.0), f])
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValidationError):
             make_problem([quad("a", "b", e=1.0), quad("c", "d", e=1.0)])
@@ -172,20 +177,20 @@ class TestGradientBound:
         p = make_problem([quad("x", "y", a=1.0, c=1.0)],
                          domains={"x": ContinuousDomain(-1, 1),
                                   "y": ContinuousDomain(-1, 1)})
-        assert model.gradient_bound(p).global_delta == 4.0
+        assert model.gradient_bound(p) == 4.0
 
     def test_product_corner(self):
         p = make_problem([quad("x", "y", e=1.0)],
                          domains={"x": ContinuousDomain(0, 2),
                                   "y": ContinuousDomain(0, 2)})
-        assert model.gradient_bound(p).global_delta == 4.0
+        assert model.gradient_bound(p) == 4.0
 
     def test_mixed_case_41(self):
         # f(x,y) = -x^2 + 2xy + y on [0,10]^2; max corner value 41 at (10,0)
         p = make_problem([quad("x", "y", a=-1.0, e=2.0, d=1.0)],
                          domains={"x": ContinuousDomain(0, 10),
                                   "y": ContinuousDomain(0, 10)})
-        assert model.gradient_bound(p).global_delta == pytest.approx(41.0)
+        assert model.gradient_bound(p) == pytest.approx(41.0)
 
     def test_dominates_sampled_gradients(self):
         rng = random.Random(7)
@@ -195,7 +200,7 @@ class TestGradientBound:
                      c=rng.uniform(-5, 5), d=rng.uniform(-5, 5),
                      e=rng.uniform(-5, 5))
             p = make_problem([f])
-            bound = model.gradient_bound(p).per_function[f]
+            bound = model.gradient_bound(p)  # the one utility's bound
             for _ in range(500):
                 vi = rng.uniform(-100, 100)
                 vj = rng.uniform(-100, 100)
@@ -207,7 +212,7 @@ class TestErrorBounds:
     def test_discrete_direct(self):
         p = make_problem([quad("x", "y", e=1.0), quad("y", "z", e=1.0),
                           quad("x", "z", e=1.0)])
-        delta = model.gradient_bound(p).global_delta
+        delta = model.gradient_bound(p)
         assert model.error_bound_discrete(p, 2.0) == pytest.approx(3 * 2.0 * delta)
 
     def test_af_moves_zero_collapses(self):

@@ -4,6 +4,7 @@ of messages; and scaling every utility by a power of two scales the run's
 optimum by it and leaves everything else alone."""
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,9 +46,7 @@ CONFIGS = st.builds(EngineConfig, points=st.integers(1, 5), moves=st.integers(0,
                     interpolation=st.sampled_from(["idw", "nearest"]))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(problem=problems(), config=CONFIGS, engine=st.sampled_from(model.ENGINE_KINDS))
-def test_typed_error_or_finite_in_domain_assignment(problem, config, engine):
+def assert_typed_error_or_finite_in_domain_assignment(problem, config, engine):
     try:
         result = runtime.run(problem, engine, config, keep_trace=False)
     except FdcopError:
@@ -56,9 +55,50 @@ def test_typed_error_or_finite_in_domain_assignment(problem, config, engine):
     assert set(values) == set(problem.variables)
     for var, x in values.items():
         assert math.isfinite(x) and problem.domains[var].contains(x), (var, x)
+    assert math.isfinite(result.reported_optimum)
     graph = model.build_constraint_graph(problem)
     assert result.stats.total_messages == model.predicted_message_count(
         engine, graph, config.iterations)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(problem=problems(), config=CONFIGS, engine=st.sampled_from(model.ENGINE_KINDS))
+def test_typed_error_or_finite_in_domain_assignment(problem, config, engine):
+    assert_typed_error_or_finite_in_domain_assignment(problem, config, engine)
+
+
+def summed_bound(problem) -> float:
+    """The bound `Problem.validate` puts on the utilities' sum: each term's
+    largest magnitude on the domain box, summed over the terms and utilities."""
+    total = 0.0
+    for f in problem.utilities:
+        mi, mj = (max(abs(problem.domains[v].lb), abs(problem.domains[v].ub)) for v in f.scope)
+        a, b, c, d, e, f0 = map(abs, f.coeffs)
+        total += a * mi * mi + b * mi + c * mj * mj + d * mj + e * mi * mj + f0
+    return total
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(problem=problems(), config=CONFIGS, engine=st.sampled_from(model.ENGINE_KINDS))
+def test_valid_problems_at_the_float_limit(problem, config, engine):
+    """Every coefficient times the power of two 2^k that lifts the summed
+    bound into [2^1023, float max]: the largest problem `validate` accepts,
+    within a factor of two (problems where a coefficient would overflow
+    first are left out). Each engine still ends in a typed error or a
+    finite, in-domain assignment with the predicted message count."""
+    graph = model.build_constraint_graph(problem)
+    assume(engine != "ef-dpop" or graph.number_of_edges() == len(problem.variables) - 1)
+    bound = summed_bound(problem)
+    assume(bound > 0.0)
+    # no larger k keeps the bound, and every coefficient, below 2^1024
+    k = min(1024 - math.frexp(x)[1] for f in problem.utilities for x in (bound, *f.coeffs) if x)
+    lifted = dataclasses.replace(problem, utilities=tuple(
+        QuadraticBinaryUtility(f.first_var, f.second_var, *(math.ldexp(c, k) for c in f.coeffs))
+        for f in problem.utilities))
+    # scaling is exact away from the subnormal range, where it may round up
+    assume(2.0 ** 1023 <= summed_bound(lifted) <= sys.float_info.max)
+    lifted.validate()
+    assert_typed_error_or_finite_in_domain_assignment(lifted, config, engine)
 
 
 @pytest.mark.parametrize("engine", model.ENGINE_KINDS)

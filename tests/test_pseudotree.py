@@ -88,8 +88,8 @@ class TestTraversals:
     def test_orders_cover_all_nodes(self):
         p = generators.gen_graph(10, 0.3, 1)
         tree = pseudotree.build(model.build_constraint_graph(p))
-        post = tree.post_order()
-        pre = tree.pre_order()
+        post = tree.post_order
+        pre = tree.pre_order
         assert sorted(post) == sorted(p.variables)
         assert sorted(pre) == sorted(p.variables)
         assert post[-1] == tree.root
@@ -98,3 +98,65 @@ class TestTraversals:
         pos = {v: i for i, v in enumerate(post)}
         for child, parent in tree.parent.items():
             assert pos[child] < pos[parent]
+
+
+def stack_post_order(tree):
+    """Oracle: a post-order stack walk of `children`, apart from the DFS
+    that `build` records its orders in."""
+    out = []
+    stack = [(tree.root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            out.append(node)
+        else:
+            stack.append((node, True))
+            for child in reversed(tree.children[node]):
+                stack.append((child, False))
+    return out
+
+
+def stack_pre_order(tree):
+    """Oracle: the matching pre-order walk of `children`."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        for child in reversed(tree.children[node]):
+            stack.append(child)
+    return out
+
+
+def reversed_graph(g):
+    """The same graph with its nodes and edges inserted in reverse order and
+    every edge's endpoints swapped."""
+    reverse = nx.Graph()
+    reverse.add_nodes_from(reversed(list(g.nodes)))
+    reverse.add_edges_from((v, u) for u, v in reversed(list(g.edges)))
+    return reverse
+
+
+def oracle_graphs():
+    """60 graphs: 25 from `gen_tree`, 25 from `gen_graph` (16 with cycles),
+    and the last ten of the latter inserted in reverse."""
+    trees = [model.build_constraint_graph(generators.gen_tree(3 + seed, seed))
+             for seed in range(25)]
+    graphs = [model.build_constraint_graph(
+        generators.gen_graph(4 + seed % 12, 0.15 + 0.05 * (seed % 5), seed)) for seed in range(25)]
+    return trees + graphs + [reversed_graph(g) for g in graphs[-10:]]
+
+
+class TestStoredOrdersMatchTheWalks:
+    @pytest.mark.parametrize("root", [None, "first"])
+    def test_against_the_stack_walks(self, root):
+        graphs = oracle_graphs()
+        assert len(graphs) >= 50
+        for g in graphs:
+            tree = pseudotree.build(g, root_choice=next(iter(g.nodes)) if root else None)
+            assert tree.post_order == tuple(stack_post_order(tree))
+            assert tree.pre_order == tuple(stack_pre_order(tree))
+
+    def test_reverse_insertion_gives_the_same_tree(self):
+        g = model.build_constraint_graph(generators.gen_graph(12, 0.3, 5))
+        assert pseudotree.build(reversed_graph(g)) == pseudotree.build(g)

@@ -1,5 +1,8 @@
 """Simulated message-passing kernel: accounting, isolation, determinism."""
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,15 @@ class TestEngineConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ArgumentError):
             EngineConfig(**kwargs)
+
+    def test_readme_lists_every_knob(self):
+        """The backticked names that open the bullets of README's "Key knobs
+        in `EngineConfig`" list are exactly the config's fields."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("Key knobs in `EngineConfig`:\n\n", 1)[1].split("\n\n", 1)[0]
+        listed = [name for item in section.split("\n- ")
+                  for name in re.findall(r"`(\w+)`", item.split(" — ", 1)[0])]
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(EngineConfig))
 
 
 class TestKernel:
@@ -51,6 +63,16 @@ class TestKernel:
         k = Kernel()
         k.send("a", "b", UTIL, None, 4)
         assert k.trace_lines() == ["0,a,b,UTIL,4"]
+
+    def test_trace_keeps_one_tuple_per_message(self):
+        k = Kernel()
+        k.send("a", "b", UTIL, None, 4)
+        k.send("b", "a", VALUE, None, 1)
+        assert k.trace == [("a", "b", UTIL, 4), ("b", "a", VALUE, 1)]
+        assert k.trace_lines() == ["0,a,b,UTIL,4", "1,b,a,VALUE,1"]
+        untraced = Kernel(keep_trace=False)
+        untraced.send("a", "b", UTIL, None, 4)
+        assert untraced.trace == [] and untraced.stats.total_messages == 1
 
 
 class TestRun:
@@ -166,7 +188,7 @@ class TestAuditIsolation:
         p = generators.gen_tree(6, 0)
         tree = pseudotree.build(model.build_constraint_graph(p))
         kernel = Kernel()
-        post = tree.post_order()
+        post = tree.post_order
         leaf = post[0]
         far = next(v for v in post
                    if v != leaf and v not in tree.separator[leaf]
