@@ -78,7 +78,7 @@ def cmd_generate(args) -> int:
         problem = generators.gen_tree(args.n, args.seed, concave=args.concave)
     else:
         problem = generators.gen_graph(args.n, args.p1, args.seed, concave=args.concave)
-    tree = pseudotree.build(model.build_constraint_graph(problem))
+    tree = pseudotree.build(problem.graph)
     if args.out:
         with _writing(args.out):
             model.save(problem, args.out)
@@ -90,7 +90,6 @@ def cmd_generate(args) -> int:
 
 
 def _solve_report(problem, engine, config, result) -> dict:
-    graph = model.build_constraint_graph(problem)
     m = model.hypercube_size(problem, config.points)
     return {
         "engine": engine,
@@ -109,7 +108,7 @@ def _solve_report(problem, engine, config, result) -> dict:
             "error_bound_discrete": model.error_bound_discrete(problem, m),
             "error_bound_af": model.error_bound_af(problem, m, config.moves, config.alpha),
             "predicted_messages": model.predicted_message_count(
-                engine, graph, config.iterations),
+                engine, problem.graph, config.iterations),
         },
     }
 
@@ -230,7 +229,7 @@ def cmd_bench(args) -> int:
 def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str, bool, str]]:
     """Run the analytic checks on one instance; returns (name, ok, detail)."""
     checks = []
-    graph = model.build_constraint_graph(problem)
+    graph = problem.graph
     tree = pseudotree.build(graph)
     is_tree = tree.is_tree()
     m = model.hypercube_size(problem, d)

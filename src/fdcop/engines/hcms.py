@@ -31,8 +31,7 @@ from .common import discretize, join
 def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     d = config.points
     variables = sorted(contexts)
-    edges = [tuple(sorted(e)) for e in graph.edges()]
-    edges.sort()
+    edges = sorted(graph.edges())  # each (u, v) with u < v
 
     samples = {v: list(discretize(contexts[v].own_domain(), d)) for v in variables}
     if edges and d * d > config.row_cap:  # refused before the first message, like dpop

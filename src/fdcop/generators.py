@@ -68,16 +68,12 @@ def gen_graph(n: int, p1: float, seed: int, lb: float = DEFAULT_LB,
     if not 0.0 < p1 <= 1.0:
         raise ArgumentError(f"edge probability must be in (0, 1], got {p1}")
     rng = random.Random(seed)
-    edges = []
-    present = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p1:
-                edges.append((i, j))
-                present.add((i, j))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p1]
 
-    # union-find over components, bridged with uniform random cross edges
+    # union-find over components, bridged with uniform random cross edges; a
+    # cross edge joins two components, so it is never already an edge
     parent = list(range(n))
+    components = n
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -85,16 +81,19 @@ def gen_graph(n: int, p1: float, seed: int, lb: float = DEFAULT_LB,
             i = parent[i]
         return i
 
+    def union(i: int, j: int) -> bool:
+        nonlocal components
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return False
+        parent[ri] = rj
+        components -= 1
+        return True
+
     for i, j in edges:
-        parent[find(i)] = find(j)
-    while len({find(i) for i in range(n)}) > 1:
+        union(i, j)
+    while components > 1:
         i, j = rng.randrange(n), rng.randrange(n)
-        if find(i) == find(j):
-            continue
-        edge = (min(i, j), max(i, j))
-        if edge in present:
-            continue
-        edges.append(edge)
-        present.add(edge)
-        parent[find(i)] = find(j)
+        if union(i, j):
+            edges.append((min(i, j), max(i, j)))
     return _assemble(n, edges, rng, lb, ub, concave)

@@ -9,8 +9,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .errors import (
     ArgumentError,
     IncompleteSolutionError,
@@ -110,13 +108,57 @@ class Assignment:
         return self.values[var]
 
 
+class ConstraintGraph:
+    """Undirected simple graph with one node per variable and one edge per
+    pair of variables that shares a utility.
+
+    Nodes come in sorted order and each node's neighbors are sorted. A
+    `Problem` builds its graph once and every caller shares it, so it has no
+    mutators.
+    """
+
+    __slots__ = ("nodes", "_adjacency", "_edge_count")
+
+    def __init__(self, variables, utilities):
+        adjacency: dict[str, set[str]] = {v: set() for v in sorted(variables)}
+        for f in utilities:
+            # an undeclared variable becomes a node; validate() refuses the problem
+            adjacency.setdefault(f.first_var, set()).add(f.second_var)
+            adjacency.setdefault(f.second_var, set()).add(f.first_var)
+        self._adjacency = {v: tuple(sorted(nbs)) for v, nbs in adjacency.items()}
+        self._edge_count = sum(map(len, adjacency.values())) // 2
+        self.nodes: tuple[str, ...] = tuple(adjacency)
+
+    def __contains__(self, node) -> bool:
+        return node in self._adjacency
+
+    def neighbors(self, node: str) -> tuple[str, ...]:
+        return self._adjacency[node]
+
+    def degree(self, node: str) -> int:
+        return len(self._adjacency[node])
+
+    def number_of_nodes(self) -> int:
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        return self._edge_count
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Each edge once, as (u, v) with u < v."""
+        return [(u, v) for u in self.nodes for v in self._adjacency[u] if u < v]
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return v in self._adjacency.get(u, ())
+
+
 @dataclass(frozen=True)
 class Problem:
     """Agents, their variables and domains, and the binary utilities.
 
     `utility_between` is O(1): it reads an index by variable pair that is
-    built once at construction. The index is derived from `utilities`, so it
-    takes no part in equality or `repr`.
+    built once at construction, next to the constraint graph `graph`. Both
+    are derived from `utilities`, so they take no part in equality or `repr`.
     """
 
     agents: tuple[str, ...]
@@ -126,6 +168,7 @@ class Problem:
     owner: dict[str, str] = field(default_factory=dict)
     _by_pair: dict[frozenset[str], QuadraticBinaryUtility] = field(
         init=False, repr=False, compare=False)
+    graph: ConstraintGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_pair: dict[frozenset[str], QuadraticBinaryUtility] = {}
@@ -133,6 +176,7 @@ class Problem:
             # the first utility over a pair wins; validate() rejects duplicates
             by_pair.setdefault(frozenset(f.scope), f)
         object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "graph", ConstraintGraph(self.variables, self.utilities))
 
     def validate(self) -> None:
         if sorted(self.owner) != sorted(self.variables):
@@ -144,19 +188,22 @@ class Problem:
         for var in self.variables:
             if var not in self.domains:
                 raise ValidationError(f"variable {var!r} has no domain")
+        # each declared variable's largest magnitude on its domain
+        largest = {v: max(abs(self.domains[v].lb), abs(self.domains[v].ub))
+                   for v in self.variables}
         total = 0.0
         for u in self.utilities:
-            for var in u.scope:
-                if var not in self.domains:
-                    raise ValidationError(f"utility references undeclared variable {var!r}")
-            pair = frozenset(u.scope)
-            if self._by_pair[pair] is not u:  # the index keeps a pair's first utility
-                raise ValidationError(f"duplicate utility over pair {sorted(pair)}")
+            mi, mj = largest.get(u.first_var), largest.get(u.second_var)
+            if mi is None or mj is None:
+                stray = u.first_var if mi is None else u.second_var
+                raise ValidationError(f"utility references undeclared variable {stray!r}")
+            # the index keeps a pair's first utility
+            if self._by_pair[frozenset(u.scope)] is not u:
+                raise ValidationError(f"duplicate utility over pair {sorted(u.scope)}")
             # |u| over the domain box is at most this sum of each term's
             # largest magnitude; if it overflows, evaluating u may too
-            mi, mj = (max(abs(self.domains[v].lb), abs(self.domains[v].ub)) for v in u.scope)
-            a, b, c, d, e, f0 = map(abs, u.coeffs)
-            bound = a * mi * mi + b * mi + c * mj * mj + d * mj + e * mi * mj + f0
+            bound = (abs(u.coeff_a) * mi * mi + abs(u.coeff_b) * mi + abs(u.coeff_c) * mj * mj
+                     + abs(u.coeff_d) * mj + abs(u.coeff_e) * mi * mj + abs(u.coeff_f0))
             if not math.isfinite(bound):
                 raise ValidationError(f"utility over {list(u.scope)} overflows the float "
                                       f"range on its domains")
@@ -167,9 +214,15 @@ class Problem:
         # the same bound on any sum of utilities, such as the optimum
         if not math.isfinite(total):
             raise ValidationError("the utilities' sum overflows the float range on their domains")
-        graph = build_constraint_graph(self)
-        if len(self.variables) > 1 and not nx.is_connected(graph):
-            raise ValidationError("constraint graph is disconnected")
+        if self.variables:
+            reached, frontier = {self.variables[0]}, [self.variables[0]]
+            while frontier:
+                for nb in self.graph.neighbors(frontier.pop()):
+                    if nb not in reached:
+                        reached.add(nb)
+                        frontier.append(nb)
+            if len(reached) < len(self.variables):
+                raise ValidationError("constraint graph is disconnected")
 
     def utility_between(self, u: str, v: str) -> QuadraticBinaryUtility | None:
         return self._by_pair.get(frozenset((u, v)))
@@ -191,13 +244,9 @@ def evaluate_solution(problem: Problem, assignment: Assignment) -> float:
     return sum(f.value_at(assignment.values) for f in problem.utilities)
 
 
-def build_constraint_graph(problem: Problem) -> nx.Graph:
-    """Undirected simple graph with one node per variable and one edge per utility."""
-    graph = nx.Graph()
-    graph.add_nodes_from(sorted(problem.variables))
-    for f in problem.utilities:
-        graph.add_edge(f.first_var, f.second_var)
-    return graph
+def build_constraint_graph(problem: Problem) -> ConstraintGraph:
+    """The problem's constraint graph, built once at its construction."""
+    return problem.graph
 
 
 def gradient_bound(problem: Problem) -> float:
@@ -236,7 +285,7 @@ def error_bound_af(problem: Problem, m: float, moves: int, alpha: float) -> floa
     return len(problem.utilities) * (m + len(problem.agents) * moves * alpha * delta) * delta
 
 
-def predicted_message_count(engine_kind: str, graph: nx.Graph, iterations: int = 1) -> int:
+def predicted_message_count(engine_kind: str, graph: ConstraintGraph, iterations: int = 1) -> int:
     """Analytic message totals: 4*iterations*|E| for hcms, 2*|X| otherwise."""
     if engine_kind == "hcms":
         if iterations < 1:

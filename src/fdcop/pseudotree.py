@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import StructureError
+from .model import ConstraintGraph
 
 
 @dataclass(frozen=True)
@@ -31,12 +30,14 @@ class PseudoTree:
         return all(not pp for pp in self.pseudo_parents.values())
 
 
-def build(graph: nx.Graph, root_choice: str | None = None) -> PseudoTree:
+def build(graph: ConstraintGraph, root_choice: str | None = None) -> PseudoTree:
     """Deterministic DFS pseudo-tree.
 
     The root defaults to a max-degree node (ties to the smallest id) and
     neighbors are visited in ascending id order, so the same graph always
-    yields the same arrangement.
+    yields the same arrangement. `graph` may be any object with the
+    `ConstraintGraph` reads used here (`nodes`, `neighbors`, `degree`,
+    `number_of_nodes`, `in`), a `networkx.Graph` among them.
     """
     if graph.number_of_nodes() == 0:
         raise StructureError("graph has no nodes")

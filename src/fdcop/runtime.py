@@ -165,10 +165,9 @@ def audit_isolation(kernel: Kernel, problem: model.Problem,
     """Check the read log: each agent read only its own domain and those of
     its neighbors (and, with a tree, its separator). Messages need no check,
     since `collect` only reads the receiver's own mailbox."""
-    graph = model.build_constraint_graph(problem)
     allowed_domains: dict[str, set[str]] = {}
     for var in problem.variables:
-        allowed = {var} | set(graph.neighbors(var))
+        allowed = {var} | set(problem.graph.neighbors(var))
         if tree is not None:
             allowed |= set(tree.separator[var])
         allowed_domains[var] = allowed
@@ -212,12 +211,11 @@ def run(problem: model.Problem, engine: str, config: EngineConfig | None = None,
         raise ArgumentError(f"unknown engine {engine!r}")
     problem.validate()
     kernel = Kernel(keep_trace=keep_trace)
-    graph = model.build_constraint_graph(problem)
 
     tree = None
     if engine in model.DPOP_FAMILY:
         kernel.phase("pseudotree")
-        tree = pseudotree.build(graph)
+        tree = pseudotree.build(problem.graph)
 
     contexts = {var: AgentContext(kernel, problem, tree, var) for var in problem.variables}
     try:
@@ -231,7 +229,7 @@ def run(problem: model.Problem, engine: str, config: EngineConfig | None = None,
             values, optimum = afdpop.run(contexts, tree, kernel, config, clustered=True)
         else:
             kernel.phase("maxsum")
-            values, optimum = hcms.run(contexts, graph, kernel, config)
+            values, optimum = hcms.run(contexts, problem.graph, kernel, config)
     except CapacityError as exc:
         kernel.close()
         if exc.stats is None:

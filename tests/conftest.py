@@ -1,4 +1,5 @@
 """Shared builders for small hand-made problem instances."""
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -28,6 +29,15 @@ def util_table(separator_vars, rows):
     """A UtilTable from ((values...), utility) pairs."""
     values = np.array([v for v, _ in rows], dtype=float).reshape(len(rows), len(separator_vars))
     return UtilTable(separator_vars, values, np.array([u for _, u in rows], dtype=float))
+
+
+def nx_copy(graph):
+    """A `networkx.Graph` with a `ConstraintGraph`'s nodes and edges in its
+    order, for tests that use networkx as an oracle."""
+    copy = nx.Graph()
+    copy.add_nodes_from(graph.nodes)
+    copy.add_edges_from(graph.edges())
+    return copy
 
 
 def quad(first, second, a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f0=0.0):

@@ -117,6 +117,10 @@ class TestUtilityIndex:
         assert q.utility_between("x3", "x1") is g
         assert q.utility_between("x2", "x3") is None
         assert p.utility_between("x2", "x3") is p.utilities[1]
+        # the constraint graph is derived afresh too
+        assert q.graph is not p.graph
+        assert q.graph.has_edge("x3", "x1") and not q.graph.has_edge("x2", "x3")
+        assert p.graph.has_edge("x2", "x3") and not p.graph.has_edge("x1", "x3")
 
     def test_equality_repr_and_dict_ignore_index(self):
         a = generators.gen_graph(12, 0.3, seed=7)
@@ -124,8 +128,15 @@ class TestUtilityIndex:
         assert a == b
         assert repr(a) == repr(b)
         assert "_by_pair" not in repr(a)
+        assert "graph=" not in repr(a)
         assert model.problem_to_dict(a) == model.problem_to_dict(b)
         assert model.loads(model.dumps(a)) == a
+        # a different graph object, even one of another problem, changes nothing
+        assert a.graph is not b.graph
+        object.__setattr__(b, "graph", model.ConstraintGraph((), ()))
+        assert a == b
+        assert repr(a) == repr(b)
+        assert model.problem_to_dict(a) == model.problem_to_dict(b)
 
 
 def payload_text(payload):

@@ -84,6 +84,18 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             make_problem([quad("a", "b", e=1.0), quad("c", "d", e=1.0)])
 
+    @pytest.mark.parametrize("engine", model.ENGINE_KINDS)
+    def test_utility_over_a_variable_with_a_domain_but_undeclared(self, engine):
+        # "z" has a domain but is not a variable: no agent owns it, so no
+        # engine could give it a value
+        dom = ContinuousDomain(-1.0, 1.0)
+        p = model.Problem(agents=("ax", "ay"), variables=("x", "y"),
+                          domains={"x": dom, "y": dom, "z": dom},
+                          utilities=(quad("x", "y", e=1.0), quad("y", "z", e=1.0)),
+                          owner={"x": "ax", "y": "ay"})
+        with pytest.raises(ValidationError, match="^utility references undeclared variable 'z'$"):
+            runtime.run(p, engine)
+
     def test_owner_must_be_bijective(self):
         p = make_problem([quad("x", "y", e=1.0)])
         bad = model.Problem(agents=p.agents, variables=p.variables,

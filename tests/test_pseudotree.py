@@ -5,6 +5,8 @@ import pytest
 from fdcop import generators, model, pseudotree
 from fdcop.errors import StructureError
 
+from conftest import nx_copy
+
 
 def path3():
     g = nx.Graph()
@@ -131,6 +133,7 @@ def stack_pre_order(tree):
 def reversed_graph(g):
     """The same graph with its nodes and edges inserted in reverse order and
     every edge's endpoints swapped."""
+    g = nx_copy(g)
     reverse = nx.Graph()
     reverse.add_nodes_from(reversed(list(g.nodes)))
     reverse.add_edges_from((v, u) for u, v in reversed(list(g.edges)))
