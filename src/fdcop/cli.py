@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import generators, model, oracles, pseudotree, runtime
+from . import generators, model, oracles, runtime
 from .errors import (ArgumentError, CapacityError, FdcopError, StructureError,
                      ValidationError)
 
@@ -78,19 +78,32 @@ def cmd_generate(args) -> int:
         problem = generators.gen_tree(args.n, args.seed, concave=args.concave)
     else:
         problem = generators.gen_graph(args.n, args.p1, args.seed, concave=args.concave)
-    tree = pseudotree.build(problem.graph)
+    width = problem.tree.induced_width
     if args.out:
         with _writing(args.out):
             model.save(problem, args.out)
     else:
         print(model.dumps(problem))
     print(f"variables={len(problem.variables)} constraints={len(problem.utilities)} "
-          f"pseudo_tree_width={tree.induced_width}", file=sys.stderr)
+          f"pseudo_tree_width={width}", file=sys.stderr)
     return EXIT_OK
 
 
 def _solve_report(problem, engine, config, result) -> dict:
     m = model.hypercube_size(problem, config.points)
+    if math.isfinite(m):
+        error_discrete = model.error_bound_discrete(problem, m)
+        error_af = model.error_bound_af(problem, m, config.moves, config.alpha)
+    else:  # a domain whose width overflows
+        error_discrete = error_af = math.inf
+    bounds = {
+        "gradient_delta": model.gradient_bound(problem),
+        "hypercube_m": m,
+        "error_bound_discrete": error_discrete,
+        "error_bound_af": error_af,
+        "predicted_messages": model.predicted_message_count(
+            engine, problem.graph, config.iterations),
+    }
     return {
         "engine": engine,
         "config": {
@@ -102,14 +115,8 @@ def _solve_report(problem, engine, config, result) -> dict:
         "reported_optimum": result.reported_optimum,
         "assignment": dict(sorted(result.assignment.values.items())),
         "stats": dataclasses.asdict(result.stats),
-        "bounds": {
-            "gradient_delta": model.gradient_bound(problem),
-            "hypercube_m": m,
-            "error_bound_discrete": model.error_bound_discrete(problem, m),
-            "error_bound_af": model.error_bound_af(problem, m, config.moves, config.alpha),
-            "predicted_messages": model.predicted_message_count(
-                engine, problem.graph, config.iterations),
-        },
+        # strict JSON has no inf or NaN: a bound past the float range is null
+        "bounds": {k: v if math.isfinite(v) else None for k, v in bounds.items()},
     }
 
 
@@ -227,11 +234,13 @@ def cmd_bench(args) -> int:
 
 
 def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str, bool, str]]:
-    """Run the analytic checks on one instance; returns (name, ok, detail)."""
+    """Run the analytic checks on one instance; returns (name, ok, detail).
+
+    The grid oracle is computed first, so an instance too large for it is
+    refused (CapacityError) before any engine runs."""
     checks = []
-    graph = problem.graph
-    tree = pseudotree.build(graph)
-    is_tree = tree.is_tree()
+    oracle = oracles.elimination_grid_optimum(problem, oracle_points)
+    is_tree = problem.tree.is_tree()
     m = model.hypercube_size(problem, d)
 
     engines = list(model.DPOP_FAMILY) + ["hcms"]
@@ -247,7 +256,7 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
             checks.append((f"{engine} run", False, f"capacity: {exc}"))
 
     for engine, result in results.items():
-        predicted = model.predicted_message_count(engine, graph, 1)
+        predicted = model.predicted_message_count(engine, problem.graph, 1)
         ok = result.stats.total_messages == predicted
         checks.append((f"message count {engine}", ok,
                        f"measured {result.stats.total_messages}, predicted {predicted}"))
@@ -255,7 +264,6 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
         checks.append((f"isolation audit {engine}", audit.ok,
                        f"{len(audit.violations)} violations"))
 
-    oracle = oracles.elimination_grid_optimum(problem, oracle_points)
     if "dpop" in results:
         u = model.evaluate_solution(problem, results["dpop"].assignment)
         bound = model.error_bound_discrete(problem, m)
@@ -366,6 +374,9 @@ def main(argv=None) -> int:
     except (ValidationError, ArgumentError, StructureError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except CapacityError as exc:  # solve and bench report their own
+        print(f"capacity exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     except OutputError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INVALID

@@ -286,21 +286,24 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         sep_arrays = [np.array(s) for s in sep_sets]
         current = grid.copy()
         live = np.arange(len(grid))  # rows still moving
-        for _ in range(config.moves):
-            if not len(live):
-                break
-            rows = current[live]
-            snapped = [_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays)]
-            x_star = cand_arr[best_candidate_idx[
-                np.ravel_multi_index(snapped, [len(s) for s in sep_sets])]]
-            nxt = rows.copy()
-            for j, w in enumerate(sep_vars):
-                if (f := constraints.get(w)) is not None:
-                    v, dom = rows[:, j], sep_domains[w]
-                    step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
-                    nxt[:, j] = np.minimum(np.maximum(step, dom.lb), dom.ub)
-            current[live] = nxt
-            live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
+        # a large alpha steps past the float range; the clamp maps ±inf to
+        # the bound, as the scalar leaf moves do
+        with np.errstate(over="ignore"):
+            for _ in range(config.moves):
+                if not len(live):
+                    break
+                rows = current[live]
+                snapped = [_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays)]
+                x_star = cand_arr[best_candidate_idx[
+                    np.ravel_multi_index(snapped, [len(s) for s in sep_sets])]]
+                nxt = rows.copy()
+                for j, w in enumerate(sep_vars):
+                    if (f := constraints.get(w)) is not None:
+                        v, dom = rows[:, j], sep_domains[w]
+                        step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
+                        nxt[:, j] = np.minimum(np.maximum(step, dom.lb), dom.ub)
+                current[live] = nxt
+                live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
 
         return UtilTable(sep_vars, current,
                          (scores(current) if config.moves else grid_scores).max(axis=1))

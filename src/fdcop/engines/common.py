@@ -138,7 +138,7 @@ def best_own_response(utilities: list[QuadraticBinaryUtility], var: str,
 
 def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):
     """Run the two DPOP phases over the kernel, in the tree's stored post-
-    and pre-order.
+    and pre-order, timing them as the kernel's `"util"` and `"value"` phases.
 
     util_fn(var, child_payloads) gets the children's UTIL payloads in sender
     order and returns (payload, scalar_size) for non-root agents and the
@@ -149,29 +149,29 @@ def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):
     up (the root reports its optimum to the system endpoint) and every agent
     receives exactly one VALUE (the root's comes from the system kick-off).
     """
-    kernel.phase("util")
     optimum = None
-    for var in tree.post_order:
-        msgs = sorted(kernel.collect(var, UTIL), key=lambda m: m.sender)
-        child_payloads = [m.payload for m in msgs]
-        if var == tree.root:
-            optimum = util_fn(var, child_payloads)
-            kernel.send(var, SYSTEM, UTIL, {"optimum": optimum}, 1)
-        else:
-            payload, size = util_fn(var, child_payloads)
-            kernel.send(var, tree.parent[var], UTIL, payload, size)
+    with kernel.phase("util"):
+        for var in tree.post_order:
+            msgs = sorted(kernel.collect(var, UTIL), key=lambda m: m.sender)
+            child_payloads = [m.payload for m in msgs]
+            if var == tree.root:
+                optimum = util_fn(var, child_payloads)
+                kernel.send(var, SYSTEM, UTIL, {"optimum": optimum}, 1)
+            else:
+                payload, size = util_fn(var, child_payloads)
+                kernel.send(var, tree.parent[var], UTIL, payload, size)
 
-    kernel.phase("value")
-    kernel.send(SYSTEM, tree.root, VALUE, {}, 0)
     values: dict[str, float] = {}
-    for var in tree.pre_order:
-        known = dict(kernel.collect(var, VALUE)[0].payload)
-        try:
-            key = tuple(known[w] for w in sorted(tree.separator[var]))
-        except KeyError as exc:
-            raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
-        known[var] = values[var] = value_fn(var, key)
-        for child in tree.children[var]:
-            payload = {w: known[w] for w in sorted(tree.separator[child])}
-            kernel.send(var, child, VALUE, payload, len(payload))
+    with kernel.phase("value"):
+        kernel.send(SYSTEM, tree.root, VALUE, {}, 0)
+        for var in tree.pre_order:
+            known = dict(kernel.collect(var, VALUE)[0].payload)
+            try:
+                key = tuple(known[w] for w in sorted(tree.separator[var]))
+            except KeyError as exc:
+                raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
+            known[var] = values[var] = value_fn(var, key)
+            for child in tree.children[var]:
+                payload = {w: known[w] for w in sorted(tree.separator[child])}
+                kernel.send(var, child, VALUE, payload, len(payload))
     return values, optimum

@@ -3,12 +3,14 @@ solution evaluation, and the analytic bound calculators used by the
 verification tooling."""
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 
+from . import pseudotree
 from .errors import (
     ArgumentError,
     IncompleteSolutionError,
@@ -157,8 +159,10 @@ class Problem:
     """Agents, their variables and domains, and the binary utilities.
 
     `utility_between` is O(1): it reads an index by variable pair that is
-    built once at construction, next to the constraint graph `graph`. Both
-    are derived from `utilities`, so they take no part in equality or `repr`.
+    built once at construction, next to the constraint graph `graph`. The
+    DFS pseudo-tree `tree` is built from `graph` on first use and kept. All
+    three are derived from `utilities`, so they take no part in equality,
+    `repr` or serialization.
     """
 
     agents: tuple[str, ...]
@@ -223,6 +227,12 @@ class Problem:
                         frontier.append(nb)
             if len(reached) < len(self.variables):
                 raise ValidationError("constraint graph is disconnected")
+
+    @functools.cached_property
+    def tree(self) -> pseudotree.PseudoTree:
+        """The default-root `pseudotree.build(self.graph)`, which every
+        DPOP-family run, the audit and the CLI share."""
+        return pseudotree.build(self.graph)
 
     def utility_between(self, u: str, v: str) -> QuadraticBinaryUtility | None:
         return self._by_pair.get(frozenset((u, v)))

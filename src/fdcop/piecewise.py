@@ -17,7 +17,8 @@ from enum import Enum
 
 from .errors import ArgumentError, CapacityError, DomainMismatchError, OutOfDomainError
 
-DEFAULT_PIECE_CAP = 100_000
+# work guard on the pieces of one sum or projection
+PIECE_CAP = 100_000
 
 # roots this close to an interval endpoint snap onto it, avoiding sliver pieces
 SNAP_EPS = 1e-9
@@ -89,7 +90,7 @@ class BestResponse:
         raise OutOfDomainError(f"no best-response piece covers {v}")
 
 
-def add(f: Unary, g: Unary, piece_cap: int = DEFAULT_PIECE_CAP) -> Unary:
+def add(f: Unary, g: Unary) -> Unary:
     """Sum of two functions of the same variable, cut on the union of both
     breakpoint sets; on each cell f's coefficient is added first."""
     if f.var != g.var:
@@ -101,8 +102,8 @@ def add(f: Unary, g: Unary, piece_cap: int = DEFAULT_PIECE_CAP) -> Unary:
         )
     cuts = sorted({v for lo, hi, *_ in f.pieces + g.pieces for v in (lo, hi)})
     count = max(1, len(cuts) - 1)
-    if count > piece_cap:
-        raise CapacityError(f"addition would create {count} pieces (cap {piece_cap})")
+    if count > PIECE_CAP:
+        raise CapacityError(f"addition would create {count} pieces (cap {PIECE_CAP})")
 
     pieces = []
     for lo, hi in itertools.pairwise(cuts):
@@ -231,8 +232,7 @@ def _envelope(candidates: list[tuple], yl: float, yh: float) -> list[tuple]:
     return out
 
 
-def project(own: Unary, constraint, other_domain: Interval,
-            piece_cap: int = DEFAULT_PIECE_CAP) -> tuple[Unary, BestResponse]:
+def project(own: Unary, constraint, other_domain: Interval) -> tuple[Unary, BestResponse]:
     """Maximize `own` plus `constraint`'s remaining terms over own's variable.
 
     `own` holds the constraint's own-variable terms and constant plus the
@@ -270,8 +270,8 @@ def project(own: Unary, constraint, other_domain: Interval,
                                    (ResponseKind.AFFINE, slope, intercept)))
 
     segments = _envelope(candidates, yl, yh)
-    if len(segments) > piece_cap:
-        raise CapacityError(f"projection produced {len(segments)} pieces (cap {piece_cap})")
+    if len(segments) > PIECE_CAP:
+        raise CapacityError(f"projection produced {len(segments)} pieces (cap {PIECE_CAP})")
     projected = Unary(y, tuple((lo, hi, *coeffs) for lo, hi, coeffs, _ in segments))
     responses = BestResponse(tuple((lo, hi, Response(*resp)) for lo, hi, _, resp in segments))
     return projected, responses

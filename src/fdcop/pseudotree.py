@@ -3,9 +3,12 @@ tree, its separators, and the post- and pre-order the DPOP phases follow."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import StructureError
-from .model import ConstraintGraph
+
+if TYPE_CHECKING:
+    from .model import ConstraintGraph
 
 
 @dataclass(frozen=True)

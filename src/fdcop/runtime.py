@@ -10,6 +10,7 @@ read that can reach another agent's data) for the post-run audit.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ MESSAGE_KINDS = (UTIL, VALUE, MS_VARIABLE_TO_FUNCTION, MS_FUNCTION_TO_VARIABLE)
 @dataclass(frozen=True)
 class Message:
     sender: str
-    kind: str
     payload: object
 
 
@@ -71,35 +71,34 @@ class EngineConfig:
 
 class Kernel:
     """Mailboxes, statistics, and the audit trace for one run: with
-    `keep_trace`, one (sender, receiver, kind, scalar size) per message."""
+    `keep_trace`, one (sender, receiver, kind, scalar size) per message.
+
+    A mailbox holds one receiver's pending messages of one kind, in arrival
+    order. `phase_timings[name]` is the time spent inside `phase(name)`
+    blocks."""
 
     def __init__(self, keep_trace: bool = True):
         self.stats = RunStats()
         self.keep_trace = keep_trace
         self.trace: list[tuple[str, str, str, int]] = []
         self.reads: list[tuple[str, str]] = []
-        self._inbox: dict[str, list[Message]] = {}
-        self._phase: str | None = None
-        self._phase_start = 0.0
+        self._inbox: dict[tuple[str, str], list[Message]] = {}
 
-    def phase(self, name: str) -> None:
-        now = time.perf_counter()
-        if self._phase is not None:
-            self.stats.phase_timings[self._phase] = (
-                self.stats.phase_timings.get(self._phase, 0.0) + now - self._phase_start
-            )
-        self._phase = name
-        self._phase_start = now
-
-    def close(self) -> None:
-        self.phase("__done__")
-        self.stats.phase_timings.pop("__done__", None)
-        self._phase = None
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Add the time spent inside the block to `phase_timings[name]`, also
+        when the block raises."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            timings = self.stats.phase_timings
+            timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
     def send(self, sender: str, receiver: str, kind: str, payload, scalar_size: int) -> None:
         if kind not in MESSAGE_KINDS:
             raise ArgumentError(f"unknown message kind {kind!r}")
-        self._inbox.setdefault(receiver, []).append(Message(sender, kind, payload))
+        self._inbox.setdefault((receiver, kind), []).append(Message(sender, payload))
         self.stats.total_messages += 1
         self.stats.messages_by_kind[kind] = self.stats.messages_by_kind.get(kind, 0) + 1
         self.stats.total_scalars += scalar_size
@@ -109,10 +108,7 @@ class Kernel:
 
     def collect(self, receiver: str, kind: str) -> list[Message]:
         """Pop all pending messages of one kind, in arrival order."""
-        pending = self._inbox.get(receiver, [])
-        taken = [m for m in pending if m.kind == kind]
-        self._inbox[receiver] = [m for m in pending if m.kind != kind]
-        return taken
+        return self._inbox.pop((receiver, kind), [])
 
     def log_read(self, agent: str, key: str) -> None:
         self.reads.append((agent, key))
@@ -202,7 +198,13 @@ def _check_outcome(problem: model.Problem, engine: str, values: dict[str, float]
 
 def run(problem: model.Problem, engine: str, config: EngineConfig | None = None,
         keep_trace: bool = True) -> RunResult:
-    """Execute one engine on one problem under the simulated runtime."""
+    """Execute one engine on one problem under the simulated runtime.
+
+    A DPOP-family engine runs on `problem.tree`, the problem's one pseudo-tree,
+    which is also the result's `tree`; `hcms` runs on `problem.graph` and its
+    result has no tree. The kernel times the `"pseudotree"` read, the engine's
+    `"util"` and `"value"` phases, and `hcms`'s `"maxsum"`; a `CapacityError`
+    carries the statistics up to the refusal, timings included."""
     from .engines import discrete, efdpop, afdpop, hcms
 
     if config is None:
@@ -214,8 +216,8 @@ def run(problem: model.Problem, engine: str, config: EngineConfig | None = None,
 
     tree = None
     if engine in model.DPOP_FAMILY:
-        kernel.phase("pseudotree")
-        tree = pseudotree.build(problem.graph)
+        with kernel.phase("pseudotree"):
+            tree = problem.tree
 
     contexts = {var: AgentContext(kernel, problem, tree, var) for var in problem.variables}
     try:
@@ -228,14 +230,12 @@ def run(problem: model.Problem, engine: str, config: EngineConfig | None = None,
         elif engine == "caf-dpop":
             values, optimum = afdpop.run(contexts, tree, kernel, config, clustered=True)
         else:
-            kernel.phase("maxsum")
-            values, optimum = hcms.run(contexts, problem.graph, kernel, config)
+            with kernel.phase("maxsum"):
+                values, optimum = hcms.run(contexts, problem.graph, kernel, config)
     except CapacityError as exc:
-        kernel.close()
         if exc.stats is None:
             exc.stats = kernel.stats
         raise
-    kernel.close()
     _check_outcome(problem, engine, values, optimum)
     return RunResult(
         assignment=model.Assignment(dict(values)),

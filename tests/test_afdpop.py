@@ -149,6 +149,20 @@ class TestLeafMove:
         assert out[1] == 2.0
 
 
+class TestStepPastTheFloatRange:
+    """alpha times a gradient can overflow; such a step ends at the domain
+    bound, on the scalar leaf path and on the array path of agents with
+    children alike, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    @pytest.mark.parametrize("problem", [generators.gen_tree(8, 1),
+                                         generators.gen_graph(6, 0.5, 1)],
+                             ids=["tree", "graph"])
+    def test_largest_finite_alpha(self, problem, engine):
+        result = runtime.run(problem, engine, EngineConfig(alpha=1e308))
+        assert all(problem.domains[v].contains(x) for v, x in result.assignment.values.items())
+
+
 def nearest_point(points, v):
     """The point of `points` nearest to v; ties go to the smaller point."""
     return min(points, key=lambda p: (abs(v - p), p))
@@ -403,7 +417,7 @@ class TestChildLookupReuse:
 
         def record_phase(kernel, name):
             phase[0] = name
-            real_phase(kernel, name)
+            return real_phase(kernel, name)
 
         def interp(table, queries, how):
             calls.append(phase[0])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdcop import cli, generators, model
 from fdcop.engines import afdpop, discrete, efdpop, hcms
+from fdcop.runtime import EngineConfig
 
 from conftest import make_problem, quad
 
@@ -172,6 +173,37 @@ class TestSolve:
         assert code == 0
         report = json.loads(out)
         assert report["utility"] >= report["bounds"]["error_bound_discrete"] * -1
+
+    @staticmethod
+    def strict_bounds(capsys, path, *argv):
+        """The report's bounds, parsed as strict JSON."""
+        code, out, _ = run_cli(capsys, "solve", str(path), "--engine", "ef-dpop", *argv)
+        assert code == cli.EXIT_OK
+
+        def refuse(constant):
+            pytest.fail(f"the report holds {constant}, which strict JSON refuses")
+
+        return json.loads(out, parse_constant=refuse)["bounds"]
+
+    def test_overflowing_af_bound_is_null(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        run_cli(capsys, "generate", "tree", "-n", "5", "-o", str(path))
+        bounds = self.strict_bounds(capsys, path, "--alpha", "1e300")
+        assert bounds["error_bound_af"] is None
+        assert None not in (bounds["hypercube_m"], bounds["error_bound_discrete"])
+
+    def test_overflowing_domain_width_is_null(self, tmp_path, capsys):
+        # a width of 2e308 overflows; tiny linear terms keep validate's bound finite
+        doc = model.problem_to_dict(generators.gen_tree(3, 0))
+        for entry in doc["variables"]:
+            entry["lb"], entry["ub"] = -1e308, 1e308
+        for entry in doc["constraints"]:
+            entry["coeffs"] = [0.0, 1e-10, 0.0, 1e-10, 0.0, 0.0]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        bounds = self.strict_bounds(capsys, path)
+        assert bounds["hypercube_m"] is bounds["error_bound_discrete"] \
+            is bounds["error_bound_af"] is None
 
 
 # gen_graph(5, 0.5, seed=1) as a problem file, and the leaf and container
@@ -345,11 +377,42 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0
 
+    def test_oracle_capacity_refusal(self, tmp_path, capsys, monkeypatch):
+        # a complete graph on 6 variables: the 200-point grid oracle would
+        # build a 200^6-cell factor
+        path = tmp_path / "p.json"
+        model.save(generators.gen_graph(6, 1.0, 0), path)
+
+        def engine_ran(*args, **kwargs):
+            pytest.fail("an engine ran before the oracle's capacity refusal")
+
+        monkeypatch.setattr(cli.runtime, "run", engine_ran)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == cli.EXIT_CAPACITY == 3
+        assert out == ""
+        assert err.startswith("capacity exceeded: elimination would build a "
+                              "64000000000000-cell factor")
+
     def test_rejects_large_instance(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         run_cli(capsys, "generate", "tree", "-n", "9", "-o", str(path))
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == cli.EXIT_INVALID
+
+
+class TestEngineFlagDefaults:
+    """The engine flags restate `EngineConfig`'s defaults."""
+
+    def test_solve(self):
+        args = cli.build_parser().parse_args(["solve", "p.json"])
+        assert cli._config_from_args(args) == EngineConfig()
+
+    def test_bench(self):
+        args = cli.build_parser().parse_args(["bench", "-o", "b.csv"])
+        default = EngineConfig()
+        assert (args.d, args.moves, args.alpha, args.clusters, args.iters, args.interp) == (
+            [default.points], [default.moves], default.alpha, default.k_clusters,
+            default.iterations, default.interpolation)
 
 
 class TestEngineError:

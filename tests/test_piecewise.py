@@ -96,10 +96,11 @@ class TestAdd:
         with pytest.raises(ArgumentError):
             piecewise.add(single("x", 0.0, 1.0), single("y", 0.0, 1.0))
 
-    def test_piece_cap(self):
+    def test_piece_cap(self, monkeypatch):
+        monkeypatch.setattr(piecewise, "PIECE_CAP", 10)
         f = Unary("x", tuple((float(i), float(i + 1), 0.0, 0.0, 0.0) for i in range(49)))
         with pytest.raises(CapacityError, match=r"addition would create 49 pieces \(cap 10\)"):
-            piecewise.add(f, f, piece_cap=10)
+            piecewise.add(f, f)
 
 
 class TestProject:
@@ -186,11 +187,12 @@ class TestProject:
         with pytest.raises(ArgumentError):
             piecewise.project(single("z", 0.0, 1.0, c1=1.0), f, (0.0, 1.0))
 
-    def test_piece_cap(self):
+    def test_piece_cap(self, monkeypatch):
+        monkeypatch.setattr(piecewise, "PIECE_CAP", 1)
         # a convex x: both endpoints win on part of y, so two pieces
         f = QuadraticBinaryUtility("x", "y", 1.0, 0.0, 0.0, 0.0, 1.0)
         with pytest.raises(CapacityError, match=r"projection produced 2 pieces \(cap 1\)"):
-            piecewise.project(own_terms(f, -1.0, 1.0), f, (-2.0, 2.0), piece_cap=1)
+            piecewise.project(own_terms(f, -1.0, 1.0), f, (-2.0, 2.0))
 
 
 class TestEvaluate:

@@ -143,7 +143,7 @@ def piece_polynomial(piece, var, f):
     return Poly2({m: c for m, c in terms if c != 0.0})
 
 
-def reference_project(own, f, other_domain, piece_cap=piecewise.DEFAULT_PIECE_CAP):
+def reference_project(own, f, other_domain, piece_cap=piecewise.PIECE_CAP):
     """Projection of own + f's remaining terms onto f's other variable."""
     var = own.var
     y = f.other_var(var)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fdcop import generators, model, pseudotree, runtime
+from fdcop import cli, generators, model, pseudotree, runtime
 from fdcop.engines import discrete
 from fdcop.errors import ArgumentError, CapacityError, ProtocolError
 from fdcop.runtime import SYSTEM, UTIL, VALUE, EngineConfig, Kernel
@@ -58,6 +58,16 @@ class TestKernel:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ArgumentError):
             Kernel().send("a", "b", "GOSSIP", None, 0)
+
+    def test_phase_adds_the_time_inside_its_block(self, monkeypatch):
+        ticks = iter([1.0, 3.0, 10.0, 14.0])
+        monkeypatch.setattr(runtime.time, "perf_counter", lambda: next(ticks))
+        k = Kernel()
+        with k.phase("util"):
+            pass
+        with pytest.raises(CapacityError), k.phase("util"):
+            raise CapacityError("refused")
+        assert k.stats.phase_timings == {"util": 6.0}
 
     def test_trace_lines(self):
         k = Kernel()
@@ -127,11 +137,51 @@ class TestRun:
             runtime.run(p, "dpop", EngineConfig(points=9, row_cap=100))
         assert err.value.stats is not None
         assert err.value.stats.total_messages >= 0
+        assert "util" in err.value.stats.phase_timings
 
     def test_phase_timings_recorded(self):
         p = generators.gen_tree(5, 0)
         result = runtime.run(p, "dpop", EngineConfig())
         assert {"pseudotree", "util", "value"} <= set(result.stats.phase_timings)
+
+
+class TestOneTreePerProblem:
+    """A problem builds its pseudo-tree once, on first use, and every run,
+    audit and CLI command on it reads that one tree."""
+
+    def test_one_build_across_runs_audit_and_cli(self, monkeypatch, capsys):
+        p = generators.gen_tree(6, 1, concave=True)
+        builds = []
+        real_build = pseudotree.build
+
+        def counting_build(graph, root_choice=None):
+            builds.append(graph)
+            return real_build(graph, root_choice)
+
+        monkeypatch.setattr(pseudotree, "build", counting_build)
+        p.validate()
+        for engine in model.DPOP_FAMILY * 2:
+            result = runtime.run(p, engine, EngineConfig())
+            assert runtime.audit_isolation(result.kernel, p, result.tree).ok
+        assert all(ok for _, ok, _ in cli.verify_problem(p, 3))
+        monkeypatch.setattr(generators, "gen_tree", lambda *args, **kwargs: p)
+        assert cli.main(["generate", "tree", "-n", "6"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert builds == [p.graph]
+
+    def test_result_reads_the_problem_tree(self):
+        p = generators.gen_graph(7, 0.4, 3)
+        for engine in ("dpop", "af-dpop", "caf-dpop"):
+            assert runtime.run(p, engine, EngineConfig()).tree is p.tree
+        assert runtime.run(p, "hcms", EngineConfig()).tree is None
+
+    def test_derived_tree_is_not_part_of_the_problem(self):
+        p = generators.gen_tree(5, 2)
+        q = dataclasses.replace(p)
+        tree = p.tree
+        assert q.tree is not tree and q.tree == tree
+        assert p == q and repr(p) == repr(q)
+        assert model.problem_to_dict(p) == model.problem_to_dict(generators.gen_tree(5, 2))
 
 
 class TestOutcomeCheck:
