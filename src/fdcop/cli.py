@@ -223,7 +223,7 @@ def cmd_bench(args) -> int:
             group = cells[key]
             ok = [r for r in group if r["status"] == "ok"]
             if ok:
-                mean_u = repr(sum(float(r["utility"]) for r in ok) / len(ok))
+                mean_u = repr(model.left_sum(float(r["utility"]) for r in ok) / len(ok))
                 mean_m = repr(sum(int(r["messages"]) for r in ok) / len(ok))
                 mean_s = repr(sum(int(r["total_scalars"]) for r in ok) / len(ok))
             else:
@@ -247,9 +247,9 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
     if not is_tree:
         engines.remove("ef-dpop")
 
+    config = runtime.EngineConfig(points=d, seed=0)
     results = {}
     for engine in engines:
-        config = runtime.EngineConfig(points=d, seed=0)
         try:
             results[engine] = runtime.run(problem, engine, config)
         except CapacityError as exc:
@@ -271,14 +271,12 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
                        f"gap {oracle - u:.6g} <= bound {bound:.6g}"))
     if "af-dpop" in results:
         u = model.evaluate_solution(problem, results["af-dpop"].assignment)
-        config = runtime.EngineConfig(points=d, seed=0)
         bound = model.error_bound_af(problem, m, config.moves, config.alpha)
         checks.append(("af error bound", oracle - u <= bound + 1e-9,
                        f"gap {oracle - u:.6g} <= bound {bound:.6g}"))
 
     if is_tree and "dpop" in results:
-        config = runtime.EngineConfig(points=d, moves=0, seed=0)
-        af0 = runtime.run(problem, "af-dpop", config)
+        af0 = runtime.run(problem, "af-dpop", dataclasses.replace(config, moves=0))
         same = af0.assignment.values == results["dpop"].assignment.values
         checks.append(("no-move reduction", same, "af-dpop(moves=0) vs dpop assignment"))
 
@@ -294,7 +292,6 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
 
     if "caf-dpop" in results:
         result = results["caf-dpop"]
-        config = runtime.EngineConfig(points=d, seed=0)
         worst = 0
         for sender, receiver, kind, size in result.kernel.trace:
             if kind != runtime.UTIL or receiver == runtime.SYSTEM:

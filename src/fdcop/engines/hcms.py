@@ -8,6 +8,11 @@ the best partner value reported by each adjacent function. Variables decide
 positionally: the sample index with the best summed incoming vector wins,
 ties going to the smallest index.
 
+Samples, q and r vectors and partners are read-only float arrays, one entry
+per sample. A q vector's mean sums it left to right, on every interpreter.
+Variable-node sums past the float range go to inf or NaN silently, and a
+NaN step ends at the lower bound, as in `ContinuousDomain.clamp`.
+
 A function node's message to one endpoint, r[i] = max_j f(x_i, y_j) + q[j]
 with the first maximizing partner, runs on the join kernel that dpop and
 af/caf-dpop build their UTIL tables with (`common.join`): the endpoint's
@@ -19,13 +24,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CapacityError, ProtocolError
-from ..runtime import (
-    MS_FUNCTION_TO_VARIABLE,
-    MS_VARIABLE_TO_FUNCTION,
-    EngineConfig,
-    Kernel,
-)
+from ..model import left_sum
+from ..runtime import MS_FUNCTION_TO_VARIABLE, MS_VARIABLE_TO_FUNCTION, EngineConfig, Kernel
 from .common import discretize, join
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def run(contexts, graph, kernel: Kernel, config: EngineConfig):
@@ -33,7 +39,7 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     variables = sorted(contexts)
     edges = sorted(graph.edges())  # each (u, v) with u < v
 
-    samples = {v: list(discretize(contexts[v].own_domain(), d)) for v in variables}
+    samples = {v: frozen(np.array(discretize(contexts[v].own_domain(), d))) for v in variables}
     if edges and d * d > config.row_cap:  # refused before the first message, like dpop
         raise CapacityError(f"function nodes would join {d * d} cells each (cap {config.row_cap})")
     incident = {v: [] for v in variables}
@@ -43,30 +49,33 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     # each endpoint's own utility over each of its edges, looked up once
     constraint = {(e, v): contexts[v].constraint_with(e[0] if v == e[1] else e[1])
                   for e in edges for v in e}
-    r_store = {(e, v): [0.0] * d for e in edges for v in e}
+    r_store = {(e, v): np.zeros(d) for e in edges for v in e}
     partner_at = {}
+    at = np.arange(d)  # a function node's row index per endpoint sample
+
+    def summed(v, skip=None):
+        """0.0 plus v's stored r vectors in edge order, but the one over `skip`."""
+        total = np.zeros(d)
+        for e in incident[v]:
+            if e != skip:
+                total += r_store[(e, v)]
+        return total
 
     for _ in range(config.iterations):
         # variable nodes: q = mean-centered sum of the other functions' vectors
-        for v in variables:
-            for e in incident[v]:
-                q = [0.0] * d
-                for other in incident[v]:
-                    if other == e:
-                        continue
-                    r = r_store[(other, v)]
-                    q = [a + b for a, b in zip(q, r)]
-                mean = sum(q) / d
-                q = [a - mean for a in q]
-                payload = {"edge": e, "var": v, "values": list(samples[v]), "q": q}
-                kernel.send(v, e[0], MS_VARIABLE_TO_FUNCTION, payload, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in variables:
+                for e in incident[v]:
+                    q = summed(v, skip=e)
+                    q -= q.cumsum()[-1] / d
+                    payload = {"edge": e, "values": samples[v], "q": frozen(q)}
+                    kernel.send(v, e[0], MS_VARIABLE_TO_FUNCTION, payload, d)
 
         # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax
         for host in variables:
-            msgs = kernel.collect(host, MS_VARIABLE_TO_FUNCTION)
             by_edge: dict[tuple, dict[str, dict]] = {}
-            for m in msgs:
-                by_edge.setdefault(m.payload["edge"], {})[m.payload["var"]] = m.payload
+            for m in kernel.collect(host, MS_VARIABLE_TO_FUNCTION):
+                by_edge.setdefault(m.payload["edge"], {})[m.sender] = m.payload
             for e, inputs in sorted(by_edge.items()):
                 if set(inputs) != set(e):
                     raise ProtocolError(f"function node {e} is missing a q message")
@@ -76,46 +85,30 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 for v in e:
                     w = e[0] if v == e[1] else e[1]
                     xs, ys = inputs[v]["values"], inputs[w]["values"]
-                    cells = join(w, ys, (v,), np.array(xs).reshape(len(xs), 1),
-                                 [inputs[w]["q"]], [f])
+                    cells = join(w, ys, (v,), xs.reshape(d, 1), [inputs[w]["q"]], [f])
                     best = cells.argmax(axis=1)  # the first maximum: the smallest index
-                    payload = {"edge": e, "values": cells[np.arange(len(xs)), best].tolist(),
-                               "argmax": [ys[j] for j in best.tolist()]}
+                    payload = {"edge": e, "values": frozen(cells[at, best]),
+                               "argmax": frozen(ys[best])}
                     kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
 
         # variable nodes: store the vectors, then move every sample one step
         for v in variables:
             for m in kernel.collect(v, MS_FUNCTION_TO_VARIABLE):
-                e = m.payload["edge"]
-                r_store[(e, v)] = m.payload["values"]
-                partner_at[(e, v)] = m.payload["argmax"]
-        for v in variables:
-            dom = contexts[v].own_domain()
-            terms = [(partner_at[(e, v)], constraint[(e, v)]) for e in incident[v]]
-            moved = []
-            for i, x in enumerate(samples[v]):
-                grad = 0.0
-                for partners, f in terms:
-                    if f.first_var == v:
-                        grad += f.partial(v, x, partners[i])
-                    else:
-                        grad += f.partial(v, partners[i], x)
-                moved.append(dom.clamp(x + config.alpha * grad))
-            samples[v] = moved
+                r_store[(m.payload["edge"], v)] = m.payload["values"]
+                partner_at[(m.payload["edge"], v)] = m.payload["argmax"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in variables:
+                x, grad = samples[v], np.zeros(d)
+                for e in incident[v]:
+                    f, ys = constraint[(e, v)], partner_at[(e, v)]
+                    grad += f.partial(v, x, ys) if f.first_var == v else f.partial(v, ys, x)
+                # min(ub, max(lb, step)): NaN and ties, 0.0 with -0.0 too, go to the bound
+                dom, step = contexts[v].own_domain(), x + config.alpha * grad
+                step = np.where(step > dom.lb, step, dom.lb)
+                samples[v] = frozen(np.where(step < dom.ub, step, dom.ub))
 
-    values = {}
-    for v in variables:
-        belief = [0.0] * d
-        for e in incident[v]:
-            belief = [a + b for a, b in zip(belief, r_store[(e, v)])]
-        best_i = 0
-        for i in range(1, d):
-            if belief[i] > belief[best_i]:
-                best_i = i
-        values[v] = samples[v][best_i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = {v: float(samples[v][summed(v).argmax()]) for v in variables}
 
     # reporting convenience for the runner; not part of the message protocol
-    total = 0.0
-    for e in edges:
-        total += constraint[(e, e[0])].value_at(values)
-    return values, total
+    return values, left_sum(constraint[(e, e[0])].value_at(values) for e in edges)

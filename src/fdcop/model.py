@@ -7,6 +7,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -183,6 +184,8 @@ class Problem:
         object.__setattr__(self, "graph", ConstraintGraph(self.variables, self.utilities))
 
     def validate(self) -> None:
+        if not self.variables:
+            raise ValidationError("a problem needs at least one variable")
         if sorted(self.owner) != sorted(self.variables):
             raise ValidationError("owner map must cover exactly the declared variables")
         if sorted(set(self.owner.values())) != sorted(self.agents):
@@ -218,15 +221,14 @@ class Problem:
         # the same bound on any sum of utilities, such as the optimum
         if not math.isfinite(total):
             raise ValidationError("the utilities' sum overflows the float range on their domains")
-        if self.variables:
-            reached, frontier = {self.variables[0]}, [self.variables[0]]
-            while frontier:
-                for nb in self.graph.neighbors(frontier.pop()):
-                    if nb not in reached:
-                        reached.add(nb)
-                        frontier.append(nb)
-            if len(reached) < len(self.variables):
-                raise ValidationError("constraint graph is disconnected")
+        reached, frontier = {self.variables[0]}, [self.variables[0]]
+        while frontier:
+            for nb in self.graph.neighbors(frontier.pop()):
+                if nb not in reached:
+                    reached.add(nb)
+                    frontier.append(nb)
+        if len(reached) < len(self.variables):
+            raise ValidationError("constraint graph is disconnected")
 
     @functools.cached_property
     def tree(self) -> pseudotree.PseudoTree:
@@ -251,7 +253,14 @@ def evaluate_solution(problem: Problem, assignment: Assignment) -> float:
                 f"value {assignment.values[var]} of {var!r} is outside "
                 f"[{problem.domains[var].lb}, {problem.domains[var].ub}]"
             )
-    return sum(f.value_at(assignment.values) for f in problem.utilities)
+    return left_sum(f.value_at(assignment.values) for f in problem.utilities)
+
+
+def left_sum(values) -> float:
+    """0.0 plus the floats one by one, left to right, as the builtin `sum`
+    adds them up to Python 3.11; from 3.12 on `sum` compensates its rounding,
+    which can change the last bit."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def build_constraint_graph(problem: Problem) -> ConstraintGraph:

@@ -107,6 +107,14 @@ class TestSolve:
         assert code == cli.EXIT_INVALID
         assert out == "" and "invalid input" in err
 
+    @pytest.mark.parametrize("engine", model.ENGINE_KINDS)
+    def test_problem_without_variables(self, tmp_path, capsys, engine):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"agents": [], "variables": [], "constraints": []}))
+        code, out, err = run_cli(capsys, "solve", str(path), "--engine", engine)
+        assert code == cli.EXIT_INVALID
+        assert out == "" and err.startswith("invalid input: ")
+
     def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "p.json"
         run_cli(capsys, "generate", "tree", "-n", "5", "--seed", "2", "-o", str(path))

@@ -101,6 +101,34 @@ class TestSolutionQuality:
         assert r1.kernel.trace == r2.kernel.trace
 
 
+class TestPastTheFloatRange:
+    """Sums and steps past the float range end where the scalar loops ended
+    them, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("problem", [generators.gen_tree(8, 1),
+                                         generators.gen_graph(6, 0.5, 1)],
+                             ids=["tree", "graph"])
+    def test_largest_finite_alpha(self, problem):
+        result = runtime.run(problem, "hcms", EngineConfig(alpha=1e308))
+        assert all(problem.domains[v].contains(x) for v, x in result.assignment.values.items())
+
+    def test_nan_gradient_ends_at_the_lower_bound(self):
+        # 2 * 1e308 is inf, so x's partials are inf * 0 = NaN at x = 0 and
+        # inf - inf = NaN beyond; every NaN step is clamped to lb
+        p = make_problem([quad("x", "y", a=1e308), quad("x", "z", a=-1e308)], lb=0.0, ub=0.5)
+        result = runtime.run(p, "hcms", EngineConfig(points=3))
+        assert result.assignment.values == {"x": 0.0, "y": 0.0, "z": 0.0}
+        assert result.reported_optimum == 0.0
+
+    def test_a_step_that_ties_a_negative_zero_bound_keeps_the_bound(self):
+        # x climbs -x^2 on [-1, -0.0]: its sample at -1 steps past ub to -0.0,
+        # where the gradient is 0.0, so the next step is -0.0 + 0.0 = 0.0; as
+        # in min(ub, max(lb, step)) the tie goes to ub, sign and all
+        p = make_problem([quad("x", "y", a=-1.0)], lb=-1.0, ub=-0.0)
+        result = runtime.run(p, "hcms", EngineConfig(points=2, iterations=3, alpha=1.0))
+        assert float.hex(result.assignment["x"]) == "-0x0.0p+0"
+
+
 def per_cell(f, v, xs, ys, qy):
     """A function node's message to v, cell by cell: per sample x of v, the
     best f(x, y) + q[j] over the partner's samples, and the first partner
@@ -121,7 +149,7 @@ class TestPerCellReference:
     """Every function-to-variable message equals the per-cell loop on the
     q messages it answers, float for float. Generated problems have f0 = 0.0,
     so the join's 0.0 + q + f and the loop's f + q agree even in the sign of
-    a zero."""
+    a zero. No array of a max-sum payload can be written to."""
 
     @staticmethod
     def run_checked(monkeypatch, problem, config):
@@ -129,8 +157,9 @@ class TestPerCellReference:
         real_send = Kernel.send
 
         def send(kernel, sender, receiver, kind, payload, scalar_size):
+            assert not any(a.flags.writeable for k, a in payload.items() if k != "edge")
             if kind == MS_VARIABLE_TO_FUNCTION:
-                latest_q[(payload["edge"], payload["var"])] = payload
+                latest_q[(payload["edge"], sender)] = payload
             elif kind == MS_FUNCTION_TO_VARIABLE:
                 e, v = payload["edge"], receiver
                 w = e[0] if v == e[1] else e[1]
@@ -164,4 +193,4 @@ class TestPerCellReference:
         to_x = [(payload, ys) for e, v, payload, ys in checked if v == "x"]
         assert len(to_x) == 3
         for payload, ys in to_x:
-            assert payload["argmax"] == [ys[0]] * 4
+            assert payload["argmax"].tolist() == [ys[0]] * 4

@@ -6,11 +6,13 @@ schedule shows here even though it is deterministic from run to run.
 """
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from fdcop import generators, model, piecewise, pseudotree, runtime
+from fdcop.engines import hcms
 from fdcop.engines.common import UtilTable
 from fdcop.runtime import EngineConfig
 
@@ -142,23 +144,30 @@ class TestUtilityIndex:
 def payload_text(payload):
     """An ef-dpop message as its variable and the float.hex of every piece
     scalar; a dpop/af/caf table as its variables and the float.hex of every
-    coordinate and utility, row by row; the root's optimum by repr."""
+    coordinate and utility, row by row; an hcms message as its edge and the
+    float.hex of each of its vectors, named; the root's optimum by repr."""
     if isinstance(payload, piecewise.Unary):
         return " ".join([payload.var] + [float.hex(v) for p in payload.pieces for v in p])
     if isinstance(payload, UtilTable):
         scalars = np.column_stack([payload.rows, payload.utils]).ravel().tolist()
         return " ".join([*payload.separator_vars] + [float.hex(v) for v in scalars])
+    if "edge" in payload:
+        return " ".join([*payload["edge"]] + [
+            f"{key}: " + " ".join(float.hex(float(v)) for v in payload[key])
+            for key in ("values", "q", "argmax") if key in payload])
     return repr(payload)
 
 
 def payload_digest(problem, engine, config, monkeypatch):
-    """run_digest extended by the text of every UTIL payload in send order, so
-    a change to a message's content shows even when its size does not."""
+    """run_digest extended by the text of every UTIL and max-sum payload in
+    send order, so a change to a message's content shows even when its size
+    does not."""
     payloads = []
     send = runtime.Kernel.send
 
     def recording_send(self, sender, receiver, kind, payload, scalar_size):
-        if kind == runtime.UTIL:
+        if kind in (runtime.UTIL, runtime.MS_VARIABLE_TO_FUNCTION,
+                    runtime.MS_FUNCTION_TO_VARIABLE):
             payloads.append(payload_text(payload))
         send(self, sender, receiver, kind, payload, scalar_size)
 
@@ -185,11 +194,28 @@ GOLDEN_PAYLOADS = [
      "048150dbe978316ffe98934f1bd011558041badee2de1e39bb46a166023852c1"),
     (WIDTH3_GRAPH, "caf-dpop", EngineConfig(k_clusters=4),
      "7490543fa66fbeeca8e5d45e336f8c11d8e7f84c39d6ef1ce91a3bbc2d0675b0"),
+    (HCMS_GRAPH, "hcms", EngineConfig(points=5, iterations=3),
+     "520f23326a7846b1a33394985f09eb220273f9180ed28a7a63d5e40b0de7a429"),
+    # q vectors of 10 entries, which numpy's pairwise np.sum would reorder
+    (HCMS_GRAPH, "hcms", EngineConfig(points=10, iterations=2),
+     "62a4790d0d72cc9900a9cd0b13b1f396cc6ffde9229d6b4587675a5541a9c8ca"),
 ]
 
 
 @pytest.mark.parametrize("problem, engine, config, expected", GOLDEN_PAYLOADS,
                          ids=["nonconcave-tree-ef-dpop", "unit-tree-ef-dpop", "200-dpop",
-                              "16-dpop", "16-af-dpop", "16-caf-dpop"])
+                              "16-dpop", "16-af-dpop", "16-caf-dpop", "30-hcms", "30-hcms-d10"])
 def test_golden_payload_digest(problem, engine, config, expected, monkeypatch):
+    assert payload_digest(problem, engine, config, monkeypatch) == expected
+
+
+def test_sums_do_not_depend_on_the_interpreter(monkeypatch):
+    """From Python 3.12 on the builtin `sum` compensates its rounding;
+    `math.fsum` stands in for it here. hcms's messages and the evaluated
+    utility still come out as the golden run pins them on older Pythons."""
+    problem, engine, config, expected = GOLDEN_PAYLOADS[-2]
+    assignment = runtime.run(problem, engine, config).assignment
+    monkeypatch.setattr(model, "sum", math.fsum, raising=False)
+    monkeypatch.setattr(hcms, "sum", math.fsum, raising=False)
+    assert float.hex(model.evaluate_solution(problem, assignment)) == "0x1.b37fcd8a1313ep+3"
     assert payload_digest(problem, engine, config, monkeypatch) == expected

@@ -80,6 +80,11 @@ class TestProblemValidation:
         with pytest.raises(ValidationError, match=r"^duplicate utility over pair \['x', 'y'\]$"):
             make_problem([f, quad("y", "z", e=1.0), f])
 
+    def test_no_variables_rejected(self):
+        p = model.Problem(agents=(), variables=(), domains={}, utilities=(), owner={})
+        with pytest.raises(ValidationError, match="^a problem needs at least one variable$"):
+            p.validate()
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValidationError):
             make_problem([quad("a", "b", e=1.0), quad("c", "d", e=1.0)])
@@ -161,6 +166,15 @@ class TestEvaluateSolution:
         part1 = sum(f.value_at(values) for f in p.utilities[:2])
         part2 = sum(f.value_at(values) for f in p.utilities[2:])
         assert model.evaluate_solution(p, Assignment(values)) == pytest.approx(part1 + part2)
+
+    def test_left_to_right_float_sum(self):
+        # a compensated sum (math.fsum, or sum from Python 3.12) gives 1.0
+        assert model.left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert float.hex(model.left_sum([])) == "0x0.0p+0"
+        p = model.Problem(agents=("a",), variables=("x",),
+                          domains={"x": ContinuousDomain(0.0, 1.0)}, utilities=(),
+                          owner={"x": "a"})
+        assert float.hex(model.evaluate_solution(p, Assignment({"x": 0.5}))) == "0x0.0p+0"
 
     def test_errors(self):
         p = make_problem([quad("x", "y", e=1.0)])
