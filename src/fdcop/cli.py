@@ -30,6 +30,8 @@ ROW_FIELDS = ("kind", "n", "p1", "engine", "d", "moves", "alpha", "k", "iters",
               "seed", "status", "utility", "messages", "total_scalars",
               "max_message_scalars", "wall_time")
 
+DEFAULTS = runtime.EngineConfig()  # the default of every engine flag
+
 
 class OutputError(Exception):
     """An output file that cannot be written."""
@@ -63,13 +65,14 @@ def _config_from_args(args) -> runtime.EngineConfig:
 
 def _add_engine_flags(parser):
     parser.add_argument("--engine", default="dpop", choices=model.ENGINE_KINDS)
-    parser.add_argument("-d", "--points", type=int, default=3)
-    parser.add_argument("--moves", type=int, default=10)
-    parser.add_argument("--alpha", type=float, default=0.01)
-    parser.add_argument("-k", "--clusters", type=int, default=10)
-    parser.add_argument("--iters", type=int, default=1)
-    parser.add_argument("--interp", default="idw", choices=("idw", "nearest"))
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("-d", "--points", type=int, default=DEFAULTS.points)
+    parser.add_argument("--moves", type=int, default=DEFAULTS.moves)
+    parser.add_argument("--alpha", type=float, default=DEFAULTS.alpha)
+    parser.add_argument("-k", "--clusters", type=int, default=DEFAULTS.k_clusters)
+    parser.add_argument("--iters", type=int, default=DEFAULTS.iterations)
+    parser.add_argument("--interp", default=DEFAULTS.interpolation,
+                        choices=runtime.INTERPOLATIONS)
+    parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
 
 def cmd_generate(args) -> int:
@@ -106,11 +109,8 @@ def _solve_report(problem, engine, config, result) -> dict:
     }
     return {
         "engine": engine,
-        "config": {
-            "points": config.points, "moves": config.moves, "alpha": config.alpha,
-            "k_clusters": config.k_clusters, "iterations": config.iterations,
-            "interpolation": config.interpolation, "seed": config.seed,
-        },
+        # the knobs a flag sets; row_cap has none
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k != "row_cap"},
         "utility": model.evaluate_solution(problem, result.assignment),
         "reported_optimum": result.reported_optimum,
         "assignment": dict(sorted(result.assignment.values.items())),
@@ -124,15 +124,7 @@ def cmd_solve(args) -> int:
     _check_out_dir(args.out)
     problem = model.load(args.problem)
     config = _config_from_args(args)
-    try:
-        result = runtime.run(problem, args.engine, config, keep_trace=False)
-    except CapacityError as exc:
-        stats = exc.stats
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
-        if stats is not None:
-            print(f"partial stats: messages={stats.total_messages} "
-                  f"scalars={stats.total_scalars}", file=sys.stderr)
-        return EXIT_CAPACITY
+    result = runtime.run(problem, args.engine, config, keep_trace=False)
     report = _solve_report(problem, args.engine, config, result)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -186,17 +178,15 @@ def cmd_bench(args) -> int:
         if e not in model.ENGINE_KINDS:
             raise ArgumentError(f"unknown engine {e!r}")
     seeds = list(range(args.seeds))
+    base = runtime.EngineConfig(alpha=args.alpha, k_clusters=args.clusters,
+                                iterations=args.iters, interpolation=args.interp)
 
     rows = []
     for engine in engines:
         for n in sorted(args.n):
             for d in args.d:
                 for moves in args.moves:
-                    config = runtime.EngineConfig(
-                        points=d, alpha=args.alpha, moves=moves,
-                        k_clusters=args.clusters, iterations=args.iters,
-                        interpolation=args.interp, seed=0,
-                    )
+                    config = dataclasses.replace(base, points=d, moves=moves)
                     for seed in seeds:
                         rows.append(_bench_cell(args.kind, n, args.p1, engine,
                                                 config, seed))
@@ -247,7 +237,7 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
     if not is_tree:
         engines.remove("ef-dpop")
 
-    config = runtime.EngineConfig(points=d, seed=0)
+    config = runtime.EngineConfig(points=d)
     results = {}
     for engine in engines:
         try:
@@ -345,20 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_int_list, default="10,20", help="comma-separated sizes")
     p.add_argument("--p1", type=float, default=0.2)
     p.add_argument("--engines", default="dpop,af-dpop,caf-dpop,hcms")
-    p.add_argument("-d", type=_int_list, default="3", help="comma-separated point counts")
-    p.add_argument("--moves", type=_int_list, default="10",
+    p.add_argument("-d", type=_int_list, default=str(DEFAULTS.points),
+                   help="comma-separated point counts")
+    p.add_argument("--moves", type=_int_list, default=str(DEFAULTS.moves),
                    help="comma-separated move counts")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("-k", "--clusters", type=int, default=10)
-    p.add_argument("--iters", type=int, default=1)
-    p.add_argument("--interp", default="idw", choices=("idw", "nearest"))
+    p.add_argument("--alpha", type=float, default=DEFAULTS.alpha)
+    p.add_argument("-k", "--clusters", type=int, default=DEFAULTS.k_clusters)
+    p.add_argument("--iters", type=int, default=DEFAULTS.iterations)
+    p.add_argument("--interp", default=DEFAULTS.interpolation, choices=runtime.INTERPOLATIONS)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="check the analytic properties on an instance")
     p.add_argument("problem")
-    p.add_argument("-d", "--points", type=int, default=3)
+    p.add_argument("-d", "--points", type=int, default=DEFAULTS.points)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -371,8 +362,11 @@ def main(argv=None) -> int:
     except (ValidationError, ArgumentError, StructureError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except CapacityError as exc:  # solve and bench report their own
+    except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
+        if exc.stats is not None:
+            print(f"partial stats: messages={exc.stats.total_messages} "
+                  f"scalars={exc.stats.total_scalars}", file=sys.stderr)
         return EXIT_CAPACITY
     except OutputError as exc:
         print(exc, file=sys.stderr)

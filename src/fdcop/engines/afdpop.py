@@ -89,8 +89,8 @@ def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
 
 # --- clustering --------------------------------------------------------------
 
-def cluster_tuples(table: UtilTable, k: int, rng: random.Random | None = None,
-                   interpolation: str = "idw") -> UtilTable:
+def cluster_tuples(table: UtilTable, k: int, rng: random.Random,
+                   interpolation: str) -> UtilTable:
     """Compress a table to at most k rows: k-means (farthest-point init,
     Lloyd iterations) over the value tuples, with centroid utilities
     interpolated from the original rows."""
@@ -101,7 +101,6 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random | None = None,
         raise ArgumentError("cannot cluster an empty table")
     if n <= k:
         return table
-    rng = rng or random.Random(0)
     first = rng.randrange(n)
     chosen = [first]
     dist = ((points - points[first]) ** 2).sum(axis=1)
@@ -185,7 +184,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 raise ProtocolError(f"{var}: a child's UTIL table does not mention this agent")
 
         own_dom = ctx.own_domain()
-        sep_vars = tuple(sorted(ctx.separator))
+        sep_vars = ctx.separator
         sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
         # the union of the children's value sets per variable, and the grid of
         # every variable no child mentions; the join below interpolates each

@@ -167,11 +167,11 @@ def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):
         for var in tree.pre_order:
             known = dict(kernel.collect(var, VALUE)[0].payload)
             try:
-                key = tuple(known[w] for w in sorted(tree.separator[var]))
+                key = tuple(known[w] for w in tree.separator[var])
             except KeyError as exc:
                 raise ProtocolError(f"{var}: missing ancestor value {exc}") from exc
             known[var] = values[var] = value_fn(var, key)
             for child in tree.children[var]:
-                payload = {w: known[w] for w in sorted(tree.separator[child])}
+                payload = {w: known[w] for w in tree.separator[child]}
                 kernel.send(var, child, VALUE, payload, len(payload))
     return values, optimum

@@ -54,7 +54,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
 
     def util_fn(var, child_payloads):
         ctx = contexts[var]
-        sep_vars = tuple(sorted(ctx.separator))
+        sep_vars = ctx.separator
         own_pts = discretize(ctx.own_domain(), d)
         sep_grids = [discretize(ctx.domain_of(w), d) for w in sep_vars]
         check_grid_cap(var, own_pts, sep_grids, config.row_cap)

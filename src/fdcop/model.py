@@ -107,9 +107,6 @@ class Assignment:
 
     values: dict[str, float]
 
-    def __getitem__(self, var: str) -> float:
-        return self.values[var]
-
 
 class ConstraintGraph:
     """Undirected simple graph with one node per variable and one edge per
@@ -132,9 +129,6 @@ class ConstraintGraph:
         self._edge_count = sum(map(len, adjacency.values())) // 2
         self.nodes: tuple[str, ...] = tuple(adjacency)
 
-    def __contains__(self, node) -> bool:
-        return node in self._adjacency
-
     def neighbors(self, node: str) -> tuple[str, ...]:
         return self._adjacency[node]
 
@@ -150,9 +144,6 @@ class ConstraintGraph:
     def edges(self) -> list[tuple[str, str]]:
         """Each edge once, as (u, v) with u < v."""
         return [(u, v) for u in self.nodes for v in self._adjacency[u] if u < v]
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adjacency.get(u, ())
 
 
 @dataclass(frozen=True)

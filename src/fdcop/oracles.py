@@ -1,8 +1,9 @@
-"""Reference optimizers used only by the test suite.
+"""Reference grid optima for `fdcop verify`, the benchmark's quality checks
+and the test suite.
 
-These recompute grid optima by enumeration or variable elimination, without
-touching the engine code paths, so engine results can be checked against an
-independent calculation.
+These recompute grid optima by variable elimination, without touching the
+engine code paths, so engine results can be checked against an independent
+calculation.
 """
 from __future__ import annotations
 
@@ -21,35 +22,6 @@ def oracle_grid(lb: float, ub: float, d: int) -> list[float]:
         return [lb + (ub - lb) / 2.0]
     step = (ub - lb) / (d - 1)
     return [lb + i * step for i in range(d - 1)] + [ub]
-
-
-def brute_force_grid_optimum(problem: Problem, d: int,
-                             cell_cap: int = 5_000_000):
-    """Exhaustive maximum of the utility sum over the d-point grid.
-
-    Returns (optimum, assignment). Ties resolve to the lexicographically
-    smallest grid index vector over sorted variable ids.
-    """
-    variables = sorted(problem.variables)
-    grids = [np.array(oracle_grid(problem.domains[v].lb, problem.domains[v].ub, d))
-             for v in variables]
-    cells = math.prod(len(g) for g in grids)
-    if cells > cell_cap:
-        raise CapacityError(f"brute force would enumerate {cells} cells")
-
-    axis = {v: i for i, v in enumerate(variables)}
-    total = np.zeros([len(g) for g in grids])
-    for f in problem.utilities:
-        i, j = axis[f.first_var], axis[f.second_var]
-        vi = grids[i].reshape([-1 if k == i else 1 for k in range(len(variables))])
-        vj = grids[j].reshape([-1 if k == j else 1 for k in range(len(variables))])
-        a, b, c, dd, e, f0 = f.coeffs
-        total = total + (a * vi * vi + b * vi + c * vj * vj + dd * vj + e * vi * vj + f0)
-
-    flat_best = int(total.argmax())  # first max = smallest index vector
-    idx = np.unravel_index(flat_best, total.shape)
-    assignment = {v: float(grids[axis[v]][i]) for v, i in zip(variables, idx)}
-    return float(total.reshape(-1)[flat_best]), assignment
 
 
 def elimination_grid_optimum(problem: Problem, d: int,

@@ -15,42 +15,30 @@ if TYPE_CHECKING:
 class PseudoTree:
     root: str
     parent: dict[str, str]
-    pseudo_parents: dict[str, frozenset[str]]
     children: dict[str, tuple[str, ...]]
-    separator: dict[str, frozenset[str]]
+    separator: dict[str, tuple[str, ...]]  # sorted
     induced_width: int
     post_order: tuple[str, ...]  # DFS finish order: children before parents
     pre_order: tuple[str, ...]  # DFS discovery order: parents before children
 
-    def ancestors(self, node: str) -> list[str]:
-        out = []
-        while node != self.root:
-            node = self.parent[node]
-            out.append(node)
-        return out
-
     def is_tree(self) -> bool:
-        return all(not pp for pp in self.pseudo_parents.values())
+        # a backedge puts both the parent and the pseudo-parent of its lower
+        # end into that end's separator, so only a tree has width <= 1
+        return self.induced_width <= 1
 
 
-def build(graph: ConstraintGraph, root_choice: str | None = None) -> PseudoTree:
+def build(graph: ConstraintGraph) -> PseudoTree:
     """Deterministic DFS pseudo-tree.
 
-    The root defaults to a max-degree node (ties to the smallest id) and
-    neighbors are visited in ascending id order, so the same graph always
-    yields the same arrangement. `graph` may be any object with the
-    `ConstraintGraph` reads used here (`nodes`, `neighbors`, `degree`,
-    `number_of_nodes`, `in`), a `networkx.Graph` among them.
+    The root is a max-degree node (ties to the smallest id) and neighbors are
+    visited in ascending id order, so the same graph always yields the same
+    arrangement. `graph` may be any object with the `ConstraintGraph` reads
+    used here (`nodes`, `neighbors`, `degree`, `number_of_nodes`), a
+    `networkx.Graph` among them.
     """
     if graph.number_of_nodes() == 0:
         raise StructureError("graph has no nodes")
-
-    if root_choice is None:
-        root = min(graph.nodes, key=lambda v: (-graph.degree(v), v))
-    else:
-        if root_choice not in graph:
-            raise StructureError(f"root {root_choice!r} is not a graph node")
-        root = root_choice
+    root = min(graph.nodes, key=lambda v: (-graph.degree(v), v))
 
     parent: dict[str, str] = {}
     children: dict[str, list[str]] = {v: [] for v in graph.nodes}
@@ -82,21 +70,20 @@ def build(graph: ConstraintGraph, root_choice: str | None = None) -> PseudoTree:
     if len(finished) != graph.number_of_nodes():
         raise StructureError("pseudo-tree requires a connected constraint graph")
 
-    separator: dict[str, frozenset[str]] = {}
+    separator: dict[str, tuple[str, ...]] = {}
     for node in finished:
         sep = set(pseudo_parents[node])
         if node != root:
             sep.add(parent[node])
         for child in children[node]:
-            sep |= separator[child]
+            sep.update(separator[child])
         sep.discard(node)
-        separator[node] = frozenset(sep)
+        separator[node] = tuple(sorted(sep))
 
     width = max((len(separator[v]) for v in graph.nodes if v != root), default=0)
     return PseudoTree(
         root=root,
         parent=dict(parent),
-        pseudo_parents={v: frozenset(s) for v, s in pseudo_parents.items()},
         children={v: tuple(c) for v, c in children.items()},
         separator=separator,
         induced_width=width,

@@ -27,6 +27,8 @@ MS_FUNCTION_TO_VARIABLE = "MS_FunctionToVariable"
 
 MESSAGE_KINDS = (UTIL, VALUE, MS_VARIABLE_TO_FUNCTION, MS_FUNCTION_TO_VARIABLE)
 
+INTERPOLATIONS = ("idw", "nearest")
+
 
 @dataclass(frozen=True)
 class Message:
@@ -45,9 +47,10 @@ class RunStats:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    # `fdcop solve` reports the fields in this order
     points: int = 3
-    alpha: float = 0.01
     moves: int = 10
+    alpha: float = 0.01
     k_clusters: int = 10
     iterations: int = 1
     interpolation: str = "idw"
@@ -65,7 +68,7 @@ class EngineConfig:
             raise ArgumentError(f"k_clusters must be >= 1, got {self.k_clusters}")
         if self.iterations < 1:
             raise ArgumentError(f"iterations must be >= 1, got {self.iterations}")
-        if self.interpolation not in ("idw", "nearest"):
+        if self.interpolation not in INTERPOLATIONS:
             raise ArgumentError(f"unknown interpolation {self.interpolation!r}")
 
 
@@ -146,7 +149,7 @@ class AgentContext:
         return self._tree.parent.get(self.var)
 
     @property
-    def separator(self) -> frozenset[str]:
+    def separator(self) -> tuple[str, ...]:
         return self._tree.separator[self.var]
 
 

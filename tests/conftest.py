@@ -1,10 +1,14 @@
-"""Shared builders for small hand-made problem instances."""
+"""Shared builders for small hand-made problem instances, and test oracles."""
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from fdcop.engines.common import UtilTable
+from fdcop.errors import CapacityError
 from fdcop.model import ContinuousDomain, Problem, QuadraticBinaryUtility
+from fdcop.oracles import oracle_grid
 
 
 def make_problem(utilities, lb=-100.0, ub=100.0, domains=None):
@@ -38,6 +42,35 @@ def nx_copy(graph):
     copy.add_nodes_from(graph.nodes)
     copy.add_edges_from(graph.edges())
     return copy
+
+
+def brute_force_grid_optimum(problem: Problem, d: int,
+                             cell_cap: int = 5_000_000):
+    """Oracle: the exhaustive maximum of the utility sum over the d-point grid.
+
+    Returns (optimum, assignment). Ties resolve to the lexicographically
+    smallest grid index vector over sorted variable ids.
+    """
+    variables = sorted(problem.variables)
+    grids = [np.array(oracle_grid(problem.domains[v].lb, problem.domains[v].ub, d))
+             for v in variables]
+    cells = math.prod(len(g) for g in grids)
+    if cells > cell_cap:
+        raise CapacityError(f"brute force would enumerate {cells} cells")
+
+    axis = {v: i for i, v in enumerate(variables)}
+    total = np.zeros([len(g) for g in grids])
+    for f in problem.utilities:
+        i, j = axis[f.first_var], axis[f.second_var]
+        vi = grids[i].reshape([-1 if k == i else 1 for k in range(len(variables))])
+        vj = grids[j].reshape([-1 if k == j else 1 for k in range(len(variables))])
+        a, b, c, dd, e, f0 = f.coeffs
+        total = total + (a * vi * vi + b * vi + c * vj * vj + dd * vj + e * vi * vj + f0)
+
+    flat_best = int(total.argmax())  # first max = smallest index vector
+    idx = np.unravel_index(flat_best, total.shape)
+    assignment = {v: float(grids[axis[v]][i]) for v, i in zip(variables, idx)}
+    return float(total.reshape(-1)[flat_best]), assignment
 
 
 def quad(first, second, a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f0=0.0):

@@ -14,6 +14,8 @@ from fdcop import cli, generators, model, oracles, piecewise, runtime
 from fdcop.errors import CapacityError
 from fdcop.runtime import SYSTEM, UTIL, EngineConfig
 
+from conftest import brute_force_grid_optimum
+
 
 def trend_config(**overrides):
     base = dict(points=3, moves=10, alpha=0.001, interpolation="nearest")
@@ -56,7 +58,7 @@ def test_02_grid_optimality():
         else:
             p = generators.gen_graph(3 + i % 6, 0.4, 2000 + i)
         u = utility_of(p, "dpop", EngineConfig(points=d))
-        optimum, _ = oracles.brute_force_grid_optimum(p, d)
+        optimum, _ = brute_force_grid_optimum(p, d)
         assert abs(u - optimum) <= 1e-6, f"instance {i}: {u} vs {optimum}"
     print("criterion 2 PASS: 50 instances, max deviation <= 1e-6")
 

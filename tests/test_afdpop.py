@@ -85,13 +85,13 @@ class TestClusterTuples:
     def test_two_separated_pairs(self):
         t = util_table(("x",), (((1.0,), 1.0), ((2.0,), 2.0),
                                ((9.0,), 9.0), ((10.0,), 10.0)))
-        out = cluster_tuples(t, 2, random.Random(0))
+        out = cluster_tuples(t, 2, random.Random(0), "idw")
         centers = sorted(out.rows[:, 0].tolist())
         assert centers == pytest.approx([1.5, 9.5])
 
     def test_small_table_passthrough(self):
         t = util_table(("x",), (((1.0,), 1.0), ((2.0,), 2.0), ((3.0,), 3.0)))
-        assert cluster_tuples(t, 5, random.Random(0)) is t
+        assert cluster_tuples(t, 5, random.Random(0), "idw") is t
 
     def test_row_count_and_quality(self):
         # k-means beats random centroid sets on within-cluster distance
@@ -100,7 +100,7 @@ class TestClusterTuples:
             rows = tuple(((rng.uniform(0, 100), rng.uniform(0, 100)), rng.uniform(0, 10))
                          for _ in range(100))
             t = util_table(("x", "y"), rows)
-            out = cluster_tuples(t, 10, random.Random(seed))
+            out = cluster_tuples(t, 10, random.Random(seed), "idw")
             assert len(out.rows) == 10
 
             def mean_dist(centers):
@@ -117,11 +117,11 @@ class TestClusterTuples:
     def test_rejects_bad_k(self):
         t = util_table(("x",), (((1.0,), 1.0),))
         with pytest.raises(ArgumentError):
-            cluster_tuples(t, 0)
+            cluster_tuples(t, 0, random.Random(0), "idw")
 
     def test_rejects_empty_table(self):
         with pytest.raises(ArgumentError):
-            cluster_tuples(util_table(("x",), ()), 3)
+            cluster_tuples(util_table(("x",), ()), 3, random.Random(0), "idw")
 
 
 class TestLeafMove:

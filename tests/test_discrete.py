@@ -4,14 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fdcop import generators, model, oracles, runtime
+from fdcop import generators, model, runtime
 from fdcop.engines.common import UtilTable, discretize, join, product_grid
 from fdcop.engines.discrete import child_array, joint_utility
 from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import make_problem, quad, util_table
+from conftest import brute_force_grid_optimum, make_problem, quad, util_table
 
 
 class TestUtilTable:
@@ -144,7 +144,7 @@ class TestAgainstOracle:
         for d in (2, 3):
             result = runtime.run(p, "dpop", EngineConfig(points=d))
             utility = model.evaluate_solution(p, result.assignment)
-            optimum, _ = oracles.brute_force_grid_optimum(p, d)
+            optimum, _ = brute_force_grid_optimum(p, d)
             assert utility == pytest.approx(optimum, abs=1e-6)
             assert result.reported_optimum == pytest.approx(optimum, abs=1e-6)
 
@@ -153,7 +153,7 @@ class TestAgainstOracle:
         p = generators.gen_graph(7, 0.3, seed)
         result = runtime.run(p, "dpop", EngineConfig(points=3))
         utility = model.evaluate_solution(p, result.assignment)
-        optimum, _ = oracles.brute_force_grid_optimum(p, 3)
+        optimum, _ = brute_force_grid_optimum(p, 3)
         assert utility == pytest.approx(optimum, abs=1e-6)
 
     def test_single_point_grid(self):

@@ -32,8 +32,8 @@ class TestTwoNodeClosedForm:
         # solving the stationarity system: x = 7/3, y = 8/3, value 19/3
         p = make_problem([quad("x", "y", a=-1.0, c=-1.0, e=1.0, b=2.0, d=3.0)])
         result = runtime.run(p, "ef-dpop", EngineConfig())
-        assert result.assignment["x"] == pytest.approx(7 / 3)
-        assert result.assignment["y"] == pytest.approx(8 / 3)
+        assert result.assignment.values["x"] == pytest.approx(7 / 3)
+        assert result.assignment.values["y"] == pytest.approx(8 / 3)
         assert result.reported_optimum == pytest.approx(19 / 3)
 
     def test_boundary_optimum(self):
@@ -42,8 +42,8 @@ class TestTwoNodeClosedForm:
                          domains={"x": ContinuousDomain(-1, 1),
                                   "y": ContinuousDomain(-1, 1)})
         result = runtime.run(p, "ef-dpop", EngineConfig())
-        assert abs(result.assignment["x"]) == pytest.approx(1.0)
-        assert abs(result.assignment["y"]) == pytest.approx(1.0)
+        assert abs(result.assignment.values["x"]) == pytest.approx(1.0)
+        assert abs(result.assignment.values["y"]) == pytest.approx(1.0)
         assert result.reported_optimum == pytest.approx(3.0)
 
 

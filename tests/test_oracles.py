@@ -4,6 +4,8 @@ import pytest
 from fdcop import generators, oracles
 from fdcop.errors import ArgumentError, CapacityError
 
+from conftest import brute_force_grid_optimum
+
 
 class TestOracleGrid:
     def test_midpoint_for_single_point(self):
@@ -24,17 +26,17 @@ class TestAgreement:
     def test_brute_force_equals_elimination(self, seed):
         p = generators.gen_graph(6, 0.3, seed)
         for d in (2, 3, 5):
-            brute, _ = oracles.brute_force_grid_optimum(p, d)
+            brute, _ = brute_force_grid_optimum(p, d)
             elim = oracles.elimination_grid_optimum(p, d)
             assert brute == pytest.approx(elim, abs=1e-6)
 
     def test_assignment_achieves_optimum(self):
         p = generators.gen_tree(5, 1)
-        optimum, assignment = oracles.brute_force_grid_optimum(p, 4)
+        optimum, assignment = brute_force_grid_optimum(p, 4)
         total = sum(f.value_at(assignment) for f in p.utilities)
         assert total == pytest.approx(optimum)
 
     def test_caps(self):
         p = generators.gen_graph(8, 0.3, 0)
         with pytest.raises(CapacityError):
-            oracles.brute_force_grid_optimum(p, 10, cell_cap=1000)
+            brute_force_grid_optimum(p, 10, cell_cap=1000)

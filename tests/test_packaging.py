@@ -1,7 +1,10 @@
-"""The package declares exactly the third-party modules its source imports."""
+"""The package declares exactly the third-party modules its source imports,
+and defines nothing that only its tests use."""
 import ast
+import collections
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,34 @@ def test_imports_equal_dependencies():
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in dependencies}
     assert third_party_imports(ROOT / "src" / "fdcop") == declared
+
+
+def name_counts(paths, with_strings: bool) -> collections.Counter:
+    """NAME tokens in `paths`; with `with_strings`, also the string literals
+    that are identifiers, such as the attribute names a wrapper patches."""
+    counts = collections.Counter()
+    for path in paths:
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NAME:
+                    counts[tok.string] += 1
+                elif with_strings and tok.type == tokenize.STRING:
+                    quoted = re.fullmatch(r"""(['"])(\w+)\1""", tok.string)
+                    if quoted:
+                        counts[quoted.group(2)] += 1
+    return counts
+
+
+def test_every_library_name_is_used_outside_tests():
+    """Every function, method and class the library defines is named again
+    by the library or the benchmark, apart from its own definitions."""
+    library = sorted((ROOT / "src" / "fdcop").rglob("*.py"))
+    definitions = collections.Counter(
+        node.name for path in library for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    uses = (name_counts(library, with_strings=False)
+            + name_counts(sorted((ROOT / "perfbench").glob("*.py")), with_strings=True))
+    unused = sorted(name for name, n in definitions.items()
+                    if not (name.startswith("__") and name.endswith("__"))
+                    and uses[name] <= n)
+    assert unused == []

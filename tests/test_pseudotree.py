@@ -14,13 +14,22 @@ def path3():
     return g
 
 
+def ancestors(tree, node):
+    """Oracle: the `parent` walk from `node` up to the root."""
+    out = []
+    while node != tree.root:
+        node = tree.parent[node]
+        out.append(node)
+    return out
+
+
 class TestBuild:
     def test_path_rooted_at_max_degree(self):
         tree = pseudotree.build(path3())
         assert tree.root == "x2"
         assert sorted(tree.children["x2"]) == ["x1", "x3"]
-        assert tree.separator["x1"] == frozenset({"x2"})
-        assert tree.separator["x3"] == frozenset({"x2"})
+        assert tree.separator["x1"] == ("x2",)
+        assert tree.separator["x3"] == ("x2",)
         assert tree.induced_width == 1
         assert tree.is_tree()
 
@@ -29,7 +38,7 @@ class TestBuild:
         g.add_edges_from([("x1", "x2"), ("x2", "x3"), ("x1", "x3")])
         tree = pseudotree.build(g)
         n_tree_edges = len(tree.parent)
-        n_backedges = sum(len(pp) for pp in tree.pseudo_parents.values())
+        n_backedges = g.number_of_edges() - n_tree_edges
         assert n_tree_edges == 2
         assert n_backedges == 1
         assert tree.induced_width == 2
@@ -40,20 +49,21 @@ class TestBuild:
         g = model.build_constraint_graph(p)
         tree = pseudotree.build(g)
         for u, v in g.edges():
-            anc_u = set(tree.ancestors(u))
-            anc_v = set(tree.ancestors(v))
+            anc_u = set(ancestors(tree, u))
+            anc_v = set(ancestors(tree, v))
             assert u in anc_v or v in anc_u, f"edge {u}-{v} spans branches"
 
     def test_separator_recurrence(self):
         p = generators.gen_graph(15, 0.25, 2)
-        tree = pseudotree.build(model.build_constraint_graph(p))
+        g = model.build_constraint_graph(p)
+        tree = pseudotree.build(g)
         for node in tree.parent:
-            expected = set(tree.pseudo_parents[node])
-            expected.add(tree.parent[node])
+            # the parent and the pseudo-parents: every neighbor above the node
+            expected = set(g.neighbors(node)) & set(ancestors(tree, node))
             for child in tree.children[node]:
                 expected |= set(tree.separator[child])
             expected.discard(node)
-            assert tree.separator[node] == frozenset(expected)
+            assert tree.separator[node] == tuple(sorted(expected))
 
     def test_determinism(self):
         p = generators.gen_graph(12, 0.3, 9)
@@ -66,13 +76,14 @@ class TestBuild:
         assert tree.is_tree()
         assert tree.induced_width == 1
         for node in tree.parent:
-            assert tree.separator[node] == frozenset({tree.parent[node]})
+            assert tree.separator[node] == (tree.parent[node],)
 
-    def test_explicit_root(self):
-        tree = pseudotree.build(path3(), root_choice="x1")
-        assert tree.root == "x1"
-        with pytest.raises(StructureError):
-            pseudotree.build(path3(), root_choice="nope")
+    def test_is_tree_means_no_backedge(self):
+        graphs = oracle_graphs()
+        assert sum(g.number_of_edges() > g.number_of_nodes() - 1 for g in graphs) >= 15
+        for g in graphs:
+            tree = pseudotree.build(g)
+            assert tree.is_tree() == (g.number_of_edges() == len(tree.parent))
 
     def test_disconnected_rejected(self):
         g = nx.Graph()
@@ -151,12 +162,11 @@ def oracle_graphs():
 
 
 class TestStoredOrdersMatchTheWalks:
-    @pytest.mark.parametrize("root", [None, "first"])
-    def test_against_the_stack_walks(self, root):
+    def test_against_the_stack_walks(self):
         graphs = oracle_graphs()
         assert len(graphs) >= 50
         for g in graphs:
-            tree = pseudotree.build(g, root_choice=next(iter(g.nodes)) if root else None)
+            tree = pseudotree.build(g)
             assert tree.post_order == tuple(stack_post_order(tree))
             assert tree.pre_order == tuple(stack_pre_order(tree))
 

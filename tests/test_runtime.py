@@ -118,7 +118,7 @@ class TestRun:
                           domains={"x": model.ContinuousDomain(-3.0, 5.0)},
                           utilities=(), owner={"x": "a"})
         result = runtime.run(p, engine, EngineConfig())
-        x = result.assignment["x"]
+        x = result.assignment.values["x"]
         assert math.isfinite(x) and p.domains["x"].contains(x)
         assert result.reported_optimum == 0.0
 
@@ -154,9 +154,9 @@ class TestOneTreePerProblem:
         builds = []
         real_build = pseudotree.build
 
-        def counting_build(graph, root_choice=None):
+        def counting_build(graph):
             builds.append(graph)
-            return real_build(graph, root_choice)
+            return real_build(graph)
 
         monkeypatch.setattr(pseudotree, "build", counting_build)
         p.validate()
