@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ArgumentError, CapacityError, ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import (UtilTable, best_own_response, check_grid_cap, discretize, join,
+from .common import (UtilTable, best_own_response, check_grid_cap, join, plan_util,
                      product_grid, util_value_protocol)
 from .discrete import joint_utility
 
@@ -33,21 +33,25 @@ PAIR_CAP = 200_000_000
 
 # --- interpolation -----------------------------------------------------------
 
-def _exact_index(table: UtilTable) -> dict[tuple[float, ...], float]:
-    index: dict[tuple[float, ...], float] = {}
-    for values, util in zip(map(tuple, table.rows.tolist()), table.utils.tolist()):
-        if values not in index or util > index[values]:
-            index[values] = util
-    return index
+def _check_pair_cap(queries: int, points: int) -> None:
+    if queries * points > PAIR_CAP:
+        raise CapacityError(f"interpolation workload {queries}x{points} exceeds the pair cap")
+
+
+def _missing_queries(index: dict[tuple[float, ...], float], pos: int, projections,
+                     candidates: int) -> int:
+    """How many of the queries `_interp_many` gets for `projections` x
+    `candidates` (a projection with a candidate at `pos`) miss the table's
+    row index: all but one per distinct row whose projection is among
+    `projections`, since a row's own value is always a candidate."""
+    hits = sum(1 for row in index if row[:pos] + row[pos + 1:] in projections)
+    return len(projections) * candidates - hits
 
 
 def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
                   method: str) -> np.ndarray:
     """Vectorized scattered-data interpolation; exact hits handled upstream."""
-    if len(queries) * len(points) > PAIR_CAP:
-        raise CapacityError(
-            f"interpolation workload {len(queries)}x{len(points)} exceeds the pair cap"
-        )
+    _check_pair_cap(len(queries), len(points))
     out = np.empty(len(queries))
     chunk = max(1, PAIR_CAP // (64 * max(1, len(points))))
     for start in range(0, len(queries), chunk):
@@ -75,7 +79,7 @@ def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
 
 def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
                  method: str) -> list[float]:
-    index = _exact_index(table)
+    index = table.row_index
     out: list[float | None] = [index.get(q) for q in queries]
     missing = [i for i, v in enumerate(out) if v is None]
     if missing:
@@ -168,10 +172,19 @@ def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         clustered: bool = False):
-    d = config.points
     method = config.interpolation
+    k = config.k_clusters
     # var -> its VALUE rule: separator tuple -> own value
     state: dict[str, object] = {}
+    # without moves or clustering every table is a grid, so the plan refuses
+    # as dpop's does. Otherwise it plans ahead only while every step is sure
+    # to finish: up to the first agent with children, or the first leaf
+    # whose clustering may interpolate more than PAIR_CAP pairs (at most k
+    # centroids against its rows)
+    with kernel.phase("util"):
+        plan = plan_util(contexts, tree, config.points, config.row_cap,
+                         grid_tables=not (config.moves or clustered),
+                         settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
 
     def agent_util(var, ctx, tables):
         """One agent's UTIL step over its children's tables; a leaf is the
@@ -183,9 +196,10 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 # a child's separator always holds its parent
                 raise ProtocolError(f"{var}: a child's UTIL table does not mention this agent")
 
-        own_dom = ctx.own_domain()
+        planned = plan(var)
+        domains = planned.domains
+        own_dom = domains[var]
         sep_vars = ctx.separator
-        sep_domains = {w: ctx.domain_of(w) for w in sep_vars}
         # the union of the children's value sets per variable, and the grid of
         # every variable no child mentions; the join below interpolates each
         # child table at these points
@@ -193,9 +207,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         for t in tables:
             for w in t.separator_vars:
                 sets[w] = sorted(set(sets.get(w, ())) | set(t.value_set(w)))
-        for w, dom in ((var, own_dom), *sep_domains.items()):
-            if w not in sets:
-                sets[w] = discretize(dom, d)
+        for w, grid in planned.grids.items():
+            sets.setdefault(w, grid)
         candidates = sets[var]
         sep_sets = [sets[w] for w in sep_vars]
         check_grid_cap(var, candidates, sep_sets, config.row_cap)
@@ -224,7 +237,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             the rows through the inverse index. When a child's projections are
             those of its last lookup, that lookup is reused: the same queries
             in the same batch interpolate to the same floats. On a tree every
-            projection is (), so each child is interpolated once per agent."""
+            projection is (), so each child is interpolated once per agent.
+            A lookup whose interpolation would exceed PAIR_CAP is refused
+            from its count of missing queries, before they are built."""
             contributions = []
             for slot, (t, pos, cols) in enumerate(child_slots):
                 uniq: dict[tuple, int] = {}
@@ -235,6 +250,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 if last is not None and last[0] == projections:
                     looked_up = last[1]
                 else:
+                    # refuse before building the queries; only a lookup
+                    # whose every query could miss may exceed the cap
+                    if len(uniq) * len(candidates) * len(t.rows) > PAIR_CAP:
+                        _check_pair_cap(_missing_queries(t.row_index, pos, uniq, len(candidates)),
+                                        len(t.row_index))
                     queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in candidates]
                     looked_up = np.array(_interp_many(t, queries, method)).reshape(
                         len(projections), len(candidates))
@@ -269,7 +289,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             for current in map(tuple, grid.tolist()):
                 for _ in range(config.moves):
                     nxt = leaf_move(current, sep_vars, constraints, config.alpha,
-                                    var, own_dom, sep_domains)
+                                    var, own_dom, domains)
                     delta = max(abs(a - b) for a, b in zip(nxt, current))
                     current = nxt
                     if delta < 1e-9:
@@ -285,9 +305,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         sep_arrays = [np.array(s) for s in sep_sets]
         current = grid.copy()
         live = np.arange(len(grid))  # rows still moving
-        # a large alpha steps past the float range; the clamp maps ±inf to
-        # the bound, as the scalar leaf moves do
-        with np.errstate(over="ignore"):
+        # a large alpha steps past the float range, and an infinite
+        # coefficient times a zero coordinate gives NaN; the clamp maps ±inf
+        # to the bound and (fmax ignoring NaN) NaN to the lower bound, as
+        # ContinuousDomain.clamp does for the scalar leaf moves
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(config.moves):
                 if not len(live):
                     break
@@ -298,9 +320,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 nxt = rows.copy()
                 for j, w in enumerate(sep_vars):
                     if (f := constraints.get(w)) is not None:
-                        v, dom = rows[:, j], sep_domains[w]
+                        v, dom = rows[:, j], domains[w]
                         step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
-                        nxt[:, j] = np.minimum(np.maximum(step, dom.lb), dom.ub)
+                        nxt[:, j] = np.fmin(np.fmax(step, dom.lb), dom.ub)
                 current[live] = nxt
                 live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
 
@@ -313,7 +335,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             return result
         if clustered:
             rng = random.Random(f"{config.seed}:{var}")
-            result = cluster_tuples(result, config.k_clusters, rng, method)
+            result = cluster_tuples(result, k, rng, method)
         return result, result.scalar_size()
 
     return util_value_protocol(kernel, tree, util_fn, lambda var, key: state[var](key))

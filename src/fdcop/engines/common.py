@@ -1,10 +1,11 @@
 """Shared machinery for the engines: the array UTIL table, domain
-discretization, product grids, the one join kernel (the child-plus-constraint
-sum over separator rows x own candidates behind dpop's and af/caf-dpop's UTIL
-tables and hcms's function-to-variable messages), closed-form 1-D
-maximization, and the UTIL/VALUE message schedule."""
+discretization, the UTIL size plan, product grids, the one join kernel (the
+child-plus-constraint sum over separator rows x own candidates behind dpop's
+and af/caf-dpop's UTIL tables and hcms's function-to-variable messages),
+closed-form 1-D maximization, and the UTIL/VALUE message schedule."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,16 @@ class UtilTable:
     def value_set(self, var: str) -> list[float]:
         return sorted(set(self.rows[:, self.separator_vars.index(var)].tolist()))
 
+    @functools.cached_property
+    def row_index(self) -> dict[tuple[float, ...], float]:
+        """Each distinct row, as a tuple, with the largest utility of its
+        copies; built on first use, by the receiver."""
+        index: dict[tuple[float, ...], float] = {}
+        for values, util in zip(map(tuple, self.rows.tolist()), self.utils.tolist()):
+            if values not in index or util > index[values]:
+                index[values] = util
+        return index
+
 
 def discretize(domain: ContinuousDomain, d: int) -> list[float]:
     """d evenly spaced points including both endpoints; the midpoint for d=1.
@@ -57,11 +68,66 @@ def discretize(domain: ContinuousDomain, d: int) -> list[float]:
 
 
 def check_grid_cap(var: str, own_pts: list[float], sep_grids: list[list[float]],
-                   row_cap: int) -> None:
-    """Refuse, before it is built, a grid table of d^(|sep|+1) rows above the cap."""
+                   row_cap: int) -> int:
+    """Refuse, before it is built, a grid table of d^(|sep|+1) rows above the
+    cap; returns the row count."""
     cells = len(own_pts) * math.prod(len(g) for g in sep_grids)
     if cells > row_cap:
         raise CapacityError(f"{var}: grid table would hold {cells} rows (cap {row_cap})")
+    return cells
+
+
+@dataclass(frozen=True)
+class AgentPlan:
+    """What one agent's UTIL step knows before its children's tables arrive:
+    its own and its separator variables' domains, own first, each read once,
+    and the d-point grid of every one of them that no child's table
+    mentions. `rows` is its table's row count when it knows every grid, and
+    None when children's tables decide some variable's values."""
+
+    domains: dict[str, ContinuousDomain]
+    grids: dict[str, list[float]]
+    rows: int | None
+
+
+def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: bool = True,
+              settles=lambda rows: True):
+    """Plan the UTIL phase before its first message and return `plan(var)`,
+    each agent's `AgentPlan`.
+
+    An agent's plan discretizes its variables that no child's table mentions
+    (with `grid_tables`, the children's tables are the grids of their
+    variables, so all of them) and, when it knows every grid, refuses a
+    table of d^(|sep|+1) rows above `row_cap` with `check_grid_cap`. A
+    variable a child's table mentions has at least one value, so the count
+    it knows is a lower bound; that bound refuses nothing, since a refusal
+    names the table's count.
+
+    The walk plans the agents in post-order, the order of their UTIL steps,
+    while each step before is sure to finish: it stops after an agent whose
+    table depends on its children's tables, or whose exact row count
+    `settles` does not accept. `plan(var)` plans any other agent when its
+    step asks. So every agent reads its domains once, and each input's first
+    error is the one the steps would raise in turn, only earlier.
+    """
+    def plan(var: str) -> AgentPlan:
+        ctx = contexts[var]
+        mentioned = () if grid_tables else {w for c in tree.children[var]
+                                            for w in tree.separator[c]}
+        domains = {var: ctx.own_domain(), **{w: ctx.domain_of(w) for w in ctx.separator}}
+        grids = {w: discretize(dom, d) for w, dom in domains.items() if w not in mentioned}
+        rows = None
+        if len(grids) == len(domains):
+            own, *sep = grids.values()
+            rows = check_grid_cap(var, own, sep, row_cap)
+        return AgentPlan(domains, grids, rows)
+
+    walked: dict[str, AgentPlan] = {}
+    for var in tree.post_order:
+        walked[var] = planned = plan(var)
+        if planned.rows is None or not settles(planned.rows):
+            break
+    return lambda var: walked[var] if var in walked else plan(var)
 
 
 def product_grid(grids: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:

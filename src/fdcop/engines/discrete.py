@@ -16,8 +16,7 @@ import numpy as np
 from ..errors import ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import (UtilTable, check_grid_cap, discretize, join, product_grid,
-                     util_value_protocol)
+from .common import UtilTable, join, plan_util, product_grid, util_value_protocol
 
 
 def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
@@ -49,18 +48,20 @@ def child_array(var: str, table: UtilTable,
 
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
-    d = config.points
     state: dict[str, tuple] = {}
+    # every table is a grid, so the plan refuses any table above the cap
+    # before the first message
+    with kernel.phase("util"):
+        plan = plan_util(contexts, tree, config.points, config.row_cap)
 
     def util_fn(var, child_payloads):
         ctx = contexts[var]
         sep_vars = ctx.separator
-        own_pts = discretize(ctx.own_domain(), d)
-        sep_grids = [discretize(ctx.domain_of(w), d) for w in sep_vars]
-        check_grid_cap(var, own_pts, sep_grids, config.row_cap)
+        grids = plan(var).grids
+        own_pts = grids[var]
+        sep_grids = [grids[w] for w in sep_vars]
 
         constraints = [f for w in sep_vars if (f := ctx.constraint_with(w))]  # sorted by w
-        grids = dict(zip(sep_vars + (var,), [*sep_grids, own_pts]))
         index, rows = product_grid(sep_grids)
         # every variable's grid index at each (row, own point) cell
         at = {w: index[:, j:j + 1] for j, w in enumerate(sep_vars)}

@@ -1,12 +1,15 @@
 """Approximate functional DPOP: moves, interpolation, clustering, row caps."""
 import dataclasses
 import itertools
+import math
 import random
 import statistics
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdcop import generators, model, runtime
 from fdcop.engines import afdpop
@@ -161,6 +164,38 @@ class TestStepPastTheFloatRange:
     def test_largest_finite_alpha(self, problem, engine):
         result = runtime.run(problem, engine, EngineConfig(alpha=1e308))
         assert all(problem.domains[v].contains(x) for v, x in result.assignment.values.items())
+
+
+class TestNanStep:
+    """An infinite coefficient times a zero coordinate makes a NaN step; it
+    clamps to the lower bound on the array path, as ContinuousDomain.clamp
+    does on the scalar leaf path."""
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_nan_step_clamps_to_the_lower_bound(self, monkeypatch, engine):
+        # x2 has a child, and moves x1 along f(x1, x2), whose partial in x1
+        # is (2.0 * -1e308) * x1 = -inf * 0.0 at x1's grid point 0.0
+        p = make_problem([quad("x0", "x1", a=-1.0, c=-1.0),
+                          quad("x1", "x2", a=-1e308, c=-1.0),
+                          quad("x2", "x3", a=-1.0, c=-1.0)], lb=-1.0, ub=1.0)
+        assert p.tree.children["x2"] == ("x3",) and p.tree.separator["x2"] == ("x1",)
+        tables = []
+        real_send = Kernel.send
+
+        def send(kernel, sender, receiver, kind, payload, scalar_size):
+            if kind == UTIL and receiver != runtime.SYSTEM:
+                tables.append(payload)
+            real_send(kernel, sender, receiver, kind, payload, scalar_size)
+
+        monkeypatch.setattr(Kernel, "send", send)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runtime.run(p, engine, EngineConfig())
+        assert math.isfinite(result.reported_optimum)
+        assert all(p.domains[v].contains(x) for v, x in result.assignment.values.items())
+        # so the pair count of x1's lookups never meets a NaN row
+        assert all(np.isfinite(t.rows).all() for t in tables)
+        assert -1.0 in tables[-1].rows[:, 0]  # x2's table, sent last
 
 
 def nearest_point(points, v):
@@ -402,6 +437,82 @@ class TestRowCap:
             with pytest.raises(CapacityError, match=r"^x004: grid table would hold 729 rows "
                                                     r"\(cap 243\)$"):
                 runtime.run(p, engine, cfg, keep_trace=False)
+
+
+class TestSizePlan:
+    def test_a_later_leaf_does_not_preempt_an_earlier_refusal(self, monkeypatch):
+        # the leaf x011, fourth in post-order, would hold 3^5 = 243 > 242 rows,
+        # but the second agent has children: the plan stops there, and its
+        # interpolation refuses first, after the first leaf's message
+        p = generators.gen_graph(12, 0.3, 6, concave=True)
+        tree = p.tree
+        assert tree.post_order[3] == "x011" and not tree.children["x011"]
+        assert len(tree.separator["x011"]) == 4 and tree.children[tree.post_order[1]]
+        monkeypatch.setattr(afdpop, "PAIR_CAP", 50)
+        with pytest.raises(CapacityError, match=r"^interpolation workload 9x9 exceeds the pair "
+                                                r"cap$") as exc:
+            runtime.run(p, "af-dpop", EngineConfig(points=3, moves=3, row_cap=242),
+                        keep_trace=False)
+        assert exc.value.stats.total_messages == 1
+
+
+VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+class TestPairCount:
+    """`scores` refuses a child lookup from its count of missing queries,
+    before it builds them; the count is what `_interp_many` would hand to
+    `_interp_batch`."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_predicted_missing_equals_batched_queries(self, data):
+        # few values, so tables repeat rows, mix -0.0 with 0.0, and
+        # projections hit rows exactly
+        arity = data.draw(st.integers(1, 3))
+        pos = data.draw(st.integers(0, arity - 1))
+        names = tuple(f"v{i}" for i in range(arity))
+        rows = data.draw(st.lists(st.tuples(*[VALUES] * arity), min_size=1, max_size=12))
+        utils = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(rows),
+                                   max_size=len(rows)))
+        table = util_table(names, list(zip(rows, utils)))
+        own = [r[:pos] + r[pos + 1:] for r in rows]
+        picked = data.draw(st.lists(st.one_of(st.sampled_from(own),
+                                              st.tuples(*[VALUES] * (arity - 1))),
+                                    min_size=1, max_size=6))
+        projections = dict.fromkeys(picked)  # distinct, as `scores` keeps them
+        # a child's own values are always among its parent's candidates
+        candidates = sorted(set(table.value_set(names[pos]))
+                            | set(data.draw(st.lists(VALUES, max_size=3))))
+        queries = [q[:pos] + (c,) + q[pos:] for q in projections for c in candidates]
+        batched = []
+
+        def batch(points, utils, queries, method):
+            batched.append(len(queries))
+            return np.zeros(len(queries))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(afdpop, "_interp_batch", batch)
+            _interp_many(table, queries, "idw")
+        assert sum(batched) == afdpop._missing_queries(table.row_index, pos, projections,
+                                                       len(candidates))
+
+    def test_refused_lookup_builds_no_queries(self, monkeypatch):
+        p = generators.gen_graph(20, 0.1, seed=2, concave=True)
+        workloads = []
+        real_interp = afdpop._interp_many
+
+        def interp(table, queries, method):
+            missing = sum(q not in table.row_index for q in queries)
+            workloads.append(missing * len(table.row_index))
+            return real_interp(table, queries, method)
+
+        monkeypatch.setattr(afdpop, "_interp_many", interp)
+        with pytest.raises(CapacityError, match=r"^interpolation workload 146496x2688 exceeds "
+                                                r"the pair cap$"):
+            runtime.run(p, "af-dpop", EngineConfig(points=4, moves=10, alpha=0.001),
+                        keep_trace=False)
+        assert workloads and max(workloads) <= afdpop.PAIR_CAP
 
 
 class TestChildLookupReuse:

@@ -145,6 +145,49 @@ class TestRun:
         assert {"pseudotree", "util", "value"} <= set(result.stats.phase_timings)
 
 
+class TestCapacityRefusals:
+    """The refusing jobs of the benchmark's `capacity` workload: each text,
+    and the statistics up to the refusal. dpop's comes from the size plan,
+    before the first message; af's and caf's come from tables only the run
+    computes."""
+
+    @pytest.mark.parametrize("args, engine, config, message, messages, scalars", [
+        ((20, 0.1, 2), "af-dpop", EngineConfig(points=4, moves=10, alpha=0.001),
+         "interpolation workload 146496x2688 exceeds the pair cap", 13, 14_496),
+        ((30, 0.1, 5), "caf-dpop", EngineConfig(points=4, k_clusters=10, moves=10, alpha=0.001),
+         "x022: grid table would hold 57600000 rows (cap 10000000)", 14, 536),
+        ((14, 0.6, 0), "dpop", EngineConfig(points=7),
+         "x010: grid table would hold 40353607 rows (cap 10000000)", 0, 0),
+    ], ids=["af-dpop", "caf-dpop", "dpop"])
+    def test_refusal_text_and_partial_stats(self, args, engine, config, message, messages,
+                                            scalars):
+        n, p1, seed = args
+        p = generators.gen_graph(n, p1, seed=seed, concave=engine != "dpop")
+        with pytest.raises(CapacityError) as err:
+            runtime.run(p, engine, config, keep_trace=False)
+        assert str(err.value) == message
+        assert (err.value.stats.total_messages, err.value.stats.total_scalars) == (messages,
+                                                                                  scalars)
+
+
+class TestSizePlan:
+    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop"])
+    @pytest.mark.parametrize("moves", [0, 10])
+    def test_each_agent_reads_each_separator_domain_once(self, engine, moves):
+        p = generators.gen_graph(12, 0.4, 0, concave=True)
+        reads = runtime.run(p, engine, EngineConfig(moves=moves)).kernel.reads
+        tree = p.tree
+        assert sorted(reads) == sorted((v, f"domain:{w}") for v in p.variables
+                                       for w in tree.separator[v])
+
+    def test_plan_refuses_inside_the_util_phase(self):
+        p = generators.gen_graph(14, 0.6, seed=0)
+        with pytest.raises(CapacityError) as err:
+            runtime.run(p, "af-dpop", EngineConfig(points=7, moves=0))
+        assert err.value.stats.total_messages == 0
+        assert set(err.value.stats.phase_timings) == {"pseudotree", "util"}
+
+
 class TestOneTreePerProblem:
     """A problem builds its pseudo-tree once, on first use, and every run,
     audit and CLI command on it reads that one tree."""
