@@ -9,18 +9,24 @@ per distinct projection of the separator tuples. Each tuple then moves along
 the own constraints' gradient at the best own value of its nearest grid
 tuple. An agent with no child tables has a utility that is a sum of
 quadratics in its own value, so it moves against the closed-form best
-response instead. VALUE answers the ancestors' values, which may lie off the
-grid, by the same rule. The clustered variant compresses each outgoing table
-to the k-means centroids of its rows (at most k) while keeping the full
-table locally.
+response instead. Those closed-form leaves move together, in one array
+program (`leaf_move`) at the start of UTIL, before the first message; each
+sends its table at its turn in post-order, and a leaf over the row cap
+refuses at its turn. VALUE answers the ancestors' values, which may lie off
+the grid, by the same rule. The clustered variant compresses each outgoing
+table to the k-means centroids of its rows (at most k) while keeping the
+full table locally.
 """
 from __future__ import annotations
 
+import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ArgumentError, CapacityError, ProtocolError
+from ..errors import ArgumentError, CapacityError, FdcopError, ProtocolError
+from ..model import ContinuousDomain
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
 from .common import (UtilTable, best_own_response, check_grid_cap, join, plan_util,
@@ -141,21 +147,101 @@ def _gradient_wrt_other(f, own_var: str, own_value: float, other_value: float) -
     return f.partial(other, other_value, own_value)
 
 
-def leaf_move(values: tuple[float, ...], sep_vars: tuple[str, ...],
-              constraints: dict, alpha: float, own_var: str,
-              own_domain, sep_domains: dict) -> tuple[float, ...]:
-    """One gradient move of every coordinate of a leaf tuple: the leaf's best
-    own response is found in closed form, then each separator value steps
-    along the corresponding constraint's gradient (clamped to the domain)."""
-    out = []
-    for w, v in zip(sep_vars, values):
-        if (f := constraints.get(w)) is None:
-            out.append(v)
-            continue
-        x_star = best_own_response([f], own_var, {w: v}, own_domain)
-        grad = _gradient_wrt_other(f, own_var, x_star, v)
-        out.append(sep_domains[w].clamp(v + alpha * grad))
-    return tuple(out)
+class Leaf(NamedTuple):
+    """A closed-form leaf's UTIL input: its variable and domain, its sorted
+    separator with each variable's domain and constraint (None for none),
+    and its grid rows, one column per separator variable."""
+
+    var: str
+    own_domain: ContinuousDomain
+    sep_vars: tuple[str, ...]
+    sep_domains: tuple[ContinuousDomain, ...]
+    constraints: tuple
+    rows: np.ndarray
+
+
+def _argmax_quadratic(c2, c1, lo, hi):
+    """`argmax_quadratic_1d` cell by cell: the first strict maximum of lo,
+    the vertex (when c2 < 0 and it lies strictly inside) and hi."""
+    best, top = lo, c2 * lo * lo + c1 * lo
+    vertex = -c1 / (2.0 * c2)
+    at_vertex = c2 * vertex * vertex + c1 * vertex
+    take = (c2 < 0.0) & (lo < vertex) & (vertex < hi) & (at_vertex > top)
+    best, top = np.where(take, vertex, best), np.where(take, at_vertex, top)
+    return np.where(c2 * hi * hi + c1 * hi > top, hi, best)
+
+
+def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
+    """Every closed-form leaf's UTIL table, moved in one array program.
+
+    The leaves' grid rows are stacked into one array, padded to the widest
+    separator. A move steps each coordinate of a row along its constraint's
+    gradient at the own value that maximizes that constraint alone, found in
+    closed form, and clamps it to the coordinate's domain as
+    `ContinuousDomain.clamp` does; a row stops after a move that changes
+    none of its coordinates by 1e-9 or more. Each row is then scored at its
+    leaf's best own response to it, with `joint_utility` once per leaf.
+    Every float is the one the per-tuple scalar rule gives: sums start
+    from 0.0 and run in the scalar order."""
+    width = max(len(leaf.sep_vars) for leaf in leaves)
+    counts = [len(leaf.rows) for leaf in leaves]
+    # per leaf and column: the column's constraint as (own^2, own, other^2,
+    # other, own x other) coefficients and its domain bounds; a padding
+    # column or one without a constraint never moves
+    coeffs = np.zeros((len(leaves), 5, width))
+    bounds = np.zeros((len(leaves), 2, width))
+    has = np.zeros((len(leaves), width), dtype=bool)
+    current = np.zeros((sum(counts), width))
+    start = 0
+    for i, leaf in enumerate(leaves):
+        for j, (f, dom) in enumerate(zip(leaf.constraints, leaf.sep_domains)):
+            bounds[i, :, j] = dom.lb, dom.ub
+            if f is not None:
+                has[i, j] = True
+                a, b, c, d, e, _ = f.coeffs
+                coeffs[i, :, j] = (a, b, c, d, e) if f.first_var == leaf.var else (c, d, a, b, e)
+        current[start:start + counts[i], :len(leaf.sep_vars)] = leaf.rows
+        start += counts[i]
+    own_sq, own_lin, other_sq, other_lin, cross = np.repeat(coeffs, counts, axis=0).transpose(1, 0, 2)
+    lb, ub = np.repeat(bounds, counts, axis=0).transpose(1, 0, 2)
+    has = np.repeat(has, counts, axis=0)
+    lo, hi = np.repeat([(leaf.own_domain.lb, leaf.own_domain.ub) for leaf in leaves],
+                       counts, axis=0).T.reshape(2, -1, 1)
+
+    # a large alpha steps past the float range, and an infinite coefficient
+    # times a zero coordinate gives NaN; the clamp maps ±inf to the bound and
+    # NaN to the lower bound, as ContinuousDomain.clamp does
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        twice_other_sq = 2.0 * other_sq
+        moving = np.ones(len(current), dtype=bool)
+        for _ in range(moves):
+            x_star = _argmax_quadratic(own_sq, 0.0 + (own_lin + cross * current), lo, hi)
+            step = current + alpha * (twice_other_sq * current + other_lin + cross * x_star)
+            step = np.where(step > lb, step, lb)
+            step = np.where(step < ub, step, ub)
+            nxt = np.where(has & moving[:, None], step, current)
+            moving &= np.abs(nxt - current).max(axis=1) >= 1e-9
+            current = nxt
+            if not moving.any():
+                break
+
+        # the best own response to all of a row's constraints, summed in
+        # separator order as best_own_response does
+        c2, c1 = np.zeros(len(current)), np.zeros(len(current))
+        for j in range(width):
+            c2 = np.where(has[:, j], c2 + own_sq[:, j], c2)
+            c1 = np.where(has[:, j], c1 + (own_lin[:, j] + cross[:, j] * current[:, j]), c1)
+        x_star = _argmax_quadratic(c2, c1, lo[:, 0], hi[:, 0])
+
+        tables = []
+        start = 0
+        for leaf, n in zip(leaves, counts):
+            rows = current[start:start + n, :len(leaf.sep_vars)].copy()
+            utils = joint_utility(x_star[start:start + n], leaf.var, leaf.sep_vars, tuple(rows.T),
+                                  [f for f in leaf.constraints if f is not None])
+            tables.append(UtilTable(leaf.sep_vars, rows, utils))
+            start += n
+    return tables
 
 
 def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -182,9 +268,27 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
     # whose clustering may interpolate more than PAIR_CAP pairs (at most k
     # centroids against its rows)
     with kernel.phase("util"):
-        plan = plan_util(contexts, tree, config.points, config.row_cap,
-                         grid_tables=not (config.moves or clustered),
-                         settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
+        plan, plan_ahead = plan_util(contexts, tree, config.points, config.row_cap,
+                                     grid_tables=not (config.moves or clustered),
+                                     settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
+        # with moves, every leaf's table is moved here, in one program; a
+        # leaf whose plan refuses is left out, and refuses at its turn
+        leaves = []
+        for var in tree.post_order if config.moves else ():
+            if tree.children[var] or var == tree.root:
+                continue
+            try:
+                planned = plan_ahead(var)
+            except FdcopError:
+                continue
+            if planned.rows <= config.row_cap:
+                sep_vars = contexts[var].separator
+                leaves.append(Leaf(var, planned.domains[var], sep_vars,
+                                   tuple(planned.domains[w] for w in sep_vars),
+                                   tuple(map(contexts[var].constraint_with, sep_vars)),
+                                   product_grid([planned.grids[w] for w in sep_vars])[1]))
+        moved = dict(zip([leaf.var for leaf in leaves],
+                         leaf_move(leaves, config.alpha, config.moves) if leaves else ()))
 
     def agent_util(var, ctx, tables):
         """One agent's UTIL step over its children's tables; a leaf is the
@@ -200,6 +304,19 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         domains = planned.domains
         own_dom = domains[var]
         sep_vars = ctx.separator
+        constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
+        sorted_constraints = list(constraints.values())  # sep_vars is sorted
+
+        if var in moved:
+            # with no child tables the utility is a sum of quadratics in the
+            # own value: the table was moved against the closed-form best
+            # response, which also answers VALUE
+            def value(query):
+                return best_own_response(sorted_constraints, var,
+                                         dict(zip(sep_vars, query)), own_dom)
+            state[var] = value
+            return moved[var]
+
         # the union of the children's value sets per variable, and the grid of
         # every variable no child mentions; the join below interpolates each
         # child table at these points
@@ -211,10 +328,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             sets.setdefault(w, grid)
         candidates = sets[var]
         sep_sets = [sets[w] for w in sep_vars]
-        check_grid_cap(var, candidates, sep_sets, config.row_cap)
-
-        constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
-        sorted_constraints = list(constraints.values())  # sep_vars is sorted
+        check_grid_cap(var, len(candidates) * math.prod(map(len, sep_sets)), config.row_cap)
 
         # per child: where `var` sits in its table, and which separator
         # columns give the other coordinates of its queries
@@ -262,42 +376,17 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 contributions.append(looked_up[inverse])
             return join(var, candidates, sep_vars, tuples, contributions, sorted_constraints)
 
-        # with no child tables the utility is a sum of quadratics in the own
-        # value, so tuples move against the closed-form best response
-        closed_form = not tables and config.moves > 0
-        if closed_form:
-            def value(query):
-                return best_own_response(sorted_constraints, var,
-                                         dict(zip(sep_vars, query)), own_dom)
-        else:
-            def value(query):
-                col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
-                # the first max is the smallest candidate; a clustered child's
-                # centroid may round just outside the domain
-                return own_dom.clamp(candidates[int(col.argmax())])
+        def value(query):
+            col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
+            # the first max is the smallest candidate; a clustered child's
+            # centroid may round just outside the domain
+            return own_dom.clamp(candidates[int(col.argmax())])
         state[var] = value
 
         _, grid = product_grid(sep_sets)
         if var == tree.root:
             # no separator: one row, the best candidate's utility
             return float(scores(grid).max())
-
-        if closed_form:
-            # a leaf's tables are a few rows, which move faster one tuple at a
-            # time than as arrays
-            moved = []
-            for current in map(tuple, grid.tolist()):
-                for _ in range(config.moves):
-                    nxt = leaf_move(current, sep_vars, constraints, config.alpha,
-                                    var, own_dom, domains)
-                    delta = max(abs(a - b) for a, b in zip(nxt, current))
-                    current = nxt
-                    if delta < 1e-9:
-                        break
-                moved.append(current)
-            utils = [joint_utility(value(t), var, sep_vars, t, sorted_constraints)
-                     for t in moved]
-            return UtilTable(sep_vars, np.array(moved, dtype=float), np.array(utils, dtype=float))
 
         grid_scores = scores(grid)
         best_candidate_idx = grid_scores.argmax(axis=1)  # first max = smallest candidate

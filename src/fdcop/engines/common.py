@@ -67,14 +67,10 @@ def discretize(domain: ContinuousDomain, d: int) -> list[float]:
     return points
 
 
-def check_grid_cap(var: str, own_pts: list[float], sep_grids: list[list[float]],
-                   row_cap: int) -> int:
-    """Refuse, before it is built, a grid table of d^(|sep|+1) rows above the
-    cap; returns the row count."""
-    cells = len(own_pts) * math.prod(len(g) for g in sep_grids)
+def check_grid_cap(var: str, cells: int, row_cap: int) -> None:
+    """Refuse, before it is built, a grid table of `cells` rows above the cap."""
     if cells > row_cap:
         raise CapacityError(f"{var}: grid table would hold {cells} rows (cap {row_cap})")
-    return cells
 
 
 @dataclass(frozen=True)
@@ -92,13 +88,14 @@ class AgentPlan:
 
 def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: bool = True,
               settles=lambda rows: True):
-    """Plan the UTIL phase before its first message and return `plan(var)`,
-    each agent's `AgentPlan`.
+    """Plan the UTIL phase before its first message. Returns `plan(var)`,
+    each agent's `AgentPlan`, and `plan_ahead(var)`, the same plan without
+    the row-cap refusal, for work done ahead of the agent's turn.
 
     An agent's plan discretizes its variables that no child's table mentions
     (with `grid_tables`, the children's tables are the grids of their
-    variables, so all of them) and, when it knows every grid, refuses a
-    table of d^(|sep|+1) rows above `row_cap` with `check_grid_cap`. A
+    variables, so all of them) and, when it knows every grid, `plan` refuses
+    a table of d^(|sep|+1) rows above `row_cap` with `check_grid_cap`. A
     variable a child's table mentions has at least one value, so the count
     it knows is a lower bound; that bound refuses nothing, since a refusal
     names the table's count.
@@ -106,28 +103,35 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
     The walk plans the agents in post-order, the order of their UTIL steps,
     while each step before is sure to finish: it stops after an agent whose
     table depends on its children's tables, or whose exact row count
-    `settles` does not accept. `plan(var)` plans any other agent when its
-    step asks. So every agent reads its domains once, and each input's first
-    error is the one the steps would raise in turn, only earlier.
+    `settles` does not accept. Any other agent is planned when first asked
+    for, and each plan is kept. So every agent reads its domains once, and
+    each input's first error is the one the steps would raise in turn, only
+    earlier.
     """
-    def plan(var: str) -> AgentPlan:
-        ctx = contexts[var]
-        mentioned = () if grid_tables else {w for c in tree.children[var]
-                                            for w in tree.separator[c]}
-        domains = {var: ctx.own_domain(), **{w: ctx.domain_of(w) for w in ctx.separator}}
-        grids = {w: discretize(dom, d) for w, dom in domains.items() if w not in mentioned}
-        rows = None
-        if len(grids) == len(domains):
-            own, *sep = grids.values()
-            rows = check_grid_cap(var, own, sep, row_cap)
-        return AgentPlan(domains, grids, rows)
+    plans: dict[str, AgentPlan] = {}
 
-    walked: dict[str, AgentPlan] = {}
+    def plan_ahead(var: str) -> AgentPlan:
+        if var not in plans:
+            ctx = contexts[var]
+            mentioned = () if grid_tables else {w for c in tree.children[var]
+                                                for w in tree.separator[c]}
+            domains = {var: ctx.own_domain(), **{w: ctx.domain_of(w) for w in ctx.separator}}
+            grids = {w: discretize(dom, d) for w, dom in domains.items() if w not in mentioned}
+            rows = math.prod(map(len, grids.values())) if len(grids) == len(domains) else None
+            plans[var] = AgentPlan(domains, grids, rows)
+        return plans[var]
+
+    def plan(var: str) -> AgentPlan:
+        planned = plan_ahead(var)
+        if planned.rows is not None:
+            check_grid_cap(var, planned.rows, row_cap)
+        return planned
+
     for var in tree.post_order:
-        walked[var] = planned = plan(var)
+        planned = plan(var)
         if planned.rows is None or not settles(planned.rows):
             break
-    return lambda var: walked[var] if var in walked else plan(var)
+    return plan, plan_ahead
 
 
 def product_grid(grids: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from fdcop.engines.common import UtilTable
+from fdcop.engines.common import UtilTable, best_own_response
+from fdcop.engines.discrete import joint_utility
 from fdcop.errors import CapacityError
 from fdcop.model import ContinuousDomain, Problem, QuadraticBinaryUtility
 from fdcop.oracles import oracle_grid
@@ -71,6 +72,44 @@ def brute_force_grid_optimum(problem: Problem, d: int,
     idx = np.unravel_index(flat_best, total.shape)
     assignment = {v: float(grids[axis[v]][i]) for v, i in zip(variables, idx)}
     return float(total.reshape(-1)[flat_best]), assignment
+
+
+def scalar_leaf_move(values, sep_vars, constraints, alpha, own_var, own_domain, sep_domains):
+    """Oracle: one gradient move of a leaf tuple, a coordinate at a time.
+    Each separator value steps along its constraint's gradient at the
+    leaf's closed-form best response to that constraint alone, clamped to
+    its domain; a value without a constraint stays."""
+    out = []
+    for w, v in zip(sep_vars, values):
+        if (f := constraints.get(w)) is None:
+            out.append(v)
+            continue
+        x_star = best_own_response([f], own_var, {w: v}, own_domain)
+        grad = f.partial(w, x_star, v) if f.first_var == own_var else f.partial(w, v, x_star)
+        out.append(sep_domains[w].clamp(v + alpha * grad))
+    return tuple(out)
+
+
+def scalar_leaf_table(rows, sep_vars, constraints, alpha, moves, own_var, own_domain,
+                      sep_domains):
+    """Oracle: a closed-form leaf's UTIL table, one tuple at a time. Each
+    row moves until a move changes none of its values by 1e-9 or more, at
+    most `moves` times, and is scored at the leaf's best own response to it.
+    Returns the moved rows and their utilities as lists of floats."""
+    moved = []
+    for current in map(tuple, rows):
+        for _ in range(moves):
+            nxt = scalar_leaf_move(current, sep_vars, constraints, alpha, own_var, own_domain,
+                                   sep_domains)
+            delta = max(abs(a - b) for a, b in zip(nxt, current))
+            current = nxt
+            if delta < 1e-9:
+                break
+        moved.append(current)
+    ordered = [constraints[w] for w in sep_vars if w in constraints]
+    utils = [joint_utility(best_own_response(ordered, own_var, dict(zip(sep_vars, t)), own_domain),
+                           own_var, sep_vars, t, ordered) for t in moved]
+    return moved, utils
 
 
 def quad(first, second, a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f0=0.0):

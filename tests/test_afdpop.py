@@ -13,14 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from fdcop import generators, model, runtime
 from fdcop.engines import afdpop
-from fdcop.engines.afdpop import _interp_many, _snap_column, cluster_tuples, leaf_move
-from fdcop.engines.common import best_own_response, discretize
+from fdcop.engines.afdpop import Leaf, _interp_many, _snap_column, cluster_tuples, leaf_move
+from fdcop.engines.common import best_own_response, discretize, product_grid
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, CapacityError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import make_problem, quad, util_table
+from conftest import make_problem, quad, scalar_leaf_move, scalar_leaf_table, util_table
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -128,28 +128,106 @@ class TestClusterTuples:
 
 
 class TestLeafMove:
+    """The per-tuple scalar move, kept as the oracle of the leaf batch."""
+
     def test_gradient_step(self):
         # f(x,p) = -x^2 - (p-3)^2: x* = 0, gradient -2(p-3) at p=0 is 6
         f = quad("x", "p", a=-1.0, c=-1.0, d=6.0, f0=-9.0)
-        out = leaf_move((0.0,), ("p",), {"p": f}, 0.1, "x", DOM, {"p": DOM})
+        out = scalar_leaf_move((0.0,), ("p",), {"p": f}, 0.1, "x", DOM, {"p": DOM})
         assert out == (pytest.approx(0.6),)
 
     def test_stationary_point_fixed(self):
         f = quad("x", "p", a=-1.0, c=-1.0, d=6.0, f0=-9.0)
-        out = leaf_move((3.0,), ("p",), {"p": f}, 0.1, "x", DOM, {"p": DOM})
+        out = scalar_leaf_move((3.0,), ("p",), {"p": f}, 0.1, "x", DOM, {"p": DOM})
         assert out == (pytest.approx(3.0),)
 
     def test_clamped_to_domain(self):
         # f(x,p) = 10p: gradient wrt p is 10 regardless of x
         f = quad("x", "p", d=10.0)
-        out = leaf_move((99.0,), ("p",), {"p": f}, 1.0, "x", DOM, {"p": DOM})
+        out = scalar_leaf_move((99.0,), ("p",), {"p": f}, 1.0, "x", DOM, {"p": DOM})
         assert out == (100.0,)
 
     def test_unconstrained_coordinate_unmoved(self):
         f = quad("x", "p", d=10.0)
-        out = leaf_move((1.0, 2.0), ("p", "q"), {"p": f}, 0.5, "x", DOM,
-                        {"p": DOM, "q": DOM})
+        out = scalar_leaf_move((1.0, 2.0), ("p", "q"), {"p": f}, 0.5, "x", DOM,
+                               {"p": DOM, "q": DOM})
         assert out[1] == 2.0
+
+
+# the signed-zero domains, and one with 0 strictly inside, where a best
+# response of -0.0 and one of 0.0 differ
+SIGNED_DOMAINS = [ContinuousDomain(-1.0, -0.0), ContinuousDomain(-0.0, 2.0),
+                  ContinuousDomain(0.0, 1.0), ContinuousDomain(-1.0, 1.0)]
+# small integers tie candidates and rows exactly; huge ones overflow
+COEFFS = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(float),
+                   st.sampled_from([-1e308, 1e308, -0.0]))
+
+
+@st.composite
+def leaves(draw, name):
+    """A leaf over 1-3 separator variables on SIGNED_DOMAINS, each
+    constraint naming the leaf first or second (or, but for the first, none)."""
+    width = draw(st.integers(1, 3))
+    sep_vars = tuple(f"{name}s{j}" for j in range(width))
+    sep_domains = tuple(draw(st.sampled_from(SIGNED_DOMAINS)) for _ in sep_vars)
+    constraints = []
+    for j, w in enumerate(sep_vars):
+        coeffs = draw(st.tuples(*[COEFFS] * 5))
+        form = draw(st.sampled_from(["first", "second", "none"] if j else ["first", "second"]))
+        constraints.append(None if form == "none" else
+                           quad(name, w, *coeffs) if form == "first" else quad(w, name, *coeffs))
+    points = draw(st.integers(1, 4))
+    rows = product_grid([discretize(dom, points) for dom in sep_domains])[1]
+    return Leaf(name, draw(st.sampled_from(SIGNED_DOMAINS)), sep_vars, sep_domains,
+                tuple(constraints), rows)
+
+
+def hex_floats(values):
+    return [float.hex(float(v)) for v in values]
+
+
+class TestLeafBatch:
+    """The leaf batch gives, leaf by leaf, the scalar oracle's rows and
+    utilities to the last bit."""
+
+    @staticmethod
+    def assert_matches_oracle(batch, alpha, moves):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = leaf_move(batch, alpha, moves)
+        assert len(tables) == len(batch)
+        for leaf, table in zip(batch, tables):
+            constraints = {w: f for w, f in zip(leaf.sep_vars, leaf.constraints) if f is not None}
+            rows, utils = scalar_leaf_table(leaf.rows.tolist(), leaf.sep_vars, constraints, alpha,
+                                            moves, leaf.var, leaf.own_domain,
+                                            dict(zip(leaf.sep_vars, leaf.sep_domains)))
+            assert table.separator_vars == leaf.sep_vars
+            assert table.rows.shape == leaf.rows.shape
+            assert [hex_floats(r) for r in table.rows.tolist()] == [hex_floats(r) for r in rows]
+            assert hex_floats(table.utils.tolist()) == hex_floats(utils)
+
+    @given(data=st.data(),
+           alpha=st.one_of(st.floats(1e-3, 1e308), st.sampled_from([1e-3, 1.0, 1e308])),
+           moves=st.integers(0, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scalar_oracle(self, data, alpha, moves):
+        count = data.draw(st.integers(1, 4))
+        batch = [data.draw(leaves(f"v{i}")) for i in range(count)]
+        self.assert_matches_oracle(batch, alpha, moves)
+
+    def test_rows_stop_at_different_moves(self):
+        # g(y, q) = 10q moves q by 10 * alpha until it clamps at 100: with
+        # alpha = 1 the rows stop after 1, 2 and 6 moves, or move all 10;
+        # f(x, p) = -x^2 - (p-3)^2 takes p to 3 in one move at alpha = 0.5
+        f = quad("x", "p", a=-1.0, c=-1.0, d=6.0, f0=-9.0)
+        g = quad("y", "q", d=10.0)
+        batch = [Leaf("x", DOM, ("p",), (DOM,), (f,), np.array([[3.0], [0.0], [-100.0]])),
+                 Leaf("y", DOM, ("q",), (DOM,), (g,), np.array([[100.0], [99.0], [50.0],
+                                                                [-100.0]]))]
+        for alpha in (0.5, 1.0):
+            self.assert_matches_oracle(batch, alpha, 10)
+        assert leaf_move(batch, 1.0, 10)[1].rows[:, 0].tolist() == [100.0, 100.0, 100.0, 0.0]
+        assert leaf_move(batch, 0.5, 10)[0].rows[:, 0].tolist() == [3.0, 3.0, 3.0]
 
 
 class TestStepPastTheFloatRange:
@@ -454,6 +532,31 @@ class TestSizePlan:
             runtime.run(p, "af-dpop", EngineConfig(points=3, moves=3, row_cap=242),
                         keep_trace=False)
         assert exc.value.stats.total_messages == 1
+
+    def test_a_later_leaf_does_not_preempt_an_earlier_refusal_under_caf(self, monkeypatch):
+        # the same input: caf's first leaf sends its 9 rows unclustered
+        # (k = 10), so the second agent's interpolation refuses as af's does
+        p = generators.gen_graph(12, 0.3, 6, concave=True)
+        monkeypatch.setattr(afdpop, "PAIR_CAP", 50)
+        with pytest.raises(CapacityError, match=r"^interpolation workload 9x9 exceeds the pair "
+                                                r"cap$") as exc:
+            runtime.run(p, "caf-dpop", EngineConfig(points=3, moves=3, row_cap=242),
+                        keep_trace=False)
+        assert exc.value.stats.total_messages == 1
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_an_over_cap_leaf_refuses_at_its_turn(self, engine):
+        # the leaf x011 comes after the first agent with children and nothing
+        # before it refuses: the leaves before it still send their tables
+        p = generators.gen_graph(12, 0.3, 6)
+        tree = p.tree
+        assert tree.post_order.index("x011") == 3 and not tree.children["x011"]
+        assert tree.children[tree.post_order[1]] and len(tree.separator["x011"]) == 4
+        with pytest.raises(CapacityError, match=r"^x011: grid table would hold 243 rows "
+                                                r"\(cap 242\)$") as exc:
+            runtime.run(p, engine, EngineConfig(points=3, moves=3, row_cap=242),
+                        keep_trace=False)
+        assert exc.value.stats.total_messages == 3
 
 
 VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])

@@ -194,6 +194,14 @@ GOLDEN_PAYLOADS = [
      "048150dbe978316ffe98934f1bd011558041badee2de1e39bb46a166023852c1"),
     (WIDTH3_GRAPH, "caf-dpop", EngineConfig(k_clusters=4),
      "7490543fa66fbeeca8e5d45e336f8c11d8e7f84c39d6ef1ce91a3bbc2d0675b0"),
+    # the tree workload's af-dpop config: about half the agents are leaves
+    (TREE, "af-dpop", EngineConfig(points=3, moves=10, alpha=0.001),
+     "eb9d9c35fc5202d0ebab5a03cfdb0934723b2953f70b8712c15167a5cfdb982c"),
+    # leaf rows clamp to their bounds and stop at different moves
+    (WIDTH3_GRAPH, "caf-dpop", EngineConfig(alpha=1.0),
+     "34d314cb24cf3fad9b111e98ffb3fc4db3efb75da0b127345b039f92ed6294a8"),
+    (UNIT_TREE, "af-dpop", EngineConfig(),
+     "89943e259dca00e7a87944f3ce17d06b49c74a8e4619f6950e93e56ed1e66717"),
     (HCMS_GRAPH, "hcms", EngineConfig(points=5, iterations=3),
      "520f23326a7846b1a33394985f09eb220273f9180ed28a7a63d5e40b0de7a429"),
     # q vectors of 10 entries, which numpy's pairwise np.sum would reorder
@@ -204,7 +212,9 @@ GOLDEN_PAYLOADS = [
 
 @pytest.mark.parametrize("problem, engine, config, expected", GOLDEN_PAYLOADS,
                          ids=["nonconcave-tree-ef-dpop", "unit-tree-ef-dpop", "200-dpop",
-                              "16-dpop", "16-af-dpop", "16-caf-dpop", "30-hcms", "30-hcms-d10"])
+                              "16-dpop", "16-af-dpop", "16-caf-dpop", "200-af-dpop-tree-workload",
+                              "16-caf-dpop-alpha1", "unit-tree-af-dpop", "30-hcms",
+                              "30-hcms-d10"])
 def test_golden_payload_digest(problem, engine, config, expected, monkeypatch):
     assert payload_digest(problem, engine, config, monkeypatch) == expected
 
