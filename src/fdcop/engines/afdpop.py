@@ -178,8 +178,8 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
     separator. A move steps each coordinate of a row along its constraint's
     gradient at the own value that maximizes that constraint alone, found in
     closed form, and clamps it to the coordinate's domain as
-    `ContinuousDomain.clamp` does; a row stops after a move that changes
-    none of its coordinates by 1e-9 or more. Each row is then scored at its
+    `ContinuousDomain.clamp` does (a NaN step is no move); a row stops after
+    a move that changes none of its coordinates by 1e-9 or more. Each row is then scored at its
     leaf's best own response to it, with `joint_utility` once per leaf.
     Every float is the one the per-tuple scalar rule gives: sums start
     from 0.0 and run in the scalar order."""
@@ -208,18 +208,19 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
     lo, hi = np.repeat([(leaf.own_domain.lb, leaf.own_domain.ub) for leaf in leaves],
                        counts, axis=0).T.reshape(2, -1, 1)
 
-    # a large alpha steps past the float range, and an infinite coefficient
-    # times a zero coordinate gives NaN; the clamp maps ±inf to the bound and
-    # NaN to the lower bound, as ContinuousDomain.clamp does
+    # a large alpha steps past the float range, and the clamp maps ±inf to
+    # the bound. An infinite coefficient times a zero coordinate gives a NaN
+    # step, whose true partial is 0, so a NaN step is no move
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         twice_other_sq = 2.0 * other_sq
         moving = np.ones(len(current), dtype=bool)
         for _ in range(moves):
             x_star = _argmax_quadratic(own_sq, 0.0 + (own_lin + cross * current), lo, hi)
             step = current + alpha * (twice_other_sq * current + other_lin + cross * x_star)
+            stepping = has & moving[:, None] & ~np.isnan(step)
             step = np.where(step > lb, step, lb)
             step = np.where(step < ub, step, ub)
-            nxt = np.where(has & moving[:, None], step, current)
+            nxt = np.where(stepping, step, current)
             moving &= np.abs(nxt - current).max(axis=1) >= 1e-9
             current = nxt
             if not moving.any():
@@ -394,10 +395,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         sep_arrays = [np.array(s) for s in sep_sets]
         current = grid.copy()
         live = np.arange(len(grid))  # rows still moving
-        # a large alpha steps past the float range, and an infinite
-        # coefficient times a zero coordinate gives NaN; the clamp maps ±inf
-        # to the bound and (fmax ignoring NaN) NaN to the lower bound, as
-        # ContinuousDomain.clamp does for the scalar leaf moves
+        # a large alpha steps past the float range, and the clamp maps ±inf
+        # to the bound. An infinite coefficient times a zero coordinate gives
+        # a NaN step, whose true partial is 0, so a NaN step is no move
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(config.moves):
                 if not len(live):
@@ -411,7 +411,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                     if (f := constraints.get(w)) is not None:
                         v, dom = rows[:, j], domains[w]
                         step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
-                        nxt[:, j] = np.fmin(np.fmax(step, dom.lb), dom.ub)
+                        nxt[:, j] = np.where(np.isnan(step), v,
+                                             np.fmin(np.fmax(step, dom.lb), dom.ub))
                 current[live] = nxt
                 live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
 

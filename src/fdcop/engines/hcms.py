@@ -10,8 +10,9 @@ ties going to the smallest index.
 
 Samples, q and r vectors and partners are read-only float arrays, one entry
 per sample. A q vector's mean sums it left to right, on every interpreter.
-Variable-node sums past the float range go to inf or NaN silently, and a
-NaN step ends at the lower bound, as in `ContinuousDomain.clamp`.
+Variable-node sums past the float range go to inf or NaN silently. A step
+past the float range ends at the domain bound; a NaN step, from an infinite
+coefficient times a zero coordinate (whose true partial is 0), is no move.
 
 A function node's message to one endpoint, r[i] = max_j f(x_i, y_j) + q[j]
 with the first maximizing partner, runs on the join kernel that dpop and
@@ -102,10 +103,13 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 for e in incident[v]:
                     f, ys = constraint[(e, v)], partner_at[(e, v)]
                     grad += f.partial(v, x, ys) if f.first_var == v else f.partial(v, ys, x)
-                # min(ub, max(lb, step)): NaN and ties, 0.0 with -0.0 too, go to the bound
+                # min(ub, max(lb, step)): ties, 0.0 with -0.0 too, go to the
+                # bound; a NaN step keeps the sample
                 dom, step = contexts[v].own_domain(), x + config.alpha * grad
+                stay = np.isnan(step)
                 step = np.where(step > dom.lb, step, dom.lb)
-                samples[v] = frozen(np.where(step < dom.ub, step, dom.ub))
+                step = np.where(step < dom.ub, step, dom.ub)
+                samples[v] = frozen(np.where(stay, x, step))
 
     with np.errstate(over="ignore", invalid="ignore"):
         values = {v: float(samples[v][summed(v).argmax()]) for v in variables}

@@ -78,7 +78,7 @@ def scalar_leaf_move(values, sep_vars, constraints, alpha, own_var, own_domain, 
     """Oracle: one gradient move of a leaf tuple, a coordinate at a time.
     Each separator value steps along its constraint's gradient at the
     leaf's closed-form best response to that constraint alone, clamped to
-    its domain; a value without a constraint stays."""
+    its domain; a value without a constraint, or whose step is NaN, stays."""
     out = []
     for w, v in zip(sep_vars, values):
         if (f := constraints.get(w)) is None:
@@ -86,7 +86,8 @@ def scalar_leaf_move(values, sep_vars, constraints, alpha, own_var, own_domain, 
             continue
         x_star = best_own_response([f], own_var, {w: v}, own_domain)
         grad = f.partial(w, x_star, v) if f.first_var == own_var else f.partial(w, v, x_star)
-        out.append(sep_domains[w].clamp(v + alpha * grad))
+        step = v + alpha * grad
+        out.append(v if math.isnan(step) else sep_domains[w].clamp(step))
     return tuple(out)
 
 

@@ -244,18 +244,20 @@ class TestStepPastTheFloatRange:
         assert all(problem.domains[v].contains(x) for v, x in result.assignment.values.items())
 
 
+NAN_CHAIN = [quad("x0", "x1", a=-1.0, c=-1.0), quad("x1", "x2", a=-1e308, c=-1.0),
+             quad("x2", "x3", a=-1.0, c=-1.0)]
+
+
 class TestNanStep:
-    """An infinite coefficient times a zero coordinate makes a NaN step; it
-    clamps to the lower bound on the array path, as ContinuousDomain.clamp
-    does on the scalar leaf path."""
+    """An infinite coefficient times a zero coordinate makes a NaN step,
+    whose true partial is 0; it is no move, on the leaf batch and on the
+    array path of agents with children alike."""
 
     @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
-    def test_nan_step_clamps_to_the_lower_bound(self, monkeypatch, engine):
+    def test_nan_step_is_no_move(self, monkeypatch, engine):
         # x2 has a child, and moves x1 along f(x1, x2), whose partial in x1
         # is (2.0 * -1e308) * x1 = -inf * 0.0 at x1's grid point 0.0
-        p = make_problem([quad("x0", "x1", a=-1.0, c=-1.0),
-                          quad("x1", "x2", a=-1e308, c=-1.0),
-                          quad("x2", "x3", a=-1.0, c=-1.0)], lb=-1.0, ub=1.0)
+        p = make_problem(NAN_CHAIN, lb=-1.0, ub=1.0)
         assert p.tree.children["x2"] == ("x3",) and p.tree.separator["x2"] == ("x1",)
         tables = []
         real_send = Kernel.send
@@ -273,7 +275,19 @@ class TestNanStep:
         assert all(p.domains[v].contains(x) for v, x in result.assignment.values.items())
         # so the pair count of x1's lookups never meets a NaN row
         assert all(np.isfinite(t.rows).all() for t in tables)
-        assert -1.0 in tables[-1].rows[:, 0]  # x2's table, sent last
+        # x2's table, sent last: x1's grid point 0.0 stays where it is
+        assert 0.0 in tables[-1].rows[:, 0]
+
+    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
+    def test_every_engine_reaches_the_grid_optimum(self, engine):
+        # with a NaN step sending x1 to its lower bound, af, caf and hcms
+        # ended at x1 = -1 with utility -1e308
+        p = make_problem(NAN_CHAIN, lb=-1.0, ub=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runtime.run(p, engine, EngineConfig())
+        assert result.assignment.values["x1"] == 0.0
+        assert result.reported_optimum == model.evaluate_solution(p, result.assignment) == 0.0
 
 
 def nearest_point(points, v):

@@ -114,7 +114,8 @@ class TestPastTheFloatRange:
 
     def test_nan_gradient_ends_at_the_lower_bound(self):
         # 2 * 1e308 is inf, so x's partials are inf * 0 = NaN at x = 0 and
-        # inf - inf = NaN beyond; every NaN step is clamped to lb
+        # inf - inf = NaN beyond; a NaN step keeps the sample, and x's
+        # best sample is its lower bound
         p = make_problem([quad("x", "y", a=1e308), quad("x", "z", a=-1e308)], lb=0.0, ub=0.5)
         result = runtime.run(p, "hcms", EngineConfig(points=3))
         assert result.assignment.values == {"x": 0.0, "y": 0.0, "z": 0.0}
