@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ArgumentError, CapacityError, FdcopError, ProtocolError
-from ..model import ContinuousDomain
+from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
 from .common import (UtilTable, best_own_response, check_grid_cap, join, plan_util,
@@ -149,14 +149,15 @@ def _gradient_wrt_other(f, own_var: str, own_value: float, other_value: float) -
 
 class Leaf(NamedTuple):
     """A closed-form leaf's UTIL input: its variable and domain, its sorted
-    separator with each variable's domain and constraint (None for none),
-    and its grid rows, one column per separator variable."""
+    separator with each variable's domain and its constraint with it (a
+    leaf's separator holds only its neighbours), and its grid rows, one
+    column per separator variable."""
 
     var: str
     own_domain: ContinuousDomain
     sep_vars: tuple[str, ...]
     sep_domains: tuple[ContinuousDomain, ...]
-    constraints: tuple
+    constraints: tuple[QuadraticBinaryUtility, ...]
     rows: np.ndarray
 
 
@@ -179,27 +180,26 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
     gradient at the own value that maximizes that constraint alone, found in
     closed form, and clamps it to the coordinate's domain as
     `ContinuousDomain.clamp` does (a NaN step is no move); a row stops after
-    a move that changes none of its coordinates by 1e-9 or more. Each row is then scored at its
-    leaf's best own response to it, with `joint_utility` once per leaf.
-    Every float is the one the per-tuple scalar rule gives: sums start
-    from 0.0 and run in the scalar order."""
+    a move that changes none of its coordinates by 1e-9 or more. Each row
+    is then scored at its leaf's best own response to it, with
+    `joint_utility` once per leaf. Every float is the one the per-tuple
+    scalar rule gives: sums start from 0.0 and run in the scalar order."""
     width = max(len(leaf.sep_vars) for leaf in leaves)
     counts = [len(leaf.rows) for leaf in leaves]
     # per leaf and column: the column's constraint as (own^2, own, other^2,
     # other, own x other) coefficients and its domain bounds; a padding
-    # column or one without a constraint never moves
+    # column never moves
     coeffs = np.zeros((len(leaves), 5, width))
     bounds = np.zeros((len(leaves), 2, width))
     has = np.zeros((len(leaves), width), dtype=bool)
     current = np.zeros((sum(counts), width))
     start = 0
     for i, leaf in enumerate(leaves):
+        has[i, :len(leaf.sep_vars)] = True
         for j, (f, dom) in enumerate(zip(leaf.constraints, leaf.sep_domains)):
             bounds[i, :, j] = dom.lb, dom.ub
-            if f is not None:
-                has[i, j] = True
-                a, b, c, d, e, _ = f.coeffs
-                coeffs[i, :, j] = (a, b, c, d, e) if f.first_var == leaf.var else (c, d, a, b, e)
+            a, b, c, d, e, _ = f.coeffs
+            coeffs[i, :, j] = (a, b, c, d, e) if f.first_var == leaf.var else (c, d, a, b, e)
         current[start:start + counts[i], :len(leaf.sep_vars)] = leaf.rows
         start += counts[i]
     own_sq, own_lin, other_sq, other_lin, cross = np.repeat(coeffs, counts, axis=0).transpose(1, 0, 2)
@@ -239,7 +239,7 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
         for leaf, n in zip(leaves, counts):
             rows = current[start:start + n, :len(leaf.sep_vars)].copy()
             utils = joint_utility(x_star[start:start + n], leaf.var, leaf.sep_vars, tuple(rows.T),
-                                  [f for f in leaf.constraints if f is not None])
+                                  leaf.constraints)
             tables.append(UtilTable(leaf.sep_vars, rows, utils))
             start += n
     return tables
@@ -308,15 +308,17 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
         sorted_constraints = list(constraints.values())  # sep_vars is sorted
 
-        if var in moved:
-            # with no child tables the utility is a sum of quadratics in the
-            # own value: the table was moved against the closed-form best
-            # response, which also answers VALUE
+        # with no child tables the utility is a sum of quadratics in the own
+        # value, so VALUE answers with the closed-form best response, and a
+        # leaf's table was moved against it at the start of UTIL
+        closed_form = not tables and config.moves > 0
+        if closed_form:
             def value(query):
                 return best_own_response(sorted_constraints, var,
                                          dict(zip(sep_vars, query)), own_dom)
             state[var] = value
-            return moved[var]
+            if var != tree.root:
+                return moved[var]
 
         # the union of the children's value sets per variable, and the grid of
         # every variable no child mentions; the join below interpolates each
@@ -377,12 +379,13 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 contributions.append(looked_up[inverse])
             return join(var, candidates, sep_vars, tuples, contributions, sorted_constraints)
 
-        def value(query):
-            col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
-            # the first max is the smallest candidate; a clustered child's
-            # centroid may round just outside the domain
-            return own_dom.clamp(candidates[int(col.argmax())])
-        state[var] = value
+        if not closed_form:
+            def value(query):
+                col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
+                # the first max is the smallest candidate; a clustered child's
+                # centroid may round just outside the domain
+                return own_dom.clamp(candidates[int(col.argmax())])
+            state[var] = value
 
         _, grid = product_grid(sep_sets)
         if var == tree.root:

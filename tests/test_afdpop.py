@@ -166,16 +166,14 @@ COEFFS = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(float),
 @st.composite
 def leaves(draw, name):
     """A leaf over 1-3 separator variables on SIGNED_DOMAINS, each
-    constraint naming the leaf first or second (or, but for the first, none)."""
+    constraint naming the leaf first or second."""
     width = draw(st.integers(1, 3))
     sep_vars = tuple(f"{name}s{j}" for j in range(width))
     sep_domains = tuple(draw(st.sampled_from(SIGNED_DOMAINS)) for _ in sep_vars)
     constraints = []
-    for j, w in enumerate(sep_vars):
+    for w in sep_vars:
         coeffs = draw(st.tuples(*[COEFFS] * 5))
-        form = draw(st.sampled_from(["first", "second", "none"] if j else ["first", "second"]))
-        constraints.append(None if form == "none" else
-                           quad(name, w, *coeffs) if form == "first" else quad(w, name, *coeffs))
+        constraints.append(quad(name, w, *coeffs) if draw(st.booleans()) else quad(w, name, *coeffs))
     points = draw(st.integers(1, 4))
     rows = product_grid([discretize(dom, points) for dom in sep_domains])[1]
     return Leaf(name, draw(st.sampled_from(SIGNED_DOMAINS)), sep_vars, sep_domains,
@@ -197,7 +195,7 @@ class TestLeafBatch:
             tables = leaf_move(batch, alpha, moves)
         assert len(tables) == len(batch)
         for leaf, table in zip(batch, tables):
-            constraints = {w: f for w, f in zip(leaf.sep_vars, leaf.constraints) if f is not None}
+            constraints = dict(zip(leaf.sep_vars, leaf.constraints))
             rows, utils = scalar_leaf_table(leaf.rows.tolist(), leaf.sep_vars, constraints, alpha,
                                             moves, leaf.var, leaf.own_domain,
                                             dict(zip(leaf.sep_vars, leaf.sep_domains)))
@@ -366,6 +364,17 @@ class TestReductions:
         af = runtime.run(p, "af-dpop", cfg, keep_trace=False)
         caf = runtime.run(p, "caf-dpop", cfg, keep_trace=False)
         assert caf.assignment.values == af.assignment.values
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_a_root_without_children_answers_in_closed_form(self, engine):
+        # a lone variable has no table to move, but with moves its VALUE is
+        # still the closed-form best response: the lower bound of a constant
+        # utility, where the one-point grid's answer would be 0.5
+        p = model.Problem(agents=("a",), variables=("x",),
+                          domains={"x": ContinuousDomain(0.0, 1.0)}, utilities=(),
+                          owner={"x": "a"})
+        result = runtime.run(p, engine, EngineConfig(points=1, moves=3))
+        assert result.assignment.values == {"x": 0.0} and result.reported_optimum == 0.0
 
     @pytest.mark.parametrize("moves", [0, 3])
     def test_leaf_value_off_the_grid(self, moves):
@@ -559,18 +568,45 @@ class TestSizePlan:
         assert exc.value.stats.total_messages == 1
 
     @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
-    def test_an_over_cap_leaf_refuses_at_its_turn(self, engine):
+    def test_a_later_leaf_without_a_grid_does_not_preempt_an_earlier_refusal(
+            self, monkeypatch, engine):
+        # x011's own domain has no 3 distinct points, which only its own step
+        # finds; the second agent's interpolation refuses first
+        p = generators.gen_graph(12, 0.3, 6, concave=True)
+        p = dataclasses.replace(p, domains={**p.domains, "x011": ContinuousDomain(0.0, 5e-324)})
+        monkeypatch.setattr(afdpop, "PAIR_CAP", 50)
+        with pytest.raises(CapacityError, match=r"^interpolation workload 9x9 exceeds the pair "
+                                                r"cap$") as exc:
+            runtime.run(p, engine, EngineConfig(points=3, moves=3), keep_trace=False)
+        assert exc.value.stats.total_messages == 1
+        monkeypatch.setattr(afdpop, "PAIR_CAP", 200_000_000)
+        with pytest.raises(ArgumentError, match=r"^cannot place 3 distinct finite points"):
+            runtime.run(p, engine, EngineConfig(points=3, moves=3), keep_trace=False)
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_an_over_cap_leaf_refuses_at_its_turn(self, monkeypatch, engine):
         # the leaf x011 comes after the first agent with children and nothing
-        # before it refuses: the leaves before it still send their tables
+        # before it refuses: the leaves before it still send their tables,
+        # and x011's grid is never built
         p = generators.gen_graph(12, 0.3, 6)
         tree = p.tree
         assert tree.post_order.index("x011") == 3 and not tree.children["x011"]
         assert tree.children[tree.post_order[1]] and len(tree.separator["x011"]) == 4
+        batched = []
+        real_leaf_move = afdpop.leaf_move
+
+        def record(leaves, alpha, moves):
+            batched.extend((leaf.var, len(leaf.rows)) for leaf in leaves)
+            return real_leaf_move(leaves, alpha, moves)
+
+        monkeypatch.setattr(afdpop, "leaf_move", record)
         with pytest.raises(CapacityError, match=r"^x011: grid table would hold 243 rows "
                                                 r"\(cap 242\)$") as exc:
             runtime.run(p, engine, EngineConfig(points=3, moves=3, row_cap=242),
                         keep_trace=False)
         assert exc.value.stats.total_messages == 3
+        assert batched and "x011" not in dict(batched)
+        assert max(rows for _, rows in batched) <= 242
 
 
 VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
