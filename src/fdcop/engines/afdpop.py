@@ -140,11 +140,13 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random,
 
 # --- gradient moves ----------------------------------------------------------
 
-def _gradient_wrt_other(f, own_var: str, own_value: float, other_value: float) -> float:
-    other = f.other_var(own_var)
-    if f.first_var == own_var:
-        return f.partial(other, own_value, other_value)
-    return f.partial(other, other_value, own_value)
+def _oriented(f: QuadraticBinaryUtility, own_var: str) -> tuple[float, ...]:
+    """f's coefficients from `own_var`'s side: (own^2, own, other^2, other,
+    own x other). The partial in the other variable is then
+    2.0 * other^2 * other_value + other + (own x other) * own_value, summed
+    in that order as `QuadraticBinaryUtility.partial` sums it."""
+    a, b, c, d, e, _ = f.coeffs
+    return (a, b, c, d, e) if f.first_var == own_var else (c, d, a, b, e)
 
 
 class Leaf(NamedTuple):
@@ -198,8 +200,7 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
         has[i, :len(leaf.sep_vars)] = True
         for j, (f, dom) in enumerate(zip(leaf.constraints, leaf.sep_domains)):
             bounds[i, :, j] = dom.lb, dom.ub
-            a, b, c, d, e, _ = f.coeffs
-            coeffs[i, :, j] = (a, b, c, d, e) if f.first_var == leaf.var else (c, d, a, b, e)
+            coeffs[i, :, j] = _oriented(f, leaf.var)
         current[start:start + counts[i], :len(leaf.sep_vars)] = leaf.rows
         start += counts[i]
     own_sq, own_lin, other_sq, other_lin, cross = np.repeat(coeffs, counts, axis=0).transpose(1, 0, 2)
@@ -251,7 +252,7 @@ def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     if len(points) == 1:
         return np.zeros(len(values), dtype=np.intp)
     # the right neighbour, kept in [1, len - 1] so that both neighbours exist
-    i = np.minimum(np.maximum(np.searchsorted(points, values), 1), len(points) - 1)
+    i = np.minimum(np.maximum(points.searchsorted(values), 1), len(points) - 1)
     return i - ((values - points[i - 1]) <= (points[i] - values))
 
 
@@ -396,6 +397,14 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         best_candidate_idx = grid_scores.argmax(axis=1)  # first max = smallest candidate
         cand_arr = np.array(candidates)
         sep_arrays = [np.array(s) for s in sep_sets]
+        shape = [len(s) for s in sep_sets]
+        # per column with a constraint: its index, its partial's (2 x other^2,
+        # other, own x other) coefficients and its bounds
+        columns = []
+        for j, w in enumerate(sep_vars):
+            if (f := constraints.get(w)) is not None:
+                _, _, other_sq, other_lin, cross = _oriented(f, var)
+                columns.append((j, 2.0 * other_sq, other_lin, cross, domains[w].lb, domains[w].ub))
         current = grid.copy()
         live = np.arange(len(grid))  # rows still moving
         # a large alpha steps past the float range, and the clamp maps ±inf
@@ -407,15 +416,13 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                     break
                 rows = current[live]
                 snapped = [_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays)]
-                x_star = cand_arr[best_candidate_idx[
-                    np.ravel_multi_index(snapped, [len(s) for s in sep_sets])]]
+                flat = snapped[0] if len(snapped) == 1 else np.ravel_multi_index(snapped, shape)
+                x_star = cand_arr[best_candidate_idx[flat]]
                 nxt = rows.copy()
-                for j, w in enumerate(sep_vars):
-                    if (f := constraints.get(w)) is not None:
-                        v, dom = rows[:, j], domains[w]
-                        step = v + config.alpha * _gradient_wrt_other(f, var, x_star, v)
-                        nxt[:, j] = np.where(np.isnan(step), v,
-                                             np.fmin(np.fmax(step, dom.lb), dom.ub))
+                for j, twice_other_sq, other_lin, cross, lb, ub in columns:
+                    v = rows[:, j]
+                    step = v + config.alpha * (twice_other_sq * v + other_lin + cross * x_star)
+                    nxt[:, j] = np.where(np.isnan(step), v, np.fmin(np.fmax(step, lb), ub))
                 current[live] = nxt
                 live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
 
