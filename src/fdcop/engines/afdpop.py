@@ -251,9 +251,10 @@ def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     smaller point."""
     if len(points) == 1:
         return np.zeros(len(values), dtype=np.intp)
-    # the right neighbour, kept in [1, len - 1] so that both neighbours exist
-    i = np.minimum(np.maximum(points.searchsorted(values), 1), len(points) - 1)
-    return i - ((values - points[i - 1]) <= (points[i] - values))
+    # the left neighbour, kept in [0, len - 2] so that both neighbours exist
+    upper = points[1:]
+    j = np.minimum(upper.searchsorted(values), len(points) - 2)
+    return j + ((values - points[j]) > (upper[j] - values))
 
 
 # --- the engine ---------------------------------------------------------------
@@ -398,15 +399,19 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         cand_arr = np.array(candidates)
         sep_arrays = [np.array(s) for s in sep_sets]
         shape = [len(s) for s in sep_sets]
-        # per column with a constraint: its index, its partial's (2 x other^2,
-        # other, own x other) coefficients and its bounds
-        columns = []
+        # per column: its constraint's partial as (2 x other^2, other,
+        # own x other) coefficients, and its bounds. A column without a
+        # constraint gets NaN coefficients, so its step is NaN: no move
+        partial = np.full((3, len(sep_vars)), np.nan)
         for j, w in enumerate(sep_vars):
             if (f := constraints.get(w)) is not None:
                 _, _, other_sq, other_lin, cross = _oriented(f, var)
-                columns.append((j, 2.0 * other_sq, other_lin, cross, domains[w].lb, domains[w].ub))
+                partial[:, j] = 2.0 * other_sq, other_lin, cross
+        twice_other_sq, other_lin, cross = partial
+        lb = np.array([domains[w].lb for w in sep_vars])
+        ub = np.array([domains[w].ub for w in sep_vars])
         current = grid.copy()
-        live = np.arange(len(grid))  # rows still moving
+        live, rows = np.arange(len(grid)), grid  # the rows still moving, and their values
         # a large alpha steps past the float range, and the clamp maps ±inf
         # to the bound. An infinite coefficient times a zero coordinate gives
         # a NaN step, whose true partial is 0, so a NaN step is no move
@@ -414,17 +419,17 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             for _ in range(config.moves):
                 if not len(live):
                     break
-                rows = current[live]
                 snapped = [_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays)]
                 flat = snapped[0] if len(snapped) == 1 else np.ravel_multi_index(snapped, shape)
-                x_star = cand_arr[best_candidate_idx[flat]]
-                nxt = rows.copy()
-                for j, twice_other_sq, other_lin, cross, lb, ub in columns:
-                    v = rows[:, j]
-                    step = v + config.alpha * (twice_other_sq * v + other_lin + cross * x_star)
-                    nxt[:, j] = np.where(np.isnan(step), v, np.fmin(np.fmax(step, lb), ub))
-                current[live] = nxt
-                live = live[np.abs(nxt - rows).max(axis=1) >= 1e-9]
+                x_star = cand_arr[best_candidate_idx[flat]].reshape(-1, 1)
+                step = rows + config.alpha * (twice_other_sq * rows + other_lin + cross * x_star)
+                nxt = np.where(np.isnan(step), rows, np.fmin(np.fmax(step, lb), ub))
+                moving = np.abs(nxt - rows).max(axis=1) >= 1e-9
+                if not moving.all():
+                    current[live[~moving]] = nxt[~moving]
+                    live, nxt = live[moving], nxt[moving]
+                rows = nxt
+            current[live] = rows
 
         return UtilTable(sep_vars, current,
                          (scores(current) if config.moves else grid_scores).max(axis=1))
