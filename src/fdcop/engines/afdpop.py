@@ -9,13 +9,13 @@ per distinct projection of the separator tuples. Each tuple then moves along
 the own constraints' gradient at the best own value of its nearest grid
 tuple. An agent with no child tables has a utility that is a sum of
 quadratics in its own value, so it moves against the closed-form best
-response instead. Those closed-form leaves move together, in one array
-program (`leaf_move`) at the start of UTIL, before the first message; each
-sends its table at its turn in post-order, and a leaf over the row cap
-refuses at its turn. VALUE answers the ancestors' values, which may lie off
-the grid, by the same rule. The clustered variant compresses each outgoing
-table to the k-means centroids of its rows (at most k) while keeping the
-full table locally.
+response instead. Those leaves move together, in one array program
+(`leaf_move`) at the start of UTIL, and each sends its table, or refuses it
+over the row cap, at its turn in post-order. Leaves and agents with children
+move by one loop and one clamped step (`_move`). VALUE answers the
+ancestors' values, which may lie off the grid, by the same rule. The
+clustered variant compresses each outgoing table to the k-means centroids of
+its rows (at most k) while keeping the full table locally.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from ..errors import ArgumentError, CapacityError, FdcopError, ProtocolError
 from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import (UtilTable, best_own_response, check_grid_cap, join, plan_util,
-                     product_grid, util_value_protocol)
+from .common import (UtilTable, best_own_response, check_grid_cap, clamp, clamped_step,
+                     join, plan_util, product_grid, util_value_protocol)
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
@@ -78,7 +78,7 @@ def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
                 if bad.any():
                     scaled = w[bad] / w[bad].max(axis=1, keepdims=True)
                     mean = 2.0 * ((scaled / scaled.sum(axis=1, keepdims=True)) @ (utils / 2.0))
-                    vals[bad] = np.clip(mean, utils.min(), utils.max())
+                    vals[bad] = clamp(mean, utils.min(), utils.max())
             out[start:start + len(q)] = vals
     return out
 
@@ -149,6 +149,43 @@ def _oriented(f: QuadraticBinaryUtility, own_var: str) -> tuple[float, ...]:
     return (a, b, c, d, e) if f.first_var == own_var else (c, d, a, b, e)
 
 
+def _columns(own_var: str, constraints, domains, width: int) -> np.ndarray:
+    """Per separator column, its constraint's coefficients from `own_var`'s
+    side (`_oriented`, other^2 doubled) and its domain's bounds: the rows
+    own^2, own, 2 x other^2, other, own x other, lb and ub of a (7, width)
+    array. A column without a constraint (None, or past the end) has a NaN
+    2 x other^2, so its step is NaN and it never moves, and zeros elsewhere."""
+    columns = [(0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0)] * width
+    for j, (f, dom) in enumerate(zip(constraints, domains)):
+        if f is not None:
+            own_sq, own_lin, other_sq, other_lin, cross = _oriented(f, own_var)
+            columns[j] = own_sq, own_lin, 2.0 * other_sq, other_lin, cross, dom.lb, dom.ub
+    return np.array(columns).T
+
+
+def _move(current: np.ndarray, alpha: float, moves: int, direction) -> np.ndarray:
+    """`current`'s rows after up to `moves` gradient moves, each a
+    `clamped_step` by alpha times the partials; a row stops after a move
+    that changes none of its coordinates by 1e-9 or more. `direction(live,
+    rows)` gives the partials and bounds of the rows still moving, `rows` at
+    the indices `live` of `current`; overflow and NaN in them are silent."""
+    current = current.copy()
+    live, rows = np.arange(len(current)), current
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(moves):
+            if not len(live):
+                break
+            partials, lb, ub = direction(live, rows)
+            nxt = clamped_step(rows, rows + alpha * partials, lb, ub)
+            moving = np.abs(nxt - rows).max(axis=1) >= 1e-9
+            if not moving.all():
+                current[live[~moving]] = nxt[~moving]
+                live, nxt = live[moving], nxt[moving]
+            rows = nxt
+        current[live] = rows
+    return current
+
+
 class Leaf(NamedTuple):
     """A closed-form leaf's UTIL input: its variable and domain, its sorted
     separator with each variable's domain and its constraint with it (a
@@ -178,71 +215,48 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
     """Every closed-form leaf's UTIL table, moved in one array program.
 
     The leaves' grid rows are stacked into one array, padded to the widest
-    separator. A move steps each coordinate of a row along its constraint's
-    gradient at the own value that maximizes that constraint alone, found in
-    closed form, and clamps it to the coordinate's domain as
-    `ContinuousDomain.clamp` does (a NaN step is no move); a row stops after
-    a move that changes none of its coordinates by 1e-9 or more. Each row
-    is then scored at its leaf's best own response to it, with
+    separator with columns that never move (`_columns`). A move steps each
+    coordinate of a row along its constraint's gradient at the own value
+    that maximizes that constraint alone, found in closed form (`_move`).
+    Each row is then scored at its leaf's best own response to it, with
     `joint_utility` once per leaf. Every float is the one the per-tuple
     scalar rule gives: sums start from 0.0 and run in the scalar order."""
     width = max(len(leaf.sep_vars) for leaf in leaves)
     counts = [len(leaf.rows) for leaf in leaves]
-    # per leaf and column: the column's constraint as (own^2, own, other^2,
-    # other, own x other) coefficients and its domain bounds; a padding
-    # column never moves
-    coeffs = np.zeros((len(leaves), 5, width))
-    bounds = np.zeros((len(leaves), 2, width))
-    has = np.zeros((len(leaves), width), dtype=bool)
-    current = np.zeros((sum(counts), width))
-    start = 0
-    for i, leaf in enumerate(leaves):
-        has[i, :len(leaf.sep_vars)] = True
-        for j, (f, dom) in enumerate(zip(leaf.constraints, leaf.sep_domains)):
-            bounds[i, :, j] = dom.lb, dom.ub
-            coeffs[i, :, j] = _oriented(f, leaf.var)
-        current[start:start + counts[i], :len(leaf.sep_vars)] = leaf.rows
-        start += counts[i]
-    own_sq, own_lin, other_sq, other_lin, cross = np.repeat(coeffs, counts, axis=0).transpose(1, 0, 2)
-    lb, ub = np.repeat(bounds, counts, axis=0).transpose(1, 0, 2)
-    has = np.repeat(has, counts, axis=0)
-    lo, hi = np.repeat([(leaf.own_domain.lb, leaf.own_domain.ub) for leaf in leaves],
-                       counts, axis=0).T.reshape(2, -1, 1)
+    # (7, rows, width) and (2, rows, 1): a leaf's columns and own bounds per row
+    columns = np.repeat(np.stack([_columns(leaf.var, leaf.constraints, leaf.sep_domains, width)
+                                  for leaf in leaves], axis=1), counts, axis=1)
+    own_bounds = np.repeat([[leaf.own_domain.lb, leaf.own_domain.ub] for leaf in leaves],
+                           counts, axis=0).T.reshape(2, -1, 1)
+    starts = np.cumsum([0, *counts]).tolist()  # each leaf's rows are starts[i]:starts[i + 1]
+    grid = np.zeros((starts[-1], width))
+    for leaf, a, b in zip(leaves, starts, starts[1:]):
+        grid[a:b, :len(leaf.sep_vars)] = leaf.rows
 
-    # a large alpha steps past the float range, and the clamp maps ±inf to
-    # the bound. An infinite coefficient times a zero coordinate gives a NaN
-    # step, whose true partial is 0, so a NaN step is no move
+    def direction(live, rows):
+        own_sq, own_lin, twice_other_sq, other_lin, cross, lb, ub = columns[:, live]
+        lo, hi = own_bounds[:, live]
+        x_star = _argmax_quadratic(own_sq, 0.0 + (own_lin + cross * rows), lo, hi)
+        return twice_other_sq * rows + other_lin + cross * x_star, lb, ub
+
+    current = _move(grid, alpha, moves, direction)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        twice_other_sq = 2.0 * other_sq
-        moving = np.ones(len(current), dtype=bool)
-        for _ in range(moves):
-            x_star = _argmax_quadratic(own_sq, 0.0 + (own_lin + cross * current), lo, hi)
-            step = current + alpha * (twice_other_sq * current + other_lin + cross * x_star)
-            stepping = has & moving[:, None] & ~np.isnan(step)
-            step = np.where(step > lb, step, lb)
-            step = np.where(step < ub, step, ub)
-            nxt = np.where(stepping, step, current)
-            moving &= np.abs(nxt - current).max(axis=1) >= 1e-9
-            current = nxt
-            if not moving.any():
-                break
-
         # the best own response to all of a row's constraints, summed in
-        # separator order as best_own_response does
+        # separator order as best_own_response does; a padding column adds
+        # 0.0, which leaves a sum that starts from 0.0 unchanged
+        own_sq, own_lin, _, _, cross, _, _ = columns
         c2, c1 = np.zeros(len(current)), np.zeros(len(current))
         for j in range(width):
-            c2 = np.where(has[:, j], c2 + own_sq[:, j], c2)
-            c1 = np.where(has[:, j], c1 + (own_lin[:, j] + cross[:, j] * current[:, j]), c1)
-        x_star = _argmax_quadratic(c2, c1, lo[:, 0], hi[:, 0])
+            c2 = c2 + own_sq[:, j]
+            c1 = c1 + (own_lin[:, j] + cross[:, j] * current[:, j])
+        x_star = _argmax_quadratic(c2, c1, *own_bounds[:, :, 0])
 
         tables = []
-        start = 0
-        for leaf, n in zip(leaves, counts):
-            rows = current[start:start + n, :len(leaf.sep_vars)].copy()
-            utils = joint_utility(x_star[start:start + n], leaf.var, leaf.sep_vars, tuple(rows.T),
+        for leaf, a, b in zip(leaves, starts, starts[1:]):
+            rows = current[a:b, :len(leaf.sep_vars)].copy()
+            utils = joint_utility(x_star[a:b], leaf.var, leaf.sep_vars, tuple(rows.T),
                                   leaf.constraints)
             tables.append(UtilTable(leaf.sep_vars, rows, utils))
-            start += n
     return tables
 
 
@@ -395,41 +409,18 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             return float(scores(grid).max())
 
         grid_scores = scores(grid)
-        best_candidate_idx = grid_scores.argmax(axis=1)  # first max = smallest candidate
-        cand_arr = np.array(candidates)
+        # per grid tuple, the own value of its first max: the smallest candidate
+        best_own = np.take(candidates, grid_scores.argmax(axis=1)).reshape(list(map(len, sep_sets)))
         sep_arrays = [np.array(s) for s in sep_sets]
-        shape = [len(s) for s in sep_sets]
-        # per column: its constraint's partial as (2 x other^2, other,
-        # own x other) coefficients, and its bounds. A column without a
-        # constraint gets NaN coefficients, so its step is NaN: no move
-        partial = np.full((3, len(sep_vars)), np.nan)
-        for j, w in enumerate(sep_vars):
-            if (f := constraints.get(w)) is not None:
-                _, _, other_sq, other_lin, cross = _oriented(f, var)
-                partial[:, j] = 2.0 * other_sq, other_lin, cross
-        twice_other_sq, other_lin, cross = partial
-        lb = np.array([domains[w].lb for w in sep_vars])
-        ub = np.array([domains[w].ub for w in sep_vars])
-        current = grid.copy()
-        live, rows = np.arange(len(grid)), grid  # the rows still moving, and their values
-        # a large alpha steps past the float range, and the clamp maps ±inf
-        # to the bound. An infinite coefficient times a zero coordinate gives
-        # a NaN step, whose true partial is 0, so a NaN step is no move
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(config.moves):
-                if not len(live):
-                    break
-                snapped = [_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays)]
-                flat = snapped[0] if len(snapped) == 1 else np.ravel_multi_index(snapped, shape)
-                x_star = cand_arr[best_candidate_idx[flat]].reshape(-1, 1)
-                step = rows + config.alpha * (twice_other_sq * rows + other_lin + cross * x_star)
-                nxt = np.where(np.isnan(step), rows, np.fmin(np.fmax(step, lb), ub))
-                moving = np.abs(nxt - rows).max(axis=1) >= 1e-9
-                if not moving.all():
-                    current[live[~moving]] = nxt[~moving]
-                    live, nxt = live[moving], nxt[moving]
-                rows = nxt
-            current[live] = rows
+        _, _, twice_other_sq, other_lin, cross, lb, ub = _columns(
+            var, map(constraints.get, sep_vars), map(domains.get, sep_vars), len(sep_vars))
+
+        def direction(live, rows):
+            # each row's own value: the grid argmax at its nearest grid tuple
+            snapped = tuple(_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays))
+            return twice_other_sq * rows + other_lin + cross * best_own[snapped][:, None], lb, ub
+
+        current = _move(grid, config.alpha, config.moves, direction)
 
         return UtilTable(sep_vars, current,
                          (scores(current) if config.moves else grid_scores).max(axis=1))

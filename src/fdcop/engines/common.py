@@ -2,7 +2,8 @@
 discretization, the UTIL size plan, product grids, the one join kernel (the
 child-plus-constraint sum over separator rows x own candidates behind dpop's
 and af/caf-dpop's UTIL tables and hcms's function-to-variable messages),
-closed-form 1-D maximization, and the UTIL/VALUE message schedule."""
+closed-form 1-D maximization, the one clamp and gradient step, and the
+UTIL/VALUE message schedule."""
 from __future__ import annotations
 
 import functools
@@ -204,6 +205,19 @@ def best_own_response(utilities: list[QuadraticBinaryUtility], var: str,
             c2 += f.coeff_c
             c1 += f.coeff_d + f.coeff_e * other_val
     return argmax_quadratic_1d(c2, c1, domain.lb, domain.ub)
+
+
+def clamp(values, lb, ub):
+    """`ContinuousDomain.clamp` element by element: ±inf and a tie, 0.0
+    against -0.0 included, end at the bound; NaN stays NaN."""
+    return np.minimum(np.maximum(values, lb), ub)
+
+
+def clamped_step(current: np.ndarray, step: np.ndarray, lb, ub) -> np.ndarray:
+    """The gradient step of af/caf-dpop and hcms, clamped to [lb, ub]. A NaN
+    step, from an infinite coefficient times a zero coordinate (whose true
+    partial is 0), is no move: it keeps `current`."""
+    return np.where(np.isnan(step), current, clamp(step, lb, ub))
 
 
 def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):

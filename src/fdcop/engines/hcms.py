@@ -10,9 +10,8 @@ ties going to the smallest index.
 
 Samples, q and r vectors and partners are read-only float arrays, one entry
 per sample. A q vector's mean sums it left to right, on every interpreter.
-Variable-node sums past the float range go to inf or NaN silently. A step
-past the float range ends at the domain bound; a NaN step, from an infinite
-coefficient times a zero coordinate (whose true partial is 0), is no move.
+Variable-node sums past the float range go to inf or NaN silently. Every
+sample step is `common.clamped_step`, the one step rule of af/caf-dpop too.
 
 A function node's message to one endpoint, r[i] = max_j f(x_i, y_j) + q[j]
 with the first maximizing partner, runs on the join kernel that dpop and
@@ -27,7 +26,7 @@ import numpy as np
 from ..errors import CapacityError, ProtocolError
 from ..model import left_sum
 from ..runtime import MS_FUNCTION_TO_VARIABLE, MS_VARIABLE_TO_FUNCTION, EngineConfig, Kernel
-from .common import discretize, join
+from .common import clamped_step, discretize, join
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -103,13 +102,8 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 for e in incident[v]:
                     f, ys = constraint[(e, v)], partner_at[(e, v)]
                     grad += f.partial(v, x, ys) if f.first_var == v else f.partial(v, ys, x)
-                # min(ub, max(lb, step)): ties, 0.0 with -0.0 too, go to the
-                # bound; a NaN step keeps the sample
-                dom, step = contexts[v].own_domain(), x + config.alpha * grad
-                stay = np.isnan(step)
-                step = np.where(step > dom.lb, step, dom.lb)
-                step = np.where(step < dom.ub, step, dom.ub)
-                samples[v] = frozen(np.where(stay, x, step))
+                dom = contexts[v].own_domain()
+                samples[v] = frozen(clamped_step(x, x + config.alpha * grad, dom.lb, dom.ub))
 
     with np.errstate(over="ignore", invalid="ignore"):
         values = {v: float(samples[v][summed(v).argmax()]) for v in variables}

@@ -91,26 +91,55 @@ def scalar_leaf_move(values, sep_vars, constraints, alpha, own_var, own_domain, 
     return tuple(out)
 
 
+def scalar_moves(row, move, moves):
+    """Oracle: the tuple `row` after `move` is applied to it until a move
+    changes none of its values by 1e-9 or more, at most `moves` times."""
+    for _ in range(moves):
+        nxt = move(row)
+        delta = max(abs(a - b) for a, b in zip(nxt, row))
+        row = nxt
+        if delta < 1e-9:
+            break
+    return row
+
+
 def scalar_leaf_table(rows, sep_vars, constraints, alpha, moves, own_var, own_domain,
                       sep_domains):
     """Oracle: a closed-form leaf's UTIL table, one tuple at a time. Each
-    row moves until a move changes none of its values by 1e-9 or more, at
-    most `moves` times, and is scored at the leaf's best own response to it.
-    Returns the moved rows and their utilities as lists of floats."""
-    moved = []
-    for current in map(tuple, rows):
-        for _ in range(moves):
-            nxt = scalar_leaf_move(current, sep_vars, constraints, alpha, own_var, own_domain,
-                                   sep_domains)
-            delta = max(abs(a - b) for a, b in zip(nxt, current))
-            current = nxt
-            if delta < 1e-9:
-                break
-        moved.append(current)
+    row moves as `scalar_moves` moves it, and is scored at the leaf's best
+    own response to it. Returns the moved rows and their utilities as lists
+    of floats."""
+    def move(t):
+        return scalar_leaf_move(t, sep_vars, constraints, alpha, own_var, own_domain, sep_domains)
+
+    moved = [scalar_moves(tuple(row), move, moves) for row in rows]
     ordered = [constraints[w] for w in sep_vars if w in constraints]
     utils = [joint_utility(best_own_response(ordered, own_var, dict(zip(sep_vars, t)), own_domain),
                            own_var, sep_vars, t, ordered) for t in moved]
     return moved, utils
+
+
+def scalar_agent_move(values, sep_vars, sep_sets, own_at, constraints, alpha, own_var,
+                      sep_domains):
+    """Oracle: one gradient move of a tuple of an agent with children, a
+    coordinate at a time. The tuple snaps to its nearest tuple of the grid
+    `sep_sets` (per variable, ties go to the smaller point), and takes that
+    grid tuple's argmax, `own_at[grid tuple]`, as the own value. Each
+    separator value steps along its constraint's partial at that own value,
+    clamped to its domain; a value without a constraint, or whose step is
+    NaN, stays."""
+    snapped = tuple(min(sep_sets[w], key=lambda p: (abs(v - p), p))
+                    for w, v in zip(sep_vars, values))
+    x_star = own_at[snapped]
+    out = []
+    for w, v in zip(sep_vars, values):
+        if (f := constraints.get(w)) is None:
+            out.append(v)
+            continue
+        grad = f.partial(w, x_star, v) if f.first_var == own_var else f.partial(w, v, x_star)
+        step = v + alpha * grad
+        out.append(v if math.isnan(step) else sep_domains[w].clamp(step))
+    return tuple(out)
 
 
 def quad(first, second, a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f0=0.0):

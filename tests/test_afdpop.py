@@ -9,18 +9,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from fdcop import generators, model, runtime
 from fdcop.engines import afdpop
 from fdcop.engines.afdpop import Leaf, _interp_many, _snap_column, cluster_tuples, leaf_move
-from fdcop.engines.common import best_own_response, discretize, product_grid
+from fdcop.engines.common import best_own_response, clamped_step, discretize, product_grid
 from fdcop.engines.discrete import joint_utility
-from fdcop.errors import ArgumentError, CapacityError
+from fdcop.errors import ArgumentError, CapacityError, FdcopError, ValidationError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import make_problem, quad, scalar_leaf_move, scalar_leaf_table, util_table
+from conftest import (make_problem, quad, scalar_agent_move, scalar_leaf_move,
+                      scalar_leaf_table, scalar_moves, util_table)
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -286,6 +287,151 @@ class TestNanStep:
             result = runtime.run(p, engine, EngineConfig())
         assert result.assignment.values["x1"] == 0.0
         assert result.reported_optimum == model.evaluate_solution(p, result.assignment) == 0.0
+
+
+def sent_util_tables(monkeypatch):
+    """Each agent's UTIL table, by sender, as the run sends it."""
+    tables = {}
+    real_send = Kernel.send
+
+    def send(kernel, sender, receiver, kind, payload, scalar_size):
+        if kind == UTIL and receiver != runtime.SYSTEM:
+            tables[sender] = payload
+        real_send(kernel, sender, receiver, kind, payload, scalar_size)
+
+    monkeypatch.setattr(Kernel, "send", send)
+    return tables
+
+
+class TestSignedZeroTie:
+    """A zero step at x2's grid point -0.0, the lower bound of its domain,
+    ends at the bound, -0.0, as `ContinuousDomain.clamp` puts it: on the
+    leaf batch (x1) and on the path of agents with children (x3) alike,
+    whatever the row's position in its array."""
+
+    @pytest.mark.parametrize("points", [3, 8, 9])
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_both_paths_send_the_bound(self, monkeypatch, engine, points):
+        p = make_problem([quad("x1", "x2", a=-1.0, c=-1.0), quad("x2", "x3", a=-1.0, c=-1.0),
+                          quad("x3", "x4", a=-1.0, c=-1.0)],
+                         domains={"x2": ContinuousDomain(-0.0, 2.0)})
+        assert p.tree.root == "x2" and p.tree.children["x3"] == ("x4",)
+        tables = sent_util_tables(monkeypatch)
+        runtime.run(p, engine, EngineConfig(points=points))
+        for var in ("x1", "x3"):
+            assert tables[var].separator_vars == ("x2",)
+            zeros = [v for v in tables[var].rows[:, 0].tolist() if v == 0.0]
+            assert hex_floats(zeros) == ["-0x0.0p+0"], var
+
+
+@st.composite
+def agent_problems(draw):
+    """A connected problem on 3-6 variables over SIGNED_DOMAINS: a random
+    tree plus random back edges, so that some separators hold a variable
+    without a constraint. A coefficient may be ±1e308 while the problem's
+    utility bound stays finite."""
+    n = draw(st.integers(3, 6))
+    names = [f"x{i}" for i in range(n)]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+    coeffs = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(float), st.just(-0.0))
+    utilities = [quad(names[i], names[j], *draw(st.tuples(*[coeffs] * 5))) for i, j in sorted(pairs)]
+    if draw(st.booleans()):
+        k, slot = draw(st.integers(0, len(utilities) - 1)), draw(st.integers(0, 4))
+        f = utilities[k]
+        big = list(f.coeffs[:5])
+        big[slot] = draw(st.sampled_from([-1e308, 1e308]))
+        utilities[k] = quad(f.first_var, f.second_var, *big)
+    domains = {v: draw(st.sampled_from(SIGNED_DOMAINS)) for v in names}
+    try:
+        return make_problem(utilities, domains=domains)
+    except ValidationError:
+        reject()
+
+
+class TestAgentMove:
+    """An agent with children sends, row by row, the rows the scalar oracle
+    moves from its grid, to the last bit. The oracle takes each grid tuple's
+    own value from the agent's grid join, the join's first call."""
+
+    @given(problem=agent_problems(), points=st.integers(1, 4),
+           alpha=st.one_of(st.floats(1e-3, 1e308), st.sampled_from([1e-3, 1.0, 1e308])),
+           moves=st.integers(0, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_oracle(self, problem, points, alpha, moves):
+        grid_joins = {}
+        real_join = afdpop.join
+
+        def join(var, candidates, sep_vars, rows, contributions, constraints):
+            cells = real_join(var, candidates, sep_vars, rows, contributions, constraints)
+            grid_joins.setdefault(var, (candidates, rows.copy(), cells))
+            return cells
+
+        with pytest.MonkeyPatch.context() as mp:
+            tables = sent_util_tables(mp)
+            mp.setattr(afdpop, "join", join)
+            try:
+                runtime.run(problem, "af-dpop", EngineConfig(points=points, moves=moves,
+                                                             alpha=alpha))
+            except FdcopError:
+                pass
+        tree = problem.tree
+        for var, (candidates, grid, cells) in grid_joins.items():
+            if var not in tables:
+                continue
+            sep_vars = tree.separator[var]
+            sep_sets = {w: sorted(set(grid[:, j].tolist())) for j, w in enumerate(sep_vars)}
+            own_at = {tuple(row): candidates[i]
+                      for row, i in zip(grid.tolist(), cells.argmax(axis=1).tolist())}
+            constraints = {w: f for w in sep_vars if (f := problem.utility_between(var, w))}
+
+            def move(t):
+                return scalar_agent_move(t, sep_vars, sep_sets, own_at, constraints, alpha, var,
+                                         problem.domains)
+
+            expected = [scalar_moves(tuple(row), move, moves) for row in grid.tolist()]
+            assert [hex_floats(r) for r in tables[var].rows.tolist()] == [
+                hex_floats(r) for r in expected], var
+
+
+class TestClampedStep:
+    """`clamped_step` gives, element by element, `ContinuousDomain.clamp` of
+    the step, or the current value when the step is NaN, to the last bit:
+    at every position of arrays up to 70 x 3, with per-element, per-column
+    and scalar bounds. A tie, 0.0 against a -0.0 bound or -0.0 against a
+    0.0 bound, goes to the bound."""
+
+    DOMAINS = [ContinuousDomain(-0.0, 2.0), ContinuousDomain(0.0, 1.0),
+               ContinuousDomain(-1.0, -0.0), ContinuousDomain(-1.0, 0.0),
+               ContinuousDomain(-1.0, 1.0)]
+    STEPS = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -0.5, 1.5, -1.5, 1e308]
+
+    @staticmethod
+    def assert_matches(current, step, lb, ub, doms):
+        """`doms` is each element's domain, in C order."""
+        out = clamped_step(current, step, lb, ub)
+        expected = [c if math.isnan(x) else dom.clamp(x) for c, x, dom in
+                    zip(current.ravel().tolist(), step.ravel().tolist(), doms)]
+        assert out.shape == step.shape
+        assert hex_floats(out.ravel()) == hex_floats(expected)
+
+    def test_matches_the_scalar_clamp(self):
+        rng = random.Random(0)
+        for n, w in itertools.product(range(1, 71), range(1, 4)):
+            current = np.array([[rng.choice([-0.0, 0.0, 0.25]) for _ in range(w)]
+                                for _ in range(n)])
+            step = np.array([[rng.choice(self.STEPS) for _ in range(w)] for _ in range(n)])
+            doms = [[rng.choice(self.DOMAINS) for _ in range(w)] for _ in range(n)]
+            flat = sum(doms, [])
+            self.assert_matches(current, step, np.array([[d.lb for d in r] for r in doms]),
+                                np.array([[d.ub for d in r] for r in doms]), flat)
+            # per-column bounds, as af's agents with children pass them
+            self.assert_matches(current, step, np.array([d.lb for d in doms[0]]),
+                                np.array([d.ub for d in doms[0]]), doms[0] * n)
+            # one domain, as hcms passes a variable's, over rows and a vector
+            dom = flat[0]
+            self.assert_matches(current, step, dom.lb, dom.ub, [dom] * (n * w))
+            self.assert_matches(current[:, 0], step[:, 0], dom.lb, dom.ub, [dom] * n)
 
 
 def nearest_point(points, v):

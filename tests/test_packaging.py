@@ -1,5 +1,5 @@
 """The package declares exactly the third-party modules its source imports,
-and defines nothing that only its tests use."""
+defines nothing that only its tests use, and clamps in one module."""
 import ast
 import collections
 import re
@@ -63,3 +63,15 @@ def test_every_library_name_is_used_outside_tests():
                     if not (name.startswith("__") and name.endswith("__"))
                     and uses[name] <= n)
     assert unused == []
+
+
+def test_only_common_spells_a_clamp():
+    """Every engine clamps through `common.clamp`, and every gradient step
+    through `common.clamped_step`, so that one rule decides ties such as
+    0.0 against a -0.0 bound; no other engine module spells a numpy clamp."""
+    clamp = re.compile(r"np\.(fmin|fmax|clip)\b|np\.minimum\(\s*np\.maximum")
+    engines = sorted((ROOT / "src" / "fdcop" / "engines").glob("*.py"))
+    assert "common.py" in [path.name for path in engines]
+    spelled = [f"{path.name}:{n}" for path in engines if path.name != "common.py"
+               for n, line in enumerate(path.read_text().splitlines(), 1) if clamp.search(line)]
+    assert spelled == []
