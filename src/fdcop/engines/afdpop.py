@@ -9,19 +9,30 @@ per distinct projection of the separator tuples. Each tuple then moves along
 the own constraints' gradient at the best own value of its nearest grid
 tuple. An agent with no child tables has a utility that is a sum of
 quadratics in its own value, so it moves against the closed-form best
-response instead. Those leaves move together, in one array program
-(`leaf_move`) at the start of UTIL, and each sends its table, or refuses it
-over the row cap, at its turn in post-order. Leaves and agents with children
-move by one loop and one clamped step (`_move`). VALUE answers the
-ancestors' values, which may lie off the grid, by the same rule. The
-clustered variant compresses each outgoing table to the k-means centroids of
-its rows (at most k) while keeping the full table locally.
+response instead. Every move runs by one loop and one clamped step
+(`_move`).
+
+With moves, UTIL is computed before its first message, one pseudo-tree
+height at a time; an agent's height is its distance to the deepest leaf
+below it, so the agents of one height do not depend on each other. Height 0,
+the leaves, moves in one array program (`leaf_move`). At each later height
+every agent joins its children's tables, the agents' grid rows move in one
+stacked program (`agents_move`), and each agent scores its moved rows. Each
+agent still sends its table at its turn in post-order, so the trace is that
+of one agent at a time. Only the agents before the first that might refuse
+are computed ahead, by upper bounds on the tables' sizes
+(`_sure_to_finish`); that agent and every later one compute at their turn.
+So a refusal comes at its agent's turn, after the same messages, and no
+agent after it does any work. VALUE answers the ancestors' values, which may
+lie off the grid, by the same rule as the move. The clustered variant
+compresses each outgoing table to the k-means centroids of its rows (at most
+k) while keeping the full table locally.
 """
 from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,18 +160,52 @@ def _oriented(f: QuadraticBinaryUtility, own_var: str) -> tuple[float, ...]:
     return (a, b, c, d, e) if f.first_var == own_var else (c, d, a, b, e)
 
 
-def _columns(own_var: str, constraints, domains, width: int) -> np.ndarray:
+def _column_rows(own_var: str, constraints, domains, width: int) -> list[tuple[float, ...]]:
     """Per separator column, its constraint's coefficients from `own_var`'s
-    side (`_oriented`, other^2 doubled) and its domain's bounds: the rows
-    own^2, own, 2 x other^2, other, own x other, lb and ub of a (7, width)
-    array. A column without a constraint (None, or past the end) has a NaN
-    2 x other^2, so its step is NaN and it never moves, and zeros elsewhere."""
+    side (`_oriented`, other^2 doubled) and its domain's bounds: own^2, own,
+    2 x other^2, other, own x other, lb and ub. A column without a
+    constraint (None, or past the end) has a NaN 2 x other^2, so its step is
+    NaN and it never moves, and zeros elsewhere."""
     columns = [(0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0)] * width
     for j, (f, dom) in enumerate(zip(constraints, domains)):
         if f is not None:
             own_sq, own_lin, other_sq, other_lin, cross = _oriented(f, own_var)
             columns[j] = own_sq, own_lin, 2.0 * other_sq, other_lin, cross, dom.lb, dom.ub
-    return np.array(columns).T
+    return columns
+
+
+def _columns(own_var: str, constraints, domains, width: int) -> np.ndarray:
+    """`_column_rows` as the rows of a (7, width) array, one per coefficient."""
+    return np.array(_column_rows(own_var, constraints, domains, width)).T
+
+
+def _stack(blocks, width: int):
+    """Several tables' rows moved as one: each block (a `Leaf` or a `Pending`)
+    has `rows`, one column per entry of `sep_domains`, and the `constraints`
+    of its `var` with them. Returns the rows stacked into one (rows, width)
+    array, padded with zeros; per row, its block's `_column_rows` as seven
+    (rows, width) arrays, one per coefficient, built in one array; and where
+    each block's rows start, with the end last."""
+    counts = [len(b.rows) for b in blocks]
+    starts = np.cumsum([0, *counts]).tolist()
+    grid = np.zeros((starts[-1], width))
+    for b, start in zip(blocks, starts):
+        grid[start:start + len(b.rows), :len(b.sep_domains)] = b.rows
+    layouts = np.array([_column_rows(b.var, b.constraints, b.sep_domains, width) for b in blocks])
+    return grid, list(np.repeat(layouts.transpose(2, 0, 1), counts, axis=1)), starts
+
+
+def _gathered(arrays: list[np.ndarray]):
+    """`at(live)`: the arrays' rows at the indices `live`, for a `direction`.
+    `_move`'s `live` only shrinks, as rows stop, so the rows are gathered
+    again only when its length changes."""
+    last = [len(arrays[0]), arrays]
+
+    def at(live):
+        if len(live) != last[0]:
+            last[:] = len(live), [a[live] for a in arrays]
+        return last[1]
+    return at
 
 
 def _move(current: np.ndarray, alpha: float, moves: int, direction) -> np.ndarray:
@@ -215,27 +260,21 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
     """Every closed-form leaf's UTIL table, moved in one array program.
 
     The leaves' grid rows are stacked into one array, padded to the widest
-    separator with columns that never move (`_columns`). A move steps each
+    separator with columns that never move (`_stack`). A move steps each
     coordinate of a row along its constraint's gradient at the own value
     that maximizes that constraint alone, found in closed form (`_move`).
     Each row is then scored at its leaf's best own response to it, with
     `joint_utility` once per leaf. Every float is the one the per-tuple
     scalar rule gives: sums start from 0.0 and run in the scalar order."""
     width = max(len(leaf.sep_vars) for leaf in leaves)
-    counts = [len(leaf.rows) for leaf in leaves]
-    # (7, rows, width) and (2, rows, 1): a leaf's columns and own bounds per row
-    columns = np.repeat(np.stack([_columns(leaf.var, leaf.constraints, leaf.sep_domains, width)
-                                  for leaf in leaves], axis=1), counts, axis=1)
+    grid, columns, starts = _stack(leaves, width)
+    # (rows, 2): each row's leaf's own bounds
     own_bounds = np.repeat([[leaf.own_domain.lb, leaf.own_domain.ub] for leaf in leaves],
-                           counts, axis=0).T.reshape(2, -1, 1)
-    starts = np.cumsum([0, *counts]).tolist()  # each leaf's rows are starts[i]:starts[i + 1]
-    grid = np.zeros((starts[-1], width))
-    for leaf, a, b in zip(leaves, starts, starts[1:]):
-        grid[a:b, :len(leaf.sep_vars)] = leaf.rows
+                           np.diff(starts), axis=0)
+    at = _gathered([*columns, own_bounds[:, :1], own_bounds[:, 1:]])
 
     def direction(live, rows):
-        own_sq, own_lin, twice_other_sq, other_lin, cross, lb, ub = columns[:, live]
-        lo, hi = own_bounds[:, live]
+        own_sq, own_lin, twice_other_sq, other_lin, cross, lb, ub, lo, hi = at(live)
         x_star = _argmax_quadratic(own_sq, 0.0 + (own_lin + cross * rows), lo, hi)
         return twice_other_sq * rows + other_lin + cross * x_star, lb, ub
 
@@ -249,7 +288,7 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
         for j in range(width):
             c2 = c2 + own_sq[:, j]
             c1 = c1 + (own_lin[:, j] + cross[:, j] * current[:, j])
-        x_star = _argmax_quadratic(c2, c1, *own_bounds[:, :, 0])
+        x_star = _argmax_quadratic(c2, c1, own_bounds[:, 0], own_bounds[:, 1])
 
         tables = []
         for leaf, a, b in zip(leaves, starts, starts[1:]):
@@ -258,6 +297,23 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
                                   leaf.constraints)
             tables.append(UtilTable(leaf.sep_vars, rows, utils))
     return tables
+
+
+class Pending(NamedTuple):
+    """An agent with children between its grid join and its move: its
+    variable, its separator's constraints (None where it has none) and
+    domains, its grid rows, each separator variable's sorted grid points,
+    the own value of each grid tuple's first maximum (an array of the grid's
+    shape), and `finish(moved_rows)`, which scores the moved rows and gives
+    the agent's UTIL table."""
+
+    var: str
+    constraints: tuple[QuadraticBinaryUtility | None, ...]
+    sep_domains: tuple[ContinuousDomain, ...]
+    rows: np.ndarray
+    points: tuple[np.ndarray, ...]
+    best_own: np.ndarray
+    finish: Callable[[np.ndarray], UtilTable]
 
 
 def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -271,7 +327,119 @@ def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     return j + ((values - points[j]) > (upper[j] - values))
 
 
+def _snap_direction(agent: Pending):
+    """One agent's `direction`: each row's own value is the grid argmax at
+    its nearest grid tuple."""
+    _, _, twice_other_sq, other_lin, cross, lb, ub = _columns(
+        agent.var, agent.constraints, agent.sep_domains, len(agent.points))
+
+    def direction(live, rows):
+        snapped = tuple(_snap_column(p, rows[:, j]) for j, p in enumerate(agent.points))
+        return twice_other_sq * rows + other_lin + cross * agent.best_own[snapped][:, None], lb, ub
+    return direction
+
+
+# fewer agents than this move one at a time: timed on agents of 3-125 rows
+# and 1-3 separator columns, stacking two costs as much as moving them one by
+# one (0.8-1.15x) and stacking four saves 15-50%
+STACK_MIN = 4
+
+
+def _stacked_direction(agents: list[Pending], columns, starts):
+    """The `direction` of agents stacked by `_stack`: `_snap_direction`'s,
+    row by row against the row's own agent. Each column's points are padded
+    with +inf to one length, and a column of one point (or a padding column)
+    gets a second, +inf, so the left neighbour is the count of points past
+    the first below the value, at most the column's length - 2, as in
+    `_snap_column`; +inf is below no value and is never nearer."""
+    width = columns[0].shape[1]
+    longest = max(2, *(len(p) for a in agents for p in a.points))
+    points = np.full((len(agents), width, longest), np.inf)
+    lengths = np.full((len(agents), width), 2)
+    strides = np.zeros((len(agents), width), dtype=np.intp)
+    for i, agent in enumerate(agents):
+        stride = agent.best_own.size
+        for j, p in enumerate(agent.points):
+            points[i, j, :len(p)] = p
+            lengths[i, j] = max(len(p), 2)
+            stride //= len(p)
+            strides[i, j] = stride
+    # each agent's own values, one after the other, and where each starts
+    own_values = np.concatenate([a.best_own.ravel() for a in agents])
+    offsets = np.cumsum([0] + [a.best_own.size for a in agents[:-1]])
+    counts = np.diff(starts)
+    _, _, twice_other_sq, other_lin, cross, lb, ub = columns
+    at = _gathered([twice_other_sq, other_lin, cross, lb, ub,
+                    *(np.repeat(x, counts, axis=0) for x in (points, lengths, strides, offsets))])
+
+    def direction(live, rows):
+        twice_other_sq, other_lin, cross, lb, ub, points, lengths, strides, offsets = at(live)
+        below = (points[:, :, 1:] < rows[:, :, None]).sum(axis=2)
+        j = np.minimum(below, lengths - 2)[:, :, None]
+        lower = np.take_along_axis(points, j, axis=2)[:, :, 0]
+        upper = np.take_along_axis(points, j + 1, axis=2)[:, :, 0]
+        snapped = j[:, :, 0] + ((rows - lower) > (upper - rows))
+        own = own_values[offsets + (snapped * strides).sum(axis=1)]
+        return twice_other_sq * rows + other_lin + cross * own[:, None], lb, ub
+    return direction
+
+
+def agents_move(agents: list[Pending], alpha: float, moves: int) -> list[np.ndarray]:
+    """The moved grid rows of agents with children that do not depend on
+    each other, such as one pseudo-tree height's. From STACK_MIN agents up
+    their rows move in one `_move`, stacked by `_stack` with
+    `_stacked_direction`; fewer move one agent at a time. Both give every
+    row the same floats."""
+    if len(agents) < STACK_MIN:
+        return [_move(a.rows, alpha, moves, _snap_direction(a)) for a in agents]
+    grid, columns, starts = _stack(agents, max(len(a.points) for a in agents))
+    current = _move(grid, alpha, moves, _stacked_direction(agents, columns, starts))
+    return [current[a:b, :len(agent.points)].copy()
+            for agent, a, b in zip(agents, starts, starts[1:])]
+
+
 # --- the engine ---------------------------------------------------------------
+
+def _sure_to_finish(tree: PseudoTree, plan_ahead, moved: dict[str, UtilTable], row_cap: int,
+                    k: int | None) -> list[str]:
+    """The non-root agents, in post-order, before the first whose UTIL step
+    might refuse, by upper bounds on every table's size: a table holds at
+    most `rows` distinct values of each of its variables, so an agent's
+    candidates number at most the sum of its children's rows, and a
+    separator variable's values at most the sum over the children that
+    mention it (or its grid's points). An agent is sure to finish when its
+    plan is made, its grid table's bound is within `row_cap`, each child
+    lookup's pair bound (cells x the child's rows) within PAIR_CAP, and,
+    with k-means to k rows (`k`, caf), k times its rows too; a leaf also
+    needs to be in `moved`, the leaf batch."""
+    sent_rows: dict[str, int] = {}
+    for var in tree.post_order:
+        if var == tree.root:
+            break
+        children = tree.children[var]
+        if not children:
+            if var not in moved:
+                break
+            rows = len(moved[var].rows)
+        else:
+            try:
+                planned = plan_ahead(var)
+            except FdcopError:
+                break
+            rows = 1
+            for w in tree.separator[var]:
+                rows *= (sum(sent_rows[c] for c in children if w in tree.separator[c])
+                         or len(planned.grids[w]))
+            cells = sum(sent_rows[c] for c in children) * rows
+            if cells > row_cap or cells * max(sent_rows[c] for c in children) > PAIR_CAP:
+                break
+        if k is not None and rows > k:
+            if k * rows > PAIR_CAP:
+                break
+            rows = k
+        sent_rows[var] = rows
+    return list(sent_rows)
+
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         clustered: bool = False):
@@ -279,37 +447,12 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
     k = config.k_clusters
     # var -> its VALUE rule: separator tuple -> own value
     state: dict[str, object] = {}
-    # without moves or clustering every table is a grid, so the plan refuses
-    # as dpop's does. Otherwise it plans ahead only while every step is sure
-    # to finish: up to the first agent with children, or the first leaf
-    # whose clustering may interpolate more than PAIR_CAP pairs (at most k
-    # centroids against its rows)
-    with kernel.phase("util"):
-        plan, plan_ahead = plan_util(contexts, tree, config.points, config.row_cap,
-                                     grid_tables=not (config.moves or clustered),
-                                     settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
-        # with moves, every leaf's table is moved here, in one program; a
-        # leaf whose plan refuses is left out, and refuses at its turn
-        leaves = []
-        for var in tree.post_order if config.moves else ():
-            if tree.children[var] or var == tree.root:
-                continue
-            try:
-                planned = plan_ahead(var)
-            except FdcopError:
-                continue
-            if planned.rows <= config.row_cap:
-                sep_vars = contexts[var].separator
-                leaves.append(Leaf(var, planned.domains[var], sep_vars,
-                                   tuple(planned.domains[w] for w in sep_vars),
-                                   tuple(map(contexts[var].constraint_with, sep_vars)),
-                                   product_grid([planned.grids[w] for w in sep_vars])[1]))
-        moved = dict(zip([leaf.var for leaf in leaves],
-                         leaf_move(leaves, config.alpha, config.moves) if leaves else ()))
 
-    def agent_util(var, ctx, tables):
-        """One agent's UTIL step over its children's tables; a leaf is the
-        agent with none. Returns the table to send, or the optimum at the root."""
+    def agent_util(var, tables):
+        """One agent's UTIL step up to its move, over its children's tables;
+        a leaf is the agent with none. Returns the optimum at the root, a
+        closed-form leaf's moved table, or an agent with children's
+        `Pending` move."""
         for t in tables:
             if not len(t.utils):
                 raise ProtocolError(f"{var}: received an empty UTIL table")
@@ -320,6 +463,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         planned = plan(var)
         domains = planned.domains
         own_dom = domains[var]
+        ctx = contexts[var]
         sep_vars = ctx.separator
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
         sorted_constraints = list(constraints.values())  # sep_vars is sorted
@@ -395,43 +539,102 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 contributions.append(looked_up[inverse])
             return join(var, candidates, sep_vars, tuples, contributions, sorted_constraints)
 
-        if not closed_form:
-            def value(query):
-                col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
-                # the first max is the smallest candidate; a clustered child's
-                # centroid may round just outside the domain
-                return own_dom.clamp(candidates[int(col.argmax())])
-            state[var] = value
+        def grid_value(query):
+            col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
+            # the first max is the smallest candidate; a clustered child's
+            # centroid may round just outside the domain
+            return own_dom.clamp(candidates[int(col.argmax())])
 
         _, grid = product_grid(sep_sets)
         if var == tree.root:
+            if not closed_form:
+                state[var] = grid_value
             # no separator: one row, the best candidate's utility
             return float(scores(grid).max())
 
         grid_scores = scores(grid)
+
+        def finish(current):
+            state[var] = grid_value
+            return UtilTable(sep_vars, current,
+                             (scores(current) if config.moves else grid_scores).max(axis=1))
+
         # per grid tuple, the own value of its first max: the smallest candidate
         best_own = np.take(candidates, grid_scores.argmax(axis=1)).reshape(list(map(len, sep_sets)))
-        sep_arrays = [np.array(s) for s in sep_sets]
-        _, _, twice_other_sq, other_lin, cross, lb, ub = _columns(
-            var, map(constraints.get, sep_vars), map(domains.get, sep_vars), len(sep_vars))
+        return Pending(var, tuple(map(constraints.get, sep_vars)), tuple(map(domains.get, sep_vars)),
+                       grid, tuple(np.array(s) for s in sep_sets), best_own, finish)
 
-        def direction(live, rows):
-            # each row's own value: the grid argmax at its nearest grid tuple
-            snapped = tuple(_snap_column(p, rows[:, j]) for j, p in enumerate(sep_arrays))
-            return twice_other_sq * rows + other_lin + cross * best_own[snapped][:, None], lb, ub
+    def sent(var, table):
+        """The table `var` sends: under caf, its rows' k-means centroids."""
+        if not clustered:
+            return table
+        return cluster_tuples(table, k, random.Random(f"{config.seed}:{var}"), method)
 
-        current = _move(grid, config.alpha, config.moves, direction)
+    def agent_table(var, tables):
+        """One agent's whole UTIL step: the table it sends, or the optimum
+        at the root."""
+        result = agent_util(var, tables)
+        if isinstance(result, Pending):
+            result = result.finish(agents_move([result], config.alpha, config.moves)[0]
+                                   if config.moves else result.rows)
+        return result if var == tree.root else sent(var, result)
 
-        return UtilTable(sep_vars, current,
-                         (scores(current) if config.moves else grid_scores).max(axis=1))
+    # without moves or clustering every table is a grid, so the plan refuses
+    # as dpop's does. Otherwise it plans ahead only while every step is sure
+    # to finish: up to the first agent with children, or the first leaf
+    # whose clustering may interpolate more than PAIR_CAP pairs (at most k
+    # centroids against its rows)
+    with kernel.phase("util"):
+        plan, plan_ahead = plan_util(contexts, tree, config.points, config.row_cap,
+                                     grid_tables=not (config.moves or clustered),
+                                     settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
+        # with moves, every leaf's table is moved here, in one program; a
+        # leaf whose plan refuses is left out, and refuses at its turn
+        leaves = []
+        for var in tree.post_order if config.moves else ():
+            if tree.children[var] or var == tree.root:
+                continue
+            try:
+                planned = plan_ahead(var)
+            except FdcopError:
+                continue
+            if planned.rows <= config.row_cap:
+                sep_vars = contexts[var].separator
+                leaves.append(Leaf(var, planned.domains[var], sep_vars,
+                                   tuple(planned.domains[w] for w in sep_vars),
+                                   tuple(map(contexts[var].constraint_with, sep_vars)),
+                                   product_grid([planned.grids[w] for w in sep_vars])[1]))
+        moved = dict(zip([leaf.var for leaf in leaves],
+                         leaf_move(leaves, config.alpha, config.moves) if leaves else ()))
+
+        # with moves, the agents sure to finish their step compute it here,
+        # one height at a time, each from its children's tables in sender
+        # order, which are the payloads it receives at its turn
+        ahead: dict[str, tuple[list[UtilTable], UtilTable]] = {}
+        heights: dict[str, int] = {}
+        by_height: dict[int, list[str]] = {}
+        for var in (_sure_to_finish(tree, plan_ahead, moved, config.row_cap,
+                                    k if clustered else None) if config.moves else ()):
+            heights[var] = 1 + max((heights[c] for c in tree.children[var]), default=-1)
+            by_height.setdefault(heights[var], []).append(var)
+        for height, agents in sorted(by_height.items()):
+            inputs = [[ahead[c][1] for c in sorted(tree.children[var])] for var in agents]
+            results = [agent_util(var, children) for var, children in zip(agents, inputs)]
+            if height:
+                results = [p.finish(rows) for p, rows in
+                           zip(results, agents_move(results, config.alpha, config.moves))]
+            for var, children, table in zip(agents, inputs, results):
+                ahead[var] = children, sent(var, table)
 
     def util_fn(var, child_payloads):
-        result = agent_util(var, contexts[var], child_payloads)
-        if var == tree.root:
-            return result
-        if clustered:
-            rng = random.Random(f"{config.seed}:{var}")
-            result = cluster_tuples(result, k, rng, method)
-        return result, result.scalar_size()
+        if var in ahead:
+            tables, table = ahead.pop(var)
+            if len(tables) != len(child_payloads) or any(
+                    t is not p for t, p in zip(tables, child_payloads)):
+                raise ProtocolError(f"{var}: its UTIL table was computed from other tables "
+                                    f"than it received")
+        else:
+            table = agent_table(var, child_payloads)
+        return table if var == tree.root else (table, table.scalar_size())
 
     return util_value_protocol(kernel, tree, util_fn, lambda var, key: state[var](key))
