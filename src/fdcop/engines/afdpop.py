@@ -160,7 +160,7 @@ def _oriented(f: QuadraticBinaryUtility, own_var: str) -> tuple[float, ...]:
     return (a, b, c, d, e) if f.first_var == own_var else (c, d, a, b, e)
 
 
-def _column_rows(own_var: str, constraints, domains, width: int) -> list[tuple[float, ...]]:
+def _columns(own_var: str, constraints, domains, width: int) -> list[tuple[float, ...]]:
     """Per separator column, its constraint's coefficients from `own_var`'s
     side (`_oriented`, other^2 doubled) and its domain's bounds: own^2, own,
     2 x other^2, other, own x other, lb and ub. A column without a
@@ -174,16 +174,11 @@ def _column_rows(own_var: str, constraints, domains, width: int) -> list[tuple[f
     return columns
 
 
-def _columns(own_var: str, constraints, domains, width: int) -> np.ndarray:
-    """`_column_rows` as the rows of a (7, width) array, one per coefficient."""
-    return np.array(_column_rows(own_var, constraints, domains, width)).T
-
-
 def _stack(blocks, width: int):
     """Several tables' rows moved as one: each block (a `Leaf` or a `Pending`)
     has `rows`, one column per entry of `sep_domains`, and the `constraints`
     of its `var` with them. Returns the rows stacked into one (rows, width)
-    array, padded with zeros; per row, its block's `_column_rows` as seven
+    array, padded with zeros; per row, its block's `_columns` as seven
     (rows, width) arrays, one per coefficient, built in one array; and where
     each block's rows start, with the end last."""
     counts = [len(b.rows) for b in blocks]
@@ -191,7 +186,7 @@ def _stack(blocks, width: int):
     grid = np.zeros((starts[-1], width))
     for b, start in zip(blocks, starts):
         grid[start:start + len(b.rows), :len(b.sep_domains)] = b.rows
-    layouts = np.array([_column_rows(b.var, b.constraints, b.sep_domains, width) for b in blocks])
+    layouts = np.array([_columns(b.var, b.constraints, b.sep_domains, width) for b in blocks])
     return grid, list(np.repeat(layouts.transpose(2, 0, 1), counts, axis=1)), starts
 
 
@@ -330,8 +325,8 @@ def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _snap_direction(agent: Pending):
     """One agent's `direction`: each row's own value is the grid argmax at
     its nearest grid tuple."""
-    _, _, twice_other_sq, other_lin, cross, lb, ub = _columns(
-        agent.var, agent.constraints, agent.sep_domains, len(agent.points))
+    _, _, twice_other_sq, other_lin, cross, lb, ub = np.array(_columns(
+        agent.var, agent.constraints, agent.sep_domains, len(agent.points))).T
 
     def direction(live, rows):
         snapped = tuple(_snap_column(p, rows[:, j]) for j, p in enumerate(agent.points))
@@ -348,20 +343,18 @@ STACK_MIN = 4
 def _stacked_direction(agents: list[Pending], columns, starts):
     """The `direction` of agents stacked by `_stack`: `_snap_direction`'s,
     row by row against the row's own agent. Each column's points are padded
-    with +inf to one length, and a column of one point (or a padding column)
-    gets a second, +inf, so the left neighbour is the count of points past
-    the first below the value, at most the column's length - 2, as in
-    `_snap_column`; +inf is below no value and is never nearer."""
+    with +inf to one more than the longest column's, so a value's left
+    neighbour is the count of the points past the first that lie below it;
+    past a column's last point it is that point, since the +inf after it is
+    never nearer. That is `_snap_column`'s index, ties to the smaller point."""
     width = columns[0].shape[1]
-    longest = max(2, *(len(p) for a in agents for p in a.points))
-    points = np.full((len(agents), width, longest), np.inf)
-    lengths = np.full((len(agents), width), 2)
+    points = np.full((len(agents), width, 1 + max(len(p) for a in agents for p in a.points)),
+                     np.inf)
     strides = np.zeros((len(agents), width), dtype=np.intp)
     for i, agent in enumerate(agents):
         stride = agent.best_own.size
         for j, p in enumerate(agent.points):
             points[i, j, :len(p)] = p
-            lengths[i, j] = max(len(p), 2)
             stride //= len(p)
             strides[i, j] = stride
     # each agent's own values, one after the other, and where each starts
@@ -370,12 +363,11 @@ def _stacked_direction(agents: list[Pending], columns, starts):
     counts = np.diff(starts)
     _, _, twice_other_sq, other_lin, cross, lb, ub = columns
     at = _gathered([twice_other_sq, other_lin, cross, lb, ub,
-                    *(np.repeat(x, counts, axis=0) for x in (points, lengths, strides, offsets))])
+                    *(np.repeat(x, counts, axis=0) for x in (points, strides, offsets))])
 
     def direction(live, rows):
-        twice_other_sq, other_lin, cross, lb, ub, points, lengths, strides, offsets = at(live)
-        below = (points[:, :, 1:] < rows[:, :, None]).sum(axis=2)
-        j = np.minimum(below, lengths - 2)[:, :, None]
+        twice_other_sq, other_lin, cross, lb, ub, points, strides, offsets = at(live)
+        j = (points[:, :, 1:] < rows[:, :, None]).sum(axis=2)[:, :, None]
         lower = np.take_along_axis(points, j, axis=2)[:, :, 0]
         upper = np.take_along_axis(points, j + 1, axis=2)[:, :, 0]
         snapped = j[:, :, 0] + ((rows - lower) > (upper - rows))

@@ -10,6 +10,7 @@ from fdcop.engines.discrete import joint_utility
 from fdcop.errors import CapacityError
 from fdcop.model import ContinuousDomain, Problem, QuadraticBinaryUtility
 from fdcop.oracles import oracle_grid
+from fdcop.runtime import SYSTEM, UTIL, Kernel
 
 
 def make_problem(utilities, lb=-100.0, ub=100.0, domains=None):
@@ -140,6 +141,20 @@ def scalar_agent_move(values, sep_vars, sep_sets, own_at, constraints, alpha, ow
         step = v + alpha * grad
         out.append(v if math.isnan(step) else sep_domains[w].clamp(step))
     return tuple(out)
+
+
+def sent_util_tables(monkeypatch):
+    """Each agent's UTIL table, by sender, as the run sends it."""
+    tables = {}
+    real_send = Kernel.send
+
+    def send(kernel, sender, receiver, kind, payload, scalar_size):
+        if kind == UTIL and receiver != SYSTEM:
+            tables[sender] = payload
+        real_send(kernel, sender, receiver, kind, payload, scalar_size)
+
+    monkeypatch.setattr(Kernel, "send", send)
+    return tables
 
 
 def quad(first, second, a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f0=0.0):

@@ -21,7 +21,7 @@ from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
 from conftest import (make_problem, quad, scalar_agent_move, scalar_leaf_move,
-                      scalar_leaf_table, scalar_moves, util_table)
+                      scalar_leaf_table, scalar_moves, sent_util_tables, util_table)
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -287,20 +287,6 @@ class TestNanStep:
             result = runtime.run(p, engine, EngineConfig())
         assert result.assignment.values["x1"] == 0.0
         assert result.reported_optimum == model.evaluate_solution(p, result.assignment) == 0.0
-
-
-def sent_util_tables(monkeypatch):
-    """Each agent's UTIL table, by sender, as the run sends it."""
-    tables = {}
-    real_send = Kernel.send
-
-    def send(kernel, sender, receiver, kind, payload, scalar_size):
-        if kind == UTIL and receiver != runtime.SYSTEM:
-            tables[sender] = payload
-        real_send(kernel, sender, receiver, kind, payload, scalar_size)
-
-    monkeypatch.setattr(Kernel, "send", send)
-    return tables
 
 
 class TestSignedZeroTie:
