@@ -237,10 +237,10 @@ class TestRefusalOrder:
 def branching_problems(draw):
     """A connected problem of two or three branches x0 - a - b, each with one
     or two leaves below b, on domains of different widths and signs. The
-    first branch has no back edge, the second one to three from its leaves
-    and b to x0 and a, the third any; so the agents b, of height 1 when x0
-    is the root, have separators of different widths and value sets of
-    different sizes."""
+    first branch has no back edge, the second one to three (from b to x0,
+    from a leaf to x0 or a), the third up to three; so the agents b, of
+    height 1 when x0 is the root, have separators of different widths and
+    value sets of different sizes."""
     names, edges = ["x0"], []
     for i in range(draw(st.integers(2, 3))):
         a, b = f"a{i}", f"b{i}"
@@ -262,9 +262,10 @@ def branching_problems(draw):
 
 
 class TestHeightOracle:
-    """On heights of several agents with separators of different widths and
-    different value-set sizes, stacked or not, every agent sends the rows
-    the scalar oracle moves from its grid, to the last bit."""
+    """On stacked heights of several agents with separators of different
+    widths and different value-set sizes (and with a lone agent stacked or
+    moved alone), every agent sends the rows the scalar oracle moves from
+    its grid, to the last bit."""
 
     @given(problem=branching_problems(), points=st.integers(2, 4),
            alpha=st.sampled_from([1e-3, 0.1, 1.0]), moves=st.integers(1, 6),
