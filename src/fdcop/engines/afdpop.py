@@ -15,18 +15,35 @@ response instead. Every move runs by one loop and one clamped step
 With moves, UTIL is computed before its first message, one pseudo-tree
 height at a time; an agent's height is its distance to the deepest leaf
 below it, so the agents of one height do not depend on each other. Height 0,
-the leaves, moves in one array program (`leaf_move`). At each later height
-every agent joins its children's tables, the agents' grid rows move in one
-stacked program (`agents_move`), and each agent scores its moved rows. Each
-agent still sends its table at its turn in post-order, so the trace is that
-of one agent at a time. Only the agents before the first that might refuse
-are computed ahead, by upper bounds on the tables' sizes
-(`_sure_to_finish`); that agent and every later one compute at their turn.
-So a refusal comes at its agent's turn, after the same messages, and no
-agent after it does any work. VALUE answers the ancestors' values, which may
-lie off the grid, by the same rule as the move. The clustered variant
-compresses each outgoing table to the k-means centroids of its rows (at most
-k) while keeping the full table locally.
+the leaves, moves in one array program (`leaf_move`). Each later height runs
+`util_steps`: its agents' grids are scored as one (`score`: every child
+lookup of the height interpolated by one `_lookups`, every sum added up by
+one `join`), their grid rows move in one stacked program (`agents_move`),
+and their moved rows are scored as one. Lookups stack only where their
+tables and missing queries have one shape, and sums only where they have one
+shape, so every float is the one the agent gets alone. Each agent still
+sends its table at its turn in post-order, so the trace is that of one agent
+at a time. Only the agents before the first that might refuse are computed
+ahead, by upper bounds on the tables' sizes (`_sure_to_finish`); that agent
+and every later one compute at their turn, as a height of one. So a refusal
+comes at its agent's turn, after the same messages, and no agent after it
+does any work.
+
+VALUE answers the ancestors' values, which may lie off the grid, by the same
+rule as the move (`KeptScores`): a query that is one of the agent's scored
+rows reads their kept scores. A child whose separator is its parent alone is
+asked at one of the parent's candidates, so those rows are scored with the
+parent's grid. The clustered variant compresses each outgoing table to the
+k-means centroids of its rows (at most k) while keeping the full table
+locally.
+
+Heights of fewer than STACK_MIN agents move one agent at a time
+(`_snap_direction`). Stacking every height instead costs more: on the
+`graph` benchmark's 28 af and caf jobs, where most heights hold one agent,
+`agents_move` took 0.30 s with every height stacked against 0.20 s (median
+of 8 alternating in-process passes), since the stacked snap compares every
+row with all of its columns' padded points where one agent's snap takes one
+`searchsorted` per column.
 """
 from __future__ import annotations
 
@@ -40,8 +57,8 @@ from ..errors import ArgumentError, CapacityError, FdcopError, ProtocolError
 from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import (UtilTable, best_own_response, check_grid_cap, clamp, clamped_step,
-                     join, plan_util, product_grid, util_value_protocol)
+from .common import (UtilSum, UtilTable, best_own_response, check_grid_cap, clamp,
+                     clamped_step, join, plan_util, product_grid, util_value_protocol)
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
@@ -57,40 +74,50 @@ def _check_pair_cap(queries: int, points: int) -> None:
 
 def _missing_queries(index: dict[tuple[float, ...], float], pos: int, projections,
                      candidates: int) -> int:
-    """How many of the queries `_interp_many` gets for `projections` x
-    `candidates` (a projection with a candidate at `pos`) miss the table's
-    row index: all but one per distinct row whose projection is among
-    `projections`, since a row's own value is always a candidate."""
+    """How many of a lookup's queries, `projections` x `candidates` (a
+    projection with a candidate at `pos`), miss the table's row index: all
+    but one per distinct row whose projection is among `projections`, since
+    a row's own value is always a candidate."""
     hits = sum(1 for row in index if row[:pos] + row[pos + 1:] in projections)
     return len(projections) * candidates - hits
 
 
 def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
                   method: str) -> np.ndarray:
-    """Vectorized scattered-data interpolation; exact hits handled upstream."""
-    _check_pair_cap(len(queries), len(points))
-    out = np.empty(len(queries))
-    chunk = max(1, PAIR_CAP // (64 * max(1, len(points))))
-    for start in range(0, len(queries), chunk):
-        q = queries[start:start + chunk]
-        d2 = ((q[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    """Vectorized scattered-data interpolation; exact hits handled upstream.
+
+    One lookup is a table's distinct rows `points` (n, width), their
+    `utils` (n,) and the `queries` (q, width), giving (q,). Lookups of one
+    shape stack on a leading axis, (L, n, width), (L, n) and (L, q, width),
+    giving (L, q), and each gets the floats it gets alone: the distances and
+    weights are element-wise, every sum runs over one query's row, and
+    `w @ utils` is one gemv per lookup. Padding the query axis would not
+    keep them, since gemv's result for a row depends on the row count."""
+    _check_pair_cap(queries.shape[-2], points.shape[-2])
+    out = np.empty(queries.shape[:-1])
+    chunk = max(1, PAIR_CAP // (64 * max(1, points.shape[-2])))
+    for start in range(0, queries.shape[-2], chunk):
+        q = queries[..., start:start + chunk, :]
+        d2 = ((q[..., :, None, :] - points[..., None, :, :]) ** 2).sum(axis=-1)
         if method == "nearest":
-            nearest = np.argmin(d2, axis=1)  # row order is lexicographic
-            out[start:start + len(q)] = utils[nearest]
+            nearest = np.argmin(d2, axis=-1)  # row order is lexicographic
+            out[..., start:start + q.shape[-2]] = np.take_along_axis(utils, nearest, axis=-1)
         else:
             w = 1.0 / np.maximum(d2, 1e-300)
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = (w @ utils) / w.sum(axis=1)
+                vals = (w @ utils[..., None])[..., 0] / w.sum(axis=-1)
                 # a query within ~1e-150 of a row weighs it up to 1e300, and
                 # utilities near the float limit sum past it; such a row is
                 # redone as the mean of the halved utilities (weights scaled by
-                # their largest, then sum), doubled and clipped to their range
+                # their largest, then sum), doubled and clipped to their range,
+                # one lookup at a time
                 bad = ~np.isfinite(vals)
-                if bad.any():
-                    scaled = w[bad] / w[bad].max(axis=1, keepdims=True)
-                    mean = 2.0 * ((scaled / scaled.sum(axis=1, keepdims=True)) @ (utils / 2.0))
-                    vals[bad] = clamp(mean, utils.min(), utils.max())
-            out[start:start + len(q)] = vals
+                for at in map(tuple, np.argwhere(bad.any(axis=-1)) if bad.any() else ()):
+                    rows, lookup = w[at][bad[at]], utils[at]
+                    scaled = rows / rows.max(axis=1, keepdims=True)
+                    mean = 2.0 * ((scaled / scaled.sum(axis=1, keepdims=True)) @ (lookup / 2.0))
+                    vals[at][bad[at]] = clamp(mean, lookup.min(), lookup.max())
+            out[..., start:start + q.shape[-2]] = vals
     return out
 
 
@@ -106,6 +133,176 @@ def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
         for i, v in zip(missing, filled.tolist()):
             out[i] = v
     return out  # type: ignore[return-value]
+
+
+def _lookups(requests: list[tuple[UtilTable, list[tuple[float, ...]]]],
+             method: str) -> list[np.ndarray]:
+    """Each (table, queries) request's utilities, one per query. A request
+    whose table's distinct rows and width and whose query count no other
+    request shares is `_interp_many`'s lookup. The others read a query that
+    is one of the table's rows from the row index, and those that miss the
+    same number of queries are interpolated together, as one stacked
+    `_interp_batch` of at most a chunk's pairs."""
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for i, (table, queries) in enumerate(requests):
+        shapes.setdefault((len(table.row_index), table.rows.shape[1], len(queries)), []).append(i)
+    found: list = [None] * len(requests)
+    batches: dict[tuple[int, int, int], list] = {}
+    for (rows, width, _), members in shapes.items():
+        if len(members) == 1:
+            found[members[0]] = _interp_many(*requests[members[0]], method)
+            continue
+        for i in members:
+            table, queries = requests[i]
+            index = table.row_index
+            found[i] = values = [index.get(q) for q in queries]
+            if None in values:
+                missing = [j for j, v in enumerate(values) if v is None]
+                batches.setdefault((rows, width, len(missing)), []).append((i, missing))
+    for (rows, _, misses), members in batches.items():
+        per_batch = max(1, PAIR_CAP // 64 // (rows * misses))
+        for start in range(0, len(members), per_batch):
+            batch = members[start:start + per_batch]
+            points, utils = zip(*(zip(*sorted(requests[i][0].row_index.items()))
+                                  for i, _ in batch))
+            queries = [[requests[i][1][j] for j in missing] for i, missing in batch]
+            filled = _interp_batch(np.array(points, dtype=float), np.array(utils, dtype=float),
+                                   np.array(queries, dtype=float), method)
+            for (i, missing), values in zip(batch, filled.tolist()):
+                for j, v in zip(missing, values):
+                    found[i][j] = v
+    return [np.array(values, dtype=float) for values in found]
+
+
+# --- scoring ----------------------------------------------------------------
+
+# the projections of a child whose table holds only its parent's variable
+_EMPTY_PROJECTION = {(): 0}
+
+
+class Scorer(NamedTuple):
+    """What an agent scores its separator tuples with (`score`): its
+    variable, its candidates (the union of its children's values of it), its
+    sorted separator and its constraints in separator order; per child
+    table, where `var` sits in it and which separator columns give the
+    other coordinates of its queries; and per child, the distinct
+    projections of its last lookup and their (projections, candidates)
+    utilities."""
+
+    var: str
+    candidates: list[float]
+    sep_vars: tuple[str, ...]
+    constraints: list[QuadraticBinaryUtility]
+    children: list[tuple[UtilTable, int, list[int]]]
+    last: list
+
+    @classmethod
+    def of(cls, var, candidates, sep_vars, constraints, tables) -> "Scorer":
+        return cls(var, candidates, sep_vars, constraints,
+                   [(t, t.separator_vars.index(var),
+                     [sep_vars.index(w) for w in t.separator_vars if w != var]) for t in tables],
+                   [None] * len(tables))
+
+    def reuses(self, query: tuple[float, ...]) -> bool:
+        """Whether every child's lookup for the one tuple `query` is its
+        last lookup."""
+        return all(last is not None and (not cols or last[0] == (tuple(query[j] for j in cols),))
+                   for (_, _, cols), last in zip(self.children, self.last))
+
+
+def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray]:
+    """(len(tuples), len(candidates)) utilities for each (scorer, tuples)
+    job, an (n, |sep|) array of its agent's separator tuples: interpolated
+    child contributions plus exact own constraints, summed by `join` in the
+    same order as the discrete engine so the moves=0 case is identical to
+    it. Every job gets the floats it gets scored alone.
+
+    A child's query is the row's projection onto the child's other variables
+    with a candidate in `var`'s slot, so queries are built once per distinct
+    projection (first-seen order) and spread back to the rows through the
+    inverse index. When a child's projections are those of its last lookup,
+    that lookup is reused: the same queries in the same batch interpolate to
+    the same floats. On a tree every projection is (), so each child is
+    interpolated once per agent. A lookup whose interpolation would exceed
+    PAIR_CAP is refused from its count of missing queries, before its
+    queries are built and before any job's lookup is interpolated: the jobs'
+    lookups are all interpolated by one `_lookups`."""
+    requests, plans = [], []
+    for scorer, tuples in jobs:
+        plan = []
+        singles = None  # the queries of a table that holds only `var`
+        for slot, (t, pos, cols) in enumerate(scorer.children):
+            last = scorer.last[slot]
+            if not cols:
+                # a child whose table holds only `var`: every row projects
+                # to (), and its one row of utilities adds to all rows
+                if last is not None:
+                    plan.append((None, None, last[1]))
+                    continue
+                uniq, inverse = _EMPTY_PROJECTION, None
+            else:
+                uniq = {}
+                inverse = [uniq.setdefault(p, len(uniq))
+                           for p in map(tuple, tuples[:, cols].tolist())]
+            projections = tuple(uniq)
+            if last is not None and last[0] == projections:
+                plan.append((inverse, None, last[1]))
+                continue
+            # only a lookup whose every query could miss may exceed the cap
+            if len(uniq) * len(scorer.candidates) * len(t.rows) > PAIR_CAP:
+                _check_pair_cap(_missing_queries(t.row_index, pos, uniq, len(scorer.candidates)),
+                                len(t.row_index))
+            plan.append((inverse, projections, len(requests)))
+            if cols:
+                queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in scorer.candidates]
+            else:
+                singles = queries = singles or [(c,) for c in scorer.candidates]
+            requests.append((t, queries))
+        plans.append(plan)
+    looked_up = _lookups(requests, method)
+    sums = []
+    for (scorer, tuples), plan in zip(jobs, plans):
+        contributions = []
+        for slot, (inverse, projections, found) in enumerate(plan):
+            if projections is not None:
+                found = looked_up[found].reshape(len(projections), len(scorer.candidates))
+                scorer.last[slot] = (projections, found)
+            contributions.append(found if inverse is None else found[inverse])
+        sums.append(UtilSum(scorer.var, scorer.candidates, scorer.sep_vars, tuples,
+                            contributions, scorer.constraints))
+    return join(sums)
+
+
+class KeptScores:
+    """An agent's VALUE rule: the candidate of the first max of the query's
+    scores. A query that is a kept row (-0.0 matching 0.0) reads that row's
+    kept scores when every child's lookup for it would be the last one,
+    which then gives the same floats; any other query is scored alone. The
+    first max is the smallest candidate; a clustered child's centroid may
+    round just outside the domain."""
+
+    def __init__(self, scorer: Scorer, own_dom: ContinuousDomain, method: str,
+                 rows: np.ndarray, scores: np.ndarray):
+        self.scorer, self.own_dom, self.method = scorer, own_dom, method
+        self.blocks = [(rows, scores)]
+        self.kept: dict[tuple[float, ...], np.ndarray] = {}
+
+    def keep(self, rows: np.ndarray, scores: np.ndarray) -> None:
+        """Keep more rows' scores; a row kept before keeps its first."""
+        self.blocks.append((rows, scores))
+
+    def __call__(self, query: tuple[float, ...]) -> float:
+        col = None
+        if self.scorer.reuses(query):
+            for rows, scores in self.blocks:
+                for row, kept in zip(map(tuple, rows.tolist()), scores):
+                    self.kept.setdefault(row, kept)
+            self.blocks.clear()
+            col = self.kept.get(query)
+        if col is None:
+            col = score([(self.scorer, np.array([query], dtype=float).reshape(1, len(query)))],
+                        self.method)[0][0]
+        return self.own_dom.clamp(self.scorer.candidates[int(col.argmax())])
 
 
 # --- clustering --------------------------------------------------------------
@@ -134,11 +331,22 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random,
     for _ in range(100):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
+        # each cluster's mean, an empty one keeping its centroid. Over two
+        # or more columns `mean(axis=0)` adds the members in row order from
+        # +0.0, as `np.add.at` does; over one it sums pairwise, so one-column
+        # tables keep it
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = points[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
+        if points.shape[1] > 1:
+            sums = np.zeros_like(centroids)
+            np.add.at(sums, labels, points)
+            counts = np.bincount(labels, minlength=k)
+            filled = counts > 0
+            new_centroids[filled] = sums[filled] / counts[filled, None]
+        else:
+            for j in range(k):
+                members = points[labels == j]
+                if len(members):
+                    new_centroids[j] = members.mean(axis=0)
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
         if shift < 1e-6:
@@ -295,12 +503,12 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
 
 
 class Pending(NamedTuple):
-    """An agent with children between its grid join and its move: its
+    """An agent with children between its grid scores and its move: its
     variable, its separator's constraints (None where it has none) and
     domains, its grid rows, each separator variable's sorted grid points,
     the own value of each grid tuple's first maximum (an array of the grid's
-    shape), and `finish(moved_rows)`, which scores the moved rows and gives
-    the agent's UTIL table."""
+    shape), and `finish(rows, scores)`, which gives the agent's UTIL table
+    from its moved rows and their scores."""
 
     var: str
     constraints: tuple[QuadraticBinaryUtility | None, ...]
@@ -308,7 +516,7 @@ class Pending(NamedTuple):
     rows: np.ndarray
     points: tuple[np.ndarray, ...]
     best_own: np.ndarray
-    finish: Callable[[np.ndarray], UtilTable]
+    finish: Callable[[np.ndarray, np.ndarray], UtilTable]
 
 
 def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -441,10 +649,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
     state: dict[str, object] = {}
 
     def agent_util(var, tables):
-        """One agent's UTIL step up to its move, over its children's tables;
-        a leaf is the agent with none. Returns the optimum at the root, a
-        closed-form leaf's moved table, or an agent with children's
-        `Pending` move."""
+        """One agent's UTIL step up to its scores, over its children's
+        tables; a leaf is the agent with none. Returns a closed-form leaf's
+        moved table, or the agent's `Scorer`, its grid rows and
+        `scored(grid_scores)`, which gives the optimum at the root and the
+        agent's `Pending` move elsewhere."""
         for t in tables:
             if not len(t.utils):
                 raise ProtocolError(f"{var}: received an empty UTIL table")
@@ -473,103 +682,82 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 return moved[var]
 
         # the union of the children's value sets per variable, and the grid of
-        # every variable no child mentions; the join below interpolates each
-        # child table at these points
-        sets: dict[str, list[float]] = {}
+        # every variable no child mentions; the join interpolates each child
+        # table at these points
+        values: dict[str, set[float]] = {}
         for t in tables:
             for w in t.separator_vars:
-                sets[w] = sorted(set(sets.get(w, ())) | set(t.value_set(w)))
+                values.setdefault(w, set()).update(t.value_set(w))
+        sets = {w: sorted(v) for w, v in values.items()}
         for w, grid in planned.grids.items():
             sets.setdefault(w, grid)
         candidates = sets[var]
         sep_sets = [sets[w] for w in sep_vars]
         check_grid_cap(var, len(candidates) * math.prod(map(len, sep_sets)), config.row_cap)
-
-        # per child: where `var` sits in its table, and which separator
-        # columns give the other coordinates of its queries
-        child_slots = [(t, t.separator_vars.index(var),
-                        [sep_vars.index(w) for w in t.separator_vars if w != var])
-                       for t in tables]
-        # per child: the distinct projections of its last lookup and their
-        # (projections, candidates) utilities
-        last_lookup: list[tuple | None] = [None] * len(tables)
-
-        def scores(tuples: np.ndarray) -> np.ndarray:
-            """(len(tuples), len(candidates)) utilities for an (n, |sep|) array
-            of separator tuples: interpolated child contributions plus exact
-            own constraints, summed by `join` in the same order as the
-            discrete engine so the moves=0 case is identical to it.
-
-            A child's query is the row's projection onto the child's other
-            variables with a candidate in `var`'s slot, so queries are built
-            once per distinct projection (first-seen order) and spread back to
-            the rows through the inverse index. When a child's projections are
-            those of its last lookup, that lookup is reused: the same queries
-            in the same batch interpolate to the same floats. On a tree every
-            projection is (), so each child is interpolated once per agent.
-            A lookup whose interpolation would exceed PAIR_CAP is refused
-            from its count of missing queries, before they are built."""
-            contributions = []
-            for slot, (t, pos, cols) in enumerate(child_slots):
-                uniq: dict[tuple, int] = {}
-                inverse = [uniq.setdefault(p, len(uniq))
-                           for p in map(tuple, tuples[:, cols].tolist())]
-                projections = tuple(uniq)
-                last = last_lookup[slot]
-                if last is not None and last[0] == projections:
-                    looked_up = last[1]
-                else:
-                    # refuse before building the queries; only a lookup
-                    # whose every query could miss may exceed the cap
-                    if len(uniq) * len(candidates) * len(t.rows) > PAIR_CAP:
-                        _check_pair_cap(_missing_queries(t.row_index, pos, uniq, len(candidates)),
-                                        len(t.row_index))
-                    queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in candidates]
-                    looked_up = np.array(_interp_many(t, queries, method)).reshape(
-                        len(projections), len(candidates))
-                    last_lookup[slot] = (projections, looked_up)
-                contributions.append(looked_up[inverse])
-            return join(var, candidates, sep_vars, tuples, contributions, sorted_constraints)
-
-        def grid_value(query):
-            col = scores(np.array([query], dtype=float).reshape(1, len(sep_vars)))[0]
-            # the first max is the smallest candidate; a clustered child's
-            # centroid may round just outside the domain
-            return own_dom.clamp(candidates[int(col.argmax())])
-
+        scorer = Scorer.of(var, candidates, sep_vars, sorted_constraints, tables)
         _, grid = product_grid(sep_sets)
-        if var == tree.root:
-            if not closed_form:
-                state[var] = grid_value
-            # no separator: one row, the best candidate's utility
-            return float(scores(grid).max())
 
-        grid_scores = scores(grid)
+        def scored(grid_scores):
+            if var == tree.root:
+                if not closed_form:
+                    state[var] = KeptScores(scorer, own_dom, method, grid, grid_scores)
+                # no separator: one row, the best candidate's utility
+                return float(grid_scores.max())
 
-        def finish(current):
-            state[var] = grid_value
-            return UtilTable(sep_vars, current,
-                             (scores(current) if config.moves else grid_scores).max(axis=1))
+            def finish(rows, scores):
+                state[var] = KeptScores(scorer, own_dom, method, rows, scores)
+                return UtilTable(sep_vars, rows, scores.max(axis=1))
 
-        # per grid tuple, the own value of its first max: the smallest candidate
-        best_own = np.take(candidates, grid_scores.argmax(axis=1)).reshape(list(map(len, sep_sets)))
-        return Pending(var, tuple(map(constraints.get, sep_vars)), tuple(map(domains.get, sep_vars)),
-                       grid, tuple(np.array(s) for s in sep_sets), best_own, finish)
+            # per grid tuple, the own value of its first max: the smallest candidate
+            best_own = np.take(candidates, grid_scores.argmax(axis=1)).reshape(
+                list(map(len, sep_sets)))
+            return Pending(var, tuple(map(constraints.get, sep_vars)),
+                           tuple(map(domains.get, sep_vars)), grid,
+                           tuple(np.array(s) for s in sep_sets), best_own, finish)
+        return scorer, grid, scored
+
+    def util_steps(agents, inputs) -> list:
+        """The UTIL steps of agents that do not depend on each other, each
+        over its children's tables: a height's, or one agent's at its turn.
+        Returns each one's table, or the optimum at the root. Their grids
+        are scored in one `score`, with the rows their children are asked
+        VALUE at where those are known; the grid rows move in one
+        `agents_move`, and the moved rows are scored in one `score`."""
+        results = [agent_util(var, tables) for var, tables in zip(agents, inputs)]
+        opened = [i for i, r in enumerate(results) if not isinstance(r, UtilTable)]
+        if not opened:
+            return results
+        scorers = {i: results[i][0] for i in opened}
+        # a child whose separator is its parent alone is asked VALUE at one of
+        # the parent's candidates; when its children's lookups are the same
+        # for every row, those rows are scored with the grids and kept
+        asked = [(state[c], np.array(scorers[i].candidates, dtype=float).reshape(-1, 1))
+                 for i in opened for c in sorted(tree.children[agents[i]])
+                 if tree.separator[c] == (agents[i],) and isinstance(state.get(c), KeptScores)
+                 and not any(cols for _, _, cols in state[c].scorer.children)]
+        scores = score([results[i][:2] for i in opened]
+                       + [(rule.scorer, rows) for rule, rows in asked], method)
+        for (rule, rows), kept in zip(asked, scores[len(opened):]):
+            rule.keep(rows, kept)
+        grid_scores = dict(zip(opened, scores))
+        for i in opened:
+            results[i] = results[i][2](grid_scores[i])
+        pending = [i for i in opened if isinstance(results[i], Pending)]
+        if config.moves and pending:
+            rows = agents_move([results[i] for i in pending], config.alpha, config.moves)
+            scores = score([(scorers[i], r) for i, r in zip(pending, rows)], method)
+        else:
+            rows = [results[i].rows for i in pending]
+            scores = [grid_scores[i] for i in pending]
+        for i, r, s in zip(pending, rows, scores):
+            results[i] = results[i].finish(r, s)
+        return results
 
     def sent(var, table):
         """The table `var` sends: under caf, its rows' k-means centroids."""
         if not clustered:
             return table
         return cluster_tuples(table, k, random.Random(f"{config.seed}:{var}"), method)
-
-    def agent_table(var, tables):
-        """One agent's whole UTIL step: the table it sends, or the optimum
-        at the root."""
-        result = agent_util(var, tables)
-        if isinstance(result, Pending):
-            result = result.finish(agents_move([result], config.alpha, config.moves)[0]
-                                   if config.moves else result.rows)
-        return result if var == tree.root else sent(var, result)
 
     # without moves or clustering every table is a grid, so the plan refuses
     # as dpop's does. Otherwise it plans ahead only while every step is sure
@@ -609,13 +797,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                                     k if clustered else None) if config.moves else ()):
             heights[var] = 1 + max((heights[c] for c in tree.children[var]), default=-1)
             by_height.setdefault(heights[var], []).append(var)
-        for height, agents in sorted(by_height.items()):
+        for _, agents in sorted(by_height.items()):
             inputs = [[ahead[c][1] for c in sorted(tree.children[var])] for var in agents]
-            results = [agent_util(var, children) for var, children in zip(agents, inputs)]
-            if height:
-                results = [p.finish(rows) for p, rows in
-                           zip(results, agents_move(results, config.alpha, config.moves))]
-            for var, children, table in zip(agents, inputs, results):
+            for var, children, table in zip(agents, inputs, util_steps(agents, inputs)):
                 ahead[var] = children, sent(var, table)
 
     def util_fn(var, child_payloads):
@@ -626,7 +810,10 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 raise ProtocolError(f"{var}: its UTIL table was computed from other tables "
                                     f"than it received")
         else:
-            table = agent_table(var, child_payloads)
+            # computed at its turn, as a height of one
+            [table] = util_steps([var], [child_payloads])
+            if var != tree.root:
+                table = sent(var, table)
         return table if var == tree.root else (table, table.scalar_size())
 
     return util_value_protocol(kernel, tree, util_fn, lambda var, key: state[var](key))

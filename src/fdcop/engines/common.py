@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,11 +80,12 @@ class AgentPlan:
     """What one agent's UTIL step knows before its children's tables arrive:
     its own and its separator variables' domains, own first, each read once,
     and the d-point grid of every one of them that no child's table
-    mentions. `rows` is its table's row count when it knows every grid, and
+    mentions, a tuple shared by the run's plans over domains with the same
+    bounds. `rows` is its table's row count when it knows every grid, and
     None when children's tables decide some variable's values."""
 
     domains: dict[str, ContinuousDomain]
-    grids: dict[str, list[float]]
+    grids: dict[str, tuple[float, ...]]
     rows: int | None
 
 
@@ -110,6 +112,14 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
     earlier.
     """
     plans: dict[str, AgentPlan] = {}
+    # each domain's grid by its bounds' bits, so -0.0 and 0.0 differ
+    grids_by_bounds: dict[tuple[str, str], tuple[float, ...]] = {}
+
+    def grid(dom: ContinuousDomain) -> tuple[float, ...]:
+        bounds = dom.lb.hex(), dom.ub.hex()
+        if bounds not in grids_by_bounds:
+            grids_by_bounds[bounds] = tuple(discretize(dom, d))
+        return grids_by_bounds[bounds]
 
     def plan_ahead(var: str) -> AgentPlan:
         if var not in plans:
@@ -117,7 +127,7 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
             mentioned = () if grid_tables else {w for c in tree.children[var]
                                                 for w in tree.separator[c]}
             domains = {var: ctx.own_domain(), **{w: ctx.domain_of(w) for w in ctx.separator}}
-            grids = {w: discretize(dom, d) for w, dom in domains.items() if w not in mentioned}
+            grids = {w: grid(dom) for w, dom in domains.items() if w not in mentioned}
             rows = math.prod(map(len, grids.values())) if len(grids) == len(domains) else None
             plans[var] = AgentPlan(domains, grids, rows)
         return plans[var]
@@ -147,32 +157,100 @@ def product_grid(grids: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
     return index, rows
 
 
-def join(var: str, candidates: list[float], sep_vars: tuple[str, ...], rows: np.ndarray,
-         contributions: list, constraints: list[QuadraticBinaryUtility]) -> np.ndarray:
-    """One agent's UTIL sum: a (len(rows), len(candidates)) array whose cell
-    (r, c) scores the separator tuple rows[r] (one column per sep_vars entry)
-    with `var` at candidates[c].
+class UtilSum(NamedTuple):
+    """One agent's UTIL sum for `join`: its separator tuples `rows` (one
+    column per `sep_vars` entry) against its own `candidates`, the
+    `contributions` of its children (a child's utilities: one value per
+    candidate for every row, shaped (len(candidates),) or
+    (1, len(candidates)), or per row, shaped (len(rows), len(candidates)))
+    and its `constraints` with separator variables."""
 
-    Starting from zeros, each contribution (a child's utilities: one value per
-    candidate for every row, shaped (len(candidates),) or (1, len(candidates)),
-    or per row, shaped (len(rows), len(candidates))) is added in the given
-    order, then each constraint between `var` and a separator variable,
-    evaluated at the candidates and at that variable's column of `rows`; so
-    every cell sums in the order of a per-cell loop. The sum is not maximized.
-    A contribution of another shape is a ProtocolError.
+    var: str
+    candidates: list[float] | np.ndarray
+    sep_vars: tuple[str, ...]
+    rows: np.ndarray
+    contributions: list
+    constraints: list[QuadraticBinaryUtility]
+
+
+class _Coefficients(NamedTuple):
+    """Several utilities' coefficients, an array each, which
+    `QuadraticBinaryUtility.evaluate` evaluates as one."""
+
+    coeff_a: np.ndarray
+    coeff_b: np.ndarray
+    coeff_c: np.ndarray
+    coeff_d: np.ndarray
+    coeff_e: np.ndarray
+    coeff_f0: np.ndarray
+
+
+def join(sums: list[UtilSum]) -> list[np.ndarray]:
+    """Each sum as a (len(rows), len(candidates)) array, whose cell (r, c)
+    scores the separator tuple rows[r] with `var` at candidates[c].
+
+    Starting from zeros, each contribution is added in the given order, then
+    each constraint between `var` and a separator variable, evaluated at the
+    candidates and at that variable's column of `rows`; so every cell sums in
+    the order of a per-cell loop. The sum is not maximized. A contribution
+    of another shape is a ProtocolError.
+
+    Sums of one shape (rows, candidates, contributions, and `var`'s side of
+    each constraint) are added up as one stacked array, a lone sum as it is
+    (`_add_up`). Each step is element-wise, so every cell is the float its
+    sum gives alone.
     """
-    n_r, n_c = len(rows), len(candidates)
+    shapes: dict[tuple, list[int]] = {}
+    for i, s in enumerate(sums):
+        shapes.setdefault((len(s.rows), len(s.candidates), len(s.contributions),
+                           tuple([f.first_var == s.var for f in s.constraints])), []).append(i)
+    out: list = [None] * len(sums)
+    for (n_r, n_c, _, sides), members in shapes.items():
+        if len(members) == 1:
+            out[members[0]] = _add_up(sums[members[0]], n_r, n_c)
+            continue
+        group = [sums[i] for i in members]
+        total = np.zeros((len(group), n_r, n_c))
+        for parts in zip(*(s.contributions for s in group)):
+            # each as (1 or n_r, n_c), and all as (n_r, n_c) when they differ
+            parts = [_checked(s, utils, n_r, n_c).reshape(-1, n_c)
+                     for s, utils in zip(group, parts)]
+            if len({len(utils) for utils in parts}) > 1:
+                parts = [np.broadcast_to(utils, (n_r, n_c)) for utils in parts]
+            total += np.array(parts)
+        own = np.array([s.candidates for s in group], dtype=float).reshape(len(group), 1, n_c)
+        for j, first in enumerate(sides):
+            fs = [s.constraints[j] for s in group]
+            other = np.array([s.rows[:, s.sep_vars.index(f.other_var(s.var))]
+                              for s, f in zip(group, fs)]).reshape(len(group), n_r, 1)
+            coeffs = _Coefficients(*np.array([f.coeffs for f in fs]).T.reshape(6, -1, 1, 1))
+            total += (QuadraticBinaryUtility.evaluate(coeffs, own, other) if first
+                      else QuadraticBinaryUtility.evaluate(coeffs, other, own))
+        for i, cells in zip(members, total):
+            out[i] = cells
+    return out
+
+
+def _add_up(s: UtilSum, n_r: int, n_c: int) -> np.ndarray:
+    """One sum, added up alone: the per-cell order `join` stacks."""
     total = np.zeros((n_r, n_c))
-    for utils in map(np.asarray, contributions):
-        if utils.shape not in ((n_c,), (1, n_c), (n_r, n_c)):
-            raise ProtocolError(f"{var}: child utilities of shape {utils.shape} do not "
-                                f"match {n_r} rows x {n_c} candidates")
-        total += utils
-    own = np.asarray(candidates, dtype=float).reshape(1, n_c)
-    for f in constraints:
-        other = rows[:, sep_vars.index(f.other_var(var))].reshape(n_r, 1)
-        total += f.evaluate(own, other) if f.first_var == var else f.evaluate(other, own)
+    for utils in s.contributions:
+        total += _checked(s, utils, n_r, n_c)
+    own = np.asarray(s.candidates, dtype=float).reshape(1, n_c)
+    for f in s.constraints:
+        other = s.rows[:, s.sep_vars.index(f.other_var(s.var))].reshape(n_r, 1)
+        total += f.evaluate(own, other) if f.first_var == s.var else f.evaluate(other, own)
     return total
+
+
+def _checked(s: UtilSum, utils, n_r: int, n_c: int) -> np.ndarray:
+    """A contribution as an array, refused unless it is one of its sum's
+    shapes."""
+    utils = np.asarray(utils)
+    if utils.shape not in ((n_c,), (1, n_c), (n_r, n_c)):
+        raise ProtocolError(f"{s.var}: child utilities of shape {utils.shape} do not match "
+                            f"{n_r} rows x {n_c} candidates")
+    return utils
 
 
 def argmax_quadratic_1d(c2: float, c1: float, lo: float, hi: float) -> float:

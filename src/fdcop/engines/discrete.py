@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import UtilTable, join, plan_util, product_grid, util_value_protocol
+from .common import UtilSum, UtilTable, join, plan_util, product_grid, util_value_protocol
 
 
 def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
@@ -68,7 +68,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         at[var] = np.arange(len(own_pts)).reshape(1, len(own_pts))
         children = [array[tuple(at[w] for w in names)] for names, array in
                     (child_array(var, payload, grids) for payload in child_payloads)]
-        cells = join(var, own_pts, sep_vars, rows, children, constraints)
+        [cells] = join([UtilSum(var, own_pts, sep_vars, rows, children, constraints)])
         best = cells.argmax(axis=1)  # the first maximum: the smallest point
         utils = cells[np.arange(len(best)), best]
         positions = [{v: i for i, v in enumerate(g)} for g in sep_grids]

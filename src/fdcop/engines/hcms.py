@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import CapacityError, ProtocolError
 from ..model import left_sum
 from ..runtime import MS_FUNCTION_TO_VARIABLE, MS_VARIABLE_TO_FUNCTION, EngineConfig, Kernel
-from .common import clamped_step, discretize, join
+from .common import UtilSum, clamped_step, discretize, join
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -71,7 +71,10 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                     payload = {"edge": e, "values": samples[v], "q": frozen(q)}
                     kernel.send(v, e[0], MS_VARIABLE_TO_FUNCTION, payload, d)
 
-        # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax
+        # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax;
+        # every function node's sums, for both endpoints, are joined in one
+        # call, and the replies go out in host, edge and endpoint order
+        sums, replies = [], []
         for host in variables:
             by_edge: dict[tuple, dict[str, dict]] = {}
             for m in kernel.collect(host, MS_VARIABLE_TO_FUNCTION):
@@ -85,11 +88,12 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 for v in e:
                     w = e[0] if v == e[1] else e[1]
                     xs, ys = inputs[v]["values"], inputs[w]["values"]
-                    cells = join(w, ys, (v,), xs.reshape(d, 1), [inputs[w]["q"]], [f])
-                    best = cells.argmax(axis=1)  # the first maximum: the smallest index
-                    payload = {"edge": e, "values": frozen(cells[at, best]),
-                               "argmax": frozen(ys[best])}
-                    kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
+                    sums.append(UtilSum(w, ys, (v,), xs.reshape(d, 1), [inputs[w]["q"]], [f]))
+                    replies.append((host, e, v, ys))
+        for (host, e, v, ys), cells in zip(replies, join(sums)):
+            best = cells.argmax(axis=1)  # the first maximum: the smallest index
+            payload = {"edge": e, "values": frozen(cells[at, best]), "argmax": frozen(ys[best])}
+            kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
 
         # variable nodes: store the vectors, then move every sample one step
         for v in variables:

@@ -1,10 +1,12 @@
 """Shared builders for small hand-made problem instances, and test oracles."""
 import math
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from fdcop.engines import afdpop
 from fdcop.engines.common import UtilTable, best_own_response
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import CapacityError
@@ -168,3 +170,70 @@ def chain3():
         quad("x1", "x2", a=-1.0, c=-1.0, e=1.0, b=2.0),
         quad("x2", "x3", a=-2.0, c=-1.0, e=-1.0, d=3.0),
     ])
+
+
+def cluster_tuples_by_means(table, k, rng: random.Random, interpolation):
+    """Oracle: `afdpop.cluster_tuples` with its Lloyd update as one
+    `mean(axis=0)` per non-empty cluster."""
+    points, n = table.rows, len(table.rows)
+    if n <= k:
+        return table
+    first = rng.randrange(n)
+    chosen = [first]
+    dist = ((points - points[first]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, ((points - points[nxt]) ** 2).sum(axis=1))
+    centroids = points[chosen].copy()
+    for _ in range(100):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = points[labels == j]
+            if len(members):
+                new_centroids[j] = members.mean(axis=0)
+        shift = np.abs(new_centroids - centroids).max()
+        centroids = new_centroids
+        if shift < 1e-6:
+            break
+    centers = centroids[np.unique(labels)]
+    utils = afdpop._interp_many(table, list(map(tuple, centers.tolist())), interpolation)
+    return UtilTable(table.separator_vars, centers, np.array(utils))
+
+
+def agent_scores(var, candidates, sep_vars, constraints, tables, method):
+    """Oracle: one agent's `scores(tuples)`, scored alone as each agent with
+    children scored its tuples before heights were scored as one: per child,
+    the queries of the distinct projections (first-seen order) in one
+    `_interp_many`, or the child's last lookup when the projections are the
+    same; then the per-agent sum, contributions first, then each constraint
+    evaluated at the candidates and its separator column."""
+    children = [(t, t.separator_vars.index(var),
+                 [sep_vars.index(w) for w in t.separator_vars if w != var]) for t in tables]
+    last_lookup = [None] * len(tables)
+
+    def scores(tuples):
+        tuples = np.asarray(tuples, dtype=float).reshape(len(tuples), len(sep_vars))
+        n_r, n_c = len(tuples), len(candidates)
+        total = np.zeros((n_r, n_c))
+        for slot, (t, pos, cols) in enumerate(children):
+            uniq = {}
+            inverse = [uniq.setdefault(p, len(uniq)) for p in map(tuple, tuples[:, cols].tolist())]
+            projections = tuple(uniq)
+            last = last_lookup[slot]
+            if last is not None and last[0] == projections:
+                looked_up = last[1]
+            else:
+                queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in candidates]
+                looked_up = np.array(afdpop._interp_many(t, queries, method)).reshape(
+                    len(projections), n_c)
+                last_lookup[slot] = (projections, looked_up)
+            total += looked_up[inverse]
+        own = np.asarray(candidates, dtype=float).reshape(1, n_c)
+        for f in constraints:
+            other = tuples[:, sep_vars.index(f.other_var(var))].reshape(n_r, 1)
+            total += f.evaluate(own, other) if f.first_var == var else f.evaluate(other, own)
+        return total
+    return scores

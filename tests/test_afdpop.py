@@ -20,8 +20,9 @@ from fdcop.errors import ArgumentError, CapacityError, FdcopError, ValidationErr
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import (make_problem, quad, scalar_agent_move, scalar_leaf_move,
-                      scalar_leaf_table, scalar_moves, sent_util_tables, util_table)
+from conftest import (cluster_tuples_by_means, make_problem, quad, scalar_agent_move,
+                      scalar_leaf_move, scalar_leaf_table, scalar_moves, sent_util_tables,
+                      util_table)
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -117,6 +118,41 @@ class TestClusterTuples:
             kmeans_centers = out.rows.tolist()
             random_centers = [v for v, _ in rng.sample(list(rows), 10)]
             assert mean_dist(kmeans_centers) <= mean_dist(random_centers) + 1e-9
+
+    @given(data=st.data(), width=st.integers(1, 4), k=st.integers(1, 5),
+           method=st.sampled_from(["idw", "nearest"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_mean_oracle(self, data, width, k, method):
+        # few values, so clusters tie, empty out and hold only -0.0; values
+        # near the float limit overflow a cluster's sum; one-column tables
+        # of 8 or more members sum pairwise in `mean`
+        values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.7e308, -1.7e308]),
+                           st.floats(-5.0, 5.0))
+        rows = data.draw(st.lists(st.tuples(*[values] * width), min_size=1, max_size=20))
+        utils = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(rows),
+                                   max_size=len(rows)))
+        table = util_table(tuple(f"v{i}" for i in range(width)), list(zip(rows, utils)))
+        seed = data.draw(st.integers(0, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = cluster_tuples(table, k, random.Random(seed), method)
+            expected = cluster_tuples_by_means(table, k, random.Random(seed), method)
+        assert [hex_floats(r) for r in out.rows.tolist()] == [
+            hex_floats(r) for r in expected.rows.tolist()]
+        assert hex_floats(out.utils.tolist()) == hex_floats(expected.utils.tolist())
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_long_clusters_match_the_mean_oracle(self, width):
+        # 16 members in one cluster: over one column `mean` sums them
+        # pairwise, over two it adds them in row order
+        rng = np.random.default_rng(width)
+        rows = rng.uniform(-5.0, 5.0, size=(16, width)).tolist()
+        table = util_table(tuple(f"v{i}" for i in range(width)),
+                           [(tuple(r), float(i)) for i, r in enumerate(rows)])
+        for k in (1, 2):
+            out = cluster_tuples(table, k, random.Random(0), "idw")
+            expected = cluster_tuples_by_means(table, k, random.Random(0), "idw")
+            assert [hex_floats(r) for r in out.rows.tolist()] == [
+                hex_floats(r) for r in expected.rows.tolist()]
 
     def test_rejects_bad_k(self):
         t = util_table(("x",), (((1.0,), 1.0),))
@@ -348,10 +384,11 @@ class TestAgentMove:
         grid_joins = {}
         real_join = afdpop.join
 
-        def join(var, candidates, sep_vars, rows, contributions, constraints):
-            cells = real_join(var, candidates, sep_vars, rows, contributions, constraints)
-            grid_joins.setdefault(var, (candidates, rows.copy(), cells))
-            return cells
+        def join(sums):
+            out = real_join(sums)
+            for s, cells in zip(sums, out):
+                grid_joins.setdefault(s.var, (s.candidates, s.rows.copy(), cells))
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             tables = sent_util_tables(mp)
@@ -591,7 +628,7 @@ def per_cell_scores(problem, var, sep_vars, tables, candidates, tuples, method):
 
 class TestJoinProjection:
     """The non-leaf join builds child queries once per distinct projection;
-    it must hand `_interp_many` the per-cell query list in the per-cell
+    it must hand `_lookups` the per-cell query list in the per-cell
     first-seen order and give the per-cell utilities exactly."""
 
     @pytest.mark.parametrize("method", ["idw", "nearest"])
@@ -600,18 +637,18 @@ class TestJoinProjection:
         # x004 (separator x000, x002, x005)
         p = generators.gen_graph(7, 0.4, seed=4)
         sent, interp_calls = [], []
-        real_send, real_interp = Kernel.send, afdpop._interp_many
+        real_send, real_lookups = Kernel.send, afdpop._lookups
 
         def send(kernel, sender, receiver, kind, payload, scalar_size):
             sent.append((sender, kind, payload))
             real_send(kernel, sender, receiver, kind, payload, scalar_size)
 
-        def interp(table, queries, how):
-            interp_calls.append((table, list(queries)))
-            return real_interp(table, queries, how)
+        def lookups(requests, how):
+            interp_calls.extend((table, list(queries)) for table, queries in requests)
+            return real_lookups(requests, how)
 
         monkeypatch.setattr(Kernel, "send", send)
-        monkeypatch.setattr(afdpop, "_interp_many", interp)
+        monkeypatch.setattr(afdpop, "_lookups", lookups)
         runtime.run(p, "af-dpop", EngineConfig(moves=3, interpolation=method))
 
         util = {sender: payload for sender, kind, payload in sent if kind == UTIL}
@@ -809,17 +846,17 @@ class TestChildLookupReuse:
     def test_one_lookup_per_child_on_trees(self, monkeypatch, engine):
         p = generators.gen_tree(50, seed=5)
         phase, calls = [None], []
-        real_phase, real_interp = Kernel.phase, afdpop._interp_many
+        real_phase, real_lookups = Kernel.phase, afdpop._lookups
 
         def record_phase(kernel, name):
             phase[0] = name
             return real_phase(kernel, name)
 
-        def interp(table, queries, how):
-            calls.append(phase[0])
-            return real_interp(table, queries, how)
+        def lookups(requests, how):
+            calls.extend(phase[0] for _ in requests)
+            return real_lookups(requests, how)
 
         monkeypatch.setattr(Kernel, "phase", record_phase)
-        monkeypatch.setattr(afdpop, "_interp_many", interp)
+        monkeypatch.setattr(afdpop, "_lookups", lookups)
         runtime.run(p, engine, EngineConfig(moves=10))
         assert calls == ["util"] * (len(p.variables) - 1)

@@ -3,9 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdcop import generators, model, runtime
-from fdcop.engines.common import UtilTable, discretize, join, product_grid
+from fdcop.engines.common import UtilSum, UtilTable, discretize, join, product_grid
 from fdcop.engines.discrete import child_array, joint_utility
 from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
@@ -103,12 +104,12 @@ class TestJoin:
         assert array.tolist() == [[10.0 * x + y for y in self.GRID] for x in self.GRID]
         _, rows = product_grid([self.GRID])
         # rows are y, candidates x: the child's (x, y) array transposed
-        cells = join("x", self.GRID, ("y",), rows, [array.T], [quad("x", "y", e=1.0)])
+        [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [array.T], [quad("x", "y", e=1.0)])])
         assert cells.tolist() == [[10.0 * x + y + x * y for x in self.GRID] for y in self.GRID]
         # children in the given order, then the constraint: (1e16 - 1e16) + 1
         # is 1, where adding the constraint first would round it away
-        cells = join("x", self.GRID, ("y",), rows, [np.full(3, 1e16), np.full(3, -1e16)],
-                     [quad("x", "y", f0=1.0)])
+        [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [np.full(3, 1e16), np.full(3, -1e16)],
+                                [quad("x", "y", f0=1.0)])])
         assert cells.tolist() == [[1.0] * 3] * 3
 
     def test_contribution_of_the_wrong_shape(self):
@@ -117,17 +118,58 @@ class TestJoin:
         rows = np.array([[-1.0], [1.0]])
         for shape in ((2,), (4,), (3, 2), (2, 3, 1), (1,), (2, 1)):
             with pytest.raises(ProtocolError, match="do not match 2 rows x 3 candidates"):
-                join("x", self.GRID, ("y",), rows, [np.zeros(shape)], [])
+                join([UtilSum("x", self.GRID, ("y",), rows, [np.zeros(shape)], [])])
         for shape in ((3,), (1, 3), (2, 3)):
-            assert join("x", self.GRID, ("y",), rows, [np.ones(shape)], []).tolist() == [
-                [1.0] * 3] * 2
+            [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [np.ones(shape)], [])])
+            assert cells.tolist() == [[1.0] * 3] * 2
 
     def test_flat_own_variable_picks_the_smallest_point(self):
         _, rows = product_grid([self.GRID])
-        cells = join("x", self.GRID, ("y",), rows, [], [quad("x", "y", c=-1.0, d=2.0)])
+        [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [], [quad("x", "y", c=-1.0, d=2.0)])])
         assert cells.tolist() == [[-3.0] * 3, [0.0] * 3, [1.0] * 3]
         # dpop and hcms take the first maximum: the smallest point
         assert cells.argmax(axis=1).tolist() == [0, 0, 0]
+
+
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 1e308, -1e308]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def util_sums(draw):
+    """Two to six sums of at most two shapes, each of its own variable and
+    coefficients, on either side of each constraint, with contributions of
+    every accepted shape."""
+    n_r, n_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sums = []
+    for i in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            n_r = draw(st.integers(1, 3))
+        var, sep_vars = f"x{i}", (f"s{i}", f"t{i}")
+        rows = np.array(draw(st.lists(st.tuples(FLOATS, FLOATS), min_size=n_r, max_size=n_r)))
+        shapes = st.sampled_from([(n_c,), (1, n_c), (n_r, n_c)])
+        contributions = [np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))).reshape(shape)
+                         for shape in draw(st.lists(shapes, max_size=2))
+                         for n in [int(np.prod(shape))]]
+        constraints = [quad(*((var, w) if draw(st.booleans()) else (w, var)),
+                            *draw(st.tuples(*[FLOATS] * 6)))
+                       for w in sep_vars if draw(st.booleans())]
+        candidates = draw(st.lists(FLOATS, min_size=n_c, max_size=n_c))
+        sums.append(UtilSum(var, candidates, sep_vars, rows, contributions, constraints))
+    return sums
+
+
+class TestStackedJoin:
+    @given(sums=util_sums())
+    @settings(max_examples=300, deadline=None)
+    def test_each_sum_as_alone(self, sums):
+        # sums of one shape share one stacked array; each cell is the float
+        # the sum gives alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            together = join(sums)
+            for s, cells in zip(sums, together):
+                [alone] = join([s])
+                assert [list(map(float.hex, row)) for row in cells.tolist()] == [
+                    list(map(float.hex, row)) for row in alone.tolist()]
 
 
 class TestJointUtility:

@@ -1,6 +1,7 @@
 """af/caf-dpop's UTIL by pseudo-tree height: the move rules that stacking
 must keep, the payloads each agent is computed from, the refusal order,
-and the oracle on heights of several agents."""
+the oracle on heights of several agents, and the per-agent scores oracle
+against heights scored as one."""
 import itertools
 import math
 
@@ -10,12 +11,14 @@ from hypothesis import HealthCheck, assume, given, reject, settings, strategies 
 
 from fdcop import generators, runtime
 from fdcop.engines import afdpop
-from fdcop.engines.afdpop import Pending, _snap_column, agents_move
+from fdcop.engines.afdpop import Pending, Scorer, _snap_column, agents_move, score
+from fdcop.engines.common import discretize
 from fdcop.errors import CapacityError, FdcopError, ProtocolError, ValidationError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import make_problem, quad, scalar_agent_move, scalar_moves, sent_util_tables
+from conftest import (agent_scores, make_problem, quad, scalar_agent_move, scalar_moves,
+                      sent_util_tables, util_table)
 
 ONE = ContinuousDomain(-1.0, 1.0)
 WIDE = ContinuousDomain(-10.0, 10.0)
@@ -186,15 +189,23 @@ class TestRefusalOrder:
 
         owner, worked, clustering = {}, set(), []
         real = {name: getattr(afdpop, name) for name in
-                ("join", "_interp_many", "cluster_tuples", "leaf_move", "Pending")}
+                ("join", "_lookups", "_interp_many", "cluster_tuples", "leaf_move", "Pending")}
 
-        def join(var, *args):
-            worked.add(var)
-            return real["join"](var, *args)
+        def join(sums):
+            worked.update(s.var for s in sums)
+            return real["join"](sums)
 
-        def interp(table, queries, method):
+        def charge(table):
             agent = owner[id(table)]
             worked.add(agent if clustering else tree.parent[agent])
+
+        def lookups(requests, method):
+            for table, _ in requests:
+                charge(table)
+            return real["_lookups"](requests, method)
+
+        def interp(table, queries, method):
+            charge(table)
             return real["_interp_many"](table, queries, method)
 
         def cluster(table, *args):
@@ -215,13 +226,13 @@ class TestRefusalOrder:
             def __new__(cls, *fields):
                 *head, finish = fields
 
-                def recorded(rows):
-                    table = finish(rows)
+                def recorded(rows, scores):
+                    table = finish(rows, scores)
                     owner[id(table)] = head[0]
                     return table
                 return super().__new__(cls, *head, recorded)
 
-        for name, wrapper in (("join", join), ("_interp_many", interp),
+        for name, wrapper in (("join", join), ("_lookups", lookups), ("_interp_many", interp),
                               ("cluster_tuples", cluster), ("leaf_move", leaf_move),
                               ("Pending", RecordedPending)):
             monkeypatch.setattr(afdpop, name, wrapper)
@@ -275,10 +286,11 @@ class TestHeightOracle:
         grid_joins, batches = {}, []
         real_join, real_move = afdpop.join, afdpop.agents_move
 
-        def join(var, candidates, sep_vars, rows, contributions, constraints):
-            cells = real_join(var, candidates, sep_vars, rows, contributions, constraints)
-            grid_joins.setdefault(var, (candidates, rows.copy(), cells))
-            return cells
+        def join(sums):
+            out = real_join(sums)
+            for s, cells in zip(sums, out):
+                grid_joins.setdefault(s.var, (s.candidates, s.rows.copy(), cells))
+            return out
 
         def record(agents, alpha, moves):
             batches.append(agents)
@@ -314,3 +326,157 @@ class TestHeightOracle:
 
             expected = [scalar_moves(tuple(row), move, moves) for row in grid.tolist()]
             assert hex_rows(tables[var].rows.tolist()) == hex_rows(expected), var
+
+
+def hex_floats(values):
+    return [float.hex(float(v)) for v in values]
+
+
+# few values, so tables repeat rows (with different utilities), mix -0.0
+# with 0.0, and queries hit rows exactly; values that do not sum exactly, so
+# a sum's order shows in its last bit; utilities near the float limit
+# overflow an interpolation, which then takes the non-finite fallback
+VALUES = [-1.0, -0.0, 0.0, 1 / 3, 0.7, 2.0]
+UTILS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.pi, -1 / 3, 2 / 7, math.e]),
+                  st.sampled_from([1.7e308, -1.7e308, 9e307]))
+
+
+@st.composite
+def scoring_heights(draw):
+    """Two to five agents of one variable "x", each with a separator of
+    zero to two of ("s", "t"), zero to three child tables of 1-9 rows drawn
+    from a shared pool (so lookups of one shape stack), candidates that hold
+    every child's values of x, constraints with some separator variables,
+    and two rounds of separator tuples to score."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        names = tuple(sorted({"x", *draw(st.lists(st.sampled_from("st"), unique=True))}))
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(VALUES)] * len(names)),
+                             min_size=1, max_size=9))
+        pool.append(util_table(names, [(r, draw(UTILS)) for r in rows]))
+    agents = []
+    for _ in range(draw(st.integers(2, 5))):
+        sep_vars = ("s", "t")[:draw(st.integers(0, 2))]
+        fits = [t for t in pool if set(t.separator_vars) <= {"x", *sep_vars}]
+        tables = draw(st.lists(st.sampled_from(fits), max_size=3)) if fits else []
+        candidates = sorted(set().union(*(t.value_set("x") for t in tables),
+                                        draw(st.sets(st.sampled_from(VALUES), max_size=3)))
+                            or {0.5})
+        coeffs = st.tuples(*[st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0])] * 5)
+        constraints = [quad(*(("x", w) if draw(st.booleans()) else (w, "x")), *draw(coeffs))
+                       for w in sep_vars if draw(st.booleans())]
+        rounds = []
+        for _ in range(2):
+            rows = draw(st.lists(st.tuples(*[st.sampled_from(VALUES)] * len(sep_vars)),
+                                 min_size=1, max_size=6))
+            rounds.append(np.array(rows, dtype=float).reshape(len(rows), len(sep_vars)))
+        agents.append((sep_vars, tables, candidates, constraints, rounds))
+    return agents
+
+
+class TestScoreOracle:
+    """A height's agents scored as one (`score`) get, bit for bit, the scores
+    each gets scored alone by the per-agent oracle, round after round (so
+    a child's last lookup is reused as it was), and every agent with
+    children of a run sends the table, and answers VALUE with the value,
+    that the oracle gives it."""
+
+    @given(agents=scoring_heights(), method=st.sampled_from(["idw", "nearest"]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_height_scores_as_each_agent_alone(self, agents, method):
+        scorers = [Scorer.of("x", candidates, sep_vars, constraints, tables)
+                   for sep_vars, tables, candidates, constraints, _ in agents]
+        oracles = [agent_scores("x", candidates, sep_vars, constraints, tables, method)
+                   for sep_vars, tables, candidates, constraints, _ in agents]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(2):
+                got = score([(s, a[4][r]) for s, a in zip(scorers, agents)], method)
+                for scores, oracle, agent in zip(got, oracles, agents):
+                    expected = oracle(agent[4][r])
+                    assert [hex_floats(row) for row in scores.tolist()] == [
+                        hex_floats(row) for row in expected.tolist()]
+
+    def test_the_non_finite_fallback_is_taken_per_lookup(self, monkeypatch):
+        # two agents whose children's utilities overflow the weighted sum at
+        # queries 0.5 from their rows; the two lookups stack
+        child = [util_table(("x",), [((0.0,), 1.7e308), ((1.0,), 1.0)]),
+                 util_table(("x",), [((0.0,), -3.0), ((1.0,), 1.7e308)])]
+        agents = [((), [t], [0.0, 0.5, 1.0], []) for t in child]
+        fallbacks, real_clamp = [], afdpop.clamp
+
+        def clamp(*args):
+            fallbacks.append(args)
+            return real_clamp(*args)
+
+        monkeypatch.setattr(afdpop, "clamp", clamp)
+        stacked, real_batch = [], afdpop._interp_batch
+
+        def batch(points, utils, queries, method):
+            stacked.append(points.ndim)
+            return real_batch(points, utils, queries, method)
+
+        monkeypatch.setattr(afdpop, "_interp_batch", batch)
+        got = score([(Scorer.of("x", c, sep, f, t), np.zeros((1, 0))) for sep, t, c, f in agents],
+                    "idw")
+        assert stacked == [3] and len(fallbacks) == 2
+        for scores, (sep, t, c, f) in zip(got, agents):
+            expected = agent_scores("x", c, sep, f, t, "idw")(np.zeros((1, 0)))
+            assert hex_floats(scores[0]) == hex_floats(expected[0])
+            assert all(map(math.isfinite, scores[0].tolist()))
+
+    @given(problem=branching_problems(), points=st.integers(1, 3),
+           alpha=st.sampled_from([1e-3, 0.1, 1.0, 1e3]), moves=st.integers(1, 4),
+           method=st.sampled_from(["idw", "nearest"]))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_every_agent_with_children_matches_the_oracle(self, problem, points, alpha, moves,
+                                                          method):
+        heights, real_score = [], afdpop.score
+
+        def record(jobs, how):
+            heights.append(len(jobs))
+            return real_score(jobs, how)
+
+        with pytest.MonkeyPatch.context() as mp:
+            tables = sent_util_tables(mp)
+            mp.setattr(afdpop, "score", record)
+            try:
+                result = runtime.run(problem, "af-dpop", EngineConfig(
+                    points=points, moves=moves, alpha=alpha, interpolation=method))
+            except FdcopError:
+                reject()
+        # some height scores several agents as one
+        assume(max(heights) > 1)
+        tree, values = problem.tree, result.assignment.values
+        for var in tree.post_order:
+            children = sorted(tree.children[var])
+            if not children:
+                continue
+            received = [tables[c] for c in children]
+            sep_vars = tree.separator[var]
+            sets = {}
+            for t in received:
+                for w in t.separator_vars:
+                    sets[w] = sorted(set(sets.get(w, ())) | set(t.value_set(w)))
+            for w in (var, *sep_vars):
+                sets.setdefault(w, discretize(problem.domains[w], points))
+            candidates = sets[var]
+            constraints = {w: f for w in sep_vars if (f := problem.utility_between(var, w))}
+            oracle = agent_scores(var, candidates, sep_vars, list(constraints.values()), received,
+                                  method)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = list(itertools.product(*(sets[w] for w in sep_vars)))
+                best = oracle(grid).argmax(axis=1).tolist()
+                if var != tree.root:
+                    own_at = {t: candidates[i] for t, i in zip(grid, best)}
+
+                    def move(t):
+                        return scalar_agent_move(t, sep_vars, sets, own_at, constraints, alpha,
+                                                 var, problem.domains)
+
+                    rows = [scalar_moves(t, move, moves) for t in grid]
+                    utils = oracle(rows).max(axis=1)
+                    assert hex_rows(tables[var].rows.tolist()) == hex_rows(rows), var
+                    assert hex_floats(tables[var].utils) == hex_floats(utils), var
+                query = tuple(values[w] for w in sep_vars)
+                own = problem.domains[var].clamp(candidates[int(oracle([query])[0].argmax())])
+            assert float.hex(values[var]) == float.hex(own), var

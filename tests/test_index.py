@@ -202,6 +202,9 @@ GOLDEN_PAYLOADS = [
      "34d314cb24cf3fad9b111e98ffb3fc4db3efb75da0b127345b039f92ed6294a8"),
     (UNIT_TREE, "af-dpop", EngineConfig(),
      "89943e259dca00e7a87944f3ce17d06b49c74a8e4619f6950e93e56ed1e66717"),
+    # k = 2 is below a tree table's 3 rows, so every sent table is k-means'
+    (TREE, "caf-dpop", EngineConfig(points=3, moves=10, alpha=0.001, k_clusters=2),
+     "513b5238441d83aa03c99540c284f95fb0b23803d62985b688c28db67629e4a8"),
     (HCMS_GRAPH, "hcms", EngineConfig(points=5, iterations=3),
      "520f23326a7846b1a33394985f09eb220273f9180ed28a7a63d5e40b0de7a429"),
     # q vectors of 10 entries, which numpy's pairwise np.sum would reorder
@@ -213,8 +216,8 @@ GOLDEN_PAYLOADS = [
 @pytest.mark.parametrize("problem, engine, config, expected", GOLDEN_PAYLOADS,
                          ids=["nonconcave-tree-ef-dpop", "unit-tree-ef-dpop", "200-dpop",
                               "16-dpop", "16-af-dpop", "16-caf-dpop", "200-af-dpop-tree-workload",
-                              "16-caf-dpop-alpha1", "unit-tree-af-dpop", "30-hcms",
-                              "30-hcms-d10"])
+                              "16-caf-dpop-alpha1", "unit-tree-af-dpop", "200-caf-dpop-k2",
+                              "30-hcms", "30-hcms-d10"])
 def test_golden_payload_digest(problem, engine, config, expected, monkeypatch):
     assert payload_digest(problem, engine, config, monkeypatch) == expected
 
