@@ -285,24 +285,25 @@ class KeptScores:
                  rows: np.ndarray, scores: np.ndarray):
         self.scorer, self.own_dom, self.method = scorer, own_dom, method
         self.blocks = [(rows, scores)]
-        self.kept: dict[tuple[float, ...], np.ndarray] = {}
+        # each kept row's first max
+        self.best: dict[tuple[float, ...], int] = {}
 
     def keep(self, rows: np.ndarray, scores: np.ndarray) -> None:
         """Keep more rows' scores; a row kept before keeps its first."""
         self.blocks.append((rows, scores))
 
     def __call__(self, query: tuple[float, ...]) -> float:
-        col = None
+        best = None
         if self.scorer.reuses(query):
             for rows, scores in self.blocks:
-                for row, kept in zip(map(tuple, rows.tolist()), scores):
-                    self.kept.setdefault(row, kept)
+                for row, i in zip(map(tuple, rows.tolist()), scores.argmax(axis=1).tolist()):
+                    self.best.setdefault(row, i)
             self.blocks.clear()
-            col = self.kept.get(query)
-        if col is None:
-            col = score([(self.scorer, np.array([query], dtype=float).reshape(1, len(query)))],
-                        self.method)[0][0]
-        return self.own_dom.clamp(self.scorer.candidates[int(col.argmax())])
+            best = self.best.get(query)
+        if best is None:
+            best = int(score([(self.scorer, np.array([query], dtype=float).reshape(
+                1, len(query)))], self.method)[0][0].argmax())
+        return self.own_dom.clamp(self.scorer.candidates[best])
 
 
 # --- clustering --------------------------------------------------------------

@@ -149,6 +149,9 @@ def product_grid(grids: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
     """Every tuple of the grids, in itertools.product order: an (n, len(grids))
     array of each coordinate's index into its grid, and the same array of the
     points themselves."""
+    if len(grids) == 1:  # one grid is its own product
+        return (np.arange(len(grids[0])).reshape(-1, 1),
+                np.array(grids[0], dtype=float).reshape(-1, 1))
     shape = [len(g) for g in grids]
     index = np.indices(shape).reshape(len(grids), math.prod(shape)).T
     rows = np.empty(index.shape)
