@@ -30,12 +30,10 @@ comes at its agent's turn, after the same messages, and no agent after it
 does any work.
 
 VALUE answers the ancestors' values, which may lie off the grid, by the same
-rule as the move (`KeptScores`): a query that is one of the agent's scored
-rows reads their kept scores. A child whose separator is its parent alone is
-asked at one of the parent's candidates, so those rows are scored with the
-parent's grid. The clustered variant compresses each outgoing table to the
-k-means centroids of its rows (at most k) while keeping the full table
-locally.
+rule as the move (`KeptScores`): a query that is one of the rows the agent
+scored last reads their kept scores, and any other is scored alone. The
+clustered variant compresses each outgoing table to the k-means centroids
+of its rows (at most k) while keeping the full table locally.
 
 Heights of fewer than STACK_MIN agents move one agent at a time
 (`_snap_direction`). Stacking every height instead costs more: on the
@@ -137,28 +135,21 @@ def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
 
 def _lookups(requests: list[tuple[UtilTable, list[tuple[float, ...]]]],
              method: str) -> list[np.ndarray]:
-    """Each (table, queries) request's utilities, one per query. A request
-    whose table's distinct rows and width and whose query count no other
-    request shares is `_interp_many`'s lookup. The others read a query that
-    is one of the table's rows from the row index, and those that miss the
-    same number of queries are interpolated together, as one stacked
+    """Each (table, queries) request's utilities, one per query. A query
+    that is one of the table's rows reads it from the row index. The other
+    queries of requests whose tables have as many distinct rows and columns,
+    and that miss as many queries, are interpolated together, as one stacked
     `_interp_batch` of at most a chunk's pairs."""
-    shapes: dict[tuple[int, int, int], list[int]] = {}
-    for i, (table, queries) in enumerate(requests):
-        shapes.setdefault((len(table.row_index), table.rows.shape[1], len(queries)), []).append(i)
-    found: list = [None] * len(requests)
+    found: list = []
     batches: dict[tuple[int, int, int], list] = {}
-    for (rows, width, _), members in shapes.items():
-        if len(members) == 1:
-            found[members[0]] = _interp_many(*requests[members[0]], method)
-            continue
-        for i in members:
-            table, queries = requests[i]
-            index = table.row_index
-            found[i] = values = [index.get(q) for q in queries]
-            if None in values:
-                missing = [j for j, v in enumerate(values) if v is None]
-                batches.setdefault((rows, width, len(missing)), []).append((i, missing))
+    for i, (table, queries) in enumerate(requests):
+        index = table.row_index
+        values = [index.get(q) for q in queries]
+        found.append(values)
+        if None in values:
+            missing = [j for j, v in enumerate(values) if v is None]
+            batches.setdefault((len(index), table.rows.shape[1], len(missing)),
+                               []).append((i, missing))
     for (rows, _, misses), members in batches.items():
         per_batch = max(1, PAIR_CAP // 64 // (rows * misses))
         for start in range(0, len(members), per_batch):
@@ -275,31 +266,24 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray
 
 class KeptScores:
     """An agent's VALUE rule: the candidate of the first max of the query's
-    scores. A query that is a kept row (-0.0 matching 0.0) reads that row's
-    kept scores when every child's lookup for it would be the last one,
-    which then gives the same floats; any other query is scored alone. The
-    first max is the smallest candidate; a clustered child's centroid may
-    round just outside the domain."""
+    scores. A query that is one of the rows the agent scored last (-0.0
+    matching 0.0) reads that row's kept scores when every child's lookup
+    for it would be the last one, which then gives the same floats; any
+    other query is scored alone. The first max is the smallest candidate; a
+    clustered child's centroid may round just outside the domain."""
 
     def __init__(self, scorer: Scorer, own_dom: ContinuousDomain, method: str,
                  rows: np.ndarray, scores: np.ndarray):
         self.scorer, self.own_dom, self.method = scorer, own_dom, method
-        self.blocks = [(rows, scores)]
-        # each kept row's first max
-        self.best: dict[tuple[float, ...], int] = {}
-
-    def keep(self, rows: np.ndarray, scores: np.ndarray) -> None:
-        """Keep more rows' scores; a row kept before keeps its first."""
-        self.blocks.append((rows, scores))
+        self.rows, self.scores = rows, scores
 
     def __call__(self, query: tuple[float, ...]) -> float:
         best = None
         if self.scorer.reuses(query):
-            for rows, scores in self.blocks:
-                for row, i in zip(map(tuple, rows.tolist()), scores.argmax(axis=1).tolist()):
-                    self.best.setdefault(row, i)
-            self.blocks.clear()
-            best = self.best.get(query)
+            for row, scores in zip(map(tuple, self.rows.tolist()), self.scores):
+                if row == query:
+                    best = int(scores.argmax())
+                    break
         if best is None:
             best = int(score([(self.scorer, np.array([query], dtype=float).reshape(
                 1, len(query)))], self.method)[0][0].argmax())
@@ -721,26 +705,14 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         """The UTIL steps of agents that do not depend on each other, each
         over its children's tables: a height's, or one agent's at its turn.
         Returns each one's table, or the optimum at the root. Their grids
-        are scored in one `score`, with the rows their children are asked
-        VALUE at where those are known; the grid rows move in one
-        `agents_move`, and the moved rows are scored in one `score`."""
+        are scored in one `score`, the grid rows move in one `agents_move`,
+        and the moved rows are scored in one `score`."""
         results = [agent_util(var, tables) for var, tables in zip(agents, inputs)]
         opened = [i for i, r in enumerate(results) if not isinstance(r, UtilTable)]
         if not opened:
             return results
         scorers = {i: results[i][0] for i in opened}
-        # a child whose separator is its parent alone is asked VALUE at one of
-        # the parent's candidates; when its children's lookups are the same
-        # for every row, those rows are scored with the grids and kept
-        asked = [(state[c], np.array(scorers[i].candidates, dtype=float).reshape(-1, 1))
-                 for i in opened for c in sorted(tree.children[agents[i]])
-                 if tree.separator[c] == (agents[i],) and isinstance(state.get(c), KeptScores)
-                 and not any(cols for _, _, cols in state[c].scorer.children)]
-        scores = score([results[i][:2] for i in opened]
-                       + [(rule.scorer, rows) for rule, rows in asked], method)
-        for (rule, rows), kept in zip(asked, scores[len(opened):]):
-            rule.keep(rows, kept)
-        grid_scores = dict(zip(opened, scores))
+        grid_scores = dict(zip(opened, score([results[i][:2] for i in opened], method)))
         for i in opened:
             results[i] = results[i][2](grid_scores[i])
         pending = [i for i in opened if isinstance(results[i], Pending)]

@@ -80,12 +80,11 @@ class AgentPlan:
     """What one agent's UTIL step knows before its children's tables arrive:
     its own and its separator variables' domains, own first, each read once,
     and the d-point grid of every one of them that no child's table
-    mentions, a tuple shared by the run's plans over domains with the same
-    bounds. `rows` is its table's row count when it knows every grid, and
+    mentions. `rows` is its table's row count when it knows every grid, and
     None when children's tables decide some variable's values."""
 
     domains: dict[str, ContinuousDomain]
-    grids: dict[str, tuple[float, ...]]
+    grids: dict[str, list[float]]
     rows: int | None
 
 
@@ -112,14 +111,6 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
     earlier.
     """
     plans: dict[str, AgentPlan] = {}
-    # each domain's grid by its bounds' bits, so -0.0 and 0.0 differ
-    grids_by_bounds: dict[tuple[str, str], tuple[float, ...]] = {}
-
-    def grid(dom: ContinuousDomain) -> tuple[float, ...]:
-        bounds = dom.lb.hex(), dom.ub.hex()
-        if bounds not in grids_by_bounds:
-            grids_by_bounds[bounds] = tuple(discretize(dom, d))
-        return grids_by_bounds[bounds]
 
     def plan_ahead(var: str) -> AgentPlan:
         if var not in plans:
@@ -127,7 +118,7 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
             mentioned = () if grid_tables else {w for c in tree.children[var]
                                                 for w in tree.separator[c]}
             domains = {var: ctx.own_domain(), **{w: ctx.domain_of(w) for w in ctx.separator}}
-            grids = {w: grid(dom) for w, dom in domains.items() if w not in mentioned}
+            grids = {w: discretize(dom, d) for w, dom in domains.items() if w not in mentioned}
             rows = math.prod(map(len, grids.values())) if len(grids) == len(domains) else None
             plans[var] = AgentPlan(domains, grids, rows)
         return plans[var]
@@ -149,9 +140,6 @@ def product_grid(grids: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
     """Every tuple of the grids, in itertools.product order: an (n, len(grids))
     array of each coordinate's index into its grid, and the same array of the
     points themselves."""
-    if len(grids) == 1:  # one grid is its own product
-        return (np.arange(len(grids[0])).reshape(-1, 1),
-                np.array(grids[0], dtype=float).reshape(-1, 1))
     shape = [len(g) for g in grids]
     index = np.indices(shape).reshape(len(grids), math.prod(shape)).T
     rows = np.empty(index.shape)
@@ -199,9 +187,12 @@ def join(sums: list[UtilSum]) -> list[np.ndarray]:
     of another shape is a ProtocolError.
 
     Sums of one shape (rows, candidates, contributions, and `var`'s side of
-    each constraint) are added up as one stacked array, a lone sum as it is
-    (`_add_up`). Each step is element-wise, so every cell is the float its
-    sum gives alone.
+    each constraint) are added up as one stacked array, and a sum whose
+    shape no other sum shares as it is (`_add_up`). Each step is
+    element-wise, so every cell is the float its sum gives alone. The lone
+    path is for the callers that join one sum at a time, dpop per agent and
+    hcms per edge endpoint: on an hcms-sized sum (10 rows x 10 candidates,
+    one constraint) a stack of one took 27 us against 18 us added up alone.
     """
     shapes: dict[tuple, list[int]] = {}
     for i, s in enumerate(sums):

@@ -71,10 +71,7 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                     payload = {"edge": e, "values": samples[v], "q": frozen(q)}
                     kernel.send(v, e[0], MS_VARIABLE_TO_FUNCTION, payload, d)
 
-        # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax;
-        # every function node's sums, for both endpoints, are joined in one
-        # call, and the replies go out in host, edge and endpoint order
-        sums, replies = [], []
+        # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax
         for host in variables:
             by_edge: dict[tuple, dict[str, dict]] = {}
             for m in kernel.collect(host, MS_VARIABLE_TO_FUNCTION):
@@ -88,12 +85,12 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                 for v in e:
                     w = e[0] if v == e[1] else e[1]
                     xs, ys = inputs[v]["values"], inputs[w]["values"]
-                    sums.append(UtilSum(w, ys, (v,), xs.reshape(d, 1), [inputs[w]["q"]], [f]))
-                    replies.append((host, e, v, ys))
-        for (host, e, v, ys), cells in zip(replies, join(sums)):
-            best = cells.argmax(axis=1)  # the first maximum: the smallest index
-            payload = {"edge": e, "values": frozen(cells[at, best]), "argmax": frozen(ys[best])}
-            kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
+                    [cells] = join([UtilSum(w, ys, (v,), xs.reshape(d, 1), [inputs[w]["q"]],
+                                            [f])])
+                    best = cells.argmax(axis=1)  # the first maximum: the smallest index
+                    payload = {"edge": e, "values": frozen(cells[at, best]),
+                               "argmax": frozen(ys[best])}
+                    kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
 
         # variable nodes: store the vectors, then move every sample one step
         for v in variables:

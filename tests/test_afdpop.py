@@ -822,14 +822,15 @@ class TestPairCount:
     def test_refused_lookup_builds_no_queries(self, monkeypatch):
         p = generators.gen_graph(20, 0.1, seed=2, concave=True)
         workloads = []
-        real_interp = afdpop._interp_many
+        real_lookups = afdpop._lookups
 
-        def interp(table, queries, method):
-            missing = sum(q not in table.row_index for q in queries)
-            workloads.append(missing * len(table.row_index))
-            return real_interp(table, queries, method)
+        def lookups(requests, method):
+            for table, queries in requests:
+                missing = sum(q not in table.row_index for q in queries)
+                workloads.append(missing * len(table.row_index))
+            return real_lookups(requests, method)
 
-        monkeypatch.setattr(afdpop, "_interp_many", interp)
+        monkeypatch.setattr(afdpop, "_lookups", lookups)
         with pytest.raises(CapacityError, match=r"^interpolation workload 146496x2688 exceeds "
                                                 r"the pair cap$"):
             runtime.run(p, "af-dpop", EngineConfig(points=4, moves=10, alpha=0.001),
