@@ -1,16 +1,17 @@
 """Approximate functional DPOP and its clustered variant.
 
 UTIL tables hold scattered value tuples, the rows of an array, whose
-coordinates are iteratively moved along utility gradients. Every agent runs
-one program, `agent_util`; a leaf is an agent with no child tables. The join
-interpolates each child's table over the union of the children's value sets
-(a grid for a variable no child mentions), building a child's queries once
-per distinct projection of the separator tuples. Each tuple then moves along
-the own constraints' gradient at the best own value of its nearest grid
-tuple. An agent with no child tables has a utility that is a sum of
-quadratics in its own value, so it moves against the closed-form best
-response instead. Every move runs by one loop and one clamped step
-(`_move`).
+coordinates are iteratively moved along utility gradients. An agent's UTIL
+step is one record, `Step`, which `agent_util` builds; a leaf is an agent
+with no child tables. The join interpolates each child's table over the
+union of the children's value sets (a grid for a variable no child
+mentions), building a child's queries once per distinct projection of the
+separator tuples; every table lookup, clustering's too, runs through
+`_lookups`. Each tuple then moves along the own constraints' gradient at
+the best own value of its nearest grid tuple. An agent with no child tables
+has a utility that is a sum of quadratics in its own value, so it moves
+against the closed-form best response instead. Every move runs by one loop
+and one clamped step (`_move`).
 
 With moves, UTIL is computed before its first message, one pseudo-tree
 height at a time; an agent's height is its distance to the deepest leaf
@@ -19,15 +20,16 @@ the leaves, moves in one array program (`leaf_move`). Each later height runs
 `util_steps`: its agents' grids are scored as one (`score`: every child
 lookup of the height interpolated by one `_lookups`, every sum added up by
 one `join`), their grid rows move in one stacked program (`agents_move`),
-and their moved rows are scored as one. Lookups stack only where their
-tables and missing queries have one shape, and sums only where they have one
-shape, so every float is the one the agent gets alone. Each agent still
-sends its table at its turn in post-order, so the trace is that of one agent
-at a time. Only the agents before the first that might refuse are computed
-ahead, by upper bounds on the tables' sizes (`_sure_to_finish`); that agent
-and every later one compute at their turn, as a height of one. So a refusal
-comes at its agent's turn, after the same messages, and no agent after it
-does any work.
+their moved rows are scored as one, and each agent's table and VALUE rule
+are built from its moved rows and their scores. Lookups stack only where
+their tables and missing queries have one shape, and sums only where they
+have one shape, so every float is the one the agent gets alone. Each agent
+still sends its table at its turn in post-order, so the trace is that of one
+agent at a time. Only the agents before the first that might refuse are
+computed ahead, by upper bounds on the tables' sizes (`_sure_to_finish`);
+that agent and every later one compute at their turn, as a height of one. So
+a refusal comes at its agent's turn, after the same messages, and no agent
+after it does any work.
 
 VALUE answers the ancestors' values, which may lie off the grid, by the same
 rule as the move (`KeptScores`): a query that is one of the rows the agent
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,20 +121,6 @@ def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
     return out
 
 
-def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
-                 method: str) -> list[float]:
-    index = table.row_index
-    out: list[float | None] = [index.get(q) for q in queries]
-    missing = [i for i, v in enumerate(out) if v is None]
-    if missing:
-        points, utils = zip(*sorted(index.items()))
-        filled = _interp_batch(np.array(points, dtype=float), np.array(utils, dtype=float),
-                               np.array([queries[i] for i in missing], dtype=float), method)
-        for i, v in zip(missing, filled.tolist()):
-            out[i] = v
-    return out  # type: ignore[return-value]
-
-
 def _lookups(requests: list[tuple[UtilTable, list[tuple[float, ...]]]],
              method: str) -> list[np.ndarray]:
     """Each (table, queries) request's utilities, one per query. A query
@@ -163,6 +151,12 @@ def _lookups(requests: list[tuple[UtilTable, list[tuple[float, ...]]]],
                 for j, v in zip(missing, values):
                     found[i][j] = v
     return [np.array(values, dtype=float) for values in found]
+
+
+def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
+                 method: str) -> list[float]:
+    """One table's utilities at `queries`, by `_lookups`."""
+    return _lookups([(table, queries)], method)[0].tolist()
 
 
 # --- scoring ----------------------------------------------------------------
@@ -367,19 +361,38 @@ def _columns(own_var: str, constraints, domains, width: int) -> list[tuple[float
     return columns
 
 
-def _stack(blocks, width: int):
-    """Several tables' rows moved as one: each block (a `Leaf` or a `Pending`)
-    has `rows`, one column per entry of `sep_domains`, and the `constraints`
-    of its `var` with them. Returns the rows stacked into one (rows, width)
-    array, padded with zeros; per row, its block's `_columns` as seven
-    (rows, width) arrays, one per coefficient, built in one array; and where
-    each block's rows start, with the end last."""
-    counts = [len(b.rows) for b in blocks]
+class Step(NamedTuple):
+    """One agent's UTIL step up to its move: its variable and domain, its
+    sorted separator with each variable's domain and its constraint with it
+    (None where it has none), and its grid rows, one column per separator
+    variable. A closed-form leaf needs no more. An agent with children also
+    has its `Scorer`, each separator variable's sorted grid points and,
+    once its grid is scored, the own value of each grid tuple's first
+    maximum (`best_own`, an array of the grid's shape)."""
+
+    var: str
+    own_domain: ContinuousDomain
+    sep_vars: tuple[str, ...]
+    sep_domains: tuple[ContinuousDomain, ...]
+    constraints: tuple[QuadraticBinaryUtility | None, ...]
+    rows: np.ndarray
+    scorer: Scorer | None = None
+    points: tuple[np.ndarray, ...] | None = None
+    best_own: np.ndarray | None = None
+
+
+def _stack(steps: list[Step], width: int):
+    """Several steps' rows moved as one. Returns the rows stacked into one
+    (rows, width) array, padded with zeros; per row, its step's `_columns`
+    as seven (rows, width) arrays, one per coefficient, built in one array;
+    and where each step's rows start, with the end last."""
+    counts = [len(step.rows) for step in steps]
     starts = np.cumsum([0, *counts]).tolist()
     grid = np.zeros((starts[-1], width))
-    for b, start in zip(blocks, starts):
-        grid[start:start + len(b.rows), :len(b.sep_domains)] = b.rows
-    layouts = np.array([_columns(b.var, b.constraints, b.sep_domains, width) for b in blocks])
+    for step, start in zip(steps, starts):
+        grid[start:start + len(step.rows), :len(step.sep_domains)] = step.rows
+    layouts = np.array([_columns(step.var, step.constraints, step.sep_domains, width)
+                        for step in steps])
     return grid, list(np.repeat(layouts.transpose(2, 0, 1), counts, axis=1)), starts
 
 
@@ -419,20 +432,6 @@ def _move(current: np.ndarray, alpha: float, moves: int, direction) -> np.ndarra
     return current
 
 
-class Leaf(NamedTuple):
-    """A closed-form leaf's UTIL input: its variable and domain, its sorted
-    separator with each variable's domain and its constraint with it (a
-    leaf's separator holds only its neighbours), and its grid rows, one
-    column per separator variable."""
-
-    var: str
-    own_domain: ContinuousDomain
-    sep_vars: tuple[str, ...]
-    sep_domains: tuple[ContinuousDomain, ...]
-    constraints: tuple[QuadraticBinaryUtility, ...]
-    rows: np.ndarray
-
-
 def _argmax_quadratic(c2, c1, lo, hi):
     """`argmax_quadratic_1d` cell by cell: the first strict maximum of lo,
     the vertex (when c2 < 0 and it lies strictly inside) and hi."""
@@ -444,7 +443,7 @@ def _argmax_quadratic(c2, c1, lo, hi):
     return np.where(c2 * hi * hi + c1 * hi > top, hi, best)
 
 
-def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
+def leaf_move(leaves: list[Step], alpha: float, moves: int) -> list[UtilTable]:
     """Every closed-form leaf's UTIL table, moved in one array program.
 
     The leaves' grid rows are stacked into one array, padded to the widest
@@ -487,23 +486,6 @@ def leaf_move(leaves: list[Leaf], alpha: float, moves: int) -> list[UtilTable]:
     return tables
 
 
-class Pending(NamedTuple):
-    """An agent with children between its grid scores and its move: its
-    variable, its separator's constraints (None where it has none) and
-    domains, its grid rows, each separator variable's sorted grid points,
-    the own value of each grid tuple's first maximum (an array of the grid's
-    shape), and `finish(rows, scores)`, which gives the agent's UTIL table
-    from its moved rows and their scores."""
-
-    var: str
-    constraints: tuple[QuadraticBinaryUtility | None, ...]
-    sep_domains: tuple[ContinuousDomain, ...]
-    rows: np.ndarray
-    points: tuple[np.ndarray, ...]
-    best_own: np.ndarray
-    finish: Callable[[np.ndarray, np.ndarray], UtilTable]
-
-
 def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Nearest index into the sorted `points` for each value; ties go to the
     smaller point."""
@@ -515,7 +497,7 @@ def _snap_column(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     return j + ((values - points[j]) > (upper[j] - values))
 
 
-def _snap_direction(agent: Pending):
+def _snap_direction(agent: Step):
     """One agent's `direction`: each row's own value is the grid argmax at
     its nearest grid tuple."""
     _, _, twice_other_sq, other_lin, cross, lb, ub = np.array(_columns(
@@ -533,7 +515,7 @@ def _snap_direction(agent: Pending):
 STACK_MIN = 4
 
 
-def _stacked_direction(agents: list[Pending], columns, starts):
+def _stacked_direction(agents: list[Step], columns, starts):
     """The `direction` of agents stacked by `_stack`: `_snap_direction`'s,
     row by row against the row's own agent. Each column's points are padded
     with +inf to one more than the longest column's, so a value's left
@@ -569,12 +551,12 @@ def _stacked_direction(agents: list[Pending], columns, starts):
     return direction
 
 
-def agents_move(agents: list[Pending], alpha: float, moves: int) -> list[np.ndarray]:
+def agents_move(agents: list[Step], alpha: float, moves: int) -> list[np.ndarray]:
     """The moved grid rows of agents with children that do not depend on
-    each other, such as one pseudo-tree height's. From STACK_MIN agents up
-    their rows move in one `_move`, stacked by `_stack` with
-    `_stacked_direction`; fewer move one agent at a time. Both give every
-    row the same floats."""
+    each other, such as one pseudo-tree height's: steps with their grid
+    `points` and `best_own`. From STACK_MIN agents up their rows move in one
+    `_move`, stacked by `_stack` with `_stacked_direction`; fewer move one
+    agent at a time. Both give every row the same floats."""
     if len(agents) < STACK_MIN:
         return [_move(a.rows, alpha, moves, _snap_direction(a)) for a in agents]
     grid, columns, starts = _stack(agents, max(len(a.points) for a in agents))
@@ -634,11 +616,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
     state: dict[str, object] = {}
 
     def agent_util(var, tables):
-        """One agent's UTIL step up to its scores, over its children's
+        """One agent's UTIL step up to its grid scores, over its children's
         tables; a leaf is the agent with none. Returns a closed-form leaf's
-        moved table, or the agent's `Scorer`, its grid rows and
-        `scored(grid_scores)`, which gives the optimum at the root and the
-        agent's `Pending` move elsewhere."""
+        moved table, or the agent's `Step` with its scorer and grid."""
         for t in tables:
             if not len(t.utils):
                 raise ProtocolError(f"{var}: received an empty UTIL table")
@@ -657,8 +637,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         # with no child tables the utility is a sum of quadratics in the own
         # value, so VALUE answers with the closed-form best response, and a
         # leaf's table was moved against it at the start of UTIL
-        closed_form = not tables and config.moves > 0
-        if closed_form:
+        if not tables and config.moves > 0:
             def value(query):
                 return best_own_response(sorted_constraints, var,
                                          dict(zip(sep_vars, query)), own_dom)
@@ -679,51 +658,44 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         candidates = sets[var]
         sep_sets = [sets[w] for w in sep_vars]
         check_grid_cap(var, len(candidates) * math.prod(map(len, sep_sets)), config.row_cap)
-        scorer = Scorer.of(var, candidates, sep_vars, sorted_constraints, tables)
-        _, grid = product_grid(sep_sets)
-
-        def scored(grid_scores):
-            if var == tree.root:
-                if not closed_form:
-                    state[var] = KeptScores(scorer, own_dom, method, grid, grid_scores)
-                # no separator: one row, the best candidate's utility
-                return float(grid_scores.max())
-
-            def finish(rows, scores):
-                state[var] = KeptScores(scorer, own_dom, method, rows, scores)
-                return UtilTable(sep_vars, rows, scores.max(axis=1))
-
-            # per grid tuple, the own value of its first max: the smallest candidate
-            best_own = np.take(candidates, grid_scores.argmax(axis=1)).reshape(
-                list(map(len, sep_sets)))
-            return Pending(var, tuple(map(constraints.get, sep_vars)),
-                           tuple(map(domains.get, sep_vars)), grid,
-                           tuple(np.array(s) for s in sep_sets), best_own, finish)
-        return scorer, grid, scored
+        return Step(var, own_dom, sep_vars, tuple(map(domains.get, sep_vars)),
+                    tuple(map(constraints.get, sep_vars)), product_grid(sep_sets)[1],
+                    Scorer.of(var, candidates, sep_vars, sorted_constraints, tables),
+                    tuple(map(np.array, sep_sets)))
 
     def util_steps(agents, inputs) -> list:
         """The UTIL steps of agents that do not depend on each other, each
         over its children's tables: a height's, or one agent's at its turn.
-        Returns each one's table, or the optimum at the root. Their grids
-        are scored in one `score`, the grid rows move in one `agents_move`,
-        and the moved rows are scored in one `score`."""
+        Returns each one's table, or the optimum at the root, and sets each
+        one's VALUE rule. Their grids are scored in one `score`, the grid
+        rows move in one `agents_move`, and the moved rows are scored in one
+        `score`."""
         results = [agent_util(var, tables) for var, tables in zip(agents, inputs)]
-        opened = [i for i, r in enumerate(results) if not isinstance(r, UtilTable)]
-        if not opened:
-            return results
-        scorers = {i: results[i][0] for i in opened}
-        grid_scores = dict(zip(opened, score([results[i][:2] for i in opened], method)))
-        for i in opened:
-            results[i] = results[i][2](grid_scores[i])
-        pending = [i for i in opened if isinstance(results[i], Pending)]
-        if config.moves and pending:
-            rows = agents_move([results[i] for i in pending], config.alpha, config.moves)
-            scores = score([(scorers[i], r) for i, r in zip(pending, rows)], method)
+        steps = [(i, step) for i, step in enumerate(results) if isinstance(step, Step)]
+        grid_scores = score([(step.scorer, step.rows) for _, step in steps], method)
+        moving = []
+        for (i, step), scores in zip(steps, grid_scores):
+            if step.var == tree.root:
+                # a closed-form root keeps its VALUE rule; the root has no
+                # separator: one row, the best candidate's utility
+                state.setdefault(step.var, KeptScores(step.scorer, step.own_domain, method,
+                                                      step.rows, scores))
+                results[i] = float(scores.max())
+            else:
+                # per grid tuple, the own value of its first max: the smallest candidate
+                best_own = np.take(step.scorer.candidates, scores.argmax(axis=1))
+                moving.append((i, step._replace(best_own=best_own.reshape(
+                    list(map(len, step.points)))), scores))
+        if config.moves and moving:
+            rows = agents_move([step for _, step, _ in moving], config.alpha, config.moves)
+            moved_scores = score([(step.scorer, r) for (_, step, _), r in zip(moving, rows)],
+                                 method)
         else:
-            rows = [results[i].rows for i in pending]
-            scores = [grid_scores[i] for i in pending]
-        for i, r, s in zip(pending, rows, scores):
-            results[i] = results[i].finish(r, s)
+            rows = [step.rows for _, step, _ in moving]
+            moved_scores = [scores for _, _, scores in moving]
+        for (i, step, _), r, scores in zip(moving, rows, moved_scores):
+            state[step.var] = KeptScores(step.scorer, step.own_domain, method, r, scores)
+            results[i] = UtilTable(step.sep_vars, r, scores.max(axis=1))
         return results
 
     def sent(var, table):
@@ -753,7 +725,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 continue
             if planned.rows <= config.row_cap:
                 sep_vars = contexts[var].separator
-                leaves.append(Leaf(var, planned.domains[var], sep_vars,
+                leaves.append(Step(var, planned.domains[var], sep_vars,
                                    tuple(planned.domains[w] for w in sep_vars),
                                    tuple(map(contexts[var].constraint_with, sep_vars)),
                                    product_grid([planned.grids[w] for w in sep_vars])[1]))

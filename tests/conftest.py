@@ -172,6 +172,22 @@ def chain3():
     ])
 
 
+def lookup_alone(table, queries, method):
+    """Oracle: one table's utilities at `queries`, looked up alone: a query
+    that is one of the table's rows reads it from the row index, and the
+    others are interpolated by one unstacked `afdpop._interp_batch`."""
+    index = table.row_index
+    out = [index.get(q) for q in queries]
+    missing = [i for i, v in enumerate(out) if v is None]
+    if missing:
+        points, utils = zip(*sorted(index.items()))
+        filled = afdpop._interp_batch(np.array(points, dtype=float), np.array(utils, dtype=float),
+                                      np.array([queries[i] for i in missing], dtype=float), method)
+        for i, v in zip(missing, filled.tolist()):
+            out[i] = v
+    return out
+
+
 def cluster_tuples_by_means(table, k, rng: random.Random, interpolation):
     """Oracle: `afdpop.cluster_tuples` with its Lloyd update as one
     `mean(axis=0)` per non-empty cluster."""
@@ -199,7 +215,7 @@ def cluster_tuples_by_means(table, k, rng: random.Random, interpolation):
         if shift < 1e-6:
             break
     centers = centroids[np.unique(labels)]
-    utils = afdpop._interp_many(table, list(map(tuple, centers.tolist())), interpolation)
+    utils = lookup_alone(table, list(map(tuple, centers.tolist())), interpolation)
     return UtilTable(table.separator_vars, centers, np.array(utils))
 
 
@@ -207,7 +223,7 @@ def agent_scores(var, candidates, sep_vars, constraints, tables, method):
     """Oracle: one agent's `scores(tuples)`, scored alone as each agent with
     children scored its tuples before heights were scored as one: per child,
     the queries of the distinct projections (first-seen order) in one
-    `_interp_many`, or the child's last lookup when the projections are the
+    `lookup_alone`, or the child's last lookup when the projections are the
     same; then the per-agent sum, contributions first, then each constraint
     evaluated at the candidates and its separator column."""
     children = [(t, t.separator_vars.index(var),
@@ -227,7 +243,7 @@ def agent_scores(var, candidates, sep_vars, constraints, tables, method):
                 looked_up = last[1]
             else:
                 queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in candidates]
-                looked_up = np.array(afdpop._interp_many(t, queries, method)).reshape(
+                looked_up = np.array(lookup_alone(t, queries, method)).reshape(
                     len(projections), n_c)
                 last_lookup[slot] = (projections, looked_up)
             total += looked_up[inverse]

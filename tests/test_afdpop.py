@@ -13,16 +13,16 @@ from hypothesis import given, reject, settings, strategies as st
 
 from fdcop import generators, model, runtime
 from fdcop.engines import afdpop
-from fdcop.engines.afdpop import Leaf, _interp_many, _snap_column, cluster_tuples, leaf_move
+from fdcop.engines.afdpop import Step, _interp_many, _snap_column, cluster_tuples, leaf_move
 from fdcop.engines.common import best_own_response, clamped_step, discretize, product_grid
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, CapacityError, FdcopError, ValidationError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import (cluster_tuples_by_means, make_problem, quad, scalar_agent_move,
-                      scalar_leaf_move, scalar_leaf_table, scalar_moves, sent_util_tables,
-                      util_table)
+from conftest import (cluster_tuples_by_means, lookup_alone, make_problem, quad,
+                      scalar_agent_move, scalar_leaf_move, scalar_leaf_table, scalar_moves,
+                      sent_util_tables, util_table)
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -213,7 +213,7 @@ def leaves(draw, name):
         constraints.append(quad(name, w, *coeffs) if draw(st.booleans()) else quad(w, name, *coeffs))
     points = draw(st.integers(1, 4))
     rows = product_grid([discretize(dom, points) for dom in sep_domains])[1]
-    return Leaf(name, draw(st.sampled_from(SIGNED_DOMAINS)), sep_vars, sep_domains,
+    return Step(name, draw(st.sampled_from(SIGNED_DOMAINS)), sep_vars, sep_domains,
                 tuple(constraints), rows)
 
 
@@ -256,8 +256,8 @@ class TestLeafBatch:
         # f(x, p) = -x^2 - (p-3)^2 takes p to 3 in one move at alpha = 0.5
         f = quad("x", "p", a=-1.0, c=-1.0, d=6.0, f0=-9.0)
         g = quad("y", "q", d=10.0)
-        batch = [Leaf("x", DOM, ("p",), (DOM,), (f,), np.array([[3.0], [0.0], [-100.0]])),
-                 Leaf("y", DOM, ("q",), (DOM,), (g,), np.array([[100.0], [99.0], [50.0],
+        batch = [Step("x", DOM, ("p",), (DOM,), (f,), np.array([[3.0], [0.0], [-100.0]])),
+                 Step("y", DOM, ("q",), (DOM,), (g,), np.array([[100.0], [99.0], [50.0],
                                                                 [-100.0]]))]
         for alpha in (0.5, 1.0):
             self.assert_matches_oracle(batch, alpha, 10)
@@ -598,7 +598,7 @@ class TestClusteredMessages:
 
 def per_cell_scores(problem, var, sep_vars, tables, candidates, tuples, method):
     """The join as one query per (tuple, candidate) cell; returns the scores
-    and the query list handed to `_interp_many` for each child table."""
+    and the query list handed to `lookup_alone` for each child table."""
     sep_index = {w: i for i, w in enumerate(sep_vars)}
     n_t, n_c = len(tuples), len(candidates)
     total = np.zeros((n_t, n_c))
@@ -613,7 +613,7 @@ def per_cell_scores(problem, var, sep_vars, tables, candidates, tuples, method):
             if q not in uniq:
                 uniq[q] = len(uniq)
         query_lists.append(list(uniq))
-        looked_up = _interp_many(t, list(uniq), method)
+        looked_up = lookup_alone(t, list(uniq), method)
         total = total + np.array([looked_up[uniq[q]] for q in queries]).reshape(n_t, n_c)
     cand_row = np.array(candidates).reshape(1, n_c)
     constraints = [f for w in sep_vars if (f := problem.utility_between(var, w)) is not None]
@@ -783,8 +783,8 @@ VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
 
 class TestPairCount:
     """`scores` refuses a child lookup from its count of missing queries,
-    before it builds them; the count is what `_interp_many` would hand to
-    `_interp_batch`."""
+    before it builds them; the count is what `_interp_many` hands to
+    `_interp_batch` through `_lookups`."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -810,8 +810,9 @@ class TestPairCount:
         batched = []
 
         def batch(points, utils, queries, method):
-            batched.append(len(queries))
-            return np.zeros(len(queries))
+            # stacked, (L, q, width): L lookups of q missing queries each
+            batched.append(math.prod(queries.shape[:-1]))
+            return np.zeros(queries.shape[:-1])
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(afdpop, "_interp_batch", batch)

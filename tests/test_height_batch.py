@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, reject, settings, strategies 
 
 from fdcop import generators, runtime
 from fdcop.engines import afdpop
-from fdcop.engines.afdpop import Pending, Scorer, _snap_column, agents_move, score
+from fdcop.engines.afdpop import Scorer, Step, _snap_column, agents_move, score
 from fdcop.engines.common import discretize
 from fdcop.errors import CapacityError, FdcopError, ProtocolError, ValidationError
 from fdcop.model import ContinuousDomain
@@ -38,12 +38,13 @@ def hex_rows(rows):
 
 
 def pending(var, columns, rows, best_own):
-    """A `Pending` move of `rows` for `var`; each column is (separator
+    """The `Step` that moves `rows` for `var`; each column is (separator
     variable, grid points, constraint or None, domain), and `best_own` gives
     the own value at each grid tuple."""
-    return Pending(var, tuple(f for _, _, f, _ in columns), tuple(d for _, _, _, d in columns),
-                   np.array(rows, dtype=float), tuple(np.array(p) for _, p, _, _ in columns),
-                   np.array(best_own, dtype=float), None)
+    return Step(var, None, tuple(w for w, _, _, _ in columns), tuple(d for _, _, _, d in columns),
+                tuple(f for _, _, f, _ in columns), np.array(rows, dtype=float),
+                points=tuple(np.array(p) for _, p, _, _ in columns),
+                best_own=np.array(best_own, dtype=float))
 
 
 def oracle_rows(agent, columns, alpha, moves):
@@ -174,7 +175,10 @@ class TestRefusalOrder:
     """A refusal comes at its agent's turn with the parent commit's text and
     message count, and no agent after it in post-order joins or
     interpolates. A lookup of a child's table is charged to the child's
-    parent, and a clustering interpolation to the table's own agent."""
+    parent, and a clustering interpolation to the table's own agent. A
+    table's agent is known by its rows: the leaf batch's, those an agent
+    keeps scores of for VALUE (`KeptScores`), which are its table's, and
+    those of a table clustered from them."""
 
     @pytest.mark.parametrize("shape, engine, config, refusing, text, messages, later", REFUSALS,
                              ids=["af", "caf"])
@@ -189,14 +193,14 @@ class TestRefusalOrder:
 
         owner, worked, clustering = {}, set(), []
         real = {name: getattr(afdpop, name) for name in
-                ("join", "_lookups", "_interp_many", "cluster_tuples", "leaf_move", "Pending")}
+                ("join", "_lookups", "_interp_many", "cluster_tuples", "leaf_move", "KeptScores")}
 
         def join(sums):
             worked.update(s.var for s in sums)
             return real["join"](sums)
 
         def charge(table):
-            agent = owner[id(table)]
+            agent = owner[id(table.rows)]
             worked.add(agent if clustering else tree.parent[agent])
 
         def lookups(requests, method):
@@ -214,27 +218,22 @@ class TestRefusalOrder:
                 out = real["cluster_tuples"](table, *args)
             finally:
                 clustering.pop()
-            owner[id(out)] = owner[id(table)]
+            owner[id(out.rows)] = owner[id(table.rows)]
             return out
 
         def leaf_move(leaves, *args):
             tables = real["leaf_move"](leaves, *args)
-            owner.update((id(t), leaf.var) for leaf, t in zip(leaves, tables))
+            owner.update((id(t.rows), leaf.var) for leaf, t in zip(leaves, tables))
             return tables
 
-        class RecordedPending(real["Pending"]):
-            def __new__(cls, *fields):
-                *head, finish = fields
-
-                def recorded(rows, scores):
-                    table = finish(rows, scores)
-                    owner[id(table)] = head[0]
-                    return table
-                return super().__new__(cls, *head, recorded)
+        class RecordedScores(real["KeptScores"]):
+            def __init__(self, scorer, own_dom, method, rows, scores):
+                super().__init__(scorer, own_dom, method, rows, scores)
+                owner[id(rows)] = scorer.var
 
         for name, wrapper in (("join", join), ("_lookups", lookups), ("_interp_many", interp),
                               ("cluster_tuples", cluster), ("leaf_move", leaf_move),
-                              ("Pending", RecordedPending)):
+                              ("KeptScores", RecordedScores)):
             monkeypatch.setattr(afdpop, name, wrapper)
         with pytest.raises(CapacityError, match=text) as exc:
             runtime.run(p, engine, config)

@@ -1,5 +1,6 @@
 """The package declares exactly the third-party modules its source imports,
-defines nothing that only its tests use, and clamps in one module."""
+defines nothing that only its tests use, clamps in one module and
+interpolates in one function."""
 import ast
 import collections
 import re
@@ -75,3 +76,25 @@ def test_only_common_spells_a_clamp():
     spelled = [f"{path.name}:{n}" for path in engines if path.name != "common.py"
                for n, line in enumerate(path.read_text().splitlines(), 1) if clamp.search(line)]
     assert spelled == []
+
+
+def referrers(tree: ast.AST, name: str, where: str = "<module>"):
+    """The innermost function around each reference to `name` in `tree`, by
+    its name, or `<module>` outside any."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = tree.name
+    if (isinstance(tree, ast.Name) and tree.id == name
+            or isinstance(tree, ast.Attribute) and tree.attr == name):
+        yield where
+    for child in ast.iter_child_nodes(tree):
+        yield from referrers(child, name, where)
+
+
+def test_only_lookups_interpolates():
+    """Every table lookup of the engines runs through `afdpop._lookups`, the
+    one path that reads the row index and interpolates the missing queries;
+    no other function calls or passes on `_interp_batch`."""
+    engines = sorted((ROOT / "src" / "fdcop" / "engines").glob("*.py"))
+    found = [f"{path.stem}.{where}" for path in engines
+             for where in referrers(ast.parse(path.read_text()), "_interp_batch")]
+    assert found == ["afdpop._lookups"]
