@@ -177,6 +177,13 @@ def cmd_bench(args) -> int:
     for e in engines:
         if e not in model.ENGINE_KINDS:
             raise ArgumentError(f"unknown engine {e!r}")
+    # an empty matrix would write header-only files and exit 0
+    for flag, values in (("--engines", engines), ("-n", args.n), ("-d", args.d),
+                         ("--moves", args.moves)):
+        if not values:
+            raise ArgumentError(f"bench {flag} lists no values")
+    if args.seeds < 1:
+        raise ArgumentError(f"bench --seeds must be at least 1, got {args.seeds}")
     seeds = list(range(args.seeds))
     base = runtime.EngineConfig(alpha=args.alpha, k_clusters=args.clusters,
                                 iterations=args.iters, interpolation=args.interp)

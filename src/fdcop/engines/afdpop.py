@@ -29,13 +29,15 @@ agent at a time. Only the agents before the first that might refuse are
 computed ahead, by upper bounds on the tables' sizes (`_sure_to_finish`);
 that agent and every later one compute at their turn, as a height of one. So
 a refusal comes at its agent's turn, after the same messages, and no agent
-after it does any work.
+after it joins, looks anything up or clusters. Leaves are the exception:
+every leaf whose grid fits moves up front, in the leaf batch, so leaves after
+the refusing agent have moved.
 
 VALUE answers the ancestors' values, which may lie off the grid, by the same
-rule as the move (`KeptScores`): a query that is one of the rows the agent
-scored last reads their kept scores, and any other is scored alone. The
-clustered variant compresses each outgoing table to the k-means centroids
-of its rows (at most k) while keeping the full table locally.
+scores as the move (`scored_value`): each query scored alone, reusing each
+child's last lookup when its projections are the same. The clustered variant
+compresses each outgoing table to the k-means centroids of its rows (at
+most k) while keeping the full table locally.
 
 Heights of fewer than STACK_MIN agents move one agent at a time
 (`_snap_direction`). Stacking every height instead costs more: on the
@@ -161,10 +163,6 @@ def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
 
 # --- scoring ----------------------------------------------------------------
 
-# the projections of a child whose table holds only its parent's variable
-_EMPTY_PROJECTION = {(): 0}
-
-
 class Scorer(NamedTuple):
     """What an agent scores its separator tuples with (`score`): its
     variable, its candidates (the union of its children's values of it), its
@@ -188,12 +186,6 @@ class Scorer(NamedTuple):
                      [sep_vars.index(w) for w in t.separator_vars if w != var]) for t in tables],
                    [None] * len(tables))
 
-    def reuses(self, query: tuple[float, ...]) -> bool:
-        """Whether every child's lookup for the one tuple `query` is its
-        last lookup."""
-        return all(last is not None and (not cols or last[0] == (tuple(query[j] for j in cols),))
-                   for (_, _, cols), last in zip(self.children, self.last))
-
 
 def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray]:
     """(len(tuples), len(candidates)) utilities for each (scorer, tuples)
@@ -211,25 +203,23 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray
     interpolated once per agent. A lookup whose interpolation would exceed
     PAIR_CAP is refused from its count of missing queries, before its
     queries are built and before any job's lookup is interpolated: the jobs'
-    lookups are all interpolated by one `_lookups`."""
+    lookups are all interpolated by one `_lookups`.
+
+    VALUE (`scored_value`) is this rule with each query scored alone,
+    reusing each child's last lookup when its projections are the same."""
     requests, plans = [], []
     for scorer, tuples in jobs:
         plan = []
-        singles = None  # the queries of a table that holds only `var`
         for slot, (t, pos, cols) in enumerate(scorer.children):
-            last = scorer.last[slot]
-            if not cols:
-                # a child whose table holds only `var`: every row projects
-                # to (), and its one row of utilities adds to all rows
-                if last is not None:
-                    plan.append((None, None, last[1]))
-                    continue
-                uniq, inverse = _EMPTY_PROJECTION, None
-            else:
+            if cols:
                 uniq = {}
                 inverse = [uniq.setdefault(p, len(uniq))
                            for p in map(tuple, tuples[:, cols].tolist())]
-            projections = tuple(uniq)
+            else:
+                # a child whose table holds only `var`: every row projects
+                # to (), and its one row of utilities adds to all rows
+                uniq, inverse = {(): 0}, None
+            projections, last = tuple(uniq), scorer.last[slot]
             if last is not None and last[0] == projections:
                 plan.append((inverse, None, last[1]))
                 continue
@@ -238,11 +228,8 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray
                 _check_pair_cap(_missing_queries(t.row_index, pos, uniq, len(scorer.candidates)),
                                 len(t.row_index))
             plan.append((inverse, projections, len(requests)))
-            if cols:
-                queries = [p[:pos] + (c,) + p[pos:] for p in projections for c in scorer.candidates]
-            else:
-                singles = queries = singles or [(c,) for c in scorer.candidates]
-            requests.append((t, queries))
+            requests.append((t, [p[:pos] + (c,) + p[pos:]
+                                 for p in projections for c in scorer.candidates]))
         plans.append(plan)
     looked_up = _lookups(requests, method)
     sums = []
@@ -258,30 +245,17 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray
     return join(sums)
 
 
-class KeptScores:
+def scored_value(scorer: Scorer, own_dom: ContinuousDomain, method: str):
     """An agent's VALUE rule: the candidate of the first max of the query's
-    scores. A query that is one of the rows the agent scored last (-0.0
-    matching 0.0) reads that row's kept scores when every child's lookup
-    for it would be the last one, which then gives the same floats; any
-    other query is scored alone. The first max is the smallest candidate; a
-    clustered child's centroid may round just outside the domain."""
-
-    def __init__(self, scorer: Scorer, own_dom: ContinuousDomain, method: str,
-                 rows: np.ndarray, scores: np.ndarray):
-        self.scorer, self.own_dom, self.method = scorer, own_dom, method
-        self.rows, self.scores = rows, scores
-
-    def __call__(self, query: tuple[float, ...]) -> float:
-        best = None
-        if self.scorer.reuses(query):
-            for row, scores in zip(map(tuple, self.rows.tolist()), self.scores):
-                if row == query:
-                    best = int(scores.argmax())
-                    break
-        if best is None:
-            best = int(score([(self.scorer, np.array([query], dtype=float).reshape(
-                1, len(query)))], self.method)[0][0].argmax())
-        return self.own_dom.clamp(self.scorer.candidates[best])
+    scores, each query scored alone (`score`), reusing each child's last
+    lookup when its projections are the same. The first max is the smallest
+    candidate; a clustered child's centroid may round just outside the
+    domain."""
+    def value(query: tuple[float, ...]) -> float:
+        [scores] = score([(scorer, np.array([query], dtype=float).reshape(1, len(query)))],
+                         method)
+        return own_dom.clamp(scorer.candidates[int(scores[0].argmax())])
+    return value
 
 
 # --- clustering --------------------------------------------------------------
@@ -396,19 +370,6 @@ def _stack(steps: list[Step], width: int):
     return grid, list(np.repeat(layouts.transpose(2, 0, 1), counts, axis=1)), starts
 
 
-def _gathered(arrays: list[np.ndarray]):
-    """`at(live)`: the arrays' rows at the indices `live`, for a `direction`.
-    `_move`'s `live` only shrinks, as rows stop, so the rows are gathered
-    again only when its length changes."""
-    last = [len(arrays[0]), arrays]
-
-    def at(live):
-        if len(live) != last[0]:
-            last[:] = len(live), [a[live] for a in arrays]
-        return last[1]
-    return at
-
-
 def _move(current: np.ndarray, alpha: float, moves: int, direction) -> np.ndarray:
     """`current`'s rows after up to `moves` gradient moves, each a
     `clamped_step` by alpha times the partials; a row stops after a move
@@ -458,10 +419,11 @@ def leaf_move(leaves: list[Step], alpha: float, moves: int) -> list[UtilTable]:
     # (rows, 2): each row's leaf's own bounds
     own_bounds = np.repeat([[leaf.own_domain.lb, leaf.own_domain.ub] for leaf in leaves],
                            np.diff(starts), axis=0)
-    at = _gathered([*columns, own_bounds[:, :1], own_bounds[:, 1:]])
+    arrays = [*columns, own_bounds[:, :1], own_bounds[:, 1:]]
 
     def direction(live, rows):
-        own_sq, own_lin, twice_other_sq, other_lin, cross, lb, ub, lo, hi = at(live)
+        own_sq, own_lin, twice_other_sq, other_lin, cross, lb, ub, lo, hi = (
+            a[live] for a in arrays)
         x_star = _argmax_quadratic(own_sq, 0.0 + (own_lin + cross * rows), lo, hi)
         return twice_other_sq * rows + other_lin + cross * x_star, lb, ub
 
@@ -537,11 +499,12 @@ def _stacked_direction(agents: list[Step], columns, starts):
     offsets = np.cumsum([0] + [a.best_own.size for a in agents[:-1]])
     counts = np.diff(starts)
     _, _, twice_other_sq, other_lin, cross, lb, ub = columns
-    at = _gathered([twice_other_sq, other_lin, cross, lb, ub,
-                    *(np.repeat(x, counts, axis=0) for x in (points, strides, offsets))])
+    arrays = [twice_other_sq, other_lin, cross, lb, ub,
+              *(np.repeat(x, counts, axis=0) for x in (points, strides, offsets))]
 
     def direction(live, rows):
-        twice_other_sq, other_lin, cross, lb, ub, points, strides, offsets = at(live)
+        twice_other_sq, other_lin, cross, lb, ub, points, strides, offsets = (
+            a[live] for a in arrays)
         j = (points[:, :, 1:] < rows[:, :, None]).sum(axis=2)[:, :, None]
         lower = np.take_along_axis(points, j, axis=2)[:, :, 0]
         upper = np.take_along_axis(points, j + 1, axis=2)[:, :, 0]
@@ -675,11 +638,10 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         grid_scores = score([(step.scorer, step.rows) for _, step in steps], method)
         moving = []
         for (i, step), scores in zip(steps, grid_scores):
+            # a closed-form root keeps its VALUE rule
+            state.setdefault(step.var, scored_value(step.scorer, step.own_domain, method))
             if step.var == tree.root:
-                # a closed-form root keeps its VALUE rule; the root has no
-                # separator: one row, the best candidate's utility
-                state.setdefault(step.var, KeptScores(step.scorer, step.own_domain, method,
-                                                      step.rows, scores))
+                # the root has no separator: one row, the best candidate's utility
                 results[i] = float(scores.max())
             else:
                 # per grid tuple, the own value of its first max: the smallest candidate
@@ -694,7 +656,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             rows = [step.rows for _, step, _ in moving]
             moved_scores = [scores for _, _, scores in moving]
         for (i, step, _), r, scores in zip(moving, rows, moved_scores):
-            state[step.var] = KeptScores(step.scorer, step.own_domain, method, r, scores)
             results[i] = UtilTable(step.sep_vars, r, scores.max(axis=1))
         return results
 

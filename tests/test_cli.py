@@ -343,6 +343,22 @@ class TestBench:
         assert err.startswith("usage:")
         assert f"expected comma-separated integers, got {value!r}" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "0", "bench --seeds must be at least 1, got 0"),
+        ("--seeds", "-1", "bench --seeds must be at least 1, got -1"),
+        ("-n", ",", "bench -n lists no values"),
+        ("-d", ",", "bench -d lists no values"),
+        ("--moves", ",", "bench --moves lists no values"),
+        ("--engines", ",", "bench --engines lists no values"),
+    ])
+    def test_empty_matrix(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        monkeypatch.setattr(cli, "_bench_cell", must_not_run)
+        out = tmp_path / "bench.csv"
+        code, stdout, err = run_cli(capsys, "bench", "-n", "4", flag, value, "-o", str(out))
+        assert code == cli.EXIT_INVALID
+        assert stdout == "" and err.strip() == f"invalid input: {message}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.runtime, "run", must_not_run)
         out = tmp_path / "missing" / "bench.csv"

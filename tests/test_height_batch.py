@@ -177,8 +177,8 @@ class TestRefusalOrder:
     interpolates. A lookup of a child's table is charged to the child's
     parent, and a clustering interpolation to the table's own agent. A
     table's agent is known by its rows: the leaf batch's, those an agent
-    keeps scores of for VALUE (`KeptScores`), which are its table's, and
-    those of a table clustered from them."""
+    scored last (`score`), which are its table's, and those of a table
+    clustered from them."""
 
     @pytest.mark.parametrize("shape, engine, config, refusing, text, messages, later", REFUSALS,
                              ids=["af", "caf"])
@@ -193,7 +193,7 @@ class TestRefusalOrder:
 
         owner, worked, clustering = {}, set(), []
         real = {name: getattr(afdpop, name) for name in
-                ("join", "_lookups", "_interp_many", "cluster_tuples", "leaf_move", "KeptScores")}
+                ("join", "_lookups", "_interp_many", "cluster_tuples", "leaf_move", "score")}
 
         def join(sums):
             worked.update(s.var for s in sums)
@@ -226,14 +226,13 @@ class TestRefusalOrder:
             owner.update((id(t.rows), leaf.var) for leaf, t in zip(leaves, tables))
             return tables
 
-        class RecordedScores(real["KeptScores"]):
-            def __init__(self, scorer, own_dom, method, rows, scores):
-                super().__init__(scorer, own_dom, method, rows, scores)
-                owner[id(rows)] = scorer.var
+        def score(jobs, method):
+            owner.update((id(rows), scorer.var) for scorer, rows in jobs)
+            return real["score"](jobs, method)
 
         for name, wrapper in (("join", join), ("_lookups", lookups), ("_interp_many", interp),
                               ("cluster_tuples", cluster), ("leaf_move", leaf_move),
-                              ("KeptScores", RecordedScores)):
+                              ("score", score)):
             monkeypatch.setattr(afdpop, name, wrapper)
         with pytest.raises(CapacityError, match=text) as exc:
             runtime.run(p, engine, config)

@@ -1,8 +1,9 @@
 """The package declares exactly the third-party modules its source imports,
-defines nothing that only its tests use, clamps in one module and
-interpolates in one function."""
+defines nothing that only its tests use, clamps in one module, interpolates
+in one function, and has every name its README cites."""
 import ast
 import collections
+import importlib
 import re
 import sys
 import tokenize
@@ -98,3 +99,32 @@ def test_only_lookups_interpolates():
     found = [f"{path.stem}.{where}" for path in engines
              for where in referrers(ast.parse(path.read_text()), "_interp_batch")]
     assert found == ["afdpop._lookups"]
+
+
+def resolve(dotted: str):
+    """The object a dotted name such as `fdcop.engines.afdpop.score` names,
+    importing its modules on the way; AttributeError or ImportError when
+    there is none."""
+    parts = dotted.split(".")
+    found = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        try:
+            found = getattr(found, part)
+        except AttributeError:
+            found = importlib.import_module(".".join(parts[:i]))
+    return found
+
+
+def test_readme_names_resolve():
+    """Every backticked dotted name in README.md that starts with `fdcop.`
+    or `engines.` (short for `fdcop.engines.`) names a module attribute, so
+    a rename cannot leave the README citing a name that is gone."""
+    names = re.findall(r"`((?:fdcop|engines)(?:\.\w+)+)`", (ROOT / "README.md").read_text())
+    assert len(names) >= 12
+    unresolved = []
+    for name in names:
+        try:
+            resolve("fdcop." + name if name.startswith("engines.") else name)
+        except (AttributeError, ImportError):
+            unresolved.append(name)
+    assert unresolved == []
