@@ -32,6 +32,9 @@ ROW_FIELDS = ("kind", "n", "p1", "engine", "d", "moves", "alpha", "k", "iters",
 
 DEFAULTS = runtime.EngineConfig()  # the default of every engine flag
 
+# points per variable of `fdcop verify`'s grid oracle
+ORACLE_POINTS = 200
+
 
 class OutputError(Exception):
     """An output file that cannot be written."""
@@ -230,13 +233,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str, bool, str]]:
+def verify_problem(problem, d: int) -> list[tuple[str, bool, str]]:
     """Run the analytic checks on one instance; returns (name, ok, detail).
 
     The grid oracle is computed first, so an instance too large for it is
     refused (CapacityError) before any engine runs."""
     checks = []
-    oracle = oracles.elimination_grid_optimum(problem, oracle_points)
+    oracle = oracles.elimination_grid_optimum(problem, ORACLE_POINTS)
     is_tree = problem.tree.is_tree()
     m = model.hypercube_size(problem, d)
 
@@ -285,7 +288,7 @@ def verify_problem(problem, d: int, oracle_points: int = 200) -> list[tuple[str,
               and u >= oracle - 1e-9 * max(1.0, abs(oracle)))
         checks.append(("ef-dpop exactness", ok,
                        f"reported {reported:.9g} = utility {u:.9g} "
-                       f">= {oracle_points}-point grid optimum {oracle:.9g}"))
+                       f">= {ORACLE_POINTS}-point grid optimum {oracle:.9g}"))
 
     if "caf-dpop" in results:
         result = results["caf-dpop"]

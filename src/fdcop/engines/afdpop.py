@@ -312,25 +312,19 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random,
 
 # --- gradient moves ----------------------------------------------------------
 
-def _oriented(f: QuadraticBinaryUtility, own_var: str) -> tuple[float, ...]:
-    """f's coefficients from `own_var`'s side: (own^2, own, other^2, other,
-    own x other). The partial in the other variable is then
-    2.0 * other^2 * other_value + other + (own x other) * own_value, summed
-    in that order as `QuadraticBinaryUtility.partial` sums it."""
-    a, b, c, d, e, _ = f.coeffs
-    return (a, b, c, d, e) if f.first_var == own_var else (c, d, a, b, e)
-
-
 def _columns(own_var: str, constraints, domains, width: int) -> list[tuple[float, ...]]:
     """Per separator column, its constraint's coefficients from `own_var`'s
-    side (`_oriented`, other^2 doubled) and its domain's bounds: own^2, own,
-    2 x other^2, other, own x other, lb and ub. A column without a
-    constraint (None, or past the end) has a NaN 2 x other^2, so its step is
-    NaN and it never moves, and zeros elsewhere."""
+    side (`QuadraticBinaryUtility.oriented`, other^2 doubled) and its
+    domain's bounds: own^2, own, 2 x other^2, other, own x other, lb and ub.
+    The partial in the other variable is then
+    2 x other^2 * other_value + other + (own x other) * own_value, summed in
+    that order as `QuadraticBinaryUtility.partial` sums it. A column without
+    a constraint (None, or past the end) has a NaN 2 x other^2, so its step
+    is NaN and it never moves, and zeros elsewhere."""
     columns = [(0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0)] * width
     for j, (f, dom) in enumerate(zip(constraints, domains)):
         if f is not None:
-            own_sq, own_lin, other_sq, other_lin, cross = _oriented(f, own_var)
+            own_sq, own_lin, other_sq, other_lin, cross, _ = f.oriented(own_var)
             columns[j] = own_sq, own_lin, 2.0 * other_sq, other_lin, cross, dom.lb, dom.ub
     return columns
 
@@ -530,7 +524,7 @@ def agents_move(agents: list[Step], alpha: float, moves: int) -> list[np.ndarray
 
 # --- the engine ---------------------------------------------------------------
 
-def _sure_to_finish(tree: PseudoTree, plan_ahead, moved: dict[str, UtilTable], row_cap: int,
+def _sure_to_finish(tree: PseudoTree, plan, moved: dict[str, UtilTable], row_cap: int,
                     k: int | None) -> list[str]:
     """The non-root agents, in post-order, before the first whose UTIL step
     might refuse, by upper bounds on every table's size: a table holds at
@@ -553,7 +547,7 @@ def _sure_to_finish(tree: PseudoTree, plan_ahead, moved: dict[str, UtilTable], r
             rows = len(moved[var].rows)
         else:
             try:
-                planned = plan_ahead(var)
+                planned = plan(var)
             except FdcopError:
                 break
             rows = 1
@@ -671,9 +665,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
     # whose clustering may interpolate more than PAIR_CAP pairs (at most k
     # centroids against its rows)
     with kernel.phase("util"):
-        plan, plan_ahead = plan_util(contexts, tree, config.points, config.row_cap,
-                                     grid_tables=not (config.moves or clustered),
-                                     settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
+        plan = plan_util(contexts, tree, config.points, config.row_cap,
+                         grid_tables=not (config.moves or clustered),
+                         settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
         # with moves, every leaf's table is moved here, in one program; a
         # leaf whose plan refuses is left out, and refuses at its turn
         leaves = []
@@ -681,15 +675,14 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             if tree.children[var] or var == tree.root:
                 continue
             try:
-                planned = plan_ahead(var)
+                planned = plan(var)
             except FdcopError:
                 continue
-            if planned.rows <= config.row_cap:
-                sep_vars = contexts[var].separator
-                leaves.append(Step(var, planned.domains[var], sep_vars,
-                                   tuple(planned.domains[w] for w in sep_vars),
-                                   tuple(map(contexts[var].constraint_with, sep_vars)),
-                                   product_grid([planned.grids[w] for w in sep_vars])[1]))
+            sep_vars = contexts[var].separator
+            leaves.append(Step(var, planned.domains[var], sep_vars,
+                               tuple(planned.domains[w] for w in sep_vars),
+                               tuple(map(contexts[var].constraint_with, sep_vars)),
+                               product_grid([planned.grids[w] for w in sep_vars])[1]))
         moved = dict(zip([leaf.var for leaf in leaves],
                          leaf_move(leaves, config.alpha, config.moves) if leaves else ()))
 
@@ -699,7 +692,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         ahead: dict[str, tuple[list[UtilTable], UtilTable]] = {}
         heights: dict[str, int] = {}
         by_height: dict[int, list[str]] = {}
-        for var in (_sure_to_finish(tree, plan_ahead, moved, config.row_cap,
+        for var in (_sure_to_finish(tree, plan, moved, config.row_cap,
                                     k if clustered else None) if config.moves else ()):
             heights[var] = 1 + max((heights[c] for c in tree.children[var]), default=-1)
             by_height.setdefault(heights[var], []).append(var)

@@ -91,8 +91,7 @@ class AgentPlan:
 def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: bool = True,
               settles=lambda rows: True):
     """Plan the UTIL phase before its first message. Returns `plan(var)`,
-    each agent's `AgentPlan`, and `plan_ahead(var)`, the same plan without
-    the row-cap refusal, for work done ahead of the agent's turn.
+    each agent's `AgentPlan`.
 
     An agent's plan discretizes its variables that no child's table mentions
     (with `grid_tables`, the children's tables are the grids of their
@@ -104,15 +103,15 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
 
     The walk plans the agents in post-order, the order of their UTIL steps,
     while each step before is sure to finish: it stops after an agent whose
-    table depends on its children's tables, or whose exact row count
-    `settles` does not accept. Any other agent is planned when first asked
-    for, and each plan is kept. So every agent reads its domains once, and
-    each input's first error is the one the steps would raise in turn, only
-    earlier.
+    table depends on its children's tables, or whose table's row count, one
+    per separator tuple of its grid, `settles` does not accept. Any other
+    agent is planned when first asked for, and each plan is kept. So every
+    agent reads its domains once, and each input's first error is the one
+    the steps would raise in turn, only earlier.
     """
     plans: dict[str, AgentPlan] = {}
 
-    def plan_ahead(var: str) -> AgentPlan:
+    def plan(var: str) -> AgentPlan:
         if var not in plans:
             ctx = contexts[var]
             mentioned = () if grid_tables else {w for c in tree.children[var]
@@ -121,19 +120,16 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
             grids = {w: discretize(dom, d) for w, dom in domains.items() if w not in mentioned}
             rows = math.prod(map(len, grids.values())) if len(grids) == len(domains) else None
             plans[var] = AgentPlan(domains, grids, rows)
-        return plans[var]
-
-    def plan(var: str) -> AgentPlan:
-        planned = plan_ahead(var)
+        planned = plans[var]
         if planned.rows is not None:
             check_grid_cap(var, planned.rows, row_cap)
         return planned
 
     for var in tree.post_order:
         planned = plan(var)
-        if planned.rows is None or not settles(planned.rows):
+        if planned.rows is None or not settles(planned.rows // len(planned.grids[var])):
             break
-    return plan, plan_ahead
+    return plan
 
 
 def product_grid(grids: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +158,6 @@ class UtilSum(NamedTuple):
     rows: np.ndarray
     contributions: list
     constraints: list[QuadraticBinaryUtility]
-
-
-class _Coefficients(NamedTuple):
-    """Several utilities' coefficients, an array each, which
-    `QuadraticBinaryUtility.evaluate` evaluates as one."""
-
-    coeff_a: np.ndarray
-    coeff_b: np.ndarray
-    coeff_c: np.ndarray
-    coeff_d: np.ndarray
-    coeff_e: np.ndarray
-    coeff_f0: np.ndarray
 
 
 def join(sums: list[UtilSum]) -> list[np.ndarray]:
@@ -217,9 +201,9 @@ def join(sums: list[UtilSum]) -> list[np.ndarray]:
             fs = [s.constraints[j] for s in group]
             other = np.array([s.rows[:, s.sep_vars.index(f.other_var(s.var))]
                               for s, f in zip(group, fs)]).reshape(len(group), n_r, 1)
-            coeffs = _Coefficients(*np.array([f.coeffs for f in fs]).T.reshape(6, -1, 1, 1))
-            total += (QuadraticBinaryUtility.evaluate(coeffs, own, other) if first
-                      else QuadraticBinaryUtility.evaluate(coeffs, other, own))
+            coeffs = np.array([f.coeffs for f in fs]).T.reshape(6, -1, 1, 1)
+            total += (QuadraticBinaryUtility.polynomial(*coeffs, own, other) if first
+                      else QuadraticBinaryUtility.polynomial(*coeffs, other, own))
         for i, cells in zip(members, total):
             out[i] = cells
     return out
@@ -270,13 +254,9 @@ def best_own_response(utilities: list[QuadraticBinaryUtility], var: str,
     c2 = 0.0
     c1 = 0.0
     for f in utilities:
-        other_val = fixed[f.other_var(var)]
-        if var == f.first_var:
-            c2 += f.coeff_a
-            c1 += f.coeff_b + f.coeff_e * other_val
-        else:
-            c2 += f.coeff_c
-            c1 += f.coeff_d + f.coeff_e * other_val
+        square, linear, _, _, cross, _ = f.oriented(var)
+        c2 += square
+        c1 += linear + cross * fixed[f.other_var(var)]
     return argmax_quadratic_1d(c2, c1, domain.lb, domain.ub)
 
 

@@ -52,7 +52,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
     # every table is a grid, so the plan refuses any table above the cap
     # before the first message
     with kernel.phase("util"):
-        plan, _ = plan_util(contexts, tree, config.points, config.row_cap)
+        plan = plan_util(contexts, tree, config.points, config.row_cap)
 
     def util_fn(var, child_payloads):
         ctx = contexts[var]

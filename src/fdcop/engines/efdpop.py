@@ -19,11 +19,8 @@ SCALARS_PER_PIECE = 5
 def utility_as_piecewise(f, var, dom) -> piecewise.Unary:
     """One-piece function of `var` over `dom`: f's square and linear terms in
     `var` and its constant."""
-    if var == f.first_var:
-        square, linear = f.coeff_a, f.coeff_b
-    else:
-        square, linear = f.coeff_c, f.coeff_d
-    return piecewise.Unary(var, ((dom.lb, dom.ub, square, linear, f.coeff_f0),))
+    square, linear, _, _, _, constant = f.oriented(var)
+    return piecewise.Unary(var, ((dom.lb, dom.ub, square, linear, constant),))
 
 
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):

@@ -83,10 +83,25 @@ class QuadraticBinaryUtility:
             return self.first_var
         raise ArgumentError(f"{var!r} is not in the scope of this utility")
 
+    def oriented(self, var: str) -> tuple[float, ...]:
+        """The coefficients from `var`'s side: var^2, var, other^2, other,
+        var x other and the constant."""
+        a, b, c, d, e, f0 = self.coeffs
+        if var == self.first_var:
+            return (a, b, c, d, e, f0)
+        if var == self.second_var:
+            return (c, d, a, b, e, f0)
+        raise ArgumentError(f"{var!r} is not in the scope of this utility")
+
+    @staticmethod
+    def polynomial(a, b, c, d, e, f0, vi, vj):
+        """a*vi^2 + b*vi + c*vj^2 + d*vj + e*vi*vj + f0, summed in that order;
+        coefficients and values may be numpy arrays, which broadcast."""
+        return a * vi * vi + b * vi + c * vj * vj + d * vj + e * vi * vj + f0
+
     def evaluate(self, vi: float, vj: float) -> float:
         """Evaluate at first_var = vi, second_var = vj."""
-        return (self.coeff_a * vi * vi + self.coeff_b * vi + self.coeff_c * vj * vj
-                + self.coeff_d * vj + self.coeff_e * vi * vj + self.coeff_f0)
+        return self.polynomial(*self.coeffs, vi, vj)
 
     def value_at(self, values) -> float:
         """Evaluate from a mapping var -> value; argument order is canonicalized."""
@@ -200,8 +215,7 @@ class Problem:
                 raise ValidationError(f"duplicate utility over pair {sorted(u.scope)}")
             # |u| over the domain box is at most this sum of each term's
             # largest magnitude; if it overflows, evaluating u may too
-            bound = (abs(u.coeff_a) * mi * mi + abs(u.coeff_b) * mi + abs(u.coeff_c) * mj * mj
-                     + abs(u.coeff_d) * mj + abs(u.coeff_e) * mi * mj + abs(u.coeff_f0))
+            bound = u.polynomial(*map(abs, u.coeffs), mi, mj)
             if not math.isfinite(bound):
                 raise ValidationError(f"utility over {list(u.scope)} overflows the float "
                                       f"range on its domains")

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import ArgumentError, CapacityError
 from .model import Problem
 
+# work guard on the cells of one elimination factor
+CELL_CAP = 50_000_000
+
 
 def oracle_grid(lb: float, ub: float, d: int) -> list[float]:
     if d < 1:
@@ -24,8 +27,7 @@ def oracle_grid(lb: float, ub: float, d: int) -> list[float]:
     return [lb + i * step for i in range(d - 1)] + [ub]
 
 
-def elimination_grid_optimum(problem: Problem, d: int,
-                             cell_cap: int = 50_000_000) -> float:
+def elimination_grid_optimum(problem: Problem, d: int) -> float:
     """Grid optimum by max-plus variable elimination (min-degree order)."""
     variables = sorted(problem.variables)
     grids = {v: np.array(oracle_grid(problem.domains[v].lb, problem.domains[v].ub, d))
@@ -62,7 +64,7 @@ def elimination_grid_optimum(problem: Problem, d: int,
             continue
         union = sorted({u for scope, _ in involved for u in scope})
         cells = math.prod(len(grids[u]) for u in union)
-        if cells > cell_cap:
+        if cells > CELL_CAP:
             raise CapacityError(f"elimination would build a {cells}-cell factor")
         acc = np.zeros([len(grids[u]) for u in union])
         pos = {u: i for i, u in enumerate(union)}

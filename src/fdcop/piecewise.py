@@ -245,24 +245,23 @@ def project(own: Unary, constraint, other_domain: Interval) -> tuple[Unary, Best
     """
     x = own.var
     y = constraint.other_var(x)
-    f = constraint
+    _, _, y_square, y_linear, cross, _ = constraint.oriented(x)
     yl, yh = other_domain
-    x_first = x == f.first_var
-    y_terms = (((0, 2, f.coeff_c), (0, 1, f.coeff_d)) if x_first
-               else ((0, 2, f.coeff_a), (0, 1, f.coeff_b)))
+    x_first = x == constraint.first_var
+    y_terms = ((0, 2, y_square), (0, 1, y_linear))
     candidates: list[tuple] = []
     for xl, xh, a2, a1, a0 in own.pieces:
         # (i, j, c) for c * x^i * y^j: first variable, second, cross, constant
         x_terms = ((2, 0, a2), (1, 0, a1))
         terms = ((x_terms + y_terms) if x_first else (y_terms + x_terms)) \
-            + ((1, 1, f.coeff_e), (0, 0, a0))
+            + ((1, 1, cross), (0, 0, a0))
         candidates.append((yl, yh, _substitute(terms, 0.0, xl),
                            (ResponseKind.LOWER_BOUND, 0.0, xl)))
         candidates.append((yl, yh, _substitute(terms, 0.0, xh),
                            (ResponseKind.UPPER_BOUND, 0.0, xh)))
         if a2 < 0.0:
             # a zero term is absent, so a -0.0 cannot sign the response's zero
-            slope = -f.coeff_e / (2.0 * a2) if f.coeff_e != 0.0 else 0.0
+            slope = -cross / (2.0 * a2) if cross != 0.0 else 0.0
             intercept = -a1 / (2.0 * a2) if a1 != 0.0 else 0.0
             feasible = _critical_feasible_range(slope, intercept, xl, xh, yl, yh)
             if feasible is not None:

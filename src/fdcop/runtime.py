@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -58,6 +59,10 @@ class EngineConfig:
     row_cap: int = 10_000_000
 
     def __post_init__(self):
+        for name in ("points", "moves", "k_clusters", "iterations", "row_cap"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ArgumentError(f"{name} must be an integer, got {count!r}")
         if self.points < 1:
             raise ArgumentError(f"points must be >= 1, got {self.points}")
         if self.moves < 0:

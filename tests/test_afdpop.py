@@ -777,6 +777,19 @@ class TestSizePlan:
         assert batched and "x011" not in dict(batched)
         assert max(rows for _, rows in batched) <= 242
 
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_a_grid_refusal_before_any_message(self, monkeypatch, engine):
+        # x006's grid table holds 3^4 = 81 rows, above the cap; the leaf x003
+        # before it sends 3 rows, whose k-means (2 centroids x 3 rows) cannot
+        # pass PAIR_CAP, so caf's plan walks on to x006 as af's does
+        p = generators.gen_graph(8, 0.4, seed=9)
+        monkeypatch.setattr(afdpop, "PAIR_CAP", 10)
+        with pytest.raises(CapacityError, match=r"^x006: grid table would hold 81 rows "
+                                                r"\(cap 80\)$") as exc:
+            runtime.run(p, engine, EngineConfig(points=3, moves=3, k_clusters=2, row_cap=80),
+                        keep_trace=False)
+        assert exc.value.stats.total_messages == 0
+
 
 VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
 

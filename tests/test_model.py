@@ -63,6 +63,13 @@ class TestQuadraticBinaryUtility:
         with pytest.raises(ArgumentError):
             f.other_var("z")
 
+    def test_oriented(self):
+        f = quad("x", "y", a=1.0, b=2.0, c=3.0, d=4.0, e=5.0, f0=6.0)
+        assert f.oriented("x") == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert f.oriented("y") == (3.0, 4.0, 1.0, 2.0, 5.0, 6.0)
+        with pytest.raises(ArgumentError, match=r"^'z' is not in the scope of this utility$"):
+            f.oriented("z")
+
     def test_rejects_self_loop_and_nonfinite(self):
         with pytest.raises(ValidationError):
             quad("x", "x", e=1.0)

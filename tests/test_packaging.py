@@ -1,6 +1,7 @@
 """The package declares exactly the third-party modules its source imports,
-defines nothing that only its tests use, clamps in one module, interpolates
-in one function, and has every name its README cites."""
+defines nothing that only its tests use, clamps in one module, reads a
+utility's coefficients in one class, interpolates in one function, and has
+every name its README cites."""
 import ast
 import collections
 import importlib
@@ -77,6 +78,18 @@ def test_only_common_spells_a_clamp():
     spelled = [f"{path.name}:{n}" for path in engines if path.name != "common.py"
                for n, line in enumerate(path.read_text().splitlines(), 1) if clamp.search(line)]
     assert spelled == []
+
+
+def test_only_model_reads_coefficients():
+    """`model.QuadraticBinaryUtility` is the one owner of its coefficient
+    layout: every other module reads a utility through `oriented`,
+    `polynomial`, `evaluate` or `coeffs`, never by `coeff_a`..`coeff_f0`."""
+    names = {f"coeff_{c}" for c in ("a", "b", "c", "d", "e", "f0")}
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "fdcop").rglob("*.py")) if path.name != "model.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in names]
+    assert reads == []
 
 
 def referrers(tree: ast.AST, name: str, where: str = "<module>"):

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fdcop import cli, generators, model, pseudotree, runtime
@@ -20,10 +21,20 @@ class TestEngineConfig:
         {"points": 0}, {"moves": -1}, {"alpha": 0.0}, {"alpha": float("nan")},
         {"alpha": float("inf")}, {"k_clusters": 0}, {"iterations": 0},
         {"interpolation": "cubic"},
+        # counts are integers, bools aside, so NaN, inf or a fraction fails here
+        # and not as a traceback inside an engine
+        {"points": 2.5}, {"points": float("nan")}, {"points": True},
+        {"moves": float("nan")}, {"moves": float("inf")}, {"moves": 2.5},
+        {"k_clusters": float("nan")}, {"iterations": float("nan")},
+        {"row_cap": float("nan")},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ArgumentError):
             EngineConfig(**kwargs)
+
+    def test_numpy_integers_pass(self):
+        config = EngineConfig(points=np.int64(2), row_cap=np.int32(100))
+        assert config.points == 2 and config.row_cap == 100
 
     def test_readme_lists_every_knob(self):
         """The backticked names that open the bullets of README's "Key knobs
