@@ -14,24 +14,20 @@ against the closed-form best response instead. Every move runs by one loop
 and one clamped step (`_move`).
 
 With moves, UTIL is computed before its first message, one pseudo-tree
-height at a time; an agent's height is its distance to the deepest leaf
-below it, so the agents of one height do not depend on each other. Height 0,
+height at a time, on dpop's schedule (`common.computed_ahead`). Height 0,
 the leaves, moves in one array program (`leaf_move`). Each later height runs
 `util_steps`: its agents' grids are scored as one (`score`: every child
 lookup of the height interpolated by one `_lookups`, every sum added up by
 one `join`), their grid rows move in one stacked program (`agents_move`),
 their moved rows are scored as one, and each agent's table and VALUE rule
-are built from its moved rows and their scores. Lookups stack only where
-their tables and missing queries have one shape, and sums only where they
-have one shape, so every float is the one the agent gets alone. Each agent
-still sends its table at its turn in post-order, so the trace is that of one
-agent at a time. Only the agents before the first that might refuse are
-computed ahead, by upper bounds on the tables' sizes (`_sure_to_finish`);
-that agent and every later one compute at their turn, as a height of one. So
-a refusal comes at its agent's turn, after the same messages, and no agent
-after it joins, looks anything up or clusters. Leaves are the exception:
-every leaf whose grid fits moves up front, in the leaf batch, so leaves after
-the refusing agent have moved.
+are built from its moved rows and their scores. Lookups and sums stack only
+where they have one shape, so every float is the one the agent gets alone.
+Only the agents before the first that might refuse are computed ahead, by
+upper bounds on the tables' sizes (`_sure_to_finish`); that agent and every
+later one compute at their turn. So a refusal comes at its agent's turn,
+after the same messages, and no agent after it joins, looks anything up or
+clusters. Leaves are the exception: every leaf whose grid fits moves up
+front, in the leaf batch, so leaves after the refusing agent have moved.
 
 VALUE answers the ancestors' values, which may lie off the grid, by the same
 scores as the move (`scored_value`): each query scored alone, reusing each
@@ -60,7 +56,8 @@ from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
 from .common import (UtilSum, UtilTable, best_own_response, check_grid_cap, clamp,
-                     clamped_step, join, plan_util, product_grid, util_value_protocol)
+                     clamped_step, computed_ahead, join, plan_util, product_grid,
+                     util_value_protocol)
 from .discrete import joint_utility
 
 # work guard on all-pairs interpolation (queries x source rows)
@@ -654,8 +651,9 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         return results
 
     def sent(var, table):
-        """The table `var` sends: under caf, its rows' k-means centroids."""
-        if not clustered:
+        """The table `var` sends: under caf, its rows' k-means centroids; the
+        root's optimum as it is."""
+        if not clustered or var == tree.root:
             return table
         return cluster_tuples(table, k, random.Random(f"{config.seed}:{var}"), method)
 
@@ -686,33 +684,10 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         moved = dict(zip([leaf.var for leaf in leaves],
                          leaf_move(leaves, config.alpha, config.moves) if leaves else ()))
 
-        # with moves, the agents sure to finish their step compute it here,
-        # one height at a time, each from its children's tables in sender
-        # order, which are the payloads it receives at its turn
-        ahead: dict[str, tuple[list[UtilTable], UtilTable]] = {}
-        heights: dict[str, int] = {}
-        by_height: dict[int, list[str]] = {}
-        for var in (_sure_to_finish(tree, plan, moved, config.row_cap,
-                                    k if clustered else None) if config.moves else ()):
-            heights[var] = 1 + max((heights[c] for c in tree.children[var]), default=-1)
-            by_height.setdefault(heights[var], []).append(var)
-        for _, agents in sorted(by_height.items()):
-            inputs = [[ahead[c][1] for c in sorted(tree.children[var])] for var in agents]
-            for var, children, table in zip(agents, inputs, util_steps(agents, inputs)):
-                ahead[var] = children, sent(var, table)
-
-    def util_fn(var, child_payloads):
-        if var in ahead:
-            tables, table = ahead.pop(var)
-            if len(tables) != len(child_payloads) or any(
-                    t is not p for t, p in zip(tables, child_payloads)):
-                raise ProtocolError(f"{var}: its UTIL table was computed from other tables "
-                                    f"than it received")
-        else:
-            # computed at its turn, as a height of one
-            [table] = util_steps([var], [child_payloads])
-            if var != tree.root:
-                table = sent(var, table)
-        return table if var == tree.root else (table, table.scalar_size())
+        # with moves, the agents sure to finish their step compute it here
+        sure = _sure_to_finish(tree, plan, moved, config.row_cap,
+                               k if clustered else None) if config.moves else ()
+        util_fn = computed_ahead(tree, sure, lambda agents, inputs: list(
+            map(sent, agents, util_steps(agents, inputs))))
 
     return util_value_protocol(kernel, tree, util_fn, lambda var, key: state[var](key))

@@ -2,8 +2,8 @@
 discretization, the UTIL size plan, product grids, the one join kernel (the
 child-plus-constraint sum over separator rows x own candidates behind dpop's
 and af/caf-dpop's UTIL tables and hcms's function-to-variable messages),
-closed-form 1-D maximization, the one clamp and gradient step, and the
-UTIL/VALUE message schedule."""
+closed-form 1-D maximization, the one clamp and gradient step, the UTIL
+schedule by pseudo-tree heights and the UTIL/VALUE message schedule."""
 from __future__ import annotations
 
 import functools
@@ -174,10 +174,10 @@ def join(sums: list[UtilSum]) -> list[np.ndarray]:
     contributions, and `var`'s side of each constraint) as one stacked
     array; a call of one sum adds it up alone (`_add_up`). Each step is
     element-wise, so every cell is the float its sum gives alone. The lone
-    path is for dpop and hcms, which join one sum per call: on an
-    hcms-sized sum (10 rows x 10 candidates, one constraint) on a 2-core
-    host, a stack of one took 27 us and grouping it 5 us more, against
-    13-18 us added up alone.
+    path is for hcms, which joins one sum per call, and a height of one
+    agent: on an hcms-sized sum (10 rows x 10 candidates, one constraint)
+    on a 2-core host, a stack of one took 27 us and grouping it 5 us more,
+    against 13-18 us added up alone.
     """
     if len(sums) == 1:
         return [_add_up(sums[0])]
@@ -271,6 +271,40 @@ def clamped_step(current: np.ndarray, step: np.ndarray, lb, ub) -> np.ndarray:
     step, from an infinite coefficient times a zero coordinate (whose true
     partial is 0), is no move: it keeps `current`."""
     return np.where(np.isnan(step), current, clamp(step, lb, ub))
+
+
+def computed_ahead(tree: PseudoTree, sure, steps):
+    """The DPOP family's UTIL schedule: a `util_fn` for `util_value_protocol`
+    that computes the tables of `sure`, a post-order prefix of agents sure
+    to finish, before the first message, one pseudo-tree height (distance to
+    the deepest leaf below) at a time, by `steps(agents, inputs)`: each
+    agent's table over its children's tables in sender order, or the
+    optimum at the root. Each agent still sends at its turn, and refuses
+    (ProtocolError) other tables than it was computed from; an agent after
+    `sure` is computed then, as a height of one."""
+    ahead: dict[str, tuple[list[UtilTable], object]] = {}
+    heights: dict[str, int] = {}
+    by_height: dict[int, list[str]] = {}
+    for var in sure:
+        heights[var] = 1 + max((heights[c] for c in tree.children[var]), default=-1)
+        by_height.setdefault(heights[var], []).append(var)
+    for _, agents in sorted(by_height.items()):
+        inputs = [[ahead[c][1] for c in sorted(tree.children[var])] for var in agents]
+        for var, children, table in zip(agents, inputs, steps(agents, inputs)):
+            ahead[var] = children, table
+
+    def util_fn(var, child_payloads):
+        if var in ahead:
+            tables, table = ahead.pop(var)
+            if len(tables) != len(child_payloads) or any(
+                    t is not p for t, p in zip(tables, child_payloads)):
+                raise ProtocolError(f"{var}: its UTIL table was computed from other tables "
+                                    f"than it received")
+        else:
+            [table] = steps([var], [child_payloads])
+        return table if var == tree.root else (table, table.scalar_size())
+
+    return util_fn
 
 
 def util_value_protocol(kernel: Kernel, tree: PseudoTree, util_fn, value_fn):

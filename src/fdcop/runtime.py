@@ -59,10 +59,12 @@ class EngineConfig:
     row_cap: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("points", "moves", "k_clusters", "iterations", "row_cap"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ArgumentError(f"{name} must be an integer, got {count!r}")
+        for name in ("points", "moves", "alpha", "k_clusters", "iterations", "seed", "row_cap"):
+            value = getattr(self, name)
+            kind, what = ((numbers.Real, "a real number") if name == "alpha"
+                          else (numbers.Integral, "an integer"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ArgumentError(f"{name} must be {what}, got {value!r}")
         if self.points < 1:
             raise ArgumentError(f"points must be >= 1, got {self.points}")
         if self.moves < 0:

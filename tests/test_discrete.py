@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdcop import generators, model, runtime
 from fdcop.engines.common import UtilSum, UtilTable, discretize, join, product_grid
-from fdcop.engines.discrete import child_array, joint_utility
+from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
@@ -59,32 +59,6 @@ class TestDiscretize:
             runtime.run(p, engine, EngineConfig(points=9), keep_trace=False)
 
 
-class TestGridJoin:
-    """dpop's grid join takes each child's UTIL table as an array through
-    `child_array`, which refuses a table that is not the product grid of
-    sorted, known variables."""
-
-    GRID = [-1.0, 0.0, 1.0]
-    GRIDS = {"x": GRID, "y": GRID}
-
-    def test_child_off_the_grid(self):
-        child = util_table(("y",), (((-1.0,), 0.0), ((0.5,), 0.0), ((1.0,), 0.0)))
-        with pytest.raises(ProtocolError, match="not the grid of its variables"):
-            child_array("x", child, self.GRIDS)
-
-    def test_child_missing_a_row(self):
-        child = util_table(("y",), (((-1.0,), 0.0), ((1.0,), 0.0)))
-        with pytest.raises(ProtocolError, match="not the grid of its variables"):
-            child_array("x", child, self.GRIDS)
-
-    def test_child_over_unknown_or_unsorted_variables(self):
-        for names in (("z",), ("y", "x"), ("y", "y")):
-            rows = tuple((values, 0.0) for values in itertools.product(
-                *([self.GRID] * len(names))))
-            with pytest.raises(ProtocolError, match="sorted subset"):
-                child_array("x", util_table(names, rows), self.GRIDS)
-
-
 class TestJoin:
     GRID = [-1.0, 0.0, 1.0]
 
@@ -99,8 +73,8 @@ class TestJoin:
     def test_sums_children_then_constraints(self):
         child = util_table(("x", "y"), tuple(((x, y), 10.0 * x + y)
                                            for x, y in itertools.product(self.GRID, self.GRID)))
-        names, array = child_array("x", child, {"x": self.GRID, "y": self.GRID})
-        assert names == ("x", "y")
+        # the child's utilities as an (x, y) array
+        array = child.utils.reshape(3, 3)
         assert array.tolist() == [[10.0 * x + y for y in self.GRID] for x in self.GRID]
         _, rows = product_grid([self.GRID])
         # rows are y, candidates x: the child's (x, y) array transposed

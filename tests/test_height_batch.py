@@ -1,7 +1,8 @@
-"""af/caf-dpop's UTIL by pseudo-tree height: the move rules that stacking
-must keep, the payloads each agent is computed from, the refusal order,
-the oracle on heights of several agents, and the per-agent scores oracle
-against heights scored as one."""
+"""UTIL by pseudo-tree height (`common.computed_ahead`): af/caf-dpop's move
+rules that stacking must keep, dpop's one join per height, the payloads
+each agent is computed from, the refusal order, the oracle on heights of
+several agents, and the per-agent scores oracle against heights scored as
+one."""
 import itertools
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings, strategies as st
 
 from fdcop import generators, runtime
-from fdcop.engines import afdpop
+from fdcop.engines import afdpop, discrete
 from fdcop.engines.afdpop import Scorer, Step, _snap_column, agents_move, score
 from fdcop.engines.common import discretize
 from fdcop.errors import CapacityError, FdcopError, ProtocolError, ValidationError
@@ -145,7 +146,23 @@ class TestComputedAhead:
         assert [len({height[v] for v in batch}) for batch in batches] == [1] * len(batches)
         assert max(map(len, batches)) >= afdpop.STACK_MIN
 
-    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    def test_dpop_joins_one_height_per_call(self, monkeypatch):
+        p = generators.gen_tree(200, seed=3)
+        height = heights_of(p.tree)
+        calls = []
+        real = discrete.join
+
+        def record(sums):
+            calls.append([s.var for s in sums])
+            return real(sums)
+
+        monkeypatch.setattr(discrete, "join", record)
+        runtime.run(p, "dpop", EngineConfig(points=3))
+        assert sorted(sum(calls, [])) == sorted(p.tree.post_order)
+        assert [len({height[v] for v in call}) for call in calls] == [1] * len(calls)
+        assert len(calls) == max(height.values()) + 1
+
+    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop"])
     def test_a_table_comes_only_from_the_payloads_received(self, monkeypatch, engine):
         # a payload that is a copy of the table its child computed is not
         # the table the parent was computed from

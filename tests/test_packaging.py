@@ -1,7 +1,8 @@
 """The package declares exactly the third-party modules its source imports,
 defines nothing that only its tests use, clamps in one module, reads a
-utility's coefficients in one class, interpolates in one function, and has
-every name its README cites."""
+utility's coefficients in one class, interpolates in one function, computes
+UTIL tables by heights in one function, and has every name its README
+cites."""
 import ast
 import collections
 import importlib
@@ -112,6 +113,26 @@ def test_only_lookups_interpolates():
     found = [f"{path.stem}.{where}" for path in engines
              for where in referrers(ast.parse(path.read_text()), "_interp_batch")]
     assert found == ["afdpop._lookups"]
+
+
+def test_one_util_schedule():
+    """`common.computed_ahead` is the one UTIL schedule by heights of the
+    DPOP family: no other engine function raises its refusal of a payload
+    other than the table an agent was computed from, and dpop and af/caf
+    both run on it."""
+    engines = sorted((ROOT / "src" / "fdcop" / "engines").glob("*.py"))
+    raising, naming = [], []
+    for path in engines:
+        module = ast.parse(path.read_text())
+        for top in module.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and any(
+                        isinstance(c, ast.Constant) and "computed from other tables" in str(c.value)
+                        for c in ast.walk(node)):
+                    raising.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        naming += [f"{path.stem}.{where}" for where in referrers(module, "computed_ahead")]
+    assert raising == ["common.computed_ahead"]
+    assert {"discrete.run", "afdpop.run"} <= set(naming)
 
 
 def resolve(dotted: str):

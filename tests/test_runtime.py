@@ -27,6 +27,10 @@ class TestEngineConfig:
         {"moves": float("nan")}, {"moves": float("inf")}, {"moves": 2.5},
         {"k_clusters": float("nan")}, {"iterations": float("nan")},
         {"row_cap": float("nan")},
+        # alpha is a real number and seed an integer, bools aside, so a string
+        # or None fails here and not as a TypeError
+        {"alpha": "0.1"}, {"alpha": None}, {"alpha": True},
+        {"seed": None}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ArgumentError):
@@ -35,6 +39,11 @@ class TestEngineConfig:
     def test_numpy_integers_pass(self):
         config = EngineConfig(points=np.int64(2), row_cap=np.int32(100))
         assert config.points == 2 and config.row_cap == 100
+
+    def test_numpy_and_integer_alphas_and_seeds_pass(self):
+        config = EngineConfig(alpha=np.float32(0.5), seed=np.int64(3))
+        assert config.alpha == 0.5 and config.seed == 3
+        assert EngineConfig(alpha=1, seed=-2).alpha == 1
 
     def test_readme_lists_every_knob(self):
         """The backticked names that open the bullets of README's "Key knobs
