@@ -13,21 +13,24 @@ has a utility that is a sum of quadratics in its own value, so it moves
 against the closed-form best response instead. Every move runs by one loop
 and one clamped step (`_move`).
 
-With moves, UTIL is computed before its first message, one pseudo-tree
-height at a time, on dpop's schedule (`common.computed_ahead`). Height 0,
-the leaves, moves in one array program (`leaf_move`). Each later height runs
-`util_steps`: its agents' grids are scored as one (`score`: every child
-lookup of the height interpolated by one `_lookups`, every sum added up by
-one `join`), their grid rows move in one stacked program (`agents_move`),
-their moved rows are scored as one, and each agent's table and VALUE rule
-are built from its moved rows and their scores. Lookups and sums stack only
-where they have one shape, so every float is the one the agent gets alone.
-Only the agents before the first that might refuse are computed ahead, by
-upper bounds on the tables' sizes (`_sure_to_finish`); that agent and every
-later one compute at their turn. So a refusal comes at its agent's turn,
-after the same messages, and no agent after it joins, looks anything up or
-clusters. Leaves are the exception: every leaf whose grid fits moves up
-front, in the leaf batch, so leaves after the refusing agent have moved.
+UTIL is computed before its first message, one pseudo-tree height at a
+time, on dpop's schedule (`common.computed_ahead`). With moves, height 0,
+the leaves, moves in one array program (`leaf_move`). Each other height
+runs `util_steps`: its agents' grids are scored as one (`score`: every
+child lookup of the height interpolated by one `_lookups`, every sum added
+up by one `join`), with moves their grid rows move in one stacked program
+(`agents_move`) and their moved rows are scored as one, and each agent's
+table and VALUE rule are built from its rows and their scores. Lookups and
+sums stack only where they have one shape, so every float is the one the
+agent gets alone. One walk before the first message (`_sure_to_finish`)
+plans the agents in post-order, raising a plan's refusal while every
+earlier plan knows its grid size, and computes ahead only the agents
+before the first that might refuse, by their plans or upper bounds on the
+tables' sizes; that agent and every later one compute at their turn. So a
+refusal comes at its agent's turn, after the same messages, and no agent
+after it joins, looks anything up or clusters. Leaves with moves are the
+exception: every leaf whose grid fits moves up front, in the leaf batch, so
+leaves after the refusing agent have moved.
 
 VALUE answers the ancestors' values, which may lie off the grid, by the same
 scores as the move (`scored_value`): each query scored alone, reusing each
@@ -521,32 +524,41 @@ def agents_move(agents: list[Step], alpha: float, moves: int) -> list[np.ndarray
 
 # --- the engine ---------------------------------------------------------------
 
-def _sure_to_finish(tree: PseudoTree, plan, moved: dict[str, UtilTable], row_cap: int,
-                    k: int | None) -> list[str]:
-    """The non-root agents, in post-order, before the first whose UTIL step
-    might refuse, by upper bounds on every table's size: a table holds at
-    most `rows` distinct values of each of its variables, so an agent's
-    candidates number at most the sum of its children's rows, and a
-    separator variable's values at most the sum over the children that
-    mention it (or its grid's points). An agent is sure to finish when its
-    plan is made, its grid table's bound is within `row_cap`, each child
-    lookup's pair bound (cells x the child's rows) within PAIR_CAP, and,
-    with k-means to k rows (`k`, caf), k times its rows too; a leaf also
-    needs to be in `moved`, the leaf batch."""
+def _sure_to_finish(tree: PseudoTree, plan, row_cap: int, k: int | None) -> list[str]:
+    """af/caf-dpop's walk before the first message: plan the agents in
+    post-order, and return the non-root agents before the first whose UTIL
+    step might refuse. A plan error raises at once while every earlier plan
+    knows its grid size; otherwise it ends the walk, and its agent refuses
+    at its turn.
+
+    An agent whose plan knows its grid size (a leaf, or any agent when every
+    table is a grid) finishes once planned, sending a row per separator
+    tuple of its grid. Another's table holds at most `rows` distinct values
+    of each of its variables, so its candidates number at most the sum of
+    its children's rows, and a separator variable's values at most the sum
+    over the children that mention it (or its grid's points). It is sure to
+    finish when that grid table's bound is within `row_cap` and each child
+    lookup's pair bound (cells x the child's rows) within PAIR_CAP. With
+    k-means to k rows (`k`, caf), an agent sends at most k rows, and one
+    whose clustering may interpolate more than PAIR_CAP pairs (k x its
+    rows) ends the walk."""
     sent_rows: dict[str, int] = {}
+    known = True  # every plan so far knows its grid size
     for var in tree.post_order:
+        try:
+            planned = plan(var)
+        except FdcopError:
+            if known:
+                raise
+            break
+        known = known and planned.rows is not None
         if var == tree.root:
             break
-        children = tree.children[var]
-        if not children:
-            if var not in moved:
-                break
-            rows = len(moved[var].rows)
+        if planned.rows is not None:
+            rows = planned.rows // len(planned.grids[var])
         else:
-            try:
-                planned = plan(var)
-            except FdcopError:
-                break
+            # `known` is now False, so a step that might refuse ends the walk
+            children = tree.children[var]
             rows = 1
             for w in tree.separator[var]:
                 rows *= (sum(sent_rows[c] for c in children if w in tree.separator[c])
@@ -657,15 +669,13 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
             return table
         return cluster_tuples(table, k, random.Random(f"{config.seed}:{var}"), method)
 
-    # without moves or clustering every table is a grid, so the plan refuses
-    # as dpop's does. Otherwise it plans ahead only while every step is sure
-    # to finish: up to the first agent with children, or the first leaf
-    # whose clustering may interpolate more than PAIR_CAP pairs (at most k
-    # centroids against its rows)
+    # without moves or clustering every table is a grid, so the walk plans
+    # and refuses as dpop's does; the agents sure to finish their step
+    # compute it before the first message
     with kernel.phase("util"):
         plan = plan_util(contexts, tree, config.points, config.row_cap,
-                         grid_tables=not (config.moves or clustered),
-                         settles=lambda rows: not clustered or rows <= k or k * rows <= PAIR_CAP)
+                         grid_tables=not (config.moves or clustered))
+        sure = _sure_to_finish(tree, plan, config.row_cap, k if clustered else None)
         # with moves, every leaf's table is moved here, in one program; a
         # leaf whose plan refuses is left out, and refuses at its turn
         leaves = []
@@ -683,10 +693,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                                product_grid([planned.grids[w] for w in sep_vars])[1]))
         moved = dict(zip([leaf.var for leaf in leaves],
                          leaf_move(leaves, config.alpha, config.moves) if leaves else ()))
-
-        # with moves, the agents sure to finish their step compute it here
-        sure = _sure_to_finish(tree, plan, moved, config.row_cap,
-                               k if clustered else None) if config.moves else ()
         util_fn = computed_ahead(tree, sure, lambda agents, inputs: list(
             map(sent, agents, util_steps(agents, inputs))))
 

@@ -88,27 +88,22 @@ class AgentPlan:
     rows: int | None
 
 
-def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: bool = True,
-              settles=lambda rows: True):
-    """Plan the UTIL phase before its first message. Returns `plan(var)`,
-    each agent's `AgentPlan`.
+def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: bool = True):
+    """The UTIL phase's plans: returns `plan(var)`, each agent's `AgentPlan`,
+    made when first asked for and kept, so in a run that finishes every
+    agent reads its domains once. An engine asks for the plans it needs
+    before the first message in post-order, the order of the UTIL steps, so
+    each input's first error is the one the steps would raise in turn, only
+    earlier.
 
     An agent's plan discretizes its variables that no child's table mentions
     (with `grid_tables`, the children's tables are the grids of their
-    variables, so all of them) and, when it knows every grid, `plan` refuses
-    a table of d^(|sep|+1) rows above `row_cap` with `check_grid_cap`. A
-    variable a child's table mentions has at least one value, so the count
-    it knows is a lower bound; that bound refuses nothing, since a refusal
-    names the table's count.
-
-    The walk plans the agents in post-order, the order of their UTIL steps,
-    while each step before is sure to finish: it stops after an agent whose
-    table depends on its children's tables, or whose table's row count, one
-    per separator tuple of its grid, `settles` does not accept. Any other
-    agent is planned when first asked for, and each plan is kept. So every
-    agent reads its domains once, and each input's first error is the one
-    the steps would raise in turn, only earlier.
-    """
+    variables, so all of them). When it knows every grid, `plan` first
+    refuses a table of d^(|sep|+1) rows above `row_cap` with
+    `check_grid_cap`, before any grid is built. A variable a child's table
+    mentions has at least one value, so the count it knows is a lower
+    bound; that bound refuses nothing, since a refusal names the table's
+    count."""
     plans: dict[str, AgentPlan] = {}
 
     def plan(var: str) -> AgentPlan:
@@ -117,18 +112,13 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
             mentioned = () if grid_tables else {w for c in tree.children[var]
                                                 for w in tree.separator[c]}
             domains = {var: ctx.own_domain(), **{w: ctx.domain_of(w) for w in ctx.separator}}
+            rows = None if any(w in mentioned for w in domains) else d ** len(domains)
+            if rows is not None:
+                check_grid_cap(var, rows, row_cap)
             grids = {w: discretize(dom, d) for w, dom in domains.items() if w not in mentioned}
-            rows = math.prod(map(len, grids.values())) if len(grids) == len(domains) else None
             plans[var] = AgentPlan(domains, grids, rows)
-        planned = plans[var]
-        if planned.rows is not None:
-            check_grid_cap(var, planned.rows, row_cap)
-        return planned
+        return plans[var]
 
-    for var in tree.post_order:
-        planned = plan(var)
-        if planned.rows is None or not settles(planned.rows // len(planned.grids[var])):
-            break
     return plan
 
 

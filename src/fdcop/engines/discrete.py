@@ -61,10 +61,12 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
                        else UtilTable(s.sep_vars, s.rows, utils))
         return out
 
-    # every table is a grid, so the plan refuses any table above the cap
-    # before the first message, and every table is computed then
+    # every table is a grid, so planning every agent refuses any table above
+    # the cap before the first message, and every table is computed then
     with kernel.phase("util"):
         plan = plan_util(contexts, tree, config.points, config.row_cap)
+        for var in tree.post_order:
+            plan(var)
         util_fn = computed_ahead(tree, tree.post_order, steps)
 
     def value_fn(var, key):

@@ -39,9 +39,9 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     variables = sorted(contexts)
     edges = sorted(graph.edges())  # each (u, v) with u < v
 
-    samples = {v: frozen(np.array(discretize(contexts[v].own_domain(), d))) for v in variables}
-    if edges and d * d > config.row_cap:  # refused before the first message, like dpop
+    if edges and d * d > config.row_cap:  # refused before any sample, like dpop
         raise CapacityError(f"function nodes would join {d * d} cells each (cap {config.row_cap})")
+    samples = {v: frozen(np.array(discretize(contexts[v].own_domain(), d))) for v in variables}
     incident = {v: [] for v in variables}
     for e in edges:
         for v in e:

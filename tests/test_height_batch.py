@@ -162,8 +162,40 @@ class TestComputedAhead:
         assert [len({height[v] for v in call}) for call in calls] == [1] * len(calls)
         assert len(calls) == max(height.values()) + 1
 
-    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop"])
-    def test_a_table_comes_only_from_the_payloads_received(self, monkeypatch, engine):
+    @pytest.mark.parametrize("problem", [
+        lambda: generators.gen_tree(200, seed=3), lambda: generators.gen_graph(12, 0.3, seed=2)],
+        ids=["tree", "graph"])
+    def test_without_moves_af_scores_one_height_per_call_before_the_first_message(
+            self, monkeypatch, problem):
+        # every table is a grid that fits the cap, so every non-root agent is
+        # sure to finish and is scored ahead, a height at a time; on the
+        # graph, the bounds that moved tables need would stop after 3 agents
+        p = problem()
+        tree = p.tree
+        height = heights_of(tree)
+        calls, sent = [], []
+        real_score, real_send = afdpop.score, Kernel.send
+
+        def record(jobs, method):
+            if not sent:
+                calls.append([scorer.var for scorer, _ in jobs])
+            return real_score(jobs, method)
+
+        def send(kernel, *args):
+            sent.append(args)
+            real_send(kernel, *args)
+
+        monkeypatch.setattr(afdpop, "score", record)
+        monkeypatch.setattr(Kernel, "send", send)
+        runtime.run(p, "af-dpop", EngineConfig(moves=0))
+        assert sorted(sum(calls, [])) == sorted(v for v in tree.post_order if v != tree.root)
+        assert [len({height[v] for v in call}) for call in calls] == [1] * len(calls)
+        assert len(calls) == height[tree.root]
+
+    @pytest.mark.parametrize("engine, moves", [
+        ("dpop", 3), ("af-dpop", 3), ("caf-dpop", 3), ("af-dpop", 0), ("caf-dpop", 0)],
+        ids=["dpop", "af-dpop", "caf-dpop", "af-dpop-moves0", "caf-dpop-moves0"])
+    def test_a_table_comes_only_from_the_payloads_received(self, monkeypatch, engine, moves):
         # a payload that is a copy of the table its child computed is not
         # the table the parent was computed from
         real_send = Kernel.send
@@ -175,7 +207,7 @@ class TestComputedAhead:
 
         monkeypatch.setattr(Kernel, "send", send)
         with pytest.raises(ProtocolError, match=r"computed from other tables than it received$"):
-            runtime.run(generators.gen_tree(12, seed=1), engine, EngineConfig(moves=3))
+            runtime.run(generators.gen_tree(12, seed=1), engine, EngineConfig(moves=moves))
 
 
 # the capacity workload's af and caf jobs: in each, an agent of lower

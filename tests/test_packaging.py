@@ -1,8 +1,8 @@
 """The package declares exactly the third-party modules its source imports,
 defines nothing that only its tests use, clamps in one module, reads a
 utility's coefficients in one class, interpolates in one function, computes
-UTIL tables by heights in one function, and has every name its README
-cites."""
+UTIL tables by heights in one function, plans without a walk of its own,
+and has every name its README cites."""
 import ast
 import collections
 import importlib
@@ -133,6 +133,22 @@ def test_one_util_schedule():
         naming += [f"{path.stem}.{where}" for where in referrers(module, "computed_ahead")]
     assert raising == ["common.computed_ahead"]
     assert {"discrete.run", "afdpop.run"} <= set(naming)
+
+
+def test_plan_util_only_plans():
+    """`common.plan_util` makes and keeps each agent's plan when first asked
+    for. The walk before the first message is the engine's (af/caf's is
+    `afdpop._sure_to_finish`), so `plan_util` has no loop statement and no
+    parameter but the inputs of a plan."""
+    module = ast.parse((ROOT / "src" / "fdcop" / "engines" / "common.py").read_text())
+    [plan_util] = [node for node in module.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "plan_util"]
+    args = plan_util.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == [
+        "contexts", "tree", "d", "row_cap", "grid_tables"]
+    assert args.vararg is None and args.kwarg is None
+    assert [node.lineno for node in ast.walk(plan_util)
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While))] == []
 
 
 def resolve(dotted: str):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fdcop import cli, generators, model, pseudotree, runtime
-from fdcop.engines import discrete
+from fdcop.engines import common, discrete, hcms
 from fdcop.errors import ArgumentError, CapacityError, ProtocolError
 from fdcop.runtime import SYSTEM, UTIL, VALUE, EngineConfig, Kernel
 
@@ -199,6 +199,38 @@ class TestSizePlan:
         tree = p.tree
         assert sorted(reads) == sorted((v, f"domain:{w}") for v in p.variables
                                        for w in tree.separator[v])
+
+    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
+    def test_an_over_cap_grid_is_refused_before_any_grid_is_built(self, monkeypatch, engine):
+        # a million points a variable: building even one grid would take
+        # longer than refusing
+        built = []
+        real = common.discretize
+
+        def discretize(domain, d):
+            built.append(d)
+            return real(domain, d)
+
+        for module in (common, hcms):
+            monkeypatch.setattr(module, "discretize", discretize)
+        with pytest.raises(CapacityError):
+            runtime.run(generators.gen_graph(30, 0.1, seed=1), engine,
+                        EngineConfig(points=10**6))
+        assert built == []
+
+    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
+    def test_the_cap_comes_before_a_domain_too_narrow_for_the_points(self, engine):
+        # [1, 1 + 1 ulp] holds 2 distinct points, not 3
+        p = generators.gen_tree(4, seed=0)
+        narrow = model.ContinuousDomain(1.0, math.nextafter(1.0, 2.0))
+        p = model.Problem(agents=p.agents, variables=p.variables,
+                          domains={v: narrow for v in p.variables}, utilities=p.utilities,
+                          owner=p.owner)
+        with pytest.raises(ArgumentError, match="cannot place 3 distinct finite points"):
+            runtime.run(p, engine, EngineConfig(points=3))
+        with pytest.raises(CapacityError) as err:
+            runtime.run(p, engine, EngineConfig(points=3, row_cap=8))
+        assert err.value.stats.total_messages == 0
 
     def test_plan_refuses_inside_the_util_phase(self):
         p = generators.gen_graph(14, 0.6, seed=0)
