@@ -14,23 +14,15 @@ against the closed-form best response instead. Every move runs by one loop
 and one clamped step (`_move`).
 
 UTIL is computed before its first message, one pseudo-tree height at a
-time, on dpop's schedule (`common.computed_ahead`). With moves, height 0,
-the leaves, moves in one array program (`leaf_move`). Each other height
-runs `util_steps`: its agents' grids are scored as one (`score`: every
-child lookup of the height interpolated by one `_lookups`, every sum added
-up by one `join`), with moves their grid rows move in one stacked program
-(`agents_move`) and their moved rows are scored as one, and each agent's
-table and VALUE rule are built from its rows and their scores. Lookups and
-sums stack only where they have one shape, so every float is the one the
-agent gets alone. One walk before the first message (`_sure_to_finish`)
-plans the agents in post-order, raising a plan's refusal while every
-earlier plan knows its grid size, and computes ahead only the agents
-before the first that might refuse, by their plans or upper bounds on the
-tables' sizes; that agent and every later one compute at their turn. So a
-refusal comes at its agent's turn, after the same messages, and no agent
-after it joins, looks anything up or clusters. Leaves with moves are the
-exception: every leaf whose grid fits moves up front, in the leaf batch, so
-leaves after the refusing agent have moved.
+time, on dpop's schedule (`common.computed_ahead`), each height by
+`util_steps` in a few array programs. Lookups and sums stack only where
+they have one shape, so every float is the one the agent gets alone. The
+agents computed ahead are those the walk before the first message
+(`_sure_to_finish`) finds sure to finish: the agents before the first that
+might refuse, and every later leaf sure to finish, at height 0. The others
+compute at their turn, so a refusal comes at its agent's turn, after the
+same messages, and no agent with children after it joins, looks anything
+up or clusters.
 
 VALUE answers the ancestors' values, which may lie off the grid, by the same
 scores as the move (`scored_value`): each query scored alone, reusing each
@@ -39,12 +31,9 @@ compresses each outgoing table to the k-means centroids of its rows (at
 most k) while keeping the full table locally.
 
 Heights of fewer than STACK_MIN agents move one agent at a time
-(`_snap_direction`). Stacking every height instead costs more: on the
-`graph` benchmark's 28 af and caf jobs, where most heights hold one agent,
-`agents_move` took 0.30 s with every height stacked against 0.20 s (median
-of 8 alternating in-process passes), since the stacked snap compares every
-row with all of its columns' padded points where one agent's snap takes one
-`searchsorted` per column.
+(`_snap_direction`), since the stacked snap compares every row with all of
+its columns' padded points where one agent's snap takes one `searchsorted`
+per column.
 """
 from __future__ import annotations
 
@@ -526,10 +515,11 @@ def agents_move(agents: list[Step], alpha: float, moves: int) -> list[np.ndarray
 
 def _sure_to_finish(tree: PseudoTree, plan, row_cap: int, k: int | None) -> list[str]:
     """af/caf-dpop's walk before the first message: plan the agents in
-    post-order, and return the non-root agents before the first whose UTIL
-    step might refuse. A plan error raises at once while every earlier plan
-    knows its grid size; otherwise it ends the walk, and its agent refuses
-    at its turn.
+    post-order and return, in post-order, the non-root agents sure to
+    finish their UTIL step: those before the first that might not, and
+    every later leaf that is. A plan error raises at once while every
+    earlier plan knows its grid size; otherwise its agent refuses at its
+    turn.
 
     An agent whose plan knows its grid size (a leaf, or any agent when every
     table is a grid) finishes once planned, sending a row per separator
@@ -541,19 +531,24 @@ def _sure_to_finish(tree: PseudoTree, plan, row_cap: int, k: int | None) -> list
     lookup's pair bound (cells x the child's rows) within PAIR_CAP. With
     k-means to k rows (`k`, caf), an agent sends at most k rows, and one
     whose clustering may interpolate more than PAIR_CAP pairs (k x its
-    rows) ends the walk."""
+    rows) is not sure to finish."""
     sent_rows: dict[str, int] = {}
     known = True  # every plan so far knows its grid size
+    ended = False  # an agent might refuse: only leaves follow
     for var in tree.post_order:
+        if ended and (tree.children[var] or var == tree.root):
+            continue
         try:
             planned = plan(var)
         except FdcopError:
-            if known:
+            if known and not ended:
                 raise
-            break
+            ended = True
+            continue
         known = known and planned.rows is not None
         if var == tree.root:
             break
+        fits = True
         if planned.rows is not None:
             rows = planned.rows // len(planned.grids[var])
         else:
@@ -564,13 +559,12 @@ def _sure_to_finish(tree: PseudoTree, plan, row_cap: int, k: int | None) -> list
                 rows *= (sum(sent_rows[c] for c in children if w in tree.separator[c])
                          or len(planned.grids[w]))
             cells = sum(sent_rows[c] for c in children) * rows
-            if cells > row_cap or cells * max(sent_rows[c] for c in children) > PAIR_CAP:
-                break
+            fits = cells <= row_cap and cells * max(sent_rows[c] for c in children) <= PAIR_CAP
         if k is not None and rows > k:
-            if k * rows > PAIR_CAP:
-                break
-            rows = k
-        sent_rows[var] = rows
+            fits, rows = fits and k * rows <= PAIR_CAP, k
+        if fits:
+            sent_rows[var] = rows
+        ended = ended or not fits
     return list(sent_rows)
 
 
@@ -581,10 +575,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
     # var -> its VALUE rule: separator tuple -> own value
     state: dict[str, object] = {}
 
-    def agent_util(var, tables):
+    def agent_util(var, tables) -> Step:
         """One agent's UTIL step up to its grid scores, over its children's
-        tables; a leaf is the agent with none. Returns a closed-form leaf's
-        moved table, or the agent's `Step` with its scorer and grid."""
+        tables; a leaf is the agent with none. With moves, a non-root leaf's
+        step is closed-form, its grid rows alone; any other step has its
+        scorer and its grid's points."""
         for t in tables:
             if not len(t.utils):
                 raise ProtocolError(f"{var}: received an empty UTIL table")
@@ -593,8 +588,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 raise ProtocolError(f"{var}: a child's UTIL table does not mention this agent")
 
         planned = plan(var)
-        domains = planned.domains
-        own_dom = domains[var]
+        own_dom = planned.domains[var]
         ctx = contexts[var]
         sep_vars = ctx.separator
         constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
@@ -602,14 +596,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
 
         # with no child tables the utility is a sum of quadratics in the own
         # value, so VALUE answers with the closed-form best response, and a
-        # leaf's table was moved against it at the start of UTIL
-        if not tables and config.moves > 0:
-            def value(query):
-                return best_own_response(sorted_constraints, var,
-                                         dict(zip(sep_vars, query)), own_dom)
-            state[var] = value
-            if var != tree.root:
-                return moved[var]
+        # leaf's table moves against it (`leaf_move`)
+        closed_form = not tables and config.moves > 0
+        if closed_form:
+            state[var] = lambda query: best_own_response(sorted_constraints, var,
+                                                         dict(zip(sep_vars, query)), own_dom)
 
         # the union of the children's value sets per variable, and the grid of
         # every variable no child mentions; the join interpolates each child
@@ -624,23 +615,28 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         candidates = sets[var]
         sep_sets = [sets[w] for w in sep_vars]
         check_grid_cap(var, len(candidates) * math.prod(map(len, sep_sets)), config.row_cap)
-        return Step(var, own_dom, sep_vars, tuple(map(domains.get, sep_vars)),
-                    tuple(map(constraints.get, sep_vars)), product_grid(sep_sets)[1],
-                    Scorer.of(var, candidates, sep_vars, sorted_constraints, tables),
-                    tuple(map(np.array, sep_sets)))
+        step = Step(var, own_dom, sep_vars, tuple(map(planned.domains.get, sep_vars)),
+                    tuple(map(constraints.get, sep_vars)), product_grid(sep_sets)[1])
+        if closed_form and var != tree.root:
+            return step
+        return step._replace(scorer=Scorer.of(var, candidates, sep_vars, sorted_constraints,
+                                              tables), points=tuple(map(np.array, sep_sets)))
 
     def util_steps(agents, inputs) -> list:
         """The UTIL steps of agents that do not depend on each other, each
         over its children's tables: a height's, or one agent's at its turn.
         Returns each one's table, or the optimum at the root, and sets each
-        one's VALUE rule. Their grids are scored in one `score`, the grid
-        rows move in one `agents_move`, and the moved rows are scored in one
-        `score`."""
-        results = [agent_util(var, tables) for var, tables in zip(agents, inputs)]
-        steps = [(i, step) for i, step in enumerate(results) if isinstance(step, Step)]
-        grid_scores = score([(step.scorer, step.rows) for _, step in steps], method)
+        one's VALUE rule. The closed-form leaves move in one `leaf_move`; the
+        other agents' grids are scored in one `score`, their grid rows move
+        in one `agents_move`, and the moved rows are scored in one `score`."""
+        steps = [agent_util(var, tables) for var, tables in zip(agents, inputs)]
+        leaves = [step for step in steps if step.scorer is None]
+        moved = iter(leaf_move(leaves, config.alpha, config.moves) if leaves else ())
+        results = [next(moved) if step.scorer is None else None for step in steps]
+        scoring = [(i, step) for i, step in enumerate(steps) if step.scorer is not None]
+        grid_scores = score([(step.scorer, step.rows) for _, step in scoring], method)
         moving = []
-        for (i, step), scores in zip(steps, grid_scores):
+        for (i, step), scores in zip(scoring, grid_scores):
             # a closed-form root keeps its VALUE rule
             state.setdefault(step.var, scored_value(step.scorer, step.own_domain, method))
             if step.var == tree.root:
@@ -676,23 +672,6 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         plan = plan_util(contexts, tree, config.points, config.row_cap,
                          grid_tables=not (config.moves or clustered))
         sure = _sure_to_finish(tree, plan, config.row_cap, k if clustered else None)
-        # with moves, every leaf's table is moved here, in one program; a
-        # leaf whose plan refuses is left out, and refuses at its turn
-        leaves = []
-        for var in tree.post_order if config.moves else ():
-            if tree.children[var] or var == tree.root:
-                continue
-            try:
-                planned = plan(var)
-            except FdcopError:
-                continue
-            sep_vars = contexts[var].separator
-            leaves.append(Step(var, planned.domains[var], sep_vars,
-                               tuple(planned.domains[w] for w in sep_vars),
-                               tuple(map(contexts[var].constraint_with, sep_vars)),
-                               product_grid([planned.grids[w] for w in sep_vars])[1]))
-        moved = dict(zip([leaf.var for leaf in leaves],
-                         leaf_move(leaves, config.alpha, config.moves) if leaves else ()))
         util_fn = computed_ahead(tree, sure, lambda agents, inputs: list(
             map(sent, agents, util_steps(agents, inputs))))
 

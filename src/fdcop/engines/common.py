@@ -1,9 +1,9 @@
 """Shared machinery for the engines: the array UTIL table, domain
 discretization, the UTIL size plan, product grids, the one join kernel (the
 child-plus-constraint sum over separator rows x own candidates behind dpop's
-and af/caf-dpop's UTIL tables and hcms's function-to-variable messages),
-closed-form 1-D maximization, the one clamp and gradient step, the UTIL
-schedule by pseudo-tree heights and the UTIL/VALUE message schedule."""
+and af/caf-dpop's UTIL tables and hcms's function-to-variable messages), run
+within the row cap, closed-form 1-D maximization, the one clamp and gradient
+step, the UTIL schedule by pseudo-tree heights and the UTIL/VALUE schedule."""
 from __future__ import annotations
 
 import functools
@@ -164,10 +164,9 @@ def join(sums: list[UtilSum]) -> list[np.ndarray]:
     contributions, and `var`'s side of each constraint) as one stacked
     array; a call of one sum adds it up alone (`_add_up`). Each step is
     element-wise, so every cell is the float its sum gives alone. The lone
-    path is for hcms, which joins one sum per call, and a height of one
-    agent: on an hcms-sized sum (10 rows x 10 candidates, one constraint)
-    on a 2-core host, a stack of one took 27 us and grouping it 5 us more,
-    against 13-18 us added up alone.
+    path is for a height of one agent, most of af/caf's heights on `graph`:
+    on a 10 x 10 sum on a 2-core host, a stack of one took 27 us and
+    grouping it 5 us more, against 13-18 us added up alone.
     """
     if len(sums) == 1:
         return [_add_up(sums[0])]
@@ -196,6 +195,24 @@ def join(sums: list[UtilSum]) -> list[np.ndarray]:
                       else QuadraticBinaryUtility.polynomial(*coeffs, other, own))
         for i, cells in zip(members, total):
             out[i] = cells
+    return out
+
+
+def joined(sums, row_cap: int, reduce) -> list:
+    """`reduce(s, cells)` for each sum `s` of the iterable `sums` and its
+    `join`ed cells, in order, joined in runs of consecutive sums of at most
+    `row_cap` cells (rows x candidates) in all, each reduced before the
+    next run is joined, so a stacked join stays within the cap."""
+    out, run, cells = [], [], 0
+    for s in sums:
+        size = len(s.rows) * len(s.candidates)
+        if run and cells + size > row_cap:
+            out += map(reduce, run, join(run))
+            run, cells = [], 0
+        run.append(s)
+        cells += size
+    if run:
+        out += map(reduce, run, join(run))
     return out
 
 
@@ -265,13 +282,13 @@ def clamped_step(current: np.ndarray, step: np.ndarray, lb, ub) -> np.ndarray:
 
 def computed_ahead(tree: PseudoTree, sure, steps):
     """The DPOP family's UTIL schedule: a `util_fn` for `util_value_protocol`
-    that computes the tables of `sure`, a post-order prefix of agents sure
-    to finish, before the first message, one pseudo-tree height (distance to
-    the deepest leaf below) at a time, by `steps(agents, inputs)`: each
-    agent's table over its children's tables in sender order, or the
-    optimum at the root. Each agent still sends at its turn, and refuses
-    (ProtocolError) other tables than it was computed from; an agent after
-    `sure` is computed then, as a height of one."""
+    that computes the tables of `sure`, agents sure to finish in post-order,
+    each after its children, before the first message, one pseudo-tree
+    height (distance to the deepest leaf below) at a time, leaves first, by
+    `steps(agents, inputs)`: each agent's table over its children's tables
+    in sender order, or the optimum at the root. Each agent still sends at
+    its turn, and refuses (ProtocolError) other tables than it was computed
+    from; an agent not in `sure` is computed then, as a height of one."""
     ahead: dict[str, tuple[list[UtilTable], object]] = {}
     heights: dict[str, int] = {}
     by_height: dict[int, list[str]] = {}

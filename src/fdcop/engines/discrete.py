@@ -6,10 +6,11 @@ its own grid with the join kernel (`common.join`): the children's tables,
 gathered by variable name at every cell, and then its own constraints,
 summed cell-wise in a fixed order. The agent maximizes over its own points,
 ties going to the smallest. Every table is computed before the first
-message, one pseudo-tree height per `join` (`common.computed_ahead`), so a
+message, one pseudo-tree height at a time (`common.computed_ahead`), so a
 child's table is the grid of its variables by construction, and an agent
-that receives any other refuses. The VALUE phase reads the own point chosen
-for the ancestors' grid tuple.
+that receives any other refuses. A height joins in runs of at most
+`row_cap` cells (`common.joined`). The VALUE phase reads the own point
+chosen for the ancestors' grid tuple.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from ..errors import ProtocolError
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
-from .common import (UtilSum, UtilTable, computed_ahead, join, plan_util, product_grid,
+from .common import (UtilSum, UtilTable, computed_ahead, joined, plan_util, product_grid,
                      util_value_protocol)
 
 
@@ -37,29 +38,25 @@ def joint_utility(x: float, var: str, sep_vars: tuple[str, ...],
 def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
     state: dict[str, np.ndarray] = {}  # var -> its best own point's index per grid row
 
-    def steps(agents, inputs) -> list:
-        """Each agent's grid table over its children's tables, or the optimum
-        at the root; every agent's sum is added up in one `join`."""
-        sums = []
-        for var, tables in zip(agents, inputs):
-            ctx = contexts[var]
-            sep_vars = ctx.separator
-            grids = plan(var).grids
-            constraints = [f for w in sep_vars if (f := ctx.constraint_with(w))]  # sorted by w
-            index, rows = product_grid([grids[w] for w in sep_vars])
-            # every variable's grid index at each (row, own point) cell
-            at = {w: index[:, j:j + 1] for j, w in enumerate(sep_vars)}
-            at[var] = np.arange(len(grids[var])).reshape(1, len(grids[var]))
-            children = [t.utils.reshape([len(grids[w]) for w in t.separator_vars])[
-                tuple(at[w] for w in t.separator_vars)] for t in tables]
-            sums.append(UtilSum(var, grids[var], sep_vars, rows, children, constraints))
-        out = []
-        for s, cells in zip(sums, join(sums)):
-            state[s.var] = best = cells.argmax(axis=1)  # the first maximum: the smallest point
-            utils = cells[np.arange(len(best)), best]
-            out.append(float(utils[0]) if s.var == tree.root
-                       else UtilTable(s.sep_vars, s.rows, utils))
-        return out
+    def agent_sum(var, tables) -> UtilSum:
+        """An agent's grid sum over its children's tables."""
+        ctx = contexts[var]
+        sep_vars = ctx.separator
+        grids = plan(var).grids
+        constraints = [f for w in sep_vars if (f := ctx.constraint_with(w))]  # sorted by w
+        index, rows = product_grid([grids[w] for w in sep_vars])
+        # every variable's grid index at each (row, own point) cell
+        at = {w: index[:, j:j + 1] for j, w in enumerate(sep_vars)}
+        at[var] = np.arange(len(grids[var])).reshape(1, len(grids[var]))
+        children = [t.utils.reshape([len(grids[w]) for w in t.separator_vars])[
+            tuple(at[w] for w in t.separator_vars)] for t in tables]
+        return UtilSum(var, grids[var], sep_vars, rows, children, constraints)
+
+    def maximized(s: UtilSum, cells: np.ndarray):
+        """An agent's grid table, or the optimum at the root."""
+        state[s.var] = best = cells.argmax(axis=1)  # the first maximum: the smallest point
+        utils = cells[np.arange(len(best)), best]
+        return float(utils[0]) if s.var == tree.root else UtilTable(s.sep_vars, s.rows, utils)
 
     # every table is a grid, so planning every agent refuses any table above
     # the cap before the first message, and every table is computed then
@@ -67,7 +64,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         plan = plan_util(contexts, tree, config.points, config.row_cap)
         for var in tree.post_order:
             plan(var)
-        util_fn = computed_ahead(tree, tree.post_order, steps)
+        util_fn = computed_ahead(tree, tree.post_order, lambda agents, inputs: joined(
+            map(agent_sum, agents, inputs), config.row_cap, maximized))
 
     def value_fn(var, key):
         grids = plan(var).grids

@@ -17,7 +17,8 @@ A function node's message to one endpoint, r[i] = max_j f(x_i, y_j) + q[j]
 with the first maximizing partner, runs on the join kernel that dpop and
 af/caf-dpop build their UTIL tables with (`common.join`): the endpoint's
 samples are the rows, the partner's samples the candidates and the partner's
-q vector the one contribution.
+q vector the one contribution. An iteration gathers every function node's
+two sums, then joins them all in runs within the row cap (`common.joined`).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 from ..errors import CapacityError, ProtocolError
 from ..model import left_sum
 from ..runtime import MS_FUNCTION_TO_VARIABLE, MS_VARIABLE_TO_FUNCTION, EngineConfig, Kernel
-from .common import UtilSum, clamped_step, discretize, join
+from .common import UtilSum, clamped_step, discretize, joined
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -53,6 +54,11 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
     partner_at = {}
     at = np.arange(d)  # a function node's row index per endpoint sample
 
+    def best(s: UtilSum, cells: np.ndarray) -> dict:
+        """A function node's r vector and partner argmax from its joined cells."""
+        partner = cells.argmax(axis=1)  # the first maximum: the smallest index
+        return {"values": frozen(cells[at, partner]), "argmax": frozen(s.candidates[partner])}
+
     def summed(v, skip=None):
         """0.0 plus v's stored r vectors in edge order, but the one over `skip`."""
         total = np.zeros(d)
@@ -71,7 +77,9 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                     payload = {"edge": e, "values": samples[v], "q": frozen(q)}
                     kernel.send(v, e[0], MS_VARIABLE_TO_FUNCTION, payload, d)
 
-        # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax
+        # function nodes: r[i] = max_j f(x_i, y_j) + q_y[j], plus the argmax;
+        # every node's two sums are gathered and checked before any join
+        sends, sums = [], []
         for host in variables:
             by_edge: dict[tuple, dict[str, dict]] = {}
             for m in kernel.collect(host, MS_VARIABLE_TO_FUNCTION):
@@ -84,13 +92,11 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                     raise ProtocolError(f"host {host} has no utility over {e}")
                 for v in e:
                     w = e[0] if v == e[1] else e[1]
-                    xs, ys = inputs[v]["values"], inputs[w]["values"]
-                    [cells] = join([UtilSum(w, ys, (v,), xs.reshape(d, 1), [inputs[w]["q"]],
-                                            [f])])
-                    best = cells.argmax(axis=1)  # the first maximum: the smallest index
-                    payload = {"edge": e, "values": frozen(cells[at, best]),
-                               "argmax": frozen(ys[best])}
-                    kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
+                    sends.append((host, v, e))
+                    sums.append(UtilSum(w, inputs[w]["values"], (v,),
+                                        inputs[v]["values"].reshape(d, 1), [inputs[w]["q"]], [f]))
+        for (host, v, e), r in zip(sends, joined(sums, config.row_cap, best)):
+            kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, {"edge": e, **r}, d)
 
         # variable nodes: store the vectors, then move every sample one step
         for v in variables:

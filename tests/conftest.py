@@ -163,6 +163,13 @@ def quad(first, second, a=0.0, b=0.0, c=0.0, d=0.0, e=0.0, f0=0.0):
     return QuadraticBinaryUtility(first, second, a, b, c, d, e, f0)
 
 
+def star(leaves: int):
+    """A centre `c` with `leaves` leaves `l00`, `l01`, ... on [-2, 2], each
+    joined to it by a concave quadratic of its own."""
+    return make_problem([quad("c", f"l{i:02d}", a=-1.0 - i / 50, b=0.5, c=-1.0, d=i / 10, e=0.3)
+                         for i in range(leaves)], lb=-2.0, ub=2.0)
+
+
 @pytest.fixture
 def chain3():
     """x1 - x2 - x3 with concave quadratics."""

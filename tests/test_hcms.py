@@ -1,7 +1,10 @@
 """Hybrid continuous max-sum baseline."""
+import dataclasses
+
 import pytest
 
 from fdcop import cli, generators, model, runtime
+from fdcop.engines import common
 from fdcop.errors import CapacityError
 from fdcop.runtime import (
     MS_FUNCTION_TO_VARIABLE,
@@ -10,7 +13,7 @@ from fdcop.runtime import (
     Kernel,
 )
 
-from conftest import make_problem, quad
+from conftest import make_problem, quad, star
 
 
 def chain3_unit():
@@ -38,6 +41,40 @@ class TestRowCap:
             err = capsys.readouterr().err
             assert code == cli.EXIT_CAPACITY, err
             assert "partial stats: messages=0 scalars=0" in err
+
+
+class TestJoins:
+    """An iteration gathers every function node's two sums and joins them
+    all, in runs within the row cap (`common.joined`)."""
+
+    @staticmethod
+    def joins(monkeypatch, problem, config):
+        calls = []
+        real = common.join
+
+        def record(sums):
+            calls.append(sum(len(s.rows) * len(s.candidates) for s in sums))
+            return real(sums)
+
+        monkeypatch.setattr(common, "join", record)
+        return calls, runtime.run(problem, "hcms", config)
+
+    def test_one_join_per_iteration(self, monkeypatch):
+        p = generators.gen_graph(12, 0.3, seed=2)
+        calls, _ = self.joins(monkeypatch, p, EngineConfig(points=4, iterations=3))
+        assert calls == [2 * len(p.utilities) * 16] * 3
+
+    def test_runs_within_the_row_cap_change_no_output(self, monkeypatch):
+        # 82 sums of 10 x 10 cells: a cap of 250 joins two at a time
+        p = star(41)
+        config = EngineConfig(points=10, iterations=2, row_cap=250)
+        alone = runtime.run(p, "hcms", dataclasses.replace(config, row_cap=10**7))
+        calls, result = self.joins(monkeypatch, p, config)
+        assert calls == [200] * 82
+        assert [float.hex(x) for x in result.assignment.values.values()] == [
+            float.hex(x) for x in alone.assignment.values.values()]
+        assert float.hex(result.reported_optimum) == float.hex(alone.reported_optimum)
+        assert result.kernel.trace_lines() == alone.kernel.trace_lines()
 
 
 class TestMessageSchedule:

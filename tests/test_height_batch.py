@@ -1,17 +1,19 @@
 """UTIL by pseudo-tree height (`common.computed_ahead`): af/caf-dpop's move
-rules that stacking must keep, dpop's one join per height, the payloads
-each agent is computed from, the refusal order, the oracle on heights of
-several agents, and the per-agent scores oracle against heights scored as
-one."""
+rules that stacking must keep, dpop's joins by height within the row cap,
+af's leaves at height 0, the payloads each agent is computed from, the
+refusal order, the oracle on heights of several agents, and the per-agent
+scores oracle against heights scored as one."""
+import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings, strategies as st
 
 from fdcop import generators, runtime
-from fdcop.engines import afdpop, discrete
+from fdcop.engines import afdpop, common
 from fdcop.engines.afdpop import Scorer, Step, _snap_column, agents_move, score
 from fdcop.engines.common import discretize
 from fdcop.errors import CapacityError, FdcopError, ProtocolError, ValidationError
@@ -19,7 +21,7 @@ from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
 from conftest import (agent_scores, make_problem, quad, scalar_agent_move, scalar_moves,
-                      sent_util_tables, util_table)
+                      sent_util_tables, star, util_table)
 
 ONE = ContinuousDomain(-1.0, 1.0)
 WIDE = ContinuousDomain(-10.0, 10.0)
@@ -150,17 +152,64 @@ class TestComputedAhead:
         p = generators.gen_tree(200, seed=3)
         height = heights_of(p.tree)
         calls = []
-        real = discrete.join
+        real = common.join
 
         def record(sums):
             calls.append([s.var for s in sums])
             return real(sums)
 
-        monkeypatch.setattr(discrete, "join", record)
+        monkeypatch.setattr(common, "join", record)
         runtime.run(p, "dpop", EngineConfig(points=3))
         assert sorted(sum(calls, [])) == sorted(p.tree.post_order)
         assert [len({height[v] for v in call}) for call in calls] == [1] * len(calls)
         assert len(calls) == max(height.values()) + 1
+
+    def test_dpop_joins_a_height_in_runs_within_the_row_cap(self, monkeypatch):
+        # 41 leaves of 30 x 30 = 900 cells each: under a cap of 2,000 cells
+        # height 0 joins two leaves at a time, 21 calls, and the root one
+        p = star(41)
+        config = EngineConfig(points=30, row_cap=2_000)
+        alone = runtime.run(p, "dpop", dataclasses.replace(config, row_cap=10**7))
+        calls = []
+        real = common.join
+
+        def record(sums):
+            calls.append(sum(len(s.rows) * len(s.candidates) for s in sums))
+            return real(sums)
+
+        monkeypatch.setattr(common, "join", record)
+        result = runtime.run(p, "dpop", config)
+        assert calls == [1_800] * 20 + [900, 30]
+        assert hex_floats(result.assignment.values.values()) == hex_floats(
+            alone.assignment.values.values())
+        assert float.hex(result.reported_optimum) == float.hex(alone.reported_optimum)
+        assert result.kernel.trace_lines() == alone.kernel.trace_lines()
+
+    def test_af_moves_every_leaf_sure_to_finish_in_one_call(self, monkeypatch):
+        # a `graph` benchmark instance whose walk stops at the sixth agent in
+        # post-order, with three leaves after it
+        p = generators.gen_graph(20, 0.1, seed=854469256, concave=True)
+        tree = p.tree
+        walks, calls = [], []
+        real_walk, real_move = afdpop._sure_to_finish, afdpop.leaf_move
+
+        def walk(*args):
+            walks.append(real_walk(*args))
+            return walks[-1]
+
+        def move(leaves, alpha, moves):
+            calls.append((sys._getframe(1).f_code.co_name, [leaf.var for leaf in leaves]))
+            return real_move(leaves, alpha, moves)
+
+        monkeypatch.setattr(afdpop, "_sure_to_finish", walk)
+        monkeypatch.setattr(afdpop, "leaf_move", move)
+        runtime.run(p, "af-dpop", EngineConfig(points=3, moves=10, alpha=0.001))
+        [sure] = walks
+        stop = next(i for i, v in enumerate(tree.post_order) if v not in sure)
+        leaves = [v for v in tree.post_order if not tree.children[v] and v != tree.root]
+        assert stop == 5 and len([v for v in leaves if tree.post_order.index(v) > stop]) == 3
+        assert [v for v in sure if not tree.children[v]] == leaves
+        assert calls == [("util_steps", leaves)]
 
     @pytest.mark.parametrize("problem", [
         lambda: generators.gen_tree(200, seed=3), lambda: generators.gen_graph(12, 0.3, seed=2)],
@@ -223,11 +272,12 @@ REFUSALS = [
 class TestRefusalOrder:
     """A refusal comes at its agent's turn with the parent commit's text and
     message count, and no agent after it in post-order joins or
-    interpolates. A lookup of a child's table is charged to the child's
-    parent, and a clustering interpolation to the table's own agent. A
-    table's agent is known by its rows: the leaf batch's, those an agent
-    scored last (`score`), which are its table's, and those of a table
-    clustered from them."""
+    interpolates; under caf, no agent with children, since the leaves after
+    it are sure to finish and are clustered ahead, at height 0. A lookup of
+    a child's table is charged to the child's parent, and a clustering
+    interpolation to the table's own agent. A table's agent is known by its
+    rows: those `leaf_move` gave it, those it scored last (`score`), which
+    are its table's, and those of a table clustered from them."""
 
     @pytest.mark.parametrize("shape, engine, config, refusing, text, messages, later", REFUSALS,
                              ids=["af", "caf"])
@@ -288,7 +338,10 @@ class TestRefusalOrder:
         assert exc.value.stats.total_messages == messages
         before = tree.post_order[:order(refusing)]
         assert {v for v in before if tree.children[v]} <= worked
-        assert [v for v in worked if order(v) > order(refusing)] == []
+        after = [v for v in worked if order(v) > order(refusing)]
+        if engine == "caf-dpop":
+            after = [v for v in after if tree.children[v]]
+        assert after == []
 
 
 @st.composite

@@ -135,6 +135,29 @@ def test_one_util_schedule():
     assert {"discrete.run", "afdpop.run"} <= set(naming)
 
 
+def test_leaves_move_on_the_util_schedule():
+    """A closed-form leaf moves in `util_steps`, on the UTIL schedule by
+    heights, as every other agent does; and `agent_util` is the one place
+    the library builds an agent's `Step`."""
+    engines = sorted((ROOT / "src" / "fdcop" / "engines").glob("*.py"))
+    assert [f"{path.stem}.{where}" for path in engines
+            for where in referrers(ast.parse(path.read_text()), "leaf_move")] == [
+        "afdpop.util_steps"]
+    library = sorted((ROOT / "src" / "fdcop").rglob("*.py"))
+    assert [f"{path.stem}.{where}" for path in library
+            for where in callers(ast.parse(path.read_text()), "Step")] == ["afdpop.agent_util"]
+
+
+def callers(tree: ast.AST, name: str, where: str = "<module>"):
+    """The innermost function around each call `name(...)` in `tree`."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = tree.name
+    if isinstance(tree, ast.Call) and isinstance(tree.func, ast.Name) and tree.func.id == name:
+        yield where
+    for child in ast.iter_child_nodes(tree):
+        yield from callers(child, name, where)
+
+
 def test_plan_util_only_plans():
     """`common.plan_util` makes and keeps each agent's plan when first asked
     for. The walk before the first message is the engine's (af/caf's is
