@@ -3,12 +3,14 @@
 UTIL tables hold scattered value tuples, the rows of an array, whose
 coordinates are iteratively moved along utility gradients. An agent's UTIL
 step is one record, `Step`, which `agent_util` builds; a leaf is an agent
-with no child tables. The join interpolates each child's table over the
-union of the children's value sets (a grid for a variable no child
-mentions), building a child's queries once per distinct projection of the
-separator tuples; every table lookup, clustering's too, runs through
-`_lookups`. Each tuple then moves along the own constraints' gradient at
-the best own value of its nearest grid tuple. An agent with no child tables
+with no child tables. Each child's table is interpolated over the union of
+the children's value sets (a grid for a variable no child mentions), its
+queries built once per distinct projection of the separator tuples; every
+table lookup, clustering's too, runs through `_lookups`. The max-plus
+projection (`common.join`) gives each tuple its best own value and
+utility, so no agent keeps its (tuples x candidates) scores. Each tuple
+then moves along the own constraints' gradient at the best own value of
+its nearest grid tuple. An agent with no child tables
 has a utility that is a sum of quadratics in its own value, so it moves
 against the closed-form best response instead. Every move runs by one loop
 and one clamped step (`_move`).
@@ -29,11 +31,6 @@ scores as the move (`scored_value`): each query scored alone, reusing each
 child's last lookup when its projections are the same. The clustered variant
 compresses each outgoing table to the k-means centroids of its rows (at
 most k) while keeping the full table locally.
-
-Heights of fewer than STACK_MIN agents move one agent at a time
-(`_snap_direction`), since the stacked snap compares every row with all of
-its columns' padded points where one agent's snap takes one `searchsorted`
-per column.
 """
 from __future__ import annotations
 
@@ -48,7 +45,7 @@ from ..model import ContinuousDomain, QuadraticBinaryUtility
 from ..runtime import EngineConfig, Kernel
 from ..pseudotree import PseudoTree
 from .common import (UtilSum, UtilTable, best_own_response, check_grid_cap, clamp,
-                     clamped_step, computed_ahead, join, plan_util, product_grid,
+                     clamped_step, computed_ahead, joined, plan_util, product_grid,
                      util_value_protocol)
 from .discrete import joint_utility
 
@@ -176,12 +173,16 @@ class Scorer(NamedTuple):
                    [None] * len(tables))
 
 
-def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray]:
-    """(len(tuples), len(candidates)) utilities for each (scorer, tuples)
-    job, an (n, |sep|) array of its agent's separator tuples: interpolated
-    child contributions plus exact own constraints, summed by `join` in the
-    same order as the discrete engine so the moves=0 case is identical to
-    it. Every job gets the floats it gets scored alone.
+def score(jobs: list[tuple[Scorer, np.ndarray]], method: str,
+          row_cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each (scorer, tuples) job, an (n, |sep|) array of its agent's
+    separator tuples, the max-plus projection (`join`) of their scores: per
+    tuple, its first best candidate's index and utility. A score is the
+    interpolated child contributions plus the exact own constraints, summed
+    in the same order as the discrete engine so the moves=0 case is
+    identical to it. Every job gets the floats it gets scored alone; the
+    jobs join in runs within `row_cap` cells (`common.joined`), each run's
+    contributions built as it joins.
 
     A child's query is the row's projection onto the child's other variables
     with a candidate in `var`'s slot, so queries are built once per distinct
@@ -192,10 +193,7 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray
     interpolated once per agent. A lookup whose interpolation would exceed
     PAIR_CAP is refused from its count of missing queries, before its
     queries are built and before any job's lookup is interpolated: the jobs'
-    lookups are all interpolated by one `_lookups`.
-
-    VALUE (`scored_value`) is this rule with each query scored alone,
-    reusing each child's last lookup when its projections are the same."""
+    lookups are all interpolated by one `_lookups`."""
     requests, plans = [], []
     for scorer, tuples in jobs:
         plan = []
@@ -221,29 +219,29 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str) -> list[np.ndarray
                                  for p in projections for c in scorer.candidates]))
         plans.append(plan)
     looked_up = _lookups(requests, method)
-    sums = []
-    for (scorer, tuples), plan in zip(jobs, plans):
-        contributions = []
-        for slot, (inverse, projections, found) in enumerate(plan):
-            if projections is not None:
-                found = looked_up[found].reshape(len(projections), len(scorer.candidates))
-                scorer.last[slot] = (projections, found)
-            contributions.append(found if inverse is None else found[inverse])
-        sums.append(UtilSum(scorer.var, scorer.candidates, scorer.sep_vars, tuples,
-                            contributions, scorer.constraints))
-    return join(sums)
+
+    def sums():
+        for (scorer, tuples), plan in zip(jobs, plans):
+            contributions = []
+            for slot, (inverse, projections, found) in enumerate(plan):
+                if projections is not None:
+                    found = looked_up[found].reshape(len(projections), len(scorer.candidates))
+                    scorer.last[slot] = (projections, found)
+                contributions.append(found if inverse is None else found[inverse])
+            yield UtilSum(scorer.var, scorer.candidates, scorer.sep_vars, tuples,
+                          contributions, scorer.constraints)
+    return [(best, utils) for _, best, utils in joined(sums(), row_cap)]
 
 
-def scored_value(scorer: Scorer, own_dom: ContinuousDomain, method: str):
-    """An agent's VALUE rule: the candidate of the first max of the query's
-    scores, each query scored alone (`score`), reusing each child's last
-    lookup when its projections are the same. The first max is the smallest
-    candidate; a clustered child's centroid may round just outside the
-    domain."""
+def scored_value(scorer: Scorer, own_dom: ContinuousDomain, method: str, row_cap: int):
+    """An agent's VALUE rule: the candidate `score` finds best for the query,
+    each query scored alone, reusing each child's last lookup when its
+    projections are the same. The first best is the smallest candidate; a
+    clustered child's centroid may round just outside the domain."""
     def value(query: tuple[float, ...]) -> float:
-        [scores] = score([(scorer, np.array([query], dtype=float).reshape(1, len(query)))],
-                         method)
-        return own_dom.clamp(scorer.candidates[int(scores[0].argmax())])
+        [(best, _)] = score([(scorer, np.array([query], dtype=float).reshape(1, len(query)))],
+                            method, row_cap)
+        return own_dom.clamp(scorer.candidates[int(best[0])])
     return value
 
 
@@ -456,7 +454,9 @@ def _snap_direction(agent: Step):
 
 # fewer agents than this move one at a time: timed on agents of 3-125 rows
 # and 1-3 separator columns, stacking two costs as much as moving them one by
-# one (0.8-1.15x) and stacking four saves 15-50%
+# one (0.8-1.15x) and stacking four saves 15-50%, since the stacked snap
+# compares every row with all of its columns' padded points where one
+# agent's snap (`_snap_direction`) takes one `searchsorted` per column
 STACK_MIN = 4
 
 
@@ -628,34 +628,33 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         Returns each one's table, or the optimum at the root, and sets each
         one's VALUE rule. The closed-form leaves move in one `leaf_move`; the
         other agents' grids are scored in one `score`, their grid rows move
-        in one `agents_move`, and the moved rows are scored in one `score`."""
+        in one `agents_move` at each grid tuple's best own value, and the
+        moved rows are scored in one `score`."""
         steps = [agent_util(var, tables) for var, tables in zip(agents, inputs)]
         leaves = [step for step in steps if step.scorer is None]
         moved = iter(leaf_move(leaves, config.alpha, config.moves) if leaves else ())
         results = [next(moved) if step.scorer is None else None for step in steps]
         scoring = [(i, step) for i, step in enumerate(steps) if step.scorer is not None]
-        grid_scores = score([(step.scorer, step.rows) for _, step in scoring], method)
         moving = []
-        for (i, step), scores in zip(scoring, grid_scores):
+        for (i, step), (best, utils) in zip(scoring, score(
+                [(step.scorer, step.rows) for _, step in scoring], method, config.row_cap)):
             # a closed-form root keeps its VALUE rule
-            state.setdefault(step.var, scored_value(step.scorer, step.own_domain, method))
+            state.setdefault(step.var, scored_value(step.scorer, step.own_domain, method,
+                                                    config.row_cap))
             if step.var == tree.root:
                 # the root has no separator: one row, the best candidate's utility
-                results[i] = float(scores.max())
+                results[i] = float(utils[0])
+            elif not config.moves:
+                results[i] = UtilTable(step.sep_vars, step.rows, utils)
             else:
-                # per grid tuple, the own value of its first max: the smallest candidate
-                best_own = np.take(step.scorer.candidates, scores.argmax(axis=1))
-                moving.append((i, step._replace(best_own=best_own.reshape(
-                    list(map(len, step.points)))), scores))
-        if config.moves and moving:
-            rows = agents_move([step for _, step, _ in moving], config.alpha, config.moves)
-            moved_scores = score([(step.scorer, r) for (_, step, _), r in zip(moving, rows)],
-                                 method)
-        else:
-            rows = [step.rows for _, step, _ in moving]
-            moved_scores = [scores for _, _, scores in moving]
-        for (i, step, _), r, scores in zip(moving, rows, moved_scores):
-            results[i] = UtilTable(step.sep_vars, r, scores.max(axis=1))
+                best_own = np.take(step.scorer.candidates, best).reshape(list(map(len, step.points)))
+                moving.append((i, step._replace(best_own=best_own)))
+        if moving:
+            rows = agents_move([step for _, step in moving], config.alpha, config.moves)
+            rescored = score([(step.scorer, r) for (_, step), r in zip(moving, rows)], method,
+                             config.row_cap)
+            for (i, step), r, (_, utils) in zip(moving, rows, rescored):
+                results[i] = UtilTable(step.sep_vars, r, utils)
         return results
 
     def sent(var, table):

@@ -1,7 +1,8 @@
 """Shared machinery for the engines: the array UTIL table, domain
-discretization, the UTIL size plan, product grids, the one join kernel (the
-child-plus-constraint sum over separator rows x own candidates behind dpop's
-and af/caf-dpop's UTIL tables and hcms's function-to-variable messages), run
+discretization, the UTIL size plan, product grids, the one max-plus
+projection (the child-plus-constraint sum over separator rows x own
+candidates, reduced to each row's first maximum, behind dpop's and
+af/caf-dpop's UTIL tables and hcms's function-to-variable messages), run
 within the row cap, closed-form 1-D maximization, the one clamp and gradient
 step, the UTIL schedule by pseudo-tree heights and the UTIL/VALUE schedule."""
 from __future__ import annotations
@@ -150,26 +151,28 @@ class UtilSum(NamedTuple):
     constraints: list[QuadraticBinaryUtility]
 
 
-def join(sums: list[UtilSum]) -> list[np.ndarray]:
-    """Each sum as a (len(rows), len(candidates)) array, whose cell (r, c)
-    scores the separator tuple rows[r] with `var` at candidates[c].
+def join(sums: list[UtilSum]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The max-plus projection of each sum: per separator tuple rows[r], the
+    index `best[r]` of its first best candidate (ties go to the smallest
+    index) and that cell's utility `utils[r]`, as two (len(rows),) arrays.
 
-    Starting from zeros, each contribution is added in the given order, then
-    each constraint between `var` and a separator variable, evaluated at the
+    A cell (r, c) scores rows[r] with `var` at candidates[c]. Starting from
+    zeros, each contribution is added in the given order, then each
+    constraint between `var` and a separator variable, evaluated at the
     candidates and at that variable's column of `rows`; so every cell sums in
-    the order of a per-cell loop. The sum is not maximized. A contribution
-    of another shape is a ProtocolError.
+    the order of a per-cell loop, and from +0.0 it is never -0.0, so a row's
+    `max` is the float of its first `argmax` cell. A contribution of another
+    shape is a ProtocolError. Engines join through `joined`.
 
     A call of several sums adds up the sums of one shape (rows, candidates,
     contributions, and `var`'s side of each constraint) as one stacked
-    array; a call of one sum adds it up alone (`_add_up`). Each step is
-    element-wise, so every cell is the float its sum gives alone. The lone
-    path is for a height of one agent, most of af/caf's heights on `graph`:
-    on a 10 x 10 sum on a 2-core host, a stack of one took 27 us and
-    grouping it 5 us more, against 13-18 us added up alone.
+    array, and a call of one sum adds it up alone (`_add_up`), which is
+    faster for the one-agent heights af/caf mostly have on `graph`. Each
+    step is element-wise, so every cell is the float its sum gives alone.
     """
     if len(sums) == 1:
-        return [_add_up(sums[0])]
+        cells = _add_up(sums[0])
+        return [(cells.argmax(axis=1), cells.max(axis=1))]
     shapes: dict[tuple, list[int]] = {}
     for i, s in enumerate(sums):
         shapes.setdefault((len(s.rows), len(s.candidates), len(s.contributions),
@@ -193,31 +196,30 @@ def join(sums: list[UtilSum]) -> list[np.ndarray]:
             coeffs = np.array([f.coeffs for f in fs]).T.reshape(6, -1, 1, 1)
             total += (QuadraticBinaryUtility.polynomial(*coeffs, own, other) if first
                       else QuadraticBinaryUtility.polynomial(*coeffs, other, own))
-        for i, cells in zip(members, total):
-            out[i] = cells
+        for i, best, utils in zip(members, total.argmax(axis=2), total.max(axis=2)):
+            out[i] = best, utils
     return out
 
 
-def joined(sums, row_cap: int, reduce) -> list:
-    """`reduce(s, cells)` for each sum `s` of the iterable `sums` and its
-    `join`ed cells, in order, joined in runs of consecutive sums of at most
-    `row_cap` cells (rows x candidates) in all, each reduced before the
-    next run is joined, so a stacked join stays within the cap."""
-    out, run, cells = [], [], 0
+def joined(sums, row_cap: int):
+    """Yields `(s, best, utils)` for each sum `s` of the iterable `sums`, in
+    order, with its `join`ed projection, joined in runs of consecutive sums
+    of at most `row_cap` cells (rows x candidates) in all, so a stacked join
+    stays within the cap and no run's cells outlive its join."""
+    run, cells = [], 0
     for s in sums:
         size = len(s.rows) * len(s.candidates)
         if run and cells + size > row_cap:
-            out += map(reduce, run, join(run))
+            yield from zip(run, *zip(*join(run)))
             run, cells = [], 0
         run.append(s)
         cells += size
     if run:
-        out += map(reduce, run, join(run))
-    return out
+        yield from zip(run, *zip(*join(run)))
 
 
 def _add_up(s: UtilSum) -> np.ndarray:
-    """One sum, added up alone: the per-cell order `join` stacks."""
+    """One sum's cells, added up alone: the per-cell order `join` stacks."""
     n_r, n_c = len(s.rows), len(s.candidates)
     total = np.zeros((n_r, n_c))
     for utils in s.contributions:

@@ -1,11 +1,11 @@
 """Discrete DPOP baseline: fixed-grid UTIL tables, then standard VALUE
 propagation.
 
-Each agent scores every grid tuple of its separator against every point of
-its own grid with the join kernel (`common.join`): the children's tables,
-gathered by variable name at every cell, and then its own constraints,
-summed cell-wise in a fixed order. The agent maximizes over its own points,
-ties going to the smallest. Every table is computed before the first
+Each agent sums, for every grid tuple of its separator and every point of
+its own grid, the children's tables, gathered by variable name, and then its
+own constraints, in a fixed order; the max-plus projection (`common.join`)
+keeps each tuple's best own point, ties going to the smallest, and that
+point's utility. Every table is computed before the first
 message, one pseudo-tree height at a time (`common.computed_ahead`), so a
 child's table is the grid of its variables by construction, and an agent
 that receives any other refuses. A height joins in runs of at most
@@ -52,11 +52,11 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
             tuple(at[w] for w in t.separator_vars)] for t in tables]
         return UtilSum(var, grids[var], sep_vars, rows, children, constraints)
 
-    def maximized(s: UtilSum, cells: np.ndarray):
-        """An agent's grid table, or the optimum at the root."""
-        state[s.var] = best = cells.argmax(axis=1)  # the first maximum: the smallest point
-        utils = cells[np.arange(len(best)), best]
-        return float(utils[0]) if s.var == tree.root else UtilTable(s.sep_vars, s.rows, utils)
+    def steps(agents, inputs):
+        """Each agent's grid table, or the optimum at the root."""
+        for s, best, utils in joined(map(agent_sum, agents, inputs), config.row_cap):
+            state[s.var] = best
+            yield float(utils[0]) if s.var == tree.root else UtilTable(s.sep_vars, s.rows, utils)
 
     # every table is a grid, so planning every agent refuses any table above
     # the cap before the first message, and every table is computed then
@@ -64,8 +64,7 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig):
         plan = plan_util(contexts, tree, config.points, config.row_cap)
         for var in tree.post_order:
             plan(var)
-        util_fn = computed_ahead(tree, tree.post_order, lambda agents, inputs: joined(
-            map(agent_sum, agents, inputs), config.row_cap, maximized))
+        util_fn = computed_ahead(tree, tree.post_order, steps)
 
     def value_fn(var, key):
         grids = plan(var).grids

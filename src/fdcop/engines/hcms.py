@@ -14,7 +14,7 @@ Variable-node sums past the float range go to inf or NaN silently. Every
 sample step is `common.clamped_step`, the one step rule of af/caf-dpop too.
 
 A function node's message to one endpoint, r[i] = max_j f(x_i, y_j) + q[j]
-with the first maximizing partner, runs on the join kernel that dpop and
+with the first maximizing partner, is the max-plus projection that dpop and
 af/caf-dpop build their UTIL tables with (`common.join`): the endpoint's
 samples are the rows, the partner's samples the candidates and the partner's
 q vector the one contribution. An iteration gathers every function node's
@@ -52,12 +52,6 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                   for e in edges for v in e}
     r_store = {(e, v): np.zeros(d) for e in edges for v in e}
     partner_at = {}
-    at = np.arange(d)  # a function node's row index per endpoint sample
-
-    def best(s: UtilSum, cells: np.ndarray) -> dict:
-        """A function node's r vector and partner argmax from its joined cells."""
-        partner = cells.argmax(axis=1)  # the first maximum: the smallest index
-        return {"values": frozen(cells[at, partner]), "argmax": frozen(s.candidates[partner])}
 
     def summed(v, skip=None):
         """0.0 plus v's stored r vectors in edge order, but the one over `skip`."""
@@ -95,8 +89,9 @@ def run(contexts, graph, kernel: Kernel, config: EngineConfig):
                     sends.append((host, v, e))
                     sums.append(UtilSum(w, inputs[w]["values"], (v,),
                                         inputs[v]["values"].reshape(d, 1), [inputs[w]["q"]], [f]))
-        for (host, v, e), r in zip(sends, joined(sums, config.row_cap, best)):
-            kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, {"edge": e, **r}, d)
+        for (host, v, e), (s, partner, r) in zip(sends, joined(sums, config.row_cap)):
+            payload = {"edge": e, "values": frozen(r), "argmax": frozen(s.candidates[partner])}
+            kernel.send(host, v, MS_FUNCTION_TO_VARIABLE, payload, d)
 
         # variable nodes: store the vectors, then move every sample one step
         for v in variables:

@@ -10,6 +10,8 @@ new one.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,12 +52,15 @@ class Unary:
     def domain(self) -> Interval:
         return self.pieces[0][0], self.pieces[-1][1]
 
+    @functools.cached_property
+    def _ends(self) -> list[float]:
+        return [piece[1] for piece in self.pieces]
+
     def piece_at(self, v: float) -> Piece | None:
-        """First piece whose closed interval holds v."""
-        for piece in self.pieces:
-            if piece[0] <= v <= piece[1]:
-                return piece
-        return None
+        """First piece whose closed interval holds v: as the pieces tile, the
+        first whose upper end is at or past v, if it starts at or before v."""
+        i = bisect.bisect_left(self._ends, v)
+        return self.pieces[i] if i < len(self.pieces) and self.pieces[i][0] <= v else None
 
 
 class ResponseKind(Enum):

@@ -179,6 +179,15 @@ def chain3():
     ])
 
 
+def piece_by_scan(f, v):
+    """Oracle: `Unary.piece_at` as a linear scan, the first piece whose
+    closed interval holds v."""
+    for piece in f.pieces:
+        if piece[0] <= v <= piece[1]:
+            return piece
+    return None
+
+
 def lookup_alone(table, queries, method):
     """Oracle: one table's utilities at `queries`, looked up alone: a query
     that is one of the table's rows reads it from the row index, and the

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from fdcop import generators, model, runtime
-from fdcop.engines import afdpop
+from fdcop.engines import afdpop, common
 from fdcop.engines.afdpop import Step, _interp_many, _snap_column, cluster_tuples, leaf_move
 from fdcop.engines.common import best_own_response, clamped_step, discretize, product_grid
 from fdcop.engines.discrete import joint_utility
@@ -374,7 +374,7 @@ def agent_problems(draw):
 class TestAgentMove:
     """An agent with children sends, row by row, the rows the scalar oracle
     moves from its grid, to the last bit. The oracle takes each grid tuple's
-    own value from the agent's grid join, the join's first call."""
+    own value from the agent's grid join, the join's first call of it."""
 
     @given(problem=agent_problems(), points=st.integers(1, 4),
            alpha=st.one_of(st.floats(1e-3, 1e308), st.sampled_from([1e-3, 1.0, 1e308])),
@@ -382,30 +382,30 @@ class TestAgentMove:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_scalar_oracle(self, problem, points, alpha, moves):
         grid_joins = {}
-        real_join = afdpop.join
+        real_join = common.join
 
         def join(sums):
             out = real_join(sums)
-            for s, cells in zip(sums, out):
-                grid_joins.setdefault(s.var, (s.candidates, s.rows.copy(), cells))
+            for s, (best, _) in zip(sums, out):
+                grid_joins.setdefault(s.var, (s.candidates, s.rows.copy(), best))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             tables = sent_util_tables(mp)
-            mp.setattr(afdpop, "join", join)
+            mp.setattr(common, "join", join)
             try:
                 runtime.run(problem, "af-dpop", EngineConfig(points=points, moves=moves,
                                                              alpha=alpha))
             except FdcopError:
                 pass
         tree = problem.tree
-        for var, (candidates, grid, cells) in grid_joins.items():
+        assert grid_joins
+        for var, (candidates, grid, best) in grid_joins.items():
             if var not in tables:
                 continue
             sep_vars = tree.separator[var]
             sep_sets = {w: sorted(set(grid[:, j].tolist())) for j, w in enumerate(sep_vars)}
-            own_at = {tuple(row): candidates[i]
-                      for row, i in zip(grid.tolist(), cells.argmax(axis=1).tolist())}
+            own_at = {tuple(row): candidates[i] for row, i in zip(grid.tolist(), best.tolist())}
             constraints = {w: f for w in sep_vars if (f := problem.utility_between(var, w))}
 
             def move(t):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdcop import generators, model, runtime
-from fdcop.engines.common import UtilSum, UtilTable, discretize, join, product_grid
+from fdcop.engines.common import UtilSum, UtilTable, _add_up, discretize, join, product_grid
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
@@ -78,13 +78,21 @@ class TestJoin:
         assert array.tolist() == [[10.0 * x + y for y in self.GRID] for x in self.GRID]
         _, rows = product_grid([self.GRID])
         # rows are y, candidates x: the child's (x, y) array transposed
-        [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [array.T], [quad("x", "y", e=1.0)])])
-        assert cells.tolist() == [[10.0 * x + y + x * y for x in self.GRID] for y in self.GRID]
+        s = UtilSum("x", self.GRID, ("y",), rows, [array.T], [quad("x", "y", e=1.0)])
+        assert _add_up(s).tolist() == [[10.0 * x + y + x * y for x in self.GRID]
+                                       for y in self.GRID]
+        # the join projects each row onto its best x: here always x = 1
+        [(best, utils)] = join([s])
+        assert best.tolist() == [2, 2, 2]
+        assert utils.tolist() == [10.0 + y + y for y in self.GRID]
         # children in the given order, then the constraint: (1e16 - 1e16) + 1
-        # is 1, where adding the constraint first would round it away
-        [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [np.full(3, 1e16), np.full(3, -1e16)],
-                                [quad("x", "y", f0=1.0)])])
-        assert cells.tolist() == [[1.0] * 3] * 3
+        # is 1, where adding the constraint first would round it away; each
+        # candidate alone, so the join's utility is the cell
+        for x in self.GRID:
+            [(best, utils)] = join([UtilSum("x", [x], ("y",), rows,
+                                            [np.full(1, 1e16), np.full(1, -1e16)],
+                                            [quad("x", "y", f0=1.0)])])
+            assert best.tolist() == [0] * 3 and utils.tolist() == [1.0] * 3
 
     def test_contribution_of_the_wrong_shape(self):
         # two rows, three candidates; a short q vector is the first case, and
@@ -94,15 +102,19 @@ class TestJoin:
             with pytest.raises(ProtocolError, match="do not match 2 rows x 3 candidates"):
                 join([UtilSum("x", self.GRID, ("y",), rows, [np.zeros(shape)], [])])
         for shape in ((3,), (1, 3), (2, 3)):
-            [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [np.ones(shape)], [])])
-            assert cells.tolist() == [[1.0] * 3] * 2
+            s = UtilSum("x", self.GRID, ("y",), rows, [np.ones(shape)], [])
+            assert _add_up(s).tolist() == [[1.0] * 3] * 2
+            [(best, utils)] = join([s])
+            assert best.tolist() == [0, 0] and utils.tolist() == [1.0, 1.0]
 
     def test_flat_own_variable_picks_the_smallest_point(self):
         _, rows = product_grid([self.GRID])
-        [cells] = join([UtilSum("x", self.GRID, ("y",), rows, [], [quad("x", "y", c=-1.0, d=2.0)])])
-        assert cells.tolist() == [[-3.0] * 3, [0.0] * 3, [1.0] * 3]
-        # dpop and hcms take the first maximum: the smallest point
-        assert cells.argmax(axis=1).tolist() == [0, 0, 0]
+        s = UtilSum("x", self.GRID, ("y",), rows, [], [quad("x", "y", c=-1.0, d=2.0)])
+        assert _add_up(s).tolist() == [[-3.0] * 3, [0.0] * 3, [1.0] * 3]
+        # every engine takes the first maximum: the smallest point
+        [(best, utils)] = join([s])
+        assert best.tolist() == [0, 0, 0]
+        assert utils.tolist() == [-3.0, 0.0, 1.0]
 
 
 FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 1e308, -1e308]), st.floats(-5.0, 5.0))
@@ -132,18 +144,38 @@ def util_sums(draw):
     return sums
 
 
+def hex_floats(values) -> list[str]:
+    return [float.hex(float(v)) for v in values]
+
+
 class TestStackedJoin:
     @given(sums=util_sums())
     @settings(max_examples=300, deadline=None)
     def test_each_sum_as_alone(self, sums):
-        # sums of one shape share one stacked array; each cell is the float
-        # the sum gives alone
+        # sums of one shape share one stacked array; each row projects to
+        # the index and the float the sum gives alone
         with np.errstate(over="ignore", invalid="ignore"):
             together = join(sums)
-            for s, cells in zip(sums, together):
-                [alone] = join([s])
-                assert [list(map(float.hex, row)) for row in cells.tolist()] == [
-                    list(map(float.hex, row)) for row in alone.tolist()]
+            for s, (best, utils) in zip(sums, together):
+                [(alone_best, alone_utils)] = join([s])
+                assert best.tolist() == alone_best.tolist()
+                assert hex_floats(utils) == hex_floats(alone_utils)
+
+    @given(sums=util_sums())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_its_first_maximum(self, sums):
+        # stacked or alone, a row's utility is its cells' max and the cell at
+        # their first argmax, to the bit, though the inputs hold -0.0: a sum
+        # that starts from +0.0 is never -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, stacked in zip(sums, join(sums)):
+                cells = _add_up(s)
+                assert not np.signbit(cells[cells == 0.0]).any()
+                first = cells.argmax(axis=1)
+                for best, utils in (stacked, *join([s])):
+                    assert best.tolist() == first.tolist()
+                    assert hex_floats(utils) == hex_floats(cells.max(axis=1)) == hex_floats(
+                        cells[np.arange(len(cells)), first])
 
 
 class TestJointUtility:

@@ -225,10 +225,10 @@ class TestComputedAhead:
         calls, sent = [], []
         real_score, real_send = afdpop.score, Kernel.send
 
-        def record(jobs, method):
+        def record(jobs, method, row_cap):
             if not sent:
                 calls.append([scorer.var for scorer, _ in jobs])
-            return real_score(jobs, method)
+            return real_score(jobs, method, row_cap)
 
         def send(kernel, *args):
             sent.append(args)
@@ -290,13 +290,15 @@ class TestRefusalOrder:
         order = tree.post_order.index
         assert all(order(v) > order(refusing) and height[v] < height[refusing] for v in later)
 
-        owner, worked, clustering = {}, set(), []
+        owner, worked, clustering, joins = {}, set(), [], []
         real = {name: getattr(afdpop, name) for name in
-                ("join", "_lookups", "_interp_many", "cluster_tuples", "leaf_move", "score")}
+                ("_lookups", "_interp_many", "cluster_tuples", "leaf_move", "score")}
+        real_join = common.join
 
         def join(sums):
+            joins.append(sums)
             worked.update(s.var for s in sums)
-            return real["join"](sums)
+            return real_join(sums)
 
         def charge(table):
             agent = owner[id(table.rows)]
@@ -325,17 +327,19 @@ class TestRefusalOrder:
             owner.update((id(t.rows), leaf.var) for leaf, t in zip(leaves, tables))
             return tables
 
-        def score(jobs, method):
+        def score(jobs, method, row_cap):
             owner.update((id(rows), scorer.var) for scorer, rows in jobs)
-            return real["score"](jobs, method)
+            return real["score"](jobs, method, row_cap)
 
-        for name, wrapper in (("join", join), ("_lookups", lookups), ("_interp_many", interp),
+        monkeypatch.setattr(common, "join", join)
+        for name, wrapper in (("_lookups", lookups), ("_interp_many", interp),
                               ("cluster_tuples", cluster), ("leaf_move", leaf_move),
                               ("score", score)):
             monkeypatch.setattr(afdpop, name, wrapper)
         with pytest.raises(CapacityError, match=text) as exc:
             runtime.run(p, engine, config)
         assert exc.value.stats.total_messages == messages
+        assert joins
         before = tree.post_order[:order(refusing)]
         assert {v for v in before if tree.children[v]} <= worked
         after = [v for v in worked if order(v) > order(refusing)]
@@ -384,12 +388,12 @@ class TestHeightOracle:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     def test_matches_the_scalar_oracle(self, problem, points, alpha, moves, stack_min):
         grid_joins, batches = {}, []
-        real_join, real_move = afdpop.join, afdpop.agents_move
+        real_join, real_move = common.join, afdpop.agents_move
 
         def join(sums):
             out = real_join(sums)
-            for s, cells in zip(sums, out):
-                grid_joins.setdefault(s.var, (s.candidates, s.rows.copy(), cells))
+            for s, (best, _) in zip(sums, out):
+                grid_joins.setdefault(s.var, (s.candidates, s.rows.copy(), best))
             return out
 
         def record(agents, alpha, moves):
@@ -398,7 +402,7 @@ class TestHeightOracle:
 
         with pytest.MonkeyPatch.context() as mp:
             tables = sent_util_tables(mp)
-            mp.setattr(afdpop, "join", join)
+            mp.setattr(common, "join", join)
             mp.setattr(afdpop, "agents_move", record)
             mp.setattr(afdpop, "STACK_MIN", stack_min)
             try:
@@ -411,13 +415,13 @@ class TestHeightOracle:
         assume(any(len({len(a.points) for a in batch}) > 1
                    and len({max(map(len, a.points)) for a in batch}) > 1 for batch in batches))
         tree = problem.tree
-        for var, (candidates, grid, cells) in grid_joins.items():
+        assert grid_joins
+        for var, (candidates, grid, best) in grid_joins.items():
             if var not in tables:
                 continue
             sep_vars = tree.separator[var]
             sep_sets = {w: sorted(set(grid[:, j].tolist())) for j, w in enumerate(sep_vars)}
-            own_at = {tuple(row): candidates[i]
-                      for row, i in zip(grid.tolist(), cells.argmax(axis=1).tolist())}
+            own_at = {tuple(row): candidates[i] for row, i in zip(grid.tolist(), best.tolist())}
             constraints = {w: f for w in sep_vars if (f := problem.utility_between(var, w))}
 
             def move(t):
@@ -490,11 +494,11 @@ class TestScoreOracle:
                    for sep_vars, tables, candidates, constraints, _ in agents]
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(2):
-                got = score([(s, a[4][r]) for s, a in zip(scorers, agents)], method)
-                for scores, oracle, agent in zip(got, oracles, agents):
+                got = score([(s, a[4][r]) for s, a in zip(scorers, agents)], method, 10**7)
+                for (best, utils), oracle, agent in zip(got, oracles, agents):
                     expected = oracle(agent[4][r])
-                    assert [hex_floats(row) for row in scores.tolist()] == [
-                        hex_floats(row) for row in expected.tolist()]
+                    assert best.tolist() == expected.argmax(axis=1).tolist()
+                    assert hex_floats(utils) == hex_floats(expected.max(axis=1))
 
     def test_the_non_finite_fallback_is_taken_per_lookup(self, monkeypatch):
         # two agents whose children's utilities overflow the weighted sum at
@@ -517,12 +521,13 @@ class TestScoreOracle:
 
         monkeypatch.setattr(afdpop, "_interp_batch", batch)
         got = score([(Scorer.of("x", c, sep, f, t), np.zeros((1, 0))) for sep, t, c, f in agents],
-                    "idw")
+                    "idw", 10**7)
         assert stacked == [3] and len(fallbacks) == 2
-        for scores, (sep, t, c, f) in zip(got, agents):
+        for (best, utils), (sep, t, c, f) in zip(got, agents):
             expected = agent_scores("x", c, sep, f, t, "idw")(np.zeros((1, 0)))
-            assert hex_floats(scores[0]) == hex_floats(expected[0])
-            assert all(map(math.isfinite, scores[0].tolist()))
+            assert all(map(math.isfinite, expected[0].tolist()))
+            assert best.tolist() == [expected[0].argmax()]
+            assert hex_floats(utils) == hex_floats(expected[0].max(keepdims=True))
 
     @given(problem=branching_problems(), points=st.integers(1, 3),
            alpha=st.sampled_from([1e-3, 0.1, 1.0, 1e3]), moves=st.integers(1, 4),
@@ -532,9 +537,9 @@ class TestScoreOracle:
                                                           method):
         heights, real_score = [], afdpop.score
 
-        def record(jobs, how):
+        def record(jobs, how, row_cap):
             heights.append(len(jobs))
-            return real_score(jobs, how)
+            return real_score(jobs, how, row_cap)
 
         with pytest.MonkeyPatch.context() as mp:
             tables = sent_util_tables(mp)

@@ -115,6 +115,24 @@ def test_only_lookups_interpolates():
     assert found == ["afdpop._lookups"]
 
 
+def test_every_engine_joins_through_joined():
+    """`common.join`, the one max-plus projection, is referred to in the
+    engines only by `common.joined`, which takes no reduction of its own:
+    every engine gets each row's first maximum and its utility, never a
+    sum's (rows x candidates) cells."""
+    engines = sorted((ROOT / "src" / "fdcop" / "engines").glob("*.py"))
+    found = [f"{path.stem}.{where}" for path in engines
+             for where in referrers(ast.parse(path.read_text()), "join")]
+    assert found and set(found) == {"common.joined"}
+    imported = [path.stem for path in engines for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and "join" in {a.name for a in node.names}]
+    assert imported == []
+    module = ast.parse((ROOT / "src" / "fdcop" / "engines" / "common.py").read_text())
+    [joined] = [node for node in module.body
+                if isinstance(node, ast.FunctionDef) and node.name == "joined"]
+    assert [a.arg for a in joined.args.args] == ["sums", "row_cap"]
+
+
 def test_one_util_schedule():
     """`common.computed_ahead` is the one UTIL schedule by heights of the
     DPOP family: no other engine function raises its refusal of a payload

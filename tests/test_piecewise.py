@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdcop import piecewise
 from fdcop.errors import (
@@ -14,6 +15,8 @@ from fdcop.errors import (
 )
 from fdcop.model import QuadraticBinaryUtility
 from fdcop.piecewise import BestResponse, Response, ResponseKind, Unary, argmax_unary
+
+from conftest import piece_by_scan
 
 
 def single(var, lo, hi, c2=0.0, c1=0.0, c0=0.0):
@@ -195,6 +198,10 @@ class TestProject:
             piecewise.project(own_terms(f, -1.0, 1.0), f, (-2.0, 2.0))
 
 
+# piece ends: signed zeros, a tie between two of them, and extremes
+ENDS = st.sampled_from([-1e308, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e308])
+
+
 class TestEvaluate:
     def test_constant(self):
         f = single("x", 0.0, 1.0, c0=5.0)
@@ -208,6 +215,18 @@ class TestEvaluate:
 
     def test_out_of_domain(self):
         assert single("x", 0.0, 1.0, c1=1.0).piece_at(2.0) is None
+
+    @given(ends=st.lists(ENDS, min_size=2, max_size=9),
+           queries=st.lists(st.one_of(ENDS, st.floats()), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_piece_at_finds_the_first_piece_a_scan_finds(self, ends, queries):
+        # repeated ends make zero-width pieces, and neighbours share an end;
+        # each piece is told apart by its own c0
+        ends = sorted(ends)
+        f = Unary("x", tuple((lo, hi, 0.0, 0.0, float(i))
+                             for i, (lo, hi) in enumerate(zip(ends, ends[1:]))))
+        for v in [*ends, *queries, -math.inf, math.inf, math.nan]:
+            assert f.piece_at(v) == piece_by_scan(f, v), v
 
     def test_best_response_snaps_and_refuses(self):
         resp = Response(ResponseKind.LOWER_BOUND, 0.0, 1.0)
