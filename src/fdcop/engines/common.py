@@ -160,8 +160,8 @@ def join(sums: list[UtilSum]) -> list[tuple[np.ndarray, np.ndarray]]:
     zeros, each contribution is added in the given order, then each
     constraint between `var` and a separator variable, evaluated at the
     candidates and at that variable's column of `rows`; so every cell sums in
-    the order of a per-cell loop, and from +0.0 it is never -0.0, so a row's
-    `max` is the float of its first `argmax` cell. A contribution of another
+    the order of a per-cell loop, and from +0.0 it is never -0.0, so the cell
+    read at a row's first `argmax` is its `max`. A contribution of another
     shape is a ProtocolError. Engines join through `joined`.
 
     A call of several sums adds up the sums of one shape (rows, candidates,
@@ -172,7 +172,8 @@ def join(sums: list[UtilSum]) -> list[tuple[np.ndarray, np.ndarray]]:
     """
     if len(sums) == 1:
         cells = _add_up(sums[0])
-        return [(cells.argmax(axis=1), cells.max(axis=1))]
+        best = cells.argmax(axis=1)
+        return [(best, cells[np.arange(len(cells)), best])]
     shapes: dict[tuple, list[int]] = {}
     for i, s in enumerate(sums):
         shapes.setdefault((len(s.rows), len(s.candidates), len(s.contributions),
@@ -196,8 +197,11 @@ def join(sums: list[UtilSum]) -> list[tuple[np.ndarray, np.ndarray]]:
             coeffs = np.array([f.coeffs for f in fs]).T.reshape(6, -1, 1, 1)
             total += (QuadraticBinaryUtility.polynomial(*coeffs, own, other) if first
                       else QuadraticBinaryUtility.polynomial(*coeffs, other, own))
-        for i, best, utils in zip(members, total.argmax(axis=2), total.max(axis=2)):
-            out[i] = best, utils
+        # reading the cell at each argmax is cheaper than a second reduction
+        best = total.argmax(axis=2)
+        utils = total[np.arange(len(group))[:, None], np.arange(n_r), best]
+        for i, b, u in zip(members, best, utils):
+            out[i] = b, u
     return out
 
 

@@ -11,9 +11,9 @@ new one.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,14 +52,10 @@ class Unary:
     def domain(self) -> Interval:
         return self.pieces[0][0], self.pieces[-1][1]
 
-    @functools.cached_property
-    def _ends(self) -> list[float]:
-        return [piece[1] for piece in self.pieces]
-
     def piece_at(self, v: float) -> Piece | None:
         """First piece whose closed interval holds v: as the pieces tile, the
         first whose upper end is at or past v, if it starts at or before v."""
-        i = bisect.bisect_left(self._ends, v)
+        i = bisect.bisect_left(self.pieces, v, key=operator.itemgetter(1))
         return self.pieces[i] if i < len(self.pieces) and self.pieces[i][0] <= v else None
 
 

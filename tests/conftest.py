@@ -179,6 +179,12 @@ def chain3():
     ])
 
 
+def hex_floats(values) -> list[str]:
+    """Each value as `float.hex` of its float, so lists compare bit for bit
+    (-0.0 apart from 0.0, NaN equal to NaN)."""
+    return [float.hex(float(v)) for v in values]
+
+
 def piece_by_scan(f, v):
     """Oracle: `Unary.piece_at` as a linear scan, the first piece whose
     closed interval holds v."""

@@ -20,7 +20,7 @@ from fdcop.errors import ArgumentError, CapacityError, FdcopError, ValidationErr
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import (cluster_tuples_by_means, lookup_alone, make_problem, quad,
+from conftest import (cluster_tuples_by_means, hex_floats, lookup_alone, make_problem, quad,
                       scalar_agent_move, scalar_leaf_move, scalar_leaf_table, scalar_moves,
                       sent_util_tables, util_table)
 
@@ -215,10 +215,6 @@ def leaves(draw, name):
     rows = product_grid([discretize(dom, points) for dom in sep_domains])[1]
     return Step(name, draw(st.sampled_from(SIGNED_DOMAINS)), sep_vars, sep_domains,
                 tuple(constraints), rows)
-
-
-def hex_floats(values):
-    return [float.hex(float(v)) for v in values]
 
 
 class TestLeafBatch:

@@ -12,7 +12,7 @@ from fdcop.errors import ArgumentError, ProtocolError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import brute_force_grid_optimum, make_problem, quad, util_table
+from conftest import brute_force_grid_optimum, hex_floats, make_problem, quad, util_table
 
 
 class TestUtilTable:
@@ -142,10 +142,6 @@ def util_sums(draw):
         candidates = draw(st.lists(FLOATS, min_size=n_c, max_size=n_c))
         sums.append(UtilSum(var, candidates, sep_vars, rows, contributions, constraints))
     return sums
-
-
-def hex_floats(values) -> list[str]:
-    return [float.hex(float(v)) for v in values]
 
 
 class TestStackedJoin:

@@ -15,13 +15,13 @@ from hypothesis import HealthCheck, assume, given, reject, settings, strategies 
 from fdcop import generators, runtime
 from fdcop.engines import afdpop, common
 from fdcop.engines.afdpop import Scorer, Step, _snap_column, agents_move, score
-from fdcop.engines.common import discretize
+from fdcop.engines.common import _add_up, discretize
 from fdcop.errors import CapacityError, FdcopError, ProtocolError, ValidationError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import (agent_scores, make_problem, quad, scalar_agent_move, scalar_moves,
-                      sent_util_tables, star, util_table)
+from conftest import (agent_scores, hex_floats, make_problem, quad, scalar_agent_move,
+                      scalar_moves, sent_util_tables, star, util_table)
 
 ONE = ContinuousDomain(-1.0, 1.0)
 WIDE = ContinuousDomain(-10.0, 10.0)
@@ -432,10 +432,6 @@ class TestHeightOracle:
             assert hex_rows(tables[var].rows.tolist()) == hex_rows(expected), var
 
 
-def hex_floats(values):
-    return [float.hex(float(v)) for v in values]
-
-
 # few values, so tables repeat rows (with different utilities), mix -0.0
 # with 0.0, and queries hit rows exactly; values that do not sum exactly, so
 # a sum's order shows in its last bit; utilities near the float limit
@@ -478,6 +474,18 @@ def scoring_heights(draw):
     return agents
 
 
+def joined_sums(monkeypatch):
+    """Each `UtilSum` that `common.join` is given from now on, in order."""
+    sums, real_join = [], common.join
+
+    def join(run):
+        sums.extend(run)
+        return real_join(run)
+
+    monkeypatch.setattr(common, "join", join)
+    return sums
+
+
 class TestScoreOracle:
     """A height's agents scored as one (`score`) get, bit for bit, the scores
     each gets scored alone by the per-agent oracle, round after round (so
@@ -492,11 +500,17 @@ class TestScoreOracle:
                    for sep_vars, tables, candidates, constraints, _ in agents]
         oracles = [agent_scores("x", candidates, sep_vars, constraints, tables, method)
                    for sep_vars, tables, candidates, constraints, _ in agents]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+            joins = joined_sums(mp)
             for r in range(2):
                 got = score([(s, a[4][r]) for s, a in zip(scorers, agents)], method, 10**7)
-                for (best, utils), oracle, agent in zip(got, oracles, agents):
+                sums = list(joins)
+                joins.clear()
+                assert len(sums) == len(agents)
+                for s, (best, utils), oracle, agent in zip(sums, got, oracles, agents):
                     expected = oracle(agent[4][r])
+                    assert [hex_floats(row) for row in _add_up(s).tolist()] == [
+                        hex_floats(row) for row in expected.tolist()]
                     assert best.tolist() == expected.argmax(axis=1).tolist()
                     assert hex_floats(utils) == hex_floats(expected.max(axis=1))
 
@@ -520,12 +534,16 @@ class TestScoreOracle:
             return real_batch(points, utils, queries, method)
 
         monkeypatch.setattr(afdpop, "_interp_batch", batch)
+        joins = joined_sums(monkeypatch)
         got = score([(Scorer.of("x", c, sep, f, t), np.zeros((1, 0))) for sep, t, c, f in agents],
                     "idw", 10**7)
-        assert stacked == [3] and len(fallbacks) == 2
-        for (best, utils), (sep, t, c, f) in zip(got, agents):
+        assert stacked == [3] and len(fallbacks) == 2 and len(joins) == len(agents)
+        for s, (best, utils), (sep, t, c, f) in zip(joins, got, agents):
             expected = agent_scores("x", c, sep, f, t, "idw")(np.zeros((1, 0)))
-            assert all(map(math.isfinite, expected[0].tolist()))
+            # every cell, the fallback's at candidate 0.5 among them
+            [cells] = _add_up(s).tolist()
+            assert all(map(math.isfinite, cells))
+            assert hex_floats(cells) == hex_floats(expected[0])
             assert best.tolist() == [expected[0].argmax()]
             assert hex_floats(utils) == hex_floats(expected[0].max(keepdims=True))
 
