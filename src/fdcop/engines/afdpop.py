@@ -70,6 +70,26 @@ def _missing_queries(index: dict[tuple[float, ...], float], pos: int, projection
     return len(projections) * candidates - hits
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The squared distance of every row of `a` (..., m, width) to every row
+    of `b` (..., n, width), as (..., m, n); leading stack axes broadcast.
+    Column 0's squared difference is added to by each later column's in
+    turn, so no (m, n, width) difference is built."""
+    width = a.shape[-1]
+    if width >= 8:
+        # below 8 columns `sum(axis=-1)` adds them one by one, as the loop
+        # does; from 8 on numpy sums pairwise, so the floats would differ
+        return ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(axis=-1)
+    d2 = a[..., :, None, 0] - b[..., None, :, 0]
+    d2 *= d2
+    column = np.empty_like(d2)
+    for j in range(1, width):
+        np.subtract(a[..., :, None, j], b[..., None, :, j], out=column)
+        column *= column
+        d2 += column
+    return d2
+
+
 def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
                   method: str) -> np.ndarray:
     """Vectorized scattered-data interpolation; exact hits handled upstream.
@@ -77,16 +97,18 @@ def _interp_batch(points: np.ndarray, utils: np.ndarray, queries: np.ndarray,
     One lookup is a table's distinct rows `points` (n, width), their
     `utils` (n,) and the `queries` (q, width), giving (q,). Lookups of one
     shape stack on a leading axis, (L, n, width), (L, n) and (L, q, width),
-    giving (L, q), and each gets the floats it gets alone: the distances and
-    weights are element-wise, every sum runs over one query's row, and
-    `w @ utils` is one gemv per lookup. Padding the query axis would not
-    keep them, since gemv's result for a row depends on the row count."""
+    giving (L, q), and each gets the floats it gets alone: the distances
+    (`_squared_distances`, which keeps numpy's pairwise sum from 8 columns
+    on) and the weights are element-wise, every sum runs over one query's
+    row, and `w @ utils` is one gemv per lookup. Padding the query axis
+    would not keep them, since gemv's result for a row depends on the row
+    count."""
     _check_pair_cap(queries.shape[-2], points.shape[-2])
     out = np.empty(queries.shape[:-1])
     chunk = max(1, PAIR_CAP // (64 * max(1, points.shape[-2])))
     for start in range(0, queries.shape[-2], chunk):
         q = queries[..., start:start + chunk, :]
-        d2 = ((q[..., :, None, :] - points[..., None, :, :]) ** 2).sum(axis=-1)
+        d2 = _squared_distances(q, points)
         if method == "nearest":
             nearest = np.argmin(d2, axis=-1)  # row order is lexicographic
             out[..., start:start + q.shape[-2]] = np.take_along_axis(utils, nearest, axis=-1)
@@ -251,7 +273,9 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random,
                    interpolation: str) -> UtilTable:
     """Compress a table to at most k rows: k-means (farthest-point init,
     Lloyd iterations) over the value tuples, with centroid utilities
-    interpolated from the original rows."""
+    interpolated from the original rows. Every distance is
+    `_squared_distances`, which keeps numpy's pairwise sum from 8 columns
+    on."""
     if k < 1:
         raise ArgumentError(f"cluster count must be >= 1, got {k}")
     points, n = table.rows, len(table.rows)
@@ -261,15 +285,15 @@ def cluster_tuples(table: UtilTable, k: int, rng: random.Random,
         return table
     first = rng.randrange(n)
     chosen = [first]
-    dist = ((points - points[first]) ** 2).sum(axis=1)
+    dist = _squared_distances(points, points[[first]])[:, 0]
     while len(chosen) < k:
         nxt = int(np.argmax(dist))  # ties break to the smallest index
         chosen.append(nxt)
-        dist = np.minimum(dist, ((points - points[nxt]) ** 2).sum(axis=1))
+        dist = np.minimum(dist, _squared_distances(points, points[[nxt]])[:, 0])
     centroids = points[chosen].copy()
 
     for _ in range(100):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(points, centroids)
         labels = np.argmin(d2, axis=1)
         # each cluster's mean, an empty one keeping its centroid. Over two
         # or more columns `mean(axis=0)` adds the members in row order from

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdcop.engines import afdpop
-from fdcop.engines.common import UtilTable, best_own_response
+from fdcop.engines.common import UtilTable, best_own_response, clamp
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import CapacityError
 from fdcop.model import ContinuousDomain, Problem, QuadraticBinaryUtility
@@ -194,17 +194,50 @@ def piece_by_scan(f, v):
     return None
 
 
+def squared_distances_by_sum(a, b):
+    """Oracle: `afdpop._squared_distances` as the (..., m, n, width)
+    difference of every row of `a` and every row of `b`, squared and summed
+    over its last axis."""
+    return ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(axis=-1)
+
+
+def interp_by_sum(points, utils, queries, method):
+    """Oracle: `afdpop._interp_batch` with its distances by
+    `squared_distances_by_sum`, in the same query chunks."""
+    afdpop._check_pair_cap(queries.shape[-2], points.shape[-2])
+    out = np.empty(queries.shape[:-1])
+    chunk = max(1, afdpop.PAIR_CAP // (64 * max(1, points.shape[-2])))
+    for start in range(0, queries.shape[-2], chunk):
+        q = queries[..., start:start + chunk, :]
+        d2 = squared_distances_by_sum(q, points)
+        if method == "nearest":
+            nearest = np.argmin(d2, axis=-1)
+            out[..., start:start + q.shape[-2]] = np.take_along_axis(utils, nearest, axis=-1)
+        else:
+            w = 1.0 / np.maximum(d2, 1e-300)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = (w @ utils[..., None])[..., 0] / w.sum(axis=-1)
+                bad = ~np.isfinite(vals)
+                for at in map(tuple, np.argwhere(bad.any(axis=-1)) if bad.any() else ()):
+                    rows, lookup = w[at][bad[at]], utils[at]
+                    scaled = rows / rows.max(axis=1, keepdims=True)
+                    mean = 2.0 * ((scaled / scaled.sum(axis=1, keepdims=True)) @ (lookup / 2.0))
+                    vals[at][bad[at]] = clamp(mean, lookup.min(), lookup.max())
+            out[..., start:start + q.shape[-2]] = vals
+    return out
+
+
 def lookup_alone(table, queries, method):
     """Oracle: one table's utilities at `queries`, looked up alone: a query
     that is one of the table's rows reads it from the row index, and the
-    others are interpolated by one unstacked `afdpop._interp_batch`."""
+    others are interpolated by one unstacked `interp_by_sum`."""
     index = table.row_index
     out = [index.get(q) for q in queries]
     missing = [i for i, v in enumerate(out) if v is None]
     if missing:
         points, utils = zip(*sorted(index.items()))
-        filled = afdpop._interp_batch(np.array(points, dtype=float), np.array(utils, dtype=float),
-                                      np.array([queries[i] for i in missing], dtype=float), method)
+        filled = interp_by_sum(np.array(points, dtype=float), np.array(utils, dtype=float),
+                               np.array([queries[i] for i in missing], dtype=float), method)
         for i, v in zip(missing, filled.tolist()):
             out[i] = v
     return out
@@ -212,20 +245,22 @@ def lookup_alone(table, queries, method):
 
 def cluster_tuples_by_means(table, k, rng: random.Random, interpolation):
     """Oracle: `afdpop.cluster_tuples` with its Lloyd update as one
-    `mean(axis=0)` per non-empty cluster."""
+    `mean(axis=0)` per non-empty cluster, its distances by
+    `squared_distances_by_sum` and its centroid utilities by
+    `lookup_alone`."""
     points, n = table.rows, len(table.rows)
     if n <= k:
         return table
     first = rng.randrange(n)
     chosen = [first]
-    dist = ((points - points[first]) ** 2).sum(axis=1)
+    dist = squared_distances_by_sum(points, points[[first]])[:, 0]
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, ((points - points[nxt]) ** 2).sum(axis=1))
+        dist = np.minimum(dist, squared_distances_by_sum(points, points[[nxt]])[:, 0])
     centroids = points[chosen].copy()
     for _ in range(100):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = squared_distances_by_sum(points, centroids)
         labels = np.argmin(d2, axis=1)
         new_centroids = centroids.copy()
         for j in range(k):

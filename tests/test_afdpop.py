@@ -20,9 +20,9 @@ from fdcop.errors import ArgumentError, CapacityError, FdcopError, ValidationErr
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
-from conftest import (cluster_tuples_by_means, hex_floats, lookup_alone, make_problem, quad,
-                      scalar_agent_move, scalar_leaf_move, scalar_leaf_table, scalar_moves,
-                      sent_util_tables, util_table)
+from conftest import (cluster_tuples_by_means, hex_floats, interp_by_sum, lookup_alone,
+                      make_problem, quad, scalar_agent_move, scalar_leaf_move, scalar_leaf_table,
+                      scalar_moves, sent_util_tables, squared_distances_by_sum, util_table)
 
 
 DOM = ContinuousDomain(-100.0, 100.0)
@@ -86,6 +86,49 @@ class TestInterpolate:
         assert result.reported_optimum == 1.655e11
 
 
+def kernel_array(data, shape):
+    """An array of `shape`: floats whose squares round, and in some examples
+    signed zeros and values whose differences and squares overflow."""
+    values = st.floats(-5.0, 5.0)
+    if data.draw(st.booleans()):
+        values = st.one_of(values, st.sampled_from([-0.0, 0.0, 1.7e308, -1.7e308]))
+    return np.array(data.draw(st.lists(values, min_size=math.prod(shape),
+                                       max_size=math.prod(shape))), dtype=float).reshape(shape)
+
+
+class TestSquaredDistances:
+    """`_squared_distances`, and `_interp_batch` on it, give the bytes of the
+    (rows x rows x width) difference squared and summed, at every width: the
+    column loop below 8 columns, the summed expression from 8 on."""
+
+    @given(data=st.data(), width=st.integers(1, 9), stack=st.sampled_from([(), (2,), (1, 3)]),
+           m=st.integers(1, 6), n=st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_summed_oracle(self, data, width, stack, m, n):
+        a = kernel_array(data, (*stack, m, width))
+        b = kernel_array(data, (*stack, n, width))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = afdpop._squared_distances(a, b)
+            expected = squared_distances_by_sum(a, b)
+        assert out.shape == expected.shape == (*stack, m, n)
+        assert out.tobytes() == expected.tobytes()
+
+    @given(data=st.data(), width=st.integers(1, 9), stack=st.sampled_from([(), (3,)]),
+           n=st.integers(1, 6), q=st.integers(1, 6),
+           method=st.sampled_from(["idw", "nearest"]))
+    @settings(max_examples=300, deadline=None)
+    def test_interpolation_matches_the_summed_oracle(self, data, width, stack, n, q, method):
+        points = kernel_array(data, (*stack, n, width))
+        utils = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=math.prod(stack) * n,
+                                            max_size=math.prod(stack) * n))).reshape(*stack, n)
+        queries = kernel_array(data, (*stack, q, width))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = afdpop._interp_batch(points, utils, queries, method)
+            expected = interp_by_sum(points, utils, queries, method)
+        assert out.shape == expected.shape == (*stack, q)
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestClusterTuples:
     def test_two_separated_pairs(self):
         t = util_table(("x",), (((1.0,), 1.0), ((2.0,), 2.0),
@@ -119,13 +162,14 @@ class TestClusterTuples:
             random_centers = [v for v, _ in rng.sample(list(rows), 10)]
             assert mean_dist(kmeans_centers) <= mean_dist(random_centers) + 1e-9
 
-    @given(data=st.data(), width=st.integers(1, 4), k=st.integers(1, 5),
+    @given(data=st.data(), width=st.integers(1, 9), k=st.integers(1, 5),
            method=st.sampled_from(["idw", "nearest"]))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_mean_oracle(self, data, width, k, method):
         # few values, so clusters tie, empty out and hold only -0.0; values
         # near the float limit overflow a cluster's sum; one-column tables
-        # of 8 or more members sum pairwise in `mean`
+        # of 8 or more members sum pairwise in `mean`; tables of 8 or more
+        # columns take the summed distances
         values = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1.7e308, -1.7e308]),
                            st.floats(-5.0, 5.0))
         rows = data.draw(st.lists(st.tuples(*[values] * width), min_size=1, max_size=20))
@@ -731,6 +775,17 @@ class TestSizePlan:
             runtime.run(p, "caf-dpop", EngineConfig(points=3, moves=3, row_cap=242),
                         keep_trace=False)
         assert exc.value.stats.total_messages == 1
+
+    def test_a_pair_cap_refusal_comes_at_the_over_cap_lookup(self):
+        # no bound on a moved table's distinct values lets the plan predict
+        # this refusal, so the agents before the refusing one interpolate
+        # their under-cap lookups first
+        p = generators.gen_graph(20, 0.2, seed=1, concave=True)
+        with pytest.raises(CapacityError, match=r"^interpolation workload 97344x2916 exceeds "
+                                                r"the pair cap$") as exc:
+            runtime.run(p, "af-dpop", EngineConfig(points=3, moves=10, alpha=0.001, k_clusters=10),
+                        keep_trace=False)
+        assert exc.value.stats.total_messages == 5
 
     @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
     def test_a_later_leaf_without_a_grid_does_not_preempt_an_earlier_refusal(

@@ -1,8 +1,9 @@
 """The package declares exactly the third-party modules its source imports,
 defines nothing that only its tests use, clamps in one module, reads a
-utility's coefficients in one class, interpolates in one function, computes
-UTIL tables by heights in one function, plans without a walk of its own,
-and has every name its README cites."""
+utility's coefficients in one class, interpolates in one function, takes
+squared distances in one function, computes UTIL tables by heights in one
+function, plans without a walk of its own, and has every name its README
+cites."""
 import ast
 import collections
 import importlib
@@ -79,6 +80,24 @@ def test_only_common_spells_a_clamp():
     spelled = [f"{path.name}:{n}" for path in engines if path.name != "common.py"
                for n, line in enumerate(path.read_text().splitlines(), 1) if clamp.search(line)]
     assert spelled == []
+
+
+def test_one_squared_distance_kernel():
+    """Every squared distance of the engines is `afdpop._squared_distances`,
+    which adds each column's square in turn below 8 columns; no other
+    function spells a difference squared and summed, which builds a
+    (rows x rows x width) temporary."""
+    summed = re.compile(r"\*\*\s*2\s*\)\s*\.sum\(")
+    spelled = []
+    for path in sorted((ROOT / "src" / "fdcop" / "engines").glob("*.py")):
+        module = ast.parse(path.read_text())
+        kernel = [range(node.lineno, node.end_lineno + 1) for node in module.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_squared_distances"]
+        spelled += [f"{path.name}:{n}" for n, line in enumerate(path.read_text().splitlines(), 1)
+                    if summed.search(line) and not any(n in lines for lines in kernel)]
+    assert spelled == []
+    module = ast.parse((ROOT / "src" / "fdcop" / "engines" / "afdpop.py").read_text())
+    assert set(referrers(module, "_squared_distances")) == {"_interp_batch", "cluster_tuples"}
 
 
 def test_only_model_reads_coefficients():
