@@ -90,10 +90,10 @@ def test_one_squared_distance_kernel():
     summed = re.compile(r"\*\*\s*2\s*\)\s*\.sum\(")
     spelled = []
     for path in sorted((ROOT / "src" / "fdcop" / "engines").glob("*.py")):
-        module = ast.parse(path.read_text())
-        kernel = [range(node.lineno, node.end_lineno + 1) for node in module.body
+        text = path.read_text()
+        kernel = [range(node.lineno, node.end_lineno + 1) for node in ast.parse(text).body
                   if isinstance(node, ast.FunctionDef) and node.name == "_squared_distances"]
-        spelled += [f"{path.name}:{n}" for n, line in enumerate(path.read_text().splitlines(), 1)
+        spelled += [f"{path.name}:{n}" for n, line in enumerate(text.splitlines(), 1)
                     if summed.search(line) and not any(n in lines for lines in kernel)]
     assert spelled == []
     module = ast.parse((ROOT / "src" / "fdcop" / "engines" / "afdpop.py").read_text())
