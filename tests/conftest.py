@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdcop.engines import afdpop
-from fdcop.engines.common import UtilTable, best_own_response, clamp
+from fdcop.engines.common import UtilTable, best_own_response, clamp, clamped_step, discretize
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import CapacityError
 from fdcop.model import ContinuousDomain, Problem, QuadraticBinaryUtility
@@ -310,3 +310,52 @@ def agent_scores(var, candidates, sep_vars, constraints, tables, method):
             total += f.evaluate(own, other) if f.first_var == var else f.evaluate(other, own)
         return total
     return scores
+
+
+class MaxSumVariables:
+    """Oracle: hcms's variable nodes one variable at a time, as the engine
+    ran them before its slot arrays. It keeps the latest r vector and
+    partners of each (edge, variable) that `receive` hands it. `q(v, e)` is
+    v's q vector towards e: `summed(v, skip=e)`, centered on its mean summed
+    left to right. `step(alpha)` moves each variable's samples by its own
+    `clamped_step`, along the sum of `f.partial` over its edges in order.
+    `decision(v)` is v's value."""
+
+    def __init__(self, problem: Problem, d: int):
+        self.problem, self.d = problem, d
+        edges = sorted(problem.graph.edges())
+        self.incident = {v: [e for e in edges if v in e] for v in sorted(problem.variables)}
+        self.samples = {v: np.array(discretize(problem.domains[v], d)) for v in self.incident}
+        self.r = {(e, v): np.zeros(d) for e in edges for v in e}
+        self.partner = {}
+
+    def summed(self, v, skip=None):
+        """0.0 plus v's stored r vectors in edge order, but the one over `skip`."""
+        total = np.zeros(self.d)
+        for e in self.incident[v]:
+            if e != skip:
+                total += self.r[(e, v)]
+        return total
+
+    def q(self, v, e):
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = self.summed(v, skip=e)
+            q -= q.cumsum()[-1] / self.d
+        return q
+
+    def receive(self, e, v, payload):
+        self.r[(e, v)], self.partner[(e, v)] = payload["values"], payload["argmax"]
+
+    def step(self, alpha):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, x in self.samples.items():
+                grad = np.zeros(self.d)
+                for e in self.incident[v]:
+                    f, ys = self.problem.utility_between(*e), self.partner[(e, v)]
+                    grad += f.partial(v, x, ys) if f.first_var == v else f.partial(v, ys, x)
+                dom = self.problem.domains[v]
+                self.samples[v] = clamped_step(x, x + alpha * grad, dom.lb, dom.ub)
+
+    def decision(self, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.samples[v][self.summed(v).argmax()])

@@ -460,8 +460,8 @@ class TestAgentMove:
 class TestClampedStep:
     """`clamped_step` gives, element by element, `ContinuousDomain.clamp` of
     the step, or the current value when the step is NaN, to the last bit:
-    at every position of arrays up to 70 x 3, with per-element, per-column
-    and scalar bounds. A tie, 0.0 against a -0.0 bound or -0.0 against a
+    at every position of arrays up to 70 x 3, with per-element, per-column,
+    per-row and scalar bounds. A tie, 0.0 against a -0.0 bound or -0.0 against a
     0.0 bound, goes to the bound."""
 
     DOMAINS = [ContinuousDomain(-0.0, 2.0), ContinuousDomain(0.0, 1.0),
@@ -491,7 +491,11 @@ class TestClampedStep:
             # per-column bounds, as af's agents with children pass them
             self.assert_matches(current, step, np.array([d.lb for d in doms[0]]),
                                 np.array([d.ub for d in doms[0]]), doms[0] * n)
-            # one domain, as hcms passes a variable's, over rows and a vector
+            # per-row bounds, as hcms passes each variable's domain
+            self.assert_matches(current, step, np.array([[r[0].lb] for r in doms]),
+                                np.array([[r[0].ub] for r in doms]),
+                                [r[0] for r in doms for _ in range(w)])
+            # one domain, over rows and a vector
             dom = flat[0]
             self.assert_matches(current, step, dom.lb, dom.ub, [dom] * (n * w))
             self.assert_matches(current[:, 0], step[:, 0], dom.lb, dom.ub, [dom] * n)

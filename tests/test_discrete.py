@@ -1,4 +1,5 @@
 """Discrete grid DPOP against enumeration oracles and a per-cell join."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdcop import generators, model, runtime
+from fdcop.engines import common
 from fdcop.engines.common import UtilSum, UtilTable, _add_up, discretize, join, product_grid
 from fdcop.engines.discrete import joint_utility
 from fdcop.errors import ArgumentError, ProtocolError
@@ -48,6 +50,36 @@ class TestDiscretize:
     def test_refuses_a_grid_it_cannot_build(self, bounds):
         with pytest.raises(ArgumentError, match="cannot place 9 distinct finite points"):
             discretize(ContinuousDomain(*bounds), 9)
+
+    def test_a_grid_cache_keeps_one_grid_per_distinct_domain(self):
+        grid = common.grid_cache()
+        zero = grid(ContinuousDomain(0.0, 2.0), 3)
+        assert grid(ContinuousDomain(0.0, 2.0), 3) is zero
+        assert hex_floats(zero) == ["0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+1"]
+        # equal domains whose upper bounds, 0.0 and -0.0, are their last points
+        assert hex_floats(grid(ContinuousDomain(-2.0, 0.0), 3))[2] == "0x0.0p+0"
+        assert hex_floats(grid(ContinuousDomain(-2.0, -0.0), 3))[2] == "-0x0.0p+0"
+        assert grid(ContinuousDomain(0.0, 2.0), 5) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        # an int upper bound is the grid's last point, as discretize keeps it
+        assert [type(x) for x in grid(ContinuousDomain(0, 2), 3)] == [float, float, int]
+
+    @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
+    def test_one_grid_per_distinct_domain_and_run(self, monkeypatch, engine):
+        # every other variable's domain ends at -0.0, the others' at 0.0
+        p = generators.gen_tree(30, seed=1)
+        p = dataclasses.replace(p, domains={v: ContinuousDomain(-100.0, -0.0 if i % 2 else 0.0)
+                                            for i, v in enumerate(p.variables)})
+        built = []
+        real = common.discretize
+
+        def discretize(domain, d):
+            built.append((float.hex(domain.ub), d))
+            return real(domain, d)
+
+        monkeypatch.setattr(common, "discretize", discretize)
+        for _ in range(2):
+            runtime.run(p, engine, EngineConfig(moves=2), keep_trace=False)
+        assert sorted(built) == sorted([("-0x0.0p+0", 3), ("0x0.0p+0", 3)] * 2)
 
     @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
     @pytest.mark.parametrize("bounds", UNBUILDABLE_GRIDS)

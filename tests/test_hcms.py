@@ -1,10 +1,11 @@
 """Hybrid continuous max-sum baseline."""
 import dataclasses
 
+import numpy as np
 import pytest
 
 from fdcop import cli, generators, model, runtime
-from fdcop.engines import common
+from fdcop.engines import common, hcms
 from fdcop.errors import CapacityError
 from fdcop.runtime import (
     MS_FUNCTION_TO_VARIABLE,
@@ -13,13 +14,20 @@ from fdcop.runtime import (
     Kernel,
 )
 
-from conftest import make_problem, quad, star
+from conftest import MaxSumVariables, hex_floats, make_problem, quad, star
+from test_properties import assert_typed_error_or_finite_in_domain_assignment
 
 
 def chain3_unit():
     """x1 - x2 - x3 on [-1, 1]."""
     return make_problem([quad("x1", "x2", a=-1.0, e=1.0), quad("x2", "x3", c=-1.0, e=0.5)],
                         lb=-1.0, ub=1.0)
+
+
+def nan_gradient_problem():
+    """x's partials are 2 * 1e308 * 0 = inf * 0 = NaN at x = 0, and
+    inf - inf = NaN beyond."""
+    return make_problem([quad("x", "y", a=1e308), quad("x", "z", a=-1e308)], lb=0.0, ub=0.5)
 
 
 class TestRowCap:
@@ -150,11 +158,8 @@ class TestPastTheFloatRange:
         assert all(problem.domains[v].contains(x) for v, x in result.assignment.values.items())
 
     def test_nan_gradient_ends_at_the_lower_bound(self):
-        # 2 * 1e308 is inf, so x's partials are inf * 0 = NaN at x = 0 and
-        # inf - inf = NaN beyond; a NaN step keeps the sample, and x's
-        # best sample is its lower bound
-        p = make_problem([quad("x", "y", a=1e308), quad("x", "z", a=-1e308)], lb=0.0, ub=0.5)
-        result = runtime.run(p, "hcms", EngineConfig(points=3))
+        # a NaN step keeps the sample, and x's best sample is its lower bound
+        result = runtime.run(nan_gradient_problem(), "hcms", EngineConfig(points=3))
         assert result.assignment.values == {"x": 0.0, "y": 0.0, "z": 0.0}
         assert result.reported_optimum == 0.0
 
@@ -232,3 +237,150 @@ class TestPerCellReference:
         assert len(to_x) == 3
         for payload, ys in to_x:
             assert payload["argmax"].tolist() == [ys[0]] * 4
+
+
+class TestVariableNodeReference:
+    """Every variable-to-function message's samples and q vector, every
+    iteration's moved samples and the decisions equal the per-variable loops
+    of `conftest.MaxSumVariables`, fed the function-to-variable messages as
+    they were sent, float for float."""
+
+    @staticmethod
+    def run_checked(monkeypatch, problem, config):
+        oracle = MaxSumVariables(problem, config.points)
+        variables = sorted(problem.variables)
+        moved, expected, checked = [], [], []
+        pending = []  # r messages since the oracle's last step
+        real_send, real_step = Kernel.send, hcms.clamped_step
+
+        def catch_up():
+            if pending:
+                oracle.step(config.alpha)
+                expected.append([hex_floats(oracle.samples[v]) for v in variables])
+                pending.clear()
+
+        def send(kernel, sender, receiver, kind, payload, scalar_size):
+            if kind == MS_VARIABLE_TO_FUNCTION:
+                catch_up()
+                e = payload["edge"]
+                assert hex_floats(payload["values"]) == hex_floats(oracle.samples[sender])
+                assert hex_floats(payload["q"]) == hex_floats(oracle.q(sender, e)), (sender, e)
+                checked.append((sender, e))
+            elif kind == MS_FUNCTION_TO_VARIABLE:
+                oracle.receive(payload["edge"], receiver, payload)
+                pending.append(receiver)
+            real_send(kernel, sender, receiver, kind, payload, scalar_size)
+
+        def step(current, step, lb, ub):
+            out = real_step(current, step, lb, ub)
+            moved.append([hex_floats(row) for row in out])
+            return out
+
+        monkeypatch.setattr(Kernel, "send", send)
+        monkeypatch.setattr(hcms, "clamped_step", step)
+        result = runtime.run(problem, "hcms", config)
+        catch_up()
+        assert len(checked) == result.stats.messages_by_kind[MS_VARIABLE_TO_FUNCTION]
+        assert len(expected) == config.iterations
+        assert moved == expected
+        assert {v: float.hex(x) for v, x in result.assignment.values.items()} == {
+            v: float.hex(oracle.decision(v)) for v in variables}
+        return result
+
+    @pytest.mark.parametrize("config", [EngineConfig(points=5, iterations=3),
+                                        EngineConfig(points=1, iterations=2)],
+                             ids=["golden", "points1"])
+    def test_golden_graph(self, monkeypatch, config):
+        p = generators.gen_graph(30, 0.1, seed=4, concave=True)
+        self.run_checked(monkeypatch, p, config)
+
+    def test_tied_partners(self, monkeypatch):
+        p = make_problem([quad("x", "y", a=-1.0), quad("y", "z", c=-1.0, d=2.0)])
+        self.run_checked(monkeypatch, p, EngineConfig(points=4, iterations=3))
+
+    def test_a_300_leaf_star(self, monkeypatch):
+        # the centre's q vectors each skip one of 300 r vectors
+        self.run_checked(monkeypatch, star(300), EngineConfig(points=4, iterations=3, alpha=0.1))
+
+    def test_nan_gradient(self, monkeypatch):
+        result = self.run_checked(monkeypatch, nan_gradient_problem(),
+                                  EngineConfig(points=3, iterations=3))
+        assert result.assignment.values == {"x": 0.0, "y": 0.0, "z": 0.0}
+
+    @pytest.mark.parametrize("problem", [generators.gen_tree(8, 1),
+                                         generators.gen_graph(6, 0.5, 1)],
+                             ids=["tree", "graph"])
+    def test_largest_finite_alpha(self, monkeypatch, problem):
+        self.run_checked(monkeypatch, problem, EngineConfig(alpha=1e308, iterations=3))
+
+    def test_a_negative_zero_bound(self, monkeypatch):
+        p = make_problem([quad("x", "y", a=-1.0)], lb=-1.0, ub=-0.0)
+        self.run_checked(monkeypatch, p, EngineConfig(points=2, iterations=3, alpha=1.0))
+
+    def test_upper_bounds_of_either_zero(self, monkeypatch):
+        # equal domains, but y's last sample is -0.0 and x's and z's 0.0
+        p = make_problem([quad("x", "y", a=-1.0, e=0.5), quad("y", "z", c=-1.0)], lb=-2.0,
+                         ub=0.0, domains={"y": model.ContinuousDomain(-2.0, -0.0)})
+        self.run_checked(monkeypatch, p, EngineConfig(points=3, iterations=2))
+
+
+class TestVariableNodeProtocol:
+    def test_a_rewritten_r_vector_reaches_the_next_q(self, monkeypatch):
+        # x2's first r vector over (x1, x2) is rewritten in transit: x2's
+        # next q towards (x2, x3) sums it, centered, and its next q towards
+        # (x1, x2) skips it
+        bump = np.array([0.0, 0.0, 8.0, 0.0])
+        real = Kernel.send
+
+        def q_vectors(rewrite):
+            sent, rewritten = {}, []
+
+            def send(kernel, sender, receiver, kind, payload, scalar_size):
+                if (rewrite and not rewritten and kind == MS_FUNCTION_TO_VARIABLE
+                        and receiver == "x2" and payload["edge"] == ("x1", "x2")):
+                    payload = {**payload, "values": hcms.frozen(payload["values"] + bump)}
+                    rewritten.append(payload)
+                if kind == MS_VARIABLE_TO_FUNCTION:
+                    sent.setdefault((sender, payload["edge"]), []).append(payload["q"])
+                real(kernel, sender, receiver, kind, payload, scalar_size)
+
+            monkeypatch.setattr(Kernel, "send", send)
+            runtime.run(chain3_unit(), "hcms", EngineConfig(points=4, iterations=2))
+            assert len(rewritten) == rewrite
+            return sent
+
+        clean, rewritten = q_vectors(False), q_vectors(True)
+        assert hex_floats(rewritten[("x2", ("x1", "x2"))][1]) == hex_floats(
+            clean[("x2", ("x1", "x2"))][1])
+        change = rewritten[("x2", ("x2", "x3"))][1] - clean[("x2", ("x2", "x3"))][1]
+        assert change == pytest.approx(bump - bump.mean())
+
+    def test_one_step_per_iteration(self, monkeypatch):
+        calls = []
+        real = hcms.clamped_step
+
+        def step(current, step, lb, ub):
+            calls.append((current.shape, np.shape(lb), np.shape(ub)))
+            return real(current, step, lb, ub)
+
+        monkeypatch.setattr(hcms, "clamped_step", step)
+        runtime.run(generators.gen_graph(12, 0.3, seed=2), "hcms",
+                    EngineConfig(points=4, iterations=3))
+        assert calls == [((12, 4), (12, 1), (12, 1))] * 3
+
+
+class TestHighDegree:
+    """A 300-leaf star: one variable's 300 r vectors per skip-sum."""
+
+    def test_outcome_laws(self):
+        p, config = star(300), EngineConfig(points=3, iterations=2)
+        result = runtime.run(p, "hcms", config)
+        assert result.stats.total_messages == 4 * 2 * 300
+        assert_typed_error_or_finite_in_domain_assignment(p, config, "hcms")
+        # the power-of-two law: every coefficient times 8 and alpha over 8
+        scaled = dataclasses.replace(p, utilities=tuple(
+            model.QuadraticBinaryUtility(f.first_var, f.second_var, *(8.0 * c for c in f.coeffs))
+            for f in p.utilities))
+        again = runtime.run(scaled, "hcms", dataclasses.replace(config, alpha=config.alpha / 8))
+        assert again.assignment.values == result.assignment.values
+        assert again.reported_optimum == 8.0 * result.reported_optimum

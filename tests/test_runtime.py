@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fdcop import cli, generators, model, pseudotree, runtime
-from fdcop.engines import common, discrete, hcms
+from fdcop.engines import common, discrete
 from fdcop.errors import ArgumentError, CapacityError, ProtocolError
 from fdcop.runtime import SYSTEM, UTIL, VALUE, EngineConfig, Kernel
 
@@ -203,7 +203,8 @@ class TestSizePlan:
     @pytest.mark.parametrize("engine", ["dpop", "af-dpop", "caf-dpop", "hcms"])
     def test_an_over_cap_grid_is_refused_before_any_grid_is_built(self, monkeypatch, engine):
         # a million points a variable: building even one grid would take
-        # longer than refusing
+        # longer than refusing; every engine's grids come from
+        # `common.grid_cache`, which calls `common.discretize`
         built = []
         real = common.discretize
 
@@ -211,8 +212,7 @@ class TestSizePlan:
             built.append(d)
             return real(domain, d)
 
-        for module in (common, hcms):
-            monkeypatch.setattr(module, "discretize", discretize)
+        monkeypatch.setattr(common, "discretize", discretize)
         with pytest.raises(CapacityError):
             runtime.run(generators.gen_graph(30, 0.1, seed=1), engine,
                         EngineConfig(points=10**6))
