@@ -73,10 +73,10 @@ def discretize(domain: ContinuousDomain, d: int) -> list[float]:
 def grid_cache():
     """`discretize`, keeping one grid per distinct (lb, ub, d) for the run
     that makes the cache: `gen_tree(2000)` plans about 7,000 grids on one
-    domain. A bound is keyed by its `float.hex` and its type, since the
-    upper bound is the last point as it is: -0.0 equals 0.0, and 2 equals
-    2.0, but each is another point. Callers share the lists and never
-    mutate them."""
+    domain. A bound is keyed by its `float.hex` and its type: `discretize`
+    places the upper bound itself as the last point, so -0.0 and 0.0, or 2
+    and 2.0, are equal bounds that give other grids. Callers share the
+    lists and never mutate them."""
     grids: dict[tuple, list[float]] = {}
 
     def grid(domain: ContinuousDomain, d: int) -> list[float]:
@@ -119,10 +119,10 @@ def plan_util(contexts, tree: PseudoTree, d: int, row_cap: int, grid_tables: boo
     (with `grid_tables`, the children's tables are the grids of their
     variables, so all of them), through one `grid_cache` for all agents.
     When it knows every grid, `plan` first refuses a table of d^(|sep|+1)
-    rows above `row_cap` with `check_grid_cap`, before any grid is built. A variable a child's table
-    mentions has at least one value, so the count it knows is a lower
-    bound; that bound refuses nothing, since a refusal names the table's
-    count."""
+    rows above `row_cap` with `check_grid_cap`, before any grid is built.
+    A variable a child's table mentions has at least one value, so the
+    count it knows is a lower bound; that bound refuses nothing, since a
+    refusal names the table's count."""
     plans: dict[str, AgentPlan] = {}
     grid = grid_cache()
 

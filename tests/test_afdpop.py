@@ -461,8 +461,8 @@ class TestClampedStep:
     """`clamped_step` gives, element by element, `ContinuousDomain.clamp` of
     the step, or the current value when the step is NaN, to the last bit:
     at every position of arrays up to 70 x 3, with per-element, per-column,
-    per-row and scalar bounds. A tie, 0.0 against a -0.0 bound or -0.0 against a
-    0.0 bound, goes to the bound."""
+    per-row and scalar bounds. A tie, 0.0 against a -0.0 bound or -0.0
+    against a 0.0 bound, goes to the bound."""
 
     DOMAINS = [ContinuousDomain(-0.0, 2.0), ContinuousDomain(0.0, 1.0),
                ContinuousDomain(-1.0, -0.0), ContinuousDomain(-1.0, 0.0),
