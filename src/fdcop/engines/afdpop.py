@@ -2,18 +2,18 @@
 
 UTIL tables hold scattered value tuples, the rows of an array, whose
 coordinates are iteratively moved along utility gradients. An agent's UTIL
-step is one record, `Step`, which `agent_util` builds; a leaf is an agent
-with no child tables. Each child's table is interpolated over the union of
-the children's value sets (a grid for a variable no child mentions), its
-queries built once per distinct projection of the separator tuples; every
-table lookup, clustering's too, runs through `_lookups`. The max-plus
-projection (`common.join`) gives each tuple its best own value and
-utility, so no agent keeps its (tuples x candidates) scores. Each tuple
-then moves along the own constraints' gradient at the best own value of
-its nearest grid tuple. An agent with no child tables
-has a utility that is a sum of quadratics in its own value, so it moves
-against the closed-form best response instead. Every move runs by one loop
-and one clamped step (`_move`).
+step is one record, `Step`, which `agent_util` builds and its VALUE rule
+reads; a leaf is an agent with no child tables. Each child's table is
+interpolated over the union of the children's value sets (a grid for a
+variable no child mentions), its queries built once per distinct projection
+of the separator tuples; every table lookup, clustering's too, runs through
+`_lookups`. The max-plus projection (`common.join`) gives each tuple its
+best own value and utility, so no agent keeps its (tuples x candidates)
+scores. Each tuple then moves along the own constraints' gradient at the
+best own value of its nearest grid tuple. An agent with no child tables has
+a utility that is a sum of quadratics in its own value, so it moves against
+the closed-form best response instead. Every move runs by one loop and one
+clamped step (`_move`).
 
 UTIL is computed before its first message, one pseudo-tree height at a
 time, on dpop's schedule (`common.computed_ahead`), each height by
@@ -26,11 +26,12 @@ compute at their turn, so a refusal comes at its agent's turn, after the
 same messages, and no agent with children after it joins, looks anything
 up or clusters.
 
-VALUE answers the ancestors' values, which may lie off the grid, by the same
-scores as the move (`scored_value`): each query scored alone, reusing each
-child's last lookup when its projections are the same. The clustered variant
-compresses each outgoing table to the k-means centroids of its rows (at
-most k) while keeping the full table locally.
+VALUE (`agent_value`) answers the ancestors' values, which may lie off the
+grid, from the agent's step: a step without candidates by the closed-form
+best response, any other by the same scores as the move, each query scored
+alone, reusing each child's last lookup when its projections are the same.
+The clustered variant compresses each outgoing table to the k-means
+centroids of its rows (at most k) while keeping the full table locally.
 """
 from __future__ import annotations
 
@@ -169,35 +170,43 @@ def _interp_many(table: UtilTable, queries: list[tuple[float, ...]],
     return _lookups([(table, queries)], method)[0].tolist()
 
 
-# --- scoring ----------------------------------------------------------------
+# --- the step and its scores -------------------------------------------------
 
-class Scorer(NamedTuple):
-    """What an agent scores its separator tuples with (`score`): its
-    variable, its candidates (the union of its children's values of it), its
-    sorted separator and its constraints in separator order; per child
-    table, where `var` sits in it and which separator columns give the
-    other coordinates of its queries; and per child, the distinct
+class Step(NamedTuple):
+    """One agent's UTIL step up to its move, and what its VALUE rule
+    (`agent_value`) reads: its variable and domain, its sorted separator
+    with each variable's domain and its constraint with it (None where it
+    has none), and its grid rows, one column per separator variable. A
+    closed-form leaf needs no more. A step that `score` scores also has its
+    candidates (the union of its children's values of its variable); per
+    child table, where `var` sits in it and which separator columns give
+    the other coordinates of its queries; per child, the distinct
     projections of its last lookup and their (projections, candidates)
-    utilities."""
+    utilities; each separator variable's sorted grid points and, once its
+    grid is scored, the own value of each grid tuple's first maximum
+    (`best_own`, an array of the grid's shape)."""
 
     var: str
-    candidates: list[float]
+    own_domain: ContinuousDomain
     sep_vars: tuple[str, ...]
-    constraints: list[QuadraticBinaryUtility]
-    children: list[tuple[UtilTable, int, list[int]]]
-    last: list
+    sep_domains: tuple[ContinuousDomain, ...]
+    constraints: tuple[QuadraticBinaryUtility | None, ...]
+    rows: np.ndarray
+    candidates: list[float] | None = None
+    children: list[tuple[UtilTable, int, list[int]]] = ()
+    last: list | None = None
+    points: tuple[np.ndarray, ...] | None = None
+    best_own: np.ndarray | None = None
 
-    @classmethod
-    def of(cls, var, candidates, sep_vars, constraints, tables) -> "Scorer":
-        return cls(var, candidates, sep_vars, constraints,
-                   [(t, t.separator_vars.index(var),
-                     [sep_vars.index(w) for w in t.separator_vars if w != var]) for t in tables],
-                   [None] * len(tables))
+    @property
+    def own_constraints(self) -> list[QuadraticBinaryUtility]:
+        """The constraints with separator variables, in separator order."""
+        return [f for f in self.constraints if f is not None]
 
 
-def score(jobs: list[tuple[Scorer, np.ndarray]], method: str,
+def score(jobs: list[tuple[Step, np.ndarray]], method: str,
           row_cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each (scorer, tuples) job, an (n, |sep|) array of its agent's
+    """For each (step, tuples) job, an (n, |sep|) array of its agent's
     separator tuples, the max-plus projection (`join`) of their scores: per
     tuple, its first best candidate's index and utility. A score is the
     interpolated child contributions plus the exact own constraints, summed
@@ -217,9 +226,9 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str,
     queries are built and before any job's lookup is interpolated: the jobs'
     lookups are all interpolated by one `_lookups`."""
     requests, plans = [], []
-    for scorer, tuples in jobs:
+    for step, tuples in jobs:
         plan = []
-        for slot, (t, pos, cols) in enumerate(scorer.children):
+        for slot, (t, pos, cols) in enumerate(step.children):
             if cols:
                 uniq = {}
                 inverse = [uniq.setdefault(p, len(uniq))
@@ -228,43 +237,47 @@ def score(jobs: list[tuple[Scorer, np.ndarray]], method: str,
                 # a child whose table holds only `var`: every row projects
                 # to (), and its one row of utilities adds to all rows
                 uniq, inverse = {(): 0}, None
-            projections, last = tuple(uniq), scorer.last[slot]
+            projections, last = tuple(uniq), step.last[slot]
             if last is not None and last[0] == projections:
                 plan.append((inverse, None, last[1]))
                 continue
             # only a lookup whose every query could miss may exceed the cap
-            if len(uniq) * len(scorer.candidates) * len(t.rows) > PAIR_CAP:
-                _check_pair_cap(_missing_queries(t.row_index, pos, uniq, len(scorer.candidates)),
+            if len(uniq) * len(step.candidates) * len(t.rows) > PAIR_CAP:
+                _check_pair_cap(_missing_queries(t.row_index, pos, uniq, len(step.candidates)),
                                 len(t.row_index))
             plan.append((inverse, projections, len(requests)))
             requests.append((t, [p[:pos] + (c,) + p[pos:]
-                                 for p in projections for c in scorer.candidates]))
+                                 for p in projections for c in step.candidates]))
         plans.append(plan)
     looked_up = _lookups(requests, method)
 
     def sums():
-        for (scorer, tuples), plan in zip(jobs, plans):
+        for (step, tuples), plan in zip(jobs, plans):
             contributions = []
             for slot, (inverse, projections, found) in enumerate(plan):
                 if projections is not None:
-                    found = looked_up[found].reshape(len(projections), len(scorer.candidates))
-                    scorer.last[slot] = (projections, found)
+                    found = looked_up[found].reshape(len(projections), len(step.candidates))
+                    step.last[slot] = (projections, found)
                 contributions.append(found if inverse is None else found[inverse])
-            yield UtilSum(scorer.var, scorer.candidates, scorer.sep_vars, tuples,
-                          contributions, scorer.constraints)
+            yield UtilSum(step.var, step.candidates, step.sep_vars, tuples, contributions,
+                          step.own_constraints)
     return [(best, utils) for _, best, utils in joined(sums(), row_cap)]
 
 
-def scored_value(scorer: Scorer, own_dom: ContinuousDomain, method: str, row_cap: int):
-    """An agent's VALUE rule: the candidate `score` finds best for the query,
-    each query scored alone, reusing each child's last lookup when its
-    projections are the same. The first best is the smallest candidate; a
-    clustered child's centroid may round just outside the domain."""
-    def value(query: tuple[float, ...]) -> float:
-        [(best, _)] = score([(scorer, np.array([query], dtype=float).reshape(1, len(query)))],
-                            method, row_cap)
-        return own_dom.clamp(scorer.candidates[int(best[0])])
-    return value
+def agent_value(step: Step, query: tuple[float, ...], method: str, row_cap: int) -> float:
+    """An agent's VALUE rule: its own value for its ancestors' values
+    `query`. A step without candidates (a closed-form leaf, or a lone root)
+    answers with the closed-form best response; any other step with the
+    candidate that `score` finds best for the query, scored alone, reusing
+    each child's last lookup when its projections are the same. The first
+    best is the smallest candidate; a clustered child's centroid may round
+    just outside the domain."""
+    if step.candidates is None:
+        return best_own_response(step.own_constraints, step.var,
+                                 dict(zip(step.sep_vars, query)), step.own_domain)
+    [(best, _)] = score([(step, np.array([query], dtype=float).reshape(1, len(query)))],
+                        method, row_cap)
+    return step.own_domain.clamp(step.candidates[int(best[0])])
 
 
 # --- clustering --------------------------------------------------------------
@@ -338,26 +351,6 @@ def _columns(own_var: str, constraints, domains, width: int) -> list[tuple[float
             own_sq, own_lin, other_sq, other_lin, cross, _ = f.oriented(own_var)
             columns[j] = own_sq, own_lin, 2.0 * other_sq, other_lin, cross, dom.lb, dom.ub
     return columns
-
-
-class Step(NamedTuple):
-    """One agent's UTIL step up to its move: its variable and domain, its
-    sorted separator with each variable's domain and its constraint with it
-    (None where it has none), and its grid rows, one column per separator
-    variable. A closed-form leaf needs no more. An agent with children also
-    has its `Scorer`, each separator variable's sorted grid points and,
-    once its grid is scored, the own value of each grid tuple's first
-    maximum (`best_own`, an array of the grid's shape)."""
-
-    var: str
-    own_domain: ContinuousDomain
-    sep_vars: tuple[str, ...]
-    sep_domains: tuple[ContinuousDomain, ...]
-    constraints: tuple[QuadraticBinaryUtility | None, ...]
-    rows: np.ndarray
-    scorer: Scorer | None = None
-    points: tuple[np.ndarray, ...] | None = None
-    best_own: np.ndarray | None = None
 
 
 def _stack(steps: list[Step], width: int):
@@ -504,19 +497,19 @@ def _stacked_direction(agents: list[Step], columns, starts):
     # each agent's own values, one after the other, and where each starts
     own_values = np.concatenate([a.best_own.ravel() for a in agents])
     offsets = np.cumsum([0] + [a.best_own.size for a in agents[:-1]])
-    counts = np.diff(starts)
     _, _, twice_other_sq, other_lin, cross, lb, ub = columns
-    arrays = [twice_other_sq, other_lin, cross, lb, ub,
-              *(np.repeat(x, counts, axis=0) for x in (points, strides, offsets))]
+    # each row's agent, whose points, strides and offset the live rows gather
+    row_agent = np.repeat(np.arange(len(agents)), np.diff(starts))
+    arrays = [twice_other_sq, other_lin, cross, lb, ub, row_agent]
 
     def direction(live, rows):
-        twice_other_sq, other_lin, cross, lb, ub, points, strides, offsets = (
-            a[live] for a in arrays)
-        j = (points[:, :, 1:] < rows[:, :, None]).sum(axis=2)[:, :, None]
-        lower = np.take_along_axis(points, j, axis=2)[:, :, 0]
-        upper = np.take_along_axis(points, j + 1, axis=2)[:, :, 0]
+        twice_other_sq, other_lin, cross, lb, ub, at = (a[live] for a in arrays)
+        row_points = points[at]
+        j = (row_points[:, :, 1:] < rows[:, :, None]).sum(axis=2)[:, :, None]
+        lower = np.take_along_axis(row_points, j, axis=2)[:, :, 0]
+        upper = np.take_along_axis(row_points, j + 1, axis=2)[:, :, 0]
         snapped = j[:, :, 0] + ((rows - lower) > (upper - rows))
-        own = own_values[offsets + (snapped * strides).sum(axis=1)]
+        own = own_values[offsets[at] + (snapped * strides[at]).sum(axis=1)]
         return twice_other_sq * rows + other_lin + cross * own[:, None], lb, ub
     return direction
 
@@ -596,14 +589,13 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         clustered: bool = False):
     method = config.interpolation
     k = config.k_clusters
-    # var -> its VALUE rule: separator tuple -> own value
-    state: dict[str, object] = {}
+    state: dict[str, Step] = {}  # var -> the step its VALUE rule reads
 
     def agent_util(var, tables) -> Step:
         """One agent's UTIL step up to its grid scores, over its children's
         tables; a leaf is the agent with none. With moves, a non-root leaf's
-        step is closed-form, its grid rows alone; any other step has its
-        scorer and its grid's points."""
+        step is closed-form, its grid rows alone; any other step has what
+        `score` reads and its grid's points."""
         for t in tables:
             if not len(t.utils):
                 raise ProtocolError(f"{var}: received an empty UTIL table")
@@ -612,19 +604,8 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
                 raise ProtocolError(f"{var}: a child's UTIL table does not mention this agent")
 
         planned = plan(var)
-        own_dom = planned.domains[var]
         ctx = contexts[var]
         sep_vars = ctx.separator
-        constraints = {w: f for w in sep_vars if (f := ctx.constraint_with(w)) is not None}
-        sorted_constraints = list(constraints.values())  # sep_vars is sorted
-
-        # with no child tables the utility is a sum of quadratics in the own
-        # value, so VALUE answers with the closed-form best response, and a
-        # leaf's table moves against it (`leaf_move`)
-        closed_form = not tables and config.moves > 0
-        if closed_form:
-            state[var] = lambda query: best_own_response(sorted_constraints, var,
-                                                         dict(zip(sep_vars, query)), own_dom)
 
         # the union of the children's value sets per variable, and the grid of
         # every variable no child mentions; the join interpolates each child
@@ -639,43 +620,51 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         candidates = sets[var]
         sep_sets = [sets[w] for w in sep_vars]
         check_grid_cap(var, len(candidates) * math.prod(map(len, sep_sets)), config.row_cap)
-        step = Step(var, own_dom, sep_vars, tuple(map(planned.domains.get, sep_vars)),
-                    tuple(map(constraints.get, sep_vars)), product_grid(sep_sets)[1])
+        step = Step(var, planned.domains[var], sep_vars, tuple(map(planned.domains.get, sep_vars)),
+                    tuple(map(ctx.constraint_with, sep_vars)), product_grid(sep_sets)[1])
+        # with no child tables the utility is a sum of quadratics in the own
+        # value, so VALUE answers with the closed-form best response (the
+        # step without candidates), and a leaf's table moves against it
+        # (`leaf_move`); a lone root is scored for its optimum all the same
+        closed_form = not tables and config.moves > 0
+        state[var] = step
         if closed_form and var != tree.root:
             return step
-        return step._replace(scorer=Scorer.of(var, candidates, sep_vars, sorted_constraints,
-                                              tables), points=tuple(map(np.array, sep_sets)))
+        children = [(t, t.separator_vars.index(var),
+                     [sep_vars.index(w) for w in t.separator_vars if w != var]) for t in tables]
+        scored = step._replace(candidates=candidates, children=children,
+                               last=[None] * len(tables), points=tuple(map(np.array, sep_sets)))
+        if not closed_form:
+            state[var] = scored
+        return scored
 
     def util_steps(agents, inputs) -> list:
         """The UTIL steps of agents that do not depend on each other, each
         over its children's tables: a height's, or one agent's at its turn.
-        Returns each one's table, or the optimum at the root, and sets each
-        one's VALUE rule. The closed-form leaves move in one `leaf_move`; the
-        other agents' grids are scored in one `score`, their grid rows move
-        in one `agents_move` at each grid tuple's best own value, and the
-        moved rows are scored in one `score`."""
+        Returns each one's table, or the optimum at the root. The
+        closed-form leaves move in one `leaf_move`; the other agents' grids
+        are scored in one `score`, their grid rows move in one `agents_move`
+        at each grid tuple's best own value, and the moved rows are scored
+        in one `score`."""
         steps = [agent_util(var, tables) for var, tables in zip(agents, inputs)]
-        leaves = [step for step in steps if step.scorer is None]
+        leaves = [step for step in steps if step.candidates is None]
         moved = iter(leaf_move(leaves, config.alpha, config.moves) if leaves else ())
-        results = [next(moved) if step.scorer is None else None for step in steps]
-        scoring = [(i, step) for i, step in enumerate(steps) if step.scorer is not None]
+        results = [next(moved) if step.candidates is None else None for step in steps]
+        scoring = [(i, step) for i, step in enumerate(steps) if step.candidates is not None]
         moving = []
         for (i, step), (best, utils) in zip(scoring, score(
-                [(step.scorer, step.rows) for _, step in scoring], method, config.row_cap)):
-            # a closed-form root keeps its VALUE rule
-            state.setdefault(step.var, scored_value(step.scorer, step.own_domain, method,
-                                                    config.row_cap))
+                [(step, step.rows) for _, step in scoring], method, config.row_cap)):
             if step.var == tree.root:
                 # the root has no separator: one row, the best candidate's utility
                 results[i] = float(utils[0])
             elif not config.moves:
                 results[i] = UtilTable(step.sep_vars, step.rows, utils)
             else:
-                best_own = np.take(step.scorer.candidates, best).reshape(list(map(len, step.points)))
+                best_own = np.take(step.candidates, best).reshape(list(map(len, step.points)))
                 moving.append((i, step._replace(best_own=best_own)))
         if moving:
             rows = agents_move([step for _, step in moving], config.alpha, config.moves)
-            rescored = score([(step.scorer, r) for (_, step), r in zip(moving, rows)], method,
+            rescored = score([(step, r) for (_, step), r in zip(moving, rows)], method,
                              config.row_cap)
             for (i, step), r, (_, utils) in zip(moving, rows, rescored):
                 results[i] = UtilTable(step.sep_vars, r, utils)
@@ -698,4 +687,5 @@ def run(contexts, tree: PseudoTree, kernel: Kernel, config: EngineConfig,
         util_fn = computed_ahead(tree, sure, lambda agents, inputs: list(
             map(sent, agents, util_steps(agents, inputs))))
 
-    return util_value_protocol(kernel, tree, util_fn, lambda var, key: state[var](key))
+    return util_value_protocol(kernel, tree, util_fn, lambda var, key: agent_value(
+        state[var], key, method, config.row_cap))

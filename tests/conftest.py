@@ -276,6 +276,19 @@ def cluster_tuples_by_means(table, k, rng: random.Random, interpolation):
     return UtilTable(table.separator_vars, centers, np.array(utils))
 
 
+def scoring_step(var, candidates, sep_vars, constraints, tables):
+    """The `afdpop.Step` that `afdpop.score` scores as `agent_util` builds
+    it, with only what `score` reads: `var`, its `candidates`, its
+    separator `sep_vars`, its `constraints` in separator order (one per
+    separator variable at most) and its children's `tables`."""
+    by_var = {f.other_var(var): f for f in constraints}
+    return afdpop.Step(var, None, sep_vars, None, tuple(map(by_var.get, sep_vars)), None,
+                       candidates=candidates, last=[None] * len(tables),
+                       children=[(t, t.separator_vars.index(var),
+                                  [sep_vars.index(w) for w in t.separator_vars if w != var])
+                                 for t in tables])
+
+
 def agent_scores(var, candidates, sep_vars, constraints, tables, method):
     """Oracle: one agent's `scores(tuples)`, scored alone as each agent with
     children scored its tuples before heights were scored as one: per child,

@@ -618,6 +618,52 @@ class TestReductions:
         assert off_grid > 0
 
 
+class TestValueRule:
+    """Each agent answers VALUE from its step (`afdpop.agent_value`): a
+    closed-form leaf, and a root without children, only through
+    `best_own_response`; an agent with children through one `score` of the
+    query's one row against its own step."""
+
+    @pytest.mark.parametrize("engine", ["af-dpop", "caf-dpop"])
+    @pytest.mark.parametrize("shape", ["tree", "lone root"])
+    def test_each_agent_answers_by_its_step(self, monkeypatch, engine, shape):
+        p = generators.gen_tree(30, seed=1, concave=True) if shape == "tree" else model.Problem(
+            agents=("a",), variables=("x",), domains={"x": ContinuousDomain(0.0, 1.0)},
+            utilities=(), owner={"x": "a"})
+        # per VALUE query, its agent and the calls that answer it: the
+        # variable of each `best_own_response`, and each `score`'s
+        # (variable, rows) per job
+        answers = []
+        real_protocol, real_best, real_score = (afdpop.util_value_protocol,
+                                                afdpop.best_own_response, afdpop.score)
+
+        def protocol(kernel, tree, util_fn, value_fn):
+            def value(var, key):
+                answers.append((var, []))
+                return value_fn(var, key)
+            return real_protocol(kernel, tree, util_fn, value)
+
+        def best(utilities, var, fixed, domain):
+            if answers:
+                answers[-1][1].append(("best_own_response", var))
+            return real_best(utilities, var, fixed, domain)
+
+        def score(jobs, method, row_cap):
+            if answers:
+                answers[-1][1].append(("score", [(s.var, len(rows)) for s, rows in jobs]))
+            return real_score(jobs, method, row_cap)
+
+        monkeypatch.setattr(afdpop, "util_value_protocol", protocol)
+        monkeypatch.setattr(afdpop, "best_own_response", best)
+        monkeypatch.setattr(afdpop, "score", score)
+        runtime.run(p, engine, EngineConfig(points=3, moves=3), keep_trace=False)
+        tree = p.tree
+        assert [var for var, _ in answers] == list(tree.pre_order)
+        for var, calls in answers:
+            assert calls == ([("score", [(var, 1)])] if tree.children[var]
+                             else [("best_own_response", var)]), var
+
+
 class TestClusteredMessages:
     def test_centroid_rounded_above_the_bound_stays_in_domain(self):
         # the leaf x3 moves three of its x1 values to x1's upper bound, and the

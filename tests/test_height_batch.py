@@ -14,14 +14,14 @@ from hypothesis import HealthCheck, assume, given, reject, settings, strategies 
 
 from fdcop import generators, runtime
 from fdcop.engines import afdpop, common
-from fdcop.engines.afdpop import Scorer, Step, _snap_column, agents_move, score
+from fdcop.engines.afdpop import Step, _snap_column, agents_move, score
 from fdcop.engines.common import _add_up, discretize
 from fdcop.errors import CapacityError, FdcopError, ProtocolError, ValidationError
 from fdcop.model import ContinuousDomain
 from fdcop.runtime import UTIL, EngineConfig, Kernel
 
 from conftest import (agent_scores, hex_floats, make_problem, quad, scalar_agent_move,
-                      scalar_moves, sent_util_tables, star, util_table)
+                      scalar_moves, scoring_step, sent_util_tables, star, util_table)
 
 ONE = ContinuousDomain(-1.0, 1.0)
 WIDE = ContinuousDomain(-10.0, 10.0)
@@ -496,14 +496,14 @@ class TestScoreOracle:
     @given(agents=scoring_heights(), method=st.sampled_from(["idw", "nearest"]))
     @settings(max_examples=300, deadline=None)
     def test_a_height_scores_as_each_agent_alone(self, agents, method):
-        scorers = [Scorer.of("x", candidates, sep_vars, constraints, tables)
+        steps = [scoring_step("x", candidates, sep_vars, constraints, tables)
                    for sep_vars, tables, candidates, constraints, _ in agents]
         oracles = [agent_scores("x", candidates, sep_vars, constraints, tables, method)
                    for sep_vars, tables, candidates, constraints, _ in agents]
         with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
             joins = joined_sums(mp)
             for r in range(2):
-                got = score([(s, a[4][r]) for s, a in zip(scorers, agents)], method, 10**7)
+                got = score([(s, a[4][r]) for s, a in zip(steps, agents)], method, 10**7)
                 sums = list(joins)
                 joins.clear()
                 assert len(sums) == len(agents)
@@ -535,8 +535,8 @@ class TestScoreOracle:
 
         monkeypatch.setattr(afdpop, "_interp_batch", batch)
         joins = joined_sums(monkeypatch)
-        got = score([(Scorer.of("x", c, sep, f, t), np.zeros((1, 0))) for sep, t, c, f in agents],
-                    "idw", 10**7)
+        got = score([(scoring_step("x", c, sep, f, t), np.zeros((1, 0)))
+                     for sep, t, c, f in agents], "idw", 10**7)
         assert stacked == [3] and len(fallbacks) == 2 and len(joins) == len(agents)
         for s, (best, utils), (sep, t, c, f) in zip(joins, got, agents):
             expected = agent_scores("x", c, sep, f, t, "idw")(np.zeros((1, 0)))

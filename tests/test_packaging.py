@@ -2,8 +2,8 @@
 defines nothing that only its tests use, clamps in one module, reads a
 utility's coefficients in one class, interpolates in one function, takes
 squared distances in one function, computes UTIL tables by heights in one
-function, plans without a walk of its own, and has every name its README
-cites."""
+function, plans without a walk of its own, keeps an af/caf agent in one
+record, and has every name its README cites."""
 import ast
 import collections
 import importlib
@@ -186,6 +186,16 @@ def test_leaves_move_on_the_util_schedule():
     library = sorted((ROOT / "src" / "fdcop").rglob("*.py"))
     assert [f"{path.stem}.{where}" for path in library
             for where in callers(ast.parse(path.read_text()), "Step")] == ["afdpop.agent_util"]
+
+
+def test_one_record_per_af_agent():
+    """An af/caf agent's UTIL step and what its VALUE rule reads are one
+    record, `afdpop.Step`: the module defines no other `NamedTuple`."""
+    module = ast.parse((ROOT / "src" / "fdcop" / "engines" / "afdpop.py").read_text())
+    records = [node.name for node in ast.walk(module) if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                       for base in node.bases)]
+    assert records == ["Step"]
 
 
 def callers(tree: ast.AST, name: str, where: str = "<module>"):
